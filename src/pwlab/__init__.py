@@ -38,7 +38,6 @@ from .commutator import (ConformalFrame, RecoveredSymbol, build_frame,
                          series_reconstruct, series_residual)
 from .factorize import (Factorization, FejerAtomPlan, fejer_deconvolve,
                         fejer_triangle, pair, regroup_pairs, sinc_atom,
-                        toeplitz_test_set, weak_factorize, xpq_norm_estimate,
-                        xpq_sandwich)
+                        toeplitz_test_set, weak_factorize, xpq_sandwich)
 
 __version__ = "0.1.0"

@@ -9,8 +9,6 @@ written (same basename).
 Exit codes: 0 success, 1 input error (message names the offending field),
 2 certificate failure (a requested bound did not hold; the JSON report is
 still written).
-
-Environment: PWLAB_THREADS caps the matrix-assembly thread pool.
 """
 from __future__ import annotations
 
@@ -29,15 +27,13 @@ from .grid import lp_norm
 from .nehari import bounded_symbol, nehari_solve
 from .pwspace import band_residual, default_grid, project_band
 from .split import bump, split_symbol
-from .symbols import from_dict as symbol_from_dict
+from .symbols import KINDS as SYMBOL_KINDS, from_dict as symbol_from_dict
 from .toeplitz import (matrix_from_dict, matrix_to_dict,
                        operator_norm_certified, toeplitz_matrix)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CERT = 2
-
-_SYMBOL_KINDS = ("gaussian", "mod_poly", "sampled", "bump_spectrum")
 
 
 class InputError(Exception):
@@ -113,18 +109,21 @@ def _config(args) -> RunConfig:
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            d = json.load(fh)
     except OSError as e:
         raise InputError(f"{path}: {e.strerror or e}") from None
     except json.JSONDecodeError as e:
         raise InputError(f"{path}: invalid JSON: {e}") from None
+    if not isinstance(d, dict):
+        raise InputError(f"{path}: top-level value must be a JSON object")
+    return d
 
 
 def _load_symbol(path: str):
     d = _load_json(path)
     if "kind" not in d and len(d) == 1:
         kind = next(iter(d))
-        if kind in _SYMBOL_KINDS:
+        if kind in SYMBOL_KINDS:
             if not isinstance(d[kind], dict):
                 raise InputError(f"{path}: field {kind!r} must hold an object")
             d = {"kind": kind, **d[kind]}

@@ -22,6 +22,7 @@ independent cross-check.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,33 +30,25 @@ import numpy as np
 
 from .grid import (Grid, SampledFunction, fft_spectrum, inner,
                    inverse_spectrum, lp_norm)
+from .nehari import cayley
 from .pwspace import (BandlimitedFunction, band_mask, band_residual,
                       default_grid, project_band)
 from .toeplitz import NyquistBasis, OperatorMatrix, assemble_matrix
 
 
-def blaschke_params(freq_step: float) -> tuple[float, float, float]:
-    """(c, r, d): kernel strength, pole radius, and diagonal weight.
+def blaschke_params(freq_step: float) -> tuple[float, float]:
+    """(c, r): kernel strength and pole radius.
 
     r is the positive root of c r = 1 - r^2 (unit-trace defect, see module
-    docstring); d is the equivalent diagonal quadrature weight 1/c - r^2/(1-r^2)
-    of the continuum kernel, recorded for reference -- the first column is
-    built directly from (c, r).
+    docstring).
     """
     c = 4.0 * np.pi * freq_step
     r = 0.5 * (math.sqrt(c * c + 4.0) - c)
-    d = 1.0 / c - r * r / (1.0 - r * r)
-    return c, r, d
-
-
-def omega_samples(x) -> np.ndarray:
-    """omega(x) = (x - i)/(x + i), unimodular on the real line."""
-    x = np.asarray(x, dtype=complex)
-    return (x - 1j) / (x + 1j)
+    return c, r
 
 
 def _omega_kernel(n: int, freq_step: float) -> np.ndarray:
-    c, r, _ = blaschke_params(freq_step)
+    c, r = blaschke_params(freq_step)
     col = np.zeros(n)
     col[0] = r
     col[1:] = -c * r ** np.arange(1, n)
@@ -108,7 +101,7 @@ def build_frame(a: float, p: float = 2.0, grid: Grid | None = None) -> Conformal
         grid = default_grid(a)
     x = grid.points
     basis = NyquistBasis(a, -grid.start, grid)
-    _, r, _ = blaschke_params(grid.freq_step)
+    _, r = blaschke_params(grid.freq_step)
 
     fg = grid.freq_grid()
     mask = band_mask(fg.points, a)
@@ -123,7 +116,7 @@ def build_frame(a: float, p: float = 2.0, grid: Grid | None = None) -> Conformal
     # open right half-plane
     sigma = np.power(x + 1j, 2.0 / p)
     eta = alpha * np.power(2j * np.pi * (x - 1j), -2.0 / p)
-    return ConformalFrame(a, p, grid, basis, omega_samples(x), kernel,
+    return ConformalFrame(a, p, grid, basis, cayley(x), kernel,
                           basis.coefficients(kernel), alpha, sigma, eta)
 
 
@@ -232,7 +225,7 @@ def commutator_test(T: OperatorMatrix, frame: ConformalFrame,
                            + 1j * rng.standard_normal((n, n_test)), frame)
     gs = _k_project_coeffs(rng.standard_normal((n, n_test))
                            + 1j * rng.standard_normal((n, n_test)), frame)
-    lam = _frame_ops(frame).lam.entries
+    lam = _frame_ops(frame.a, frame.p, frame.grid).lam.entries
     plain = np.conj(gs).T @ (T.entries @ fs)
     moved = np.conj(lam @ gs).T @ (T.entries @ (lam @ fs))
     scale = tnorm * np.outer(np.linalg.norm(gs, axis=0), np.linalg.norm(fs, axis=0))
@@ -240,14 +233,11 @@ def commutator_test(T: OperatorMatrix, frame: ConformalFrame,
     return {"is_toeplitz": deviation <= 1e-6, "deviation": deviation}
 
 
-_OPS_CACHE: dict = {}
-
-
-def _frame_ops(frame: ConformalFrame) -> CompressionOps:
-    key = (frame.a, frame.p, frame.grid.start, frame.grid.step, frame.grid.count)
-    if key not in _OPS_CACHE:
-        _OPS_CACHE[key] = lambda_ops(frame)
-    return _OPS_CACHE[key]
+@functools.lru_cache(maxsize=4)
+def _frame_ops(a: float, p: float, grid: Grid) -> CompressionOps:
+    """lambda_ops of the frame (a, p, grid), assembled once per key: the
+    commutator test, the series and the symbol recovery all reuse it."""
+    return lambda_ops(build_frame(a, p, grid))
 
 
 def series_reconstruct(T: OperatorMatrix, N: int, frame: ConformalFrame) -> OperatorMatrix:
@@ -258,7 +248,7 @@ def series_reconstruct(T: OperatorMatrix, N: int, frame: ConformalFrame) -> Oper
     is precisely the operator mass not yet drained through the compression.
     """
     _check_frame_matrix(T, frame)
-    ops = _frame_ops(frame)
+    ops = _frame_ops(frame.a, frame.p, frame.grid)
     lam, lam_bar = ops.lam.entries, ops.lam_bar.entries
     C = T.entries - lam_bar @ T.entries @ lam
     S = C.copy()
@@ -321,7 +311,7 @@ def recover_symbol(T: OperatorMatrix, frame: ConformalFrame) -> RecoveredSymbol:
         raise ValueError("symbol recovery is supported at p = 2 only "
                          "(fractional branch powers enter otherwise)")
     _check_frame_matrix(T, frame)
-    ops = _frame_ops(frame)
+    ops = _frame_ops(frame.a, frame.p, frame.grid)
     lam, lam_bar = ops.lam.entries, ops.lam_bar.entries
     kc = frame.kernel_coeffs
     C = T.entries - lam_bar @ T.entries @ lam

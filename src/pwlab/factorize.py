@@ -19,20 +19,26 @@ deconvolution blows up.  The margin b is read off the target's certified band.
 """
 from __future__ import annotations
 
-import math
+import functools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Grid, SampledFunction, fft_spectrum, inverse_spectrum,
-                   lp_norm, quad_integral)
+from .grid import Grid, SampledFunction, fft_spectrum, inverse_spectrum, lp_norm
 from .pwspace import (BandlimitedFunction, band_mask, band_residual,
                       default_grid, holder_conjugate)
 from .toeplitz import NyquistBasis, OperatorMatrix, matrix_pnorm, toeplitz_matrix
 
 
-_ATOM_CACHE: dict = {}
+@functools.lru_cache(maxsize=8)
+def _base_atom(a: float, grid: Grid) -> tuple[np.ndarray, int]:
+    """Samples of the atom of band a on grid, and the index of its peak."""
+    fg = grid.freq_grid()
+    mask = band_mask(fg.points, a)
+    base = inverse_spectrum(SampledFunction(fg, np.where(mask, 1.0 + 0j, 0.0)),
+                            start=grid.start)
+    return base.values, int(np.argmax(np.abs(base.values)))
 
 
 def sinc_atom(a: float, t: float, grid: Grid) -> BandlimitedFunction:
@@ -44,16 +50,9 @@ def sinc_atom(a: float, t: float, grid: Grid) -> BandlimitedFunction:
     leaves a small imaginary ripple (one spectral bin's worth); the
     conjugate-product |A|^2 used by the factorization is exactly real.
     """
-    key = (a, grid.start, grid.step, grid.count)
-    if key not in _ATOM_CACHE:
-        fg = grid.freq_grid()
-        mask = band_mask(fg.points, a)
-        base = inverse_spectrum(SampledFunction(fg, np.where(mask, 1.0 + 0j, 0.0)),
-                                start=grid.start)
-        _ATOM_CACHE[key] = (base, int(np.argmax(np.abs(base.values))))
-    base, i0 = _ATOM_CACHE[key]
+    base, i0 = _base_atom(a, grid)
     i = grid.index_of(t)
-    vals = np.roll(base.values, i - i0) if i != i0 else base.values.copy()
+    vals = np.roll(base, i - i0) if i != i0 else base.copy()
     return BandlimitedFunction(SampledFunction(grid, vals), a, residual=0.0)
 
 
@@ -290,20 +289,11 @@ def toeplitz_test_set(a: float, p: float, count: int = 5, seed: int = 42,
     return ops
 
 
-def xpq_norm_estimate(h: BandlimitedFunction, a: float, p: float,
-                      test_set: list) -> float:
-    """Lower bound for the pairing norm: max |pair(T, h-factorization)| over
-    unit-norm test operators."""
-    F = weak_factorize(h, a, p)
-    best = 0.0
-    for T in test_set:
-        best = max(best, abs(pair(T, F)))
-    return best
-
-
 def xpq_sandwich(h: BandlimitedFunction, a: float, p: float,
                  test_set: list) -> dict:
-    """Estimate plus the two-sided certificates around the nuclear sum."""
+    """Lower bound for the pairing norm, max |pair(T, h-factorization)| over
+    unit-norm test operators, plus the two-sided certificates around the
+    nuclear sum."""
     F = weak_factorize(h, a, p)
     best = 0.0
     for T in test_set:

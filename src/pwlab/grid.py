@@ -36,6 +36,10 @@ class Grid:
             raise ValueError("grid step must be positive")
         if self.count < 2:
             raise ValueError("grid needs at least two points")
+        if self.count % 2:
+            # freq_grid() starts at -nyquist, which is a DFT bin only for even
+            # counts; an odd count would shift every spectrum by half a bin
+            raise ValueError(f"grid count must be even, got {self.count}")
 
     @property
     def points(self) -> np.ndarray:
@@ -122,10 +126,7 @@ def fft_spectrum(f: SampledFunction) -> SampledFunction:
     g = f.grid
     xi = np.fft.fftfreq(g.count, g.step)
     raw = g.step * np.fft.fft(f.values) * np.exp(-2j * np.pi * xi * g.start)
-    order = np.argsort(xi)
-    # fftfreq puts -nyquist in the negative half; argsort is stable so this
-    # yields strictly increasing frequencies matching freq_grid().
-    return SampledFunction(g.freq_grid(), raw[order])
+    return SampledFunction(g.freq_grid(), np.fft.fftshift(raw))
 
 
 def inverse_spectrum(spec: SampledFunction, start: float | None = None) -> SampledFunction:
@@ -140,12 +141,7 @@ def inverse_spectrum(spec: SampledFunction, start: float | None = None) -> Sampl
     # v_k = dxi * sum_j S_j exp(2 pi i xi_j x_k); fold the start phase in and
     # let ifft handle the k-dependence.
     phased = spec.values * np.exp(2j * np.pi * xi * start)
-    # undo natural ordering back to fft layout
-    raw_xi = np.fft.fftfreq(count, step)
-    order = np.argsort(raw_xi)
-    unshuffled = np.empty(count, dtype=complex)
-    unshuffled[order] = phased
-    vals = np.fft.ifft(unshuffled) / step
+    vals = np.fft.ifft(np.fft.ifftshift(phased)) / step
     return SampledFunction(Grid(start, step, count), vals)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, SampledFunction, fft_spectrum, lp_norm
-from .pwspace import default_grid, project_band, project_halfline
+from .pwspace import default_grid, project_halfline
 from .split import SUPPORTS, split_symbol
 from .symbols import SymbolSpec, point_values, sampled_symbol, samples
 
@@ -52,11 +52,6 @@ class HankelData:
     truncation: int
     hankel_matrix: np.ndarray    # M x M, anti-diagonal s reads coeff(-s)
     tail_ratio: float            # |coeff(-M)| / max|coeff|
-
-    def coeff(self, n: int) -> complex:
-        if abs(n) > self.truncation:
-            raise IndexError(f"coefficient {n} beyond truncation {self.truncation}")
-        return complex(self.disk_coeffs[n + self.truncation])
 
     @property
     def tail_certified(self) -> bool:
@@ -93,21 +88,6 @@ def line_to_disk(b, M: int = DEFAULT_TRUNCATION,
     s = j[:, None] + j[None, :] + 1          # anti-diagonal index
     gamma = np.where(s <= M, coeffs[np.clip(M - s, 0, 2 * M)], 0.0)
     return HankelData(coeffs, M, gamma, tail)
-
-
-def disk_to_line(hd: HankelData, grid: Grid) -> SampledFunction:
-    """Synthesize the truncated coefficient series back on the line."""
-    w = cayley(grid.points)
-    M = hd.truncation
-    c = hd.disk_coeffs
-    pos = np.zeros(grid.count, dtype=complex)
-    for n in range(M, 0, -1):
-        pos = (pos + c[M + n]) * w
-    neg = np.zeros(grid.count, dtype=complex)
-    wbar = np.conj(w)
-    for n in range(M, 0, -1):
-        neg = (neg + c[M - n]) * wbar
-    return SampledFunction(grid, pos + neg + c[M])
 
 
 def _nearest_fill(vals: np.ndarray, bad: np.ndarray) -> np.ndarray:
@@ -220,18 +200,12 @@ def hankel_norm_estimate(b: SampledFunction, seed: int = 42,
     the iteration runs on A*A with A = P_- M_b P_+ and a seeded start, so the
     estimate is deterministic.
     """
-    spec = fft_spectrum(b)
-    xi = spec.grid.points
-    order = np.argsort(np.argsort(xi))  # natural order <-> fft layout is argsort
     bv = b.values
     n = b.grid.count
-    fft, ifft = np.fft.fft, np.fft.ifft
+    nonneg = np.fft.fftfreq(n, b.grid.step) >= 0
 
     def mask(vals, keep_nonneg):
-        V = fft(vals)
-        xi_fft = np.fft.fftfreq(n, b.grid.step)
-        keep = xi_fft >= 0 if keep_nonneg else xi_fft < 0
-        return ifft(V * keep)
+        return np.fft.ifft(np.fft.fft(vals) * (nonneg if keep_nonneg else ~nonneg))
 
     rng = np.random.default_rng(seed)
     f = mask(rng.standard_normal(n) + 1j * rng.standard_normal(n), True)

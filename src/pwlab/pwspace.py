@@ -20,9 +20,7 @@ from .grid import (
     Grid,
     SampledFunction,
     fft_spectrum,
-    inner,
     inverse_spectrum,
-    lp_norm,
     symmetric_grid,
 )
 
@@ -153,46 +151,6 @@ def projector_halfline_sandwich(f: SampledFunction, a: float) -> SampledFunction
     g = project_halfline(modulate(f, a), +1)
     h = project_halfline(modulate(g, -2 * a), -1)
     return modulate(h, a)
-
-
-def cauchy_kernel(z: complex, grid: Grid) -> SampledFunction:
-    """h_z(x) = (1/2 pi i) / (conj(z) - x), the H^2 evaluation kernel at z."""
-    if z.imag <= 0:
-        raise ValueError("cauchy kernel requires Im z > 0")
-    vals = (1.0 / (2j * np.pi)) / (np.conj(z) - grid.points)
-    return SampledFunction(grid, vals)
-
-
-def _theta_at(b: float, z: complex) -> complex:
-    return np.exp(2j * np.pi * b * z)
-
-
-def repro_kernel(b: float, z: complex, grid: Grid) -> SampledFunction:
-    """Reproducing kernel of the model space for theta_b = exp(2 pi i b x):
-
-        k_z(x) = (1/2 pi i) (1 - conj(theta_b(z)) theta_b(x)) / (conj(z) - x).
-    """
-    if z.imag <= 0:
-        raise ValueError("repro kernel requires Im z > 0")
-    x = grid.points
-    num = 1.0 - np.conj(_theta_at(b, z)) * np.exp(2j * np.pi * b * x)
-    return SampledFunction(grid, num / (2j * np.pi * (np.conj(z) - x)))
-
-
-def conj_kernel(b: float, z: complex, grid: Grid) -> SampledFunction:
-    """Conjugate kernel (theta_b(x) - theta_b(z)) / (2 pi i (x - z)).
-
-    For real-ish z the removable singularity at x = z is filled with the
-    derivative value theta_b'(z)/(2 pi i) = b theta_b(z).
-    """
-    x = grid.points
-    tz = _theta_at(b, z)
-    dx = x - z
-    small = np.abs(dx) < 1e-10
-    safe = np.where(small, 1.0, dx)
-    vals = (np.exp(2j * np.pi * b * x) - tz) / (2j * np.pi * safe)
-    vals = np.where(small, b * tz, vals)
-    return SampledFunction(grid, vals)
 
 
 # -- p-norm machinery ---------------------------------------------------------

@@ -21,8 +21,7 @@ import numpy as np
 
 from .grid import (Grid, SampledFunction, evaluate_offgrid, fft_spectrum,
                    inverse_spectrum, lp_norm, symmetric_grid)
-from .pwspace import (band_residual, default_grid, holder_conjugate,
-                      sinc_kernel, sinc_profile)
+from .pwspace import default_grid, holder_conjugate, sinc_kernel, sinc_profile
 from .symbols import SymbolSpec, samples, sampled_symbol
 
 BUMP_NAMES = ("L", "C", "R")
@@ -146,29 +145,29 @@ def split_symbol(sym: SymbolSpec, a: float, grid: Grid | None = None,
                        bump_l1_norms(a), certs, a)
 
 
-def jensen_certificate(sym: SymbolSpec, a: float, p: float,
-                       window: float = 32.0, slack: float = 1e-3) -> dict:
+def jensen_certificate(m_full, m_parts: dict, l1_norms: dict,
+                       slack: float = 1e-3) -> dict:
     """Check ||T_X|| <= ||inverse-transform of cutoff||_1 * ||T|| per part.
 
-    Norms are certified lower estimates on the edge-excluded interior block
-    (the same estimator on both sides, so the comparison is fair at every p).
-    Returns the per-part norms, the inequality flags, and the summed L^1
-    constant, which is the operative value of the splitting constant.
+    m_full is the operator matrix of the symbol, m_parts maps each name in
+    BUMP_NAMES to the matrix of that split part (same basis), and l1_norms
+    are the split's cutoff L^1 norms.  Norms are certified lower estimates on
+    the edge-excluded interior block (the same estimator on both sides, so
+    the comparison is fair at every p).  Returns the per-part norms, the
+    inequality flags, and the summed L^1 constant, which is the operative
+    value of the splitting constant.
     """
-    from .toeplitz import operator_norm_certified, toeplitz_matrix
+    from .toeplitz import operator_norm_certified
 
-    result = split_symbol(sym, a)
-    m_full = toeplitz_matrix(sym, a, p, window)
     norm_full = operator_norm_certified(m_full)["lower"]
-    report = {"norm_full": norm_full, "parts": {}, "p": p, "a": a,
-              "constant": sum(result.l1_norms.values())}
+    report = {"norm_full": norm_full, "parts": {}, "p": m_full.p, "a": m_full.a,
+              "constant": sum(l1_norms.values())}
     for name in BUMP_NAMES:
-        m_part = toeplitz_matrix(result.part_symbol(name), a, p, window)
-        norm_part = operator_norm_certified(m_part)["lower"]
-        bound = result.l1_norms[name] * norm_full * (1.0 + slack)
+        norm_part = operator_norm_certified(m_parts[name])["lower"]
+        bound = l1_norms[name] * norm_full * (1.0 + slack)
         report["parts"][name] = {
             "norm": norm_part,
-            "l1": result.l1_norms[name],
+            "l1": l1_norms[name],
             "bound": bound,
             "ok": bool(norm_part <= bound),
         }

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import (Grid, SampledFunction, evaluate_offgrid, fft_spectrum,
-                   inverse_spectrum)
+from .grid import Grid, SampledFunction, evaluate_offgrid, inverse_spectrum
 from . import jsonio
 
 KINDS = ("gaussian", "mod_poly", "sampled", "bump_spectrum")
@@ -182,28 +181,41 @@ def to_dict(sym: SymbolSpec) -> dict:
     return d
 
 
+def _number(d: dict, name: str, default=None, cast=float):
+    """d[name] (or the default when absent) converted by cast; a null or
+    non-numeric value is a ValueError naming the field."""
+    value = d[name] if default is None else d.get(name, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"symbol field {name!r} must be a number, "
+                         f"got {value!r}") from None
+
+
 def from_dict(d: dict) -> SymbolSpec:
     if "kind" not in d:
         raise ValueError("symbol object missing field 'kind'")
     kind = d["kind"]
     try:
         if kind == "gaussian":
-            return gaussian_symbol(amp=float(d.get("amp", 1.0)),
-                                   width=float(d.get("width", 1.0)),
-                                   shift=float(d.get("shift", 0.0)),
-                                   mod=float(d.get("mod", 0.0)))
+            return gaussian_symbol(amp=_number(d, "amp", 1.0),
+                                   width=_number(d, "width", 1.0),
+                                   shift=_number(d, "shift", 0.0),
+                                   mod=_number(d, "mod", 0.0))
         if kind == "mod_poly":
-            return mod_poly_symbol(degree=int(d["degree"]), mod=float(d["mod"]),
-                                   amp=float(d.get("amp", 1.0)))
+            return mod_poly_symbol(degree=_number(d, "degree", cast=int),
+                                   mod=_number(d, "mod"),
+                                   amp=_number(d, "amp", 1.0))
         if kind == "sampled":
             f = jsonio.function_from_dict(d["fun"])
             sup = tuple(d["support"]) if "support" in d else None
             return sampled_symbol(f, sup)
         if kind == "bump_spectrum":
             seed = d.get("seed")
-            return bump_spectrum_symbol(float(d["lo"]), float(d["hi"]),
-                                        amp=float(d.get("amp", 1.0)),
-                                        seed=None if seed is None else int(seed),
+            return bump_spectrum_symbol(_number(d, "lo"), _number(d, "hi"),
+                                        amp=_number(d, "amp", 1.0),
+                                        seed=None if seed is None
+                                        else _number(d, "seed", cast=int),
                                         hermitian=bool(d.get("hermitian", False)))
     except KeyError as e:
         raise ValueError(f"symbol kind {kind!r} missing field {e.args[0]!r}") from None

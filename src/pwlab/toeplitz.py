@@ -19,8 +19,6 @@ at machine precision, where the naive product route fails completely.
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,21 +194,12 @@ class OperatorMatrix:
         return self.entries[np.ix_(keep, keep)]
 
 
-def max_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("PWLAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def assemble_matrix(apply_fn, a: float, p: float, window: float = 32.0,
                     grid: Grid | None = None) -> OperatorMatrix:
     """Column k = Nyquist coefficients of apply_fn(e_k).
 
     apply_fn maps BandlimitedFunction -> BandlimitedFunction (or a plain
-    SampledFunction).  Columns are independent, so assembly parallelizes over
-    a thread pool sized by the PWLAB_THREADS environment variable; results are
-    collected in index order regardless of completion order.
+    SampledFunction).
     """
     if grid is None:
         grid = default_grid(a)
@@ -221,13 +210,7 @@ def assemble_matrix(apply_fn, a: float, p: float, window: float = 32.0,
         fun = out.fun if isinstance(out, BandlimitedFunction) else out
         return basis.coefficients(fun)
 
-    nthreads = max_threads()
-    if nthreads > 1:
-        with ThreadPoolExecutor(max_workers=nthreads) as pool:
-            cols = list(pool.map(column, range(basis.size)))
-    else:
-        cols = [column(k) for k in range(basis.size)]
-    entries = np.stack(cols, axis=1)
+    entries = np.stack([column(k) for k in range(basis.size)], axis=1)
     return OperatorMatrix(entries, a, p, window, basis.nodes)
 
 

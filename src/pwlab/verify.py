@@ -27,11 +27,13 @@ from .symbols import (bump_spectrum_symbol, gaussian_symbol, mod_poly_symbol,
                       sampled_symbol, sup_norm)
 from .toeplitz import (OperatorMatrix, identity_matrix, identity_residuals,
                        operator_norm_certified, toeplitz_apply, toeplitz_matrix)
-from .split import (SUPPORTS, bump_l1_norms, central_recover_sweep,
-                    jensen_certificate, sinc_norm_constant, split_symbol)
+from .split import (BUMP_NAMES, SUPPORTS, bump_l1_norms,
+                    central_recover_sweep, jensen_certificate,
+                    sinc_norm_constant, split_symbol)
 from .nehari import bounded_symbol, nehari_solve
-from .commutator import (build_frame, commutator_test, defect_identity_residual,
-                         lambda_ops, series_reconstruct, series_residual)
+from .commutator import (_frame_ops, build_frame, commutator_test,
+                         defect_identity_residual, series_reconstruct,
+                         series_residual)
 from .factorize import (pair, regroup_pairs, sinc_atom, toeplitz_test_set,
                         weak_factorize, xpq_sandwich)
 from .jsonio import dump_canonical, _fmt_float
@@ -124,14 +126,16 @@ def check_05_splitting(a: float, seed: int) -> list:
                                    hermitian=True)
         parts = split_symbol(sym, a, grid)
         T = toeplitz_matrix(sym, a, 2.0, 32.0, grid)
+        m_parts = {name: toeplitz_matrix(parts.part_symbol(name), a, 2.0, 32.0,
+                                         grid)
+                   for name in BUMP_NAMES}
         acc = np.zeros_like(T.entries)
-        for name in ("L", "C", "R"):
-            acc += toeplitz_matrix(parts.part_symbol(name), a, 2.0, 32.0,
-                                   grid).entries
+        for name in BUMP_NAMES:
+            acc += m_parts[name].entries
         denom = float(np.linalg.norm(T.entries, 2))
         worst_sum = max(worst_sum,
                         float(np.linalg.norm(acc - T.entries, 2)) / denom)
-        rep = jensen_certificate(sym, a, 2.0)
+        rep = jensen_certificate(T, m_parts, parts.l1_norms)
         for part in rep["parts"].values():
             if part["bound"] > 0.0:
                 worst_jensen = max(worst_jensen, part["norm"] / part["bound"])
@@ -236,7 +240,7 @@ def check_10_bounded_symbol(a: float, seed: int) -> list:
 def check_11_commutator(a: float, seed: int) -> list:
     grid = default_grid(a)
     frame = build_frame(a)
-    ops = lambda_ops(frame)
+    ops = _frame_ops(frame.a, frame.p, frame.grid)
     defect = defect_identity_residual(ops, frame)
 
     W = -grid.start

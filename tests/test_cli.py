@@ -95,10 +95,28 @@ def test_negative_band_names_the_field(files, capsys):
 
 
 def test_malformed_json_is_exit_one(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    assert run("split", "--symbol", bad) == 1
-    assert "input error" in capsys.readouterr().err
+    # (file text, a word the one-line message must contain)
+    cases = [("{not json", "invalid JSON"),
+             ("5", "must be a JSON object"),
+             ('{"kind": "gaussian", "amp": null}', "'amp'")]
+    for i, (text, names) in enumerate(cases):
+        bad = tmp_path / f"bad{i}.json"
+        bad.write_text(text)
+        assert run("split", "--symbol", bad) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and names in err
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_odd_count_grid_is_exit_one(tmp_path, capsys):
+    bad = tmp_path / "odd.json"
+    bad.write_text(json.dumps({"grid": {"start": -2.03125, "step": 0.0625,
+                                        "count": 65},
+                               "values": [[1.0, 0.0]] * 65}))
+    assert run("project", "--input", bad, "--out", tmp_path / "p.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "count" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_unknown_symbol_kind_is_exit_one(tmp_path, capsys):

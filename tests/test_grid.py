@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from pytest import approx
 
-from pwlab.grid import (SampledFunction, evaluate_offgrid, fft_spectrum,
+from pwlab.grid import (Grid, SampledFunction, evaluate_offgrid, fft_spectrum,
                         from_callable, inner, inverse_spectrum, lp_norm,
                         quad_integral, symmetric_grid)
 
@@ -16,6 +16,12 @@ def test_symmetric_grid_layout():
     assert g.points[0] == -64.0
     assert g.points[-1] == approx(64.0 - 1.0 / 16.0)
     assert g.nyquist == approx(8.0)
+
+
+def test_odd_count_is_rejected():
+    # freq_grid() starts at -nyquist, half a bin off the DFT lattice for odd n
+    with pytest.raises(ValueError, match="count"):
+        Grid(-2.03125, 0.0625, 65)
 
 
 def test_freq_grid_matches_fft_layout():

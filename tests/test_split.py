@@ -85,8 +85,12 @@ def test_l1_constants_scale_invariant():
 
 
 def test_jensen_certificate_structure(grid):
-    rep = jensen_certificate(bump_spectrum_symbol(0.05, 1.9, seed=6,
-                                                  hermitian=True), A, 2.0)
+    sym = bump_spectrum_symbol(0.05, 1.9, seed=6, hermitian=True)
+    parts = split_symbol(sym, A, grid)
+    m_parts = {name: toeplitz_matrix(parts.part_symbol(name), A, 2.0, 32.0, grid)
+               for name in ("L", "C", "R")}
+    rep = jensen_certificate(toeplitz_matrix(sym, A, 2.0, 32.0, grid), m_parts,
+                             parts.l1_norms)
     assert rep["ok"]
     assert set(rep["parts"]) == {"L", "C", "R"}
     assert rep["constant"] == approx(sum(p["l1"] for p in rep["parts"].values()))
