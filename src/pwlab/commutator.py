@@ -22,7 +22,6 @@ independent cross-check.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -32,7 +31,7 @@ from .grid import (Grid, SampledFunction, fft_spectrum, inner,
                    inverse_spectrum, lp_norm)
 from .nehari import cayley
 from .pwspace import (BandlimitedFunction, band_mask, band_residual,
-                      default_grid, project_band)
+                      default_grid)
 from .toeplitz import NyquistBasis, OperatorMatrix, assemble_matrix
 
 
@@ -167,22 +166,17 @@ class CompressionOps:
 def lambda_ops(frame: ConformalFrame) -> CompressionOps:
     """Assemble the band compressions of omega- and conj(omega)-multiplication.
 
-    Both are built from their own lattice kernels (not one as the adjoint of
-    the other); at p = 2 adjointness is then a checkable property rather than
-    a definition.
+    Lambda is the band block of the lower-triangular Blaschke kernel, K(d) =
+    col[d] for d >= 0, and LambdaBar that of its correlation kernel K(-d), each
+    built on its own (not one as the adjoint of the other); at p = 2
+    adjointness is then a checkable property rather than a definition.
     """
-    a, p, grid = frame.a, frame.p, frame.grid
-    window = -grid.start
-
-    def apply_omega(v):
-        return project_band(lattice_omega_apply(v.fun), a, p)
-
-    def apply_omega_bar(v):
-        return project_band(lattice_omega_apply(v.fun, conjugate=True), a, p)
-
-    lam = assemble_matrix(apply_omega, a, p, window, grid)
-    lam_bar = assemble_matrix(apply_omega_bar, a, p, window, grid)
-    return CompressionOps(lam, lam_bar)
+    a, p, grid, window = frame.a, frame.p, frame.grid, -frame.grid.start
+    n = grid.count
+    col = _omega_kernel(n, grid.freq_step)
+    col[n // 2:] = 0.0          # indexed by d mod n: no weight on d < 0
+    return CompressionOps(assemble_matrix(col, a, p, window, grid),
+                          assemble_matrix(col[-np.arange(n) % n], a, p, window, grid))
 
 
 def defect_identity_residual(ops: CompressionOps, frame: ConformalFrame) -> float:
@@ -225,19 +219,12 @@ def commutator_test(T: OperatorMatrix, frame: ConformalFrame,
                            + 1j * rng.standard_normal((n, n_test)), frame)
     gs = _k_project_coeffs(rng.standard_normal((n, n_test))
                            + 1j * rng.standard_normal((n, n_test)), frame)
-    lam = _frame_ops(frame.a, frame.p, frame.grid).lam.entries
+    lam = lambda_ops(frame).lam.entries
     plain = np.conj(gs).T @ (T.entries @ fs)
     moved = np.conj(lam @ gs).T @ (T.entries @ (lam @ fs))
     scale = tnorm * np.outer(np.linalg.norm(gs, axis=0), np.linalg.norm(fs, axis=0))
     deviation = float(np.max(np.abs(plain - moved) / scale))
     return {"is_toeplitz": deviation <= 1e-6, "deviation": deviation}
-
-
-@functools.lru_cache(maxsize=4)
-def _frame_ops(a: float, p: float, grid: Grid) -> CompressionOps:
-    """lambda_ops of the frame (a, p, grid), assembled once per key: the
-    commutator test, the series and the symbol recovery all reuse it."""
-    return lambda_ops(build_frame(a, p, grid))
 
 
 def series_reconstruct(T: OperatorMatrix, N: int, frame: ConformalFrame) -> OperatorMatrix:
@@ -248,7 +235,7 @@ def series_reconstruct(T: OperatorMatrix, N: int, frame: ConformalFrame) -> Oper
     is precisely the operator mass not yet drained through the compression.
     """
     _check_frame_matrix(T, frame)
-    ops = _frame_ops(frame.a, frame.p, frame.grid)
+    ops = lambda_ops(frame)
     lam, lam_bar = ops.lam.entries, ops.lam_bar.entries
     C = T.entries - lam_bar @ T.entries @ lam
     S = C.copy()
@@ -311,7 +298,7 @@ def recover_symbol(T: OperatorMatrix, frame: ConformalFrame) -> RecoveredSymbol:
         raise ValueError("symbol recovery is supported at p = 2 only "
                          "(fractional branch powers enter otherwise)")
     _check_frame_matrix(T, frame)
-    ops = _frame_ops(frame.a, frame.p, frame.grid)
+    ops = lambda_ops(frame)
     lam, lam_bar = ops.lam.entries, ops.lam_bar.entries
     kc = frame.kernel_coeffs
     C = T.entries - lam_bar @ T.entries @ lam

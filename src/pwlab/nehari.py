@@ -352,10 +352,11 @@ class BoundedSymbolResult:
 
 
 def _stage(name: str, thunk):
+    """Run one pipeline stage; a ValueError is re-raised naming the stage."""
     try:
         return thunk()
-    except Exception as exc:
-        raise RuntimeError(f"bounded_symbol stage '{name}': {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"bounded_symbol stage '{name}': {exc}") from exc
 
 
 def bounded_symbol(sym: SymbolSpec, a: float, p: float = 2.0,

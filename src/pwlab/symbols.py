@@ -182,14 +182,35 @@ def to_dict(sym: SymbolSpec) -> dict:
 
 
 def _number(d: dict, name: str, default=None, cast=float):
-    """d[name] (or the default when absent) converted by cast; a null or
-    non-numeric value is a ValueError naming the field."""
+    """d[name] (or the default when absent) converted by cast; a null,
+    non-numeric or non-finite value is a ValueError naming the field."""
     value = d[name] if default is None else d.get(name, default)
     try:
-        return cast(value)
+        out = cast(value)
+        finite = math.isfinite(out)
+    except (TypeError, ValueError, OverflowError):
+        finite = False
+    if not finite:
+        raise ValueError(f"symbol field {name!r} must be a finite number, "
+                         f"got {value!r}")
+    return out
+
+
+def _support(d: dict) -> tuple | None:
+    """The optional 'support' field: two finite numbers lo <= hi."""
+    if "support" not in d:
+        return None
+    sup = d["support"]
+    try:
+        lo, hi = (float(v) for v in sup)
+        ok = (isinstance(sup, list) and math.isfinite(lo) and math.isfinite(hi)
+              and lo <= hi)
     except (TypeError, ValueError):
-        raise ValueError(f"symbol field {name!r} must be a number, "
-                         f"got {value!r}") from None
+        ok = False
+    if not ok:
+        raise ValueError(f"symbol field 'support' must be two finite numbers "
+                         f"[lo, hi] with lo <= hi, got {sup!r}")
+    return (lo, hi)
 
 
 def from_dict(d: dict) -> SymbolSpec:
@@ -207,9 +228,10 @@ def from_dict(d: dict) -> SymbolSpec:
                                    mod=_number(d, "mod"),
                                    amp=_number(d, "amp", 1.0))
         if kind == "sampled":
-            f = jsonio.function_from_dict(d["fun"])
-            sup = tuple(d["support"]) if "support" in d else None
-            return sampled_symbol(f, sup)
+            if not isinstance(d["fun"], dict):
+                raise ValueError(f"symbol field 'fun' must be a sampled-function "
+                                 f"object, got {d['fun']!r}")
+            return sampled_symbol(jsonio.function_from_dict(d["fun"]), _support(d))
         if kind == "bump_spectrum":
             seed = d.get("seed")
             return bump_spectrum_symbol(_number(d, "lo"), _number(d, "hi"),

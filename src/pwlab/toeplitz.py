@@ -14,6 +14,15 @@ leading for c < 0) so that the difference never reaches across the support
 jump; whatever edge spikes remain land outside the half-open band and are cut
 by the projection.  This reproduces the vanishing of T_{x exp(4 pi i a x)}
 at machine precision, where the naive product route fails completely.
+
+Matrix assembly
+---------------
+
+The Nyquist basis vectors are band-limited, so an operator acting on spectra
+as a lattice convolution, out_j = sum_l K(j - l) in_l, is fully described by
+the Toeplitz block of K on the band bins: its matrix is (dxi/2a) E^T Toep(K)
+conj(E), with E = exp(2 pi i xi_j t_k) the band-bin x node phases, and equals
+the column route (synthesize e_k, apply, read the nodes) up to rounding.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Grid, SampledFunction, fft_spectrum, inverse_spectrum
 from .pwspace import (
@@ -57,38 +67,42 @@ def _lattice_derivative(spec_vals: np.ndarray, dxi: float, direction: int) -> np
     return out / dxi
 
 
-def _apply_mod_poly(sym: SymbolSpec, f: BandlimitedFunction) -> BandlimitedFunction:
-    P = sym.params
-    spec = fft_spectrum(f.fun)
-    dxi = spec.grid.step
+def _mod_poly_spectrum(P: dict, vals: np.ndarray, dxi: float) -> np.ndarray:
+    """Action of A x^n exp(2 pi i c x) on lattice spectrum values."""
     shift = P["mod"] / dxi
     if abs(shift - round(shift)) > 1e-9:
         raise ValueError(
             f"mod_poly modulation {P['mod']} is not on the frequency lattice "
             f"(step {dxi}); choose mod as a multiple of the lattice step")
-    vals = np.roll(spec.values, int(round(shift)))
+    vals = np.roll(vals, int(round(shift)))
     direction = int(np.sign(P["mod"]))
     for _ in range(P["degree"]):
         vals = (1j / (2 * np.pi)) * _lattice_derivative(vals, dxi, direction)
-    vals = P["amp"] * vals * band_mask(spec.grid.points, f.a)
+    return P["amp"] * vals
+
+
+def _apply_mod_poly(sym: SymbolSpec, f: BandlimitedFunction) -> BandlimitedFunction:
+    spec = fft_spectrum(f.fun)
+    vals = (_mod_poly_spectrum(sym.params, spec.values, spec.grid.step)
+            * band_mask(spec.grid.points, f.a))
     out = inverse_spectrum(SampledFunction(spec.grid, vals), start=f.grid.start)
     return BandlimitedFunction(out, f.a, f.p, residual=0.0)
 
 
-def _resolution_check(sym: SymbolSpec, f: BandlimitedFunction):
+def _resolution_check(sym: SymbolSpec, a: float, grid: Grid):
     if sym.spectral_support is None:
         return
     lo, hi = sym.spectral_support
     radius = max(abs(lo), abs(hi))
-    if f.grid.nyquist < f.a + radius:
+    if grid.nyquist < a + radius:
         raise ValueError(
-            f"grid nyquist {f.grid.nyquist} cannot resolve symbol support radius "
-            f"{radius} against band {f.a}; refine the grid")
+            f"grid nyquist {grid.nyquist} cannot resolve symbol support radius "
+            f"{radius} against band {a}; refine the grid")
 
 
 def toeplitz_apply(sym: SymbolSpec, f: BandlimitedFunction) -> BandlimitedFunction:
     """T_phi f = P_a[phi * f]."""
-    _resolution_check(sym, f)
+    _resolution_check(sym, f.a, f.grid)
     if sym.kind == "mod_poly":
         return _apply_mod_poly(sym, f)
     phi = samples(sym, f.grid)
@@ -133,6 +147,7 @@ class NyquistBasis:
             raise ValueError("grid step does not subdivide the Nyquist spacing")
         self._stride = int(round(ratio))
         self._base = self.grid.index_of(self.nodes[0])
+        self._band = np.flatnonzero(band_mask(self.grid.freq_grid().points, self.a))
 
     @property
     def size(self) -> int:
@@ -141,15 +156,20 @@ class NyquistBasis:
     def node_indices(self) -> np.ndarray:
         return self._base + self._stride * np.arange(self.size)
 
+    def phases(self) -> np.ndarray:
+        """E[j, k] = exp(2 pi i xi_j t_k) over band bins j and nodes k; the
+        argument bin_j * k * stride / n is reduced mod n in integers."""
+        n = self.grid.count
+        bins = self._band - n // 2
+        k = np.arange(self.size) - self.size // 2
+        return np.exp(2j * np.pi * (np.outer(bins, k * self._stride) % n) / n)
+
     def vector(self, k: int) -> BandlimitedFunction:
         """Basis vector synthesized exactly on the lattice (periodized sinc),
         so that project_band leaves it invariant bit-for-bit."""
-        fg = self.grid.freq_grid()
-        mask = band_mask(fg.points, self.a)
-        spec = np.where(mask, np.exp(-2j * np.pi * fg.points * self.nodes[k]), 0.0)
-        spec = spec / math.sqrt(2.0 * self.a)
-        out = inverse_spectrum(SampledFunction(fg, spec), start=self.grid.start)
-        return BandlimitedFunction(out, self.a, residual=0.0)
+        unit = np.zeros(self.size)
+        unit[k] = 1.0
+        return BandlimitedFunction(self.synthesize(unit), self.a, residual=0.0)
 
     def coefficients(self, f: SampledFunction) -> np.ndarray:
         """Expansion coefficients of a band-a function: c_k = f(t_k)/sqrt(2a)."""
@@ -157,10 +177,9 @@ class NyquistBasis:
 
     def synthesize(self, coeffs: np.ndarray) -> SampledFunction:
         fg = self.grid.freq_grid()
-        mask = band_mask(fg.points, self.a)
-        phases = np.exp(-2j * np.pi * np.outer(fg.points[mask], self.nodes))
         spec = np.zeros(fg.count, dtype=complex)
-        spec[mask] = phases @ (np.asarray(coeffs) / math.sqrt(2.0 * self.a))
+        spec[self._band] = np.conj(self.phases()) @ (np.asarray(coeffs)
+                                                      / math.sqrt(2.0 * self.a))
         return inverse_spectrum(SampledFunction(fg, spec), start=self.grid.start)
 
 
@@ -194,29 +213,33 @@ class OperatorMatrix:
         return self.entries[np.ix_(keep, keep)]
 
 
-def assemble_matrix(apply_fn, a: float, p: float, window: float = 32.0,
-                    grid: Grid | None = None) -> OperatorMatrix:
-    """Column k = Nyquist coefficients of apply_fn(e_k).
-
-    apply_fn maps BandlimitedFunction -> BandlimitedFunction (or a plain
-    SampledFunction).
-    """
-    if grid is None:
-        grid = default_grid(a)
+def assemble_matrix(kernel: np.ndarray, a: float, p: float, window: float,
+                    grid: Grid) -> OperatorMatrix:
+    """Nyquist-basis matrix of the lattice convolution out_j = sum_l K(j - l) in_l,
+    given kernel[d mod n] = K(d): (dxi/2a) E^T Toep(K) conj(E) on the band bins."""
     basis = NyquistBasis(a, window, grid)
-
-    def column(k):
-        out = apply_fn(basis.vector(k))
-        fun = out.fun if isinstance(out, BandlimitedFunction) else out
-        return basis.coefficients(fun)
-
-    entries = np.stack([column(k) for k in range(basis.size)], axis=1)
+    E = basis.phases()
+    m = E.shape[0]
+    kv = kernel[np.arange(1 - m, m) % grid.count]
+    toep = sliding_window_view(kv, m)[:, ::-1]      # toep[j, l] = K(j - l)
+    entries = (grid.freq_step / (2.0 * a)) * (E.T @ (toep @ np.conj(E)))
     return OperatorMatrix(entries, a, p, window, basis.nodes)
 
 
 def toeplitz_matrix(sym: SymbolSpec, a: float, p: float, window: float = 32.0,
                     grid: Grid | None = None) -> OperatorMatrix:
-    return assemble_matrix(lambda f: toeplitz_apply(sym, f), a, p, window, grid)
+    """Nyquist-basis matrix of T_phi, assembled from its lattice kernel."""
+    if grid is None:
+        grid = default_grid(a)
+    _resolution_check(sym, a, grid)
+    n = grid.count
+    if sym.kind == "mod_poly":
+        impulse = (np.arange(n) == 0).astype(complex)
+        kernel = _mod_poly_spectrum(sym.params, impulse, grid.freq_step)
+    else:
+        # K(d) = dxi * phi^(xi_d): the symbol's lattice spectrum in FFT order
+        kernel = grid.freq_step * np.fft.ifftshift(fft_spectrum(samples(sym, grid)).values)
+    return assemble_matrix(kernel, a, p, window, grid)
 
 
 def identity_matrix(a: float, p: float, window: float = 32.0) -> OperatorMatrix:

@@ -31,9 +31,9 @@ from .split import (BUMP_NAMES, SUPPORTS, bump_l1_norms,
                     central_recover_sweep, jensen_certificate,
                     sinc_norm_constant, split_symbol)
 from .nehari import bounded_symbol, nehari_solve
-from .commutator import (_frame_ops, build_frame, commutator_test,
-                         defect_identity_residual, series_reconstruct,
-                         series_residual)
+from .commutator import (build_frame, commutator_test,
+                         defect_identity_residual, lambda_ops,
+                         series_reconstruct, series_residual)
 from .factorize import (pair, regroup_pairs, sinc_atom, toeplitz_test_set,
                         weak_factorize, xpq_sandwich)
 from .jsonio import dump_canonical, _fmt_float
@@ -240,7 +240,7 @@ def check_10_bounded_symbol(a: float, seed: int) -> list:
 def check_11_commutator(a: float, seed: int) -> list:
     grid = default_grid(a)
     frame = build_frame(a)
-    ops = _frame_ops(frame.a, frame.p, frame.grid)
+    ops = lambda_ops(frame)
     defect = defect_identity_residual(ops, frame)
 
     W = -grid.start

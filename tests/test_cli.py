@@ -8,7 +8,7 @@ from pwlab import jsonio
 from pwlab.cli import main
 from pwlab.grid import SampledFunction
 from pwlab.pwspace import default_grid, sinc_kernel
-from pwlab.symbols import gaussian_symbol, to_dict
+from pwlab.symbols import gaussian_symbol, sampled_symbol, to_dict
 from pwlab.toeplitz import OperatorMatrix, matrix_to_dict, toeplitz_matrix
 
 
@@ -96,9 +96,15 @@ def test_negative_band_names_the_field(files, capsys):
 
 def test_malformed_json_is_exit_one(tmp_path, capsys):
     # (file text, a word the one-line message must contain)
+    fun = {"grid": {"start": -1.0, "step": 0.5, "count": 4},
+           "values": [[0.0, 0.0]] * 4}
     cases = [("{not json", "invalid JSON"),
              ("5", "must be a JSON object"),
-             ('{"kind": "gaussian", "amp": null}', "'amp'")]
+             ('{"kind": "gaussian", "amp": null}', "'amp'"),
+             ('{"kind": "gaussian", "amp": "inf"}', "'amp'"),
+             ('{"kind": "sampled", "fun": 5}', "'fun'"),
+             (json.dumps({"kind": "sampled", "fun": fun, "support": 5}),
+              "'support'")]
     for i, (text, names) in enumerate(cases):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(text)
@@ -106,6 +112,18 @@ def test_malformed_json_is_exit_one(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("input error:") and names in err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_bounded_symbol_stage_failure_is_exit_one(tmp_path, capsys):
+    # a sampled symbol stored on a 256-point grid, run on the default grid
+    coarse = default_grid(1.0, 8.0)
+    sym = sampled_symbol(SampledFunction(coarse, np.ones(coarse.count)))
+    bad = tmp_path / "coarse.json"
+    jsonio.dump_canonical(to_dict(sym), bad)
+    assert run("bounded-symbol", "--symbol", bad, "--out", tmp_path / "b.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "stage 'assemble'" in err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
 
 def test_odd_count_grid_is_exit_one(tmp_path, capsys):

@@ -40,24 +40,6 @@ def T_gauss(grid):
     return toeplitz_matrix(gaussian_symbol(), A, 2.0, W, grid)
 
 
-def test_verify_builds_lambda_ops_once(monkeypatch):
-    from pwlab import commutator, verify
-
-    calls = []
-    real = commutator.lambda_ops
-
-    def counting(frame):
-        calls.append(frame)
-        return real(frame)
-
-    monkeypatch.setattr(commutator, "lambda_ops", counting)
-    commutator._frame_ops.cache_clear()
-    verify.check_11_commutator(A, 42)
-    verify.check_12_series(A, 42)
-    assert len(calls) == 1
-    assert commutator._frame_ops.cache_info().maxsize is not None
-
-
 def test_omega_is_unimodular(grid):
     assert np.max(np.abs(np.abs(cayley(grid.points)) - 1.0)) < 1e-14
 

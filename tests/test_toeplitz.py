@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from pwlab.commutator import build_frame, lambda_ops, lattice_omega_apply
 from pwlab.grid import SampledFunction, inner
 from pwlab.pwspace import default_grid, project_band, sinc_kernel
 from pwlab.symbols import (bump_spectrum_symbol, gaussian_symbol,
@@ -54,17 +55,71 @@ def test_zero_symbol_operator_vanishes(grid):
     assert np.linalg.norm(T.entries, 2) < 1e-8
 
 
+def _apply_route(sym, grid):
+    return toeplitz_apply(sym, project_band(sinc_kernel(0.5, 0.0, grid), A))
+
+
+def _matrix_route(sym, grid):
+    return toeplitz_matrix(sym, A, 2.0, 8.0, grid)
+
+
 def test_mod_poly_needs_lattice_modulation(grid):
-    f = project_band(sinc_kernel(0.5, 0.0, grid), A)
-    with pytest.raises(ValueError, match="lattice"):
-        toeplitz_apply(mod_poly_symbol(1, 2.0 + 1e-5), f)
+    for route in (_apply_route, _matrix_route):
+        with pytest.raises(ValueError, match="lattice"):
+            route(mod_poly_symbol(1, 2.0 + 1e-5), grid)
 
 
 def test_resolution_guard_names_the_problem(grid):
-    sym = bump_spectrum_symbol(6.0, 7.5, seed=1)
-    f = project_band(sinc_kernel(0.5, 0.0, grid), A)
-    with pytest.raises(ValueError, match="resolve"):
-        toeplitz_apply(sym, f)
+    for route in (_apply_route, _matrix_route):
+        with pytest.raises(ValueError, match="resolve"):
+            route(bump_spectrum_symbol(6.0, 7.5, seed=1), grid)
+
+
+def _symbol_case(make):
+    def build(grid):
+        sym = make(grid)
+        return (toeplitz_matrix(sym, A, 2.0, 8.0, grid), NyquistBasis(A, 8.0, grid),
+                lambda v: toeplitz_apply(sym, v))
+    return build
+
+
+def _omega_case(conjugate):
+    def build(grid):
+        # the frame's basis spans its grid, so a window-8 grid gives basis window 8
+        frame = build_frame(A, 2.0, default_grid(A, 8.0))
+        ops = lambda_ops(frame)
+        return (ops.lam_bar if conjugate else ops.lam, frame.basis,
+                lambda v: project_band(lattice_omega_apply(v.fun, conjugate), A))
+    return build
+
+
+BLOCK_CASES = {
+    "gaussian-mod": _symbol_case(lambda g: gaussian_symbol(width=0.8, shift=0.3,
+                                                           mod=0.25)),
+    "mod_poly-0": _symbol_case(lambda g: mod_poly_symbol(0, 0.5, amp=0.7)),
+    "mod_poly-2-negative-mod": _symbol_case(lambda g: mod_poly_symbol(2, -0.25,
+                                                                      amp=0.3)),
+    "mod_poly-1-2a": _symbol_case(lambda g: mod_poly_symbol(1, 2.0 * A)),
+    "sampled": _symbol_case(lambda g: sampled_symbol(
+        samples(gaussian_symbol(amp=1.1, width=0.9, mod=-0.5), g))),
+    "bump-hermitian": _symbol_case(lambda g: bump_spectrum_symbol(
+        0.05, 1.5, seed=2, hermitian=True)),
+    "omega": _omega_case(False),
+    "omega-bar": _omega_case(True),
+}
+
+
+@pytest.mark.parametrize("name", list(BLOCK_CASES))
+def test_block_assembly_matches_column_route(name, grid):
+    """The band-block matrix equals the definitional route: apply the operator
+    to each basis vector and read its Nyquist coefficients."""
+    M, basis, apply = BLOCK_CASES[name](grid)
+    ref = np.stack([basis.coefficients(apply(basis.vector(k)).fun)
+                    for k in range(basis.size)], axis=1)
+    err = float(np.linalg.norm(M.entries - ref, 2))
+    # x exp(4 pi i a x) compresses to zero: its columns are rounding noise
+    scale = 1.0 if name == "mod_poly-1-2a" else float(np.linalg.norm(ref, 2))
+    assert err <= 1e-12 * scale
 
 
 def test_nyquist_basis_is_orthonormal(grid):
