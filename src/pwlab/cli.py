@@ -16,6 +16,7 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -402,9 +403,10 @@ def cmd_verify(args) -> int:
         print(f"{mark}  {row['check_id']}: measured {row['measured']:.6e} "
               f"vs bound {row['bound']:.6e}")
     meta = report["meta"]
+    n_warn = sum(w["count"] for w in meta["warnings"])
     print(f"{meta['n_rows']} checks, "
           f"{'all pass' if meta['all_pass'] else 'FAILURES PRESENT'}, "
-          f"{meta['elapsed_s']}s")
+          f"{meta['elapsed_s']}s, {n_warn} warnings (meta.warnings)")
     print(f"wrote {out} and {csv_path}")
     return EXIT_OK if meta["all_pass"] else EXIT_CERT
 
@@ -476,20 +478,25 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    text = " ".join(str(message).splitlines())
+    print(f"warning: {text}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if not hasattr(args, "func"):
-            parser.print_help()
+    # warnings print as one "warning: ..." line, like the input errors
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            args = parser.parse_args(argv)
+            if not hasattr(args, "func"):
+                parser.print_help()
+                return EXIT_INPUT
+            return args.func(args)
+        except (InputError, ValueError) as e:
+            print(f"input error: {e}", file=sys.stderr)
             return EXIT_INPUT
-        return args.func(args)
-    except InputError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -80,10 +80,19 @@ def grid_to_dict(g: Grid) -> dict:
 
 
 def grid_from_dict(d: dict) -> Grid:
-    try:
-        return Grid(float(d["start"]), float(d["step"]), int(d["count"]))
-    except KeyError as e:
-        raise ValueError(f"grid object missing field {e.args[0]!r}") from None
+    """Grid from its JSON object; a malformed field is a ValueError naming it."""
+    if not isinstance(d, dict):
+        raise ValueError(f"field 'grid' must be an object, got {d!r}")
+    fields = []
+    for name, cast in (("start", float), ("step", float), ("count", int)):
+        if name not in d:
+            raise ValueError(f"grid object missing field {name!r}")
+        try:
+            fields.append(cast(d[name]))
+        except (TypeError, ValueError, OverflowError):
+            raise ValueError(f"grid field {name!r} must be a number, "
+                             f"got {d[name]!r}") from None
+    return Grid(*fields)
 
 
 def function_to_dict(f: SampledFunction) -> dict:
@@ -98,7 +107,10 @@ def function_from_dict(d: dict) -> SampledFunction:
         if field not in d:
             raise ValueError(f"sampled function object missing field {field!r}")
     g = grid_from_dict(d["grid"])
-    pairs = np.asarray(d["values"], dtype=float)
-    if pairs.ndim != 2 or pairs.shape[1] != 2:
+    try:
+        pairs = np.asarray(d["values"], dtype=float)
+    except (TypeError, ValueError):
+        pairs = None
+    if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("field 'values' must be a list of [re, im] pairs")
     return SampledFunction(g, pairs[:, 0] + 1j * pairs[:, 1])

@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import Grid, SampledFunction, evaluate_offgrid, inverse_spectrum
+from .grid import (Grid, SampledFunction, evaluate_offgrid, inverse_spectrum,
+                   lattice_sum)
 from . import jsonio
 
 KINDS = ("gaussian", "mod_poly", "sampled", "bump_spectrum")
@@ -161,9 +162,8 @@ def point_values(sym: SymbolSpec, x) -> np.ndarray:
     lo, hi = sym.spectral_support
     n = 4096
     dxi = (hi - lo) / n
-    xi = lo + (np.arange(n) + 0.5) * dxi
-    svals = spectrum_on(sym, Grid(xi[0], dxi, n))
-    return dxi * (svals[None, :] * np.exp(2j * np.pi * np.outer(x, xi))).sum(axis=1)
+    fg = Grid(lo + 0.5 * dxi, dxi, n)
+    return dxi * lattice_sum(spectrum_on(sym, fg), fg.start, dxi, x)
 
 
 def sup_norm(sym: SymbolSpec, grid: Grid) -> float:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from collections import Counter
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -353,20 +354,26 @@ ALL_CHECKS = [
 
 def run_all(a: float = 1.0, p: float = 2.0, seed: int = 42,
             progress=None) -> dict:
-    """Run every headline check; returns the report dict."""
+    """Run every headline check; returns the report dict.  A warning raised
+    inside a check is recorded in meta["warnings"] instead of printed."""
     t0 = time.time()
     rows = []
     timings = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for fn in ALL_CHECKS:
-            t1 = time.time()
+    warned = []
+    for fn in ALL_CHECKS:
+        t1 = time.time()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             out = fn(a, seed)
-            timings[fn.__name__] = round(time.time() - t1, 3)
-            rows.extend(out)
-            if progress is not None:
-                status = "pass" if all(r.passed for r in out) else "FAIL"
-                progress(f"{fn.__name__}: {status} ({timings[fn.__name__]}s)")
+        timings[fn.__name__] = round(time.time() - t1, 3)
+        rows.extend(out)
+        counts = Counter((w.category.__name__, str(w.message)) for w in caught)
+        warned.extend({"check": fn.__name__, "category": category,
+                       "message": message, "count": count}
+                      for (category, message), count in counts.items())
+        if progress is not None:
+            status = "pass" if all(r.passed for r in out) else "FAIL"
+            progress(f"{fn.__name__}: {status} ({timings[fn.__name__]}s)")
     return {
         "meta": {
             "band": a, "p": p, "seed": seed,
@@ -374,6 +381,7 @@ def run_all(a: float = 1.0, p: float = 2.0, seed: int = 42,
             "n_rows": len(rows),
             "all_pass": all(r.passed for r in rows),
             "timings_s": timings,
+            "warnings": warned,
         },
         "checks": [asdict(r) for r in rows],
     }

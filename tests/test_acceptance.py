@@ -104,3 +104,15 @@ def test_suite_is_complete_and_green(report):
     assert meta["n_rows"] == 47
     assert meta["all_pass"] is True
     assert meta["elapsed_s"] < 300.0  # desk-scale runtime budget
+
+
+def test_warnings_are_recorded_per_check(report):
+    names = [fn.__name__ for fn in verify.ALL_CHECKS]
+    keys = [(w["check"], w["category"], w["message"])
+            for w in report["meta"]["warnings"]]
+    assert len(keys) == len(set(keys))  # deduplicated within a check
+    for w in report["meta"]["warnings"]:
+        assert w["check"] in names and w["message"] and w["count"] >= 1
+    # the bounded-symbol pipeline's short truncations warn about their tails
+    assert any(w["check"] == "check_10_bounded_symbol" and "tail ratio" in w["message"]
+               for w in report["meta"]["warnings"])

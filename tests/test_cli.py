@@ -104,7 +104,12 @@ def test_malformed_json_is_exit_one(tmp_path, capsys):
              ('{"kind": "gaussian", "amp": "inf"}', "'amp'"),
              ('{"kind": "sampled", "fun": 5}', "'fun'"),
              (json.dumps({"kind": "sampled", "fun": fun, "support": 5}),
-              "'support'")]
+              "'support'"),
+             (json.dumps({"kind": "sampled", "fun": {**fun, "grid": 5}}),
+              "'grid'"),
+             (json.dumps({"kind": "sampled",
+                          "fun": {**fun, "grid": {**fun["grid"], "count": None}}}),
+              "'count'")]
     for i, (text, names) in enumerate(cases):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(text)
@@ -124,6 +129,19 @@ def test_bounded_symbol_stage_failure_is_exit_one(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "stage 'assemble'" in err
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_warnings_print_as_one_line(tmp_path, capsys):
+    # a truncation this short leaves a coefficient tail: nehari_solve warns
+    sym = tmp_path / "gauss.json"
+    jsonio.dump_canonical(to_dict(gaussian_symbol(amp=1.1, width=0.9, shift=0.2)),
+                          sym)
+    assert run("bounded-symbol", "--symbol", sym, "--basis-window", 8,
+               "--out", tmp_path / "b.json") == 0
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines and all(line.startswith("warning: ") for line in lines)
+    assert any("tail ratio" in line for line in lines)
+    assert not any(".py:" in line for line in lines)
 
 
 def test_odd_count_grid_is_exit_one(tmp_path, capsys):

@@ -84,6 +84,52 @@ def test_evaluate_offgrid_reproduces_grid_points():
     assert np.max(np.abs(got - f.values[::7])) < 1e-12
 
 
+def _direct_interpolant(f, x):
+    """dxi * sum_j S_j exp(2 pi i xi_j x), one point at a time."""
+    spec = fft_spectrum(f)
+    xi = spec.grid.points
+    return np.array([spec.grid.step * np.sum(spec.values * np.exp(2j * np.pi * xi * z))
+                     for z in np.atleast_1d(np.asarray(x, dtype=complex))])
+
+
+def _rough(g, seed=0):
+    rng = np.random.default_rng(seed)
+    x = g.points
+    return SampledFunction(g, np.exp(-0.05 * x ** 2) * np.cos(1.3 * x)
+                           + 0.1 * (rng.standard_normal(g.count)
+                                    + 1j * rng.standard_normal(g.count)))
+
+
+@pytest.mark.parametrize("count", [256, 2 * 509])
+def test_evaluate_offgrid_matches_direct_sum(count):
+    # 2*509 has no divisor near sqrt(n): the factored sum runs as 2 x 509
+    g = Grid(-count / 16.0, 0.125, count)
+    f = _rough(g)
+    rng = np.random.default_rng(1)
+    off = rng.uniform(g.start, g.start + g.span, 40)
+    xs = np.concatenate([off, g.points[::17]])
+    rng.shuffle(xs)
+    got = evaluate_offgrid(f, xs)
+    want = _direct_interpolant(f, xs)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    on = np.isin(xs, g.points)
+    assert np.array_equal(got[on], f.values[np.searchsorted(g.points, xs[on])])
+
+
+def test_evaluate_offgrid_scalar_and_complex_points():
+    g = symmetric_grid(16.0, 0.125)
+    f = _rough(g, seed=2)
+    v = evaluate_offgrid(f, 0.3)
+    assert np.ndim(v) == 0
+    assert abs(v - _direct_interpolant(f, 0.3)[0]) <= 1e-12 * np.max(np.abs(f.values))
+    rng = np.random.default_rng(3)
+    zs = rng.uniform(-12.0, 12.0, 30) + 1j * rng.uniform(-0.5, 0.5, 30)
+    got = evaluate_offgrid(f, zs)
+    want = _direct_interpolant(f, zs)
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-12
+
+
 @given(st.integers(min_value=-40, max_value=40))
 def test_index_of_inverts_points(k):
     g = symmetric_grid(8.0, 0.125)

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from pytest import approx
 
-from pwlab.grid import symmetric_grid
+from pwlab.grid import Grid, symmetric_grid
 from pwlab.pwspace import default_grid
 from pwlab.symbols import (bump_spectrum_symbol, from_dict, gaussian_symbol,
                            mod_poly_symbol, point_values, sampled_symbol,
@@ -42,6 +42,20 @@ def test_bump_spectrum_support_is_respected():
     peak = np.max(np.abs(vals))
     outside = (xi < 0.3 - 1e-9) | (xi > 1.2 + 1e-9)
     assert np.max(np.abs(vals[outside])) < 1e-12 * peak
+
+
+@pytest.mark.parametrize("hermitian", [False, True])
+def test_bump_point_values_match_midpoint_sum(hermitian):
+    # the 4096-node midpoint rule written out as an m x 4096 exponential matrix
+    sym = bump_spectrum_symbol(0.2, 0.9, seed=4, hermitian=hermitian)
+    x = np.concatenate([np.linspace(-30.0, 30.0, 23), [417.5, -1234.25]])
+    lo, hi = sym.spectral_support
+    dxi = (hi - lo) / 4096
+    xi = lo + (np.arange(4096) + 0.5) * dxi
+    svals = spectrum_on(sym, Grid(xi[0], dxi, 4096))
+    want = dxi * (svals[None, :] * np.exp(2j * np.pi * np.outer(x, xi))).sum(axis=1)
+    got = point_values(sym, x)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_bump_spectrum_seeded_reproducible():
