@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,31 +40,41 @@ class InputError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    band: float = 1.0
-    p: float = 2.0
-    oversample: int = 8
-    window: float = 64.0
-    tolerances: dict = field(default_factory=dict)
-    seed: int = 42
+# The tolerances each command reads, with their defaults; --tol NAME=VALUE
+# overrides one of them and exists only on these commands.
+TOLERANCES = {
+    "split": {"decay": 1e-8},
+    "bounded-symbol": {"operator_residual": 1e-3},
+    "nehari": {"moment": 1e-6, "sup_slack": 0.05},
+    "factorize": {"band_residual": 1e-8, "atom": 1e-8, "residual_sup": 1e-6,
+                  "residual_l1": 1e-5},
+    "commutator-test": {"deviation": 1e-6},
+    "recover-symbol": {"roundtrip": 1e-3},
+}
 
-    def validate(self) -> "RunConfig":
-        if not self.band > 0.0:
-            raise InputError(f"band: must be positive, got {self.band}")
-        if not (1.0 < self.p < math.inf):
-            raise InputError(f"p: must lie in (1, inf), got {self.p}")
-        if self.oversample < 4:
-            raise InputError(f"oversample: must be at least 4, got {self.oversample}")
-        if not self.window > 0.0:
-            raise InputError(f"window: must be positive, got {self.window}")
-        return self
+# the settings shared by several commands; each command adds the ones it reads
+_FLAGS = {
+    "band": dict(type=float, default=1.0, help="band radius a"),
+    "p": dict(type=float, default=2.0, help="Lebesgue exponent"),
+    "oversample": dict(type=int, default=8, help="samples per Nyquist interval"),
+    "window": dict(type=float, default=64.0, help="grid half-width"),
+    "seed": dict(type=int, default=42),
+}
 
-    def grid(self):
-        return default_grid(self.band, self.window, self.oversample)
+# (must hold, requirement) for the numeric flags and a matrix file's p
+_POSITIVE = (lambda v: 0.0 < v < math.inf, "must be positive and finite")
+_RANGES = {
+    "band": _POSITIVE, "window": _POSITIVE, "basis_window": _POSITIVE,
+    "p": (lambda v: 1.0 < v < math.inf, "must lie in (1, inf)"),
+    "oversample": (lambda v: v >= 4, "must be at least 4"),
+    "truncation": (lambda v: v >= 1, "must be at least 1"),
+}
 
-    def tol(self, name: str, default: float) -> float:
-        return float(self.tolerances.get(name, default))
+
+def _check(name: str, value) -> None:
+    holds, requirement = _RANGES[name]
+    if not holds(value):
+        raise InputError(f"{name.replace('_', '-')}: {requirement}, got {value}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,35 +82,40 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _add_common(sub, window=64.0):
-    sub.add_argument("--band", type=float, default=1.0, help="band radius a")
-    sub.add_argument("--p", type=float, default=2.0, help="Lebesgue exponent")
-    sub.add_argument("--oversample", type=int, default=8,
-                     help="samples per Nyquist interval")
-    sub.add_argument("--window", type=float, default=window,
-                     help="grid half-width")
-    sub.add_argument("--seed", type=int, default=42)
-    sub.add_argument("--tol", action="append", default=[], metavar="NAME=VALUE",
-                     help="override a named tolerance")
+def _add_flags(sub, command: str, *names: str) -> None:
+    for name in names:
+        sub.add_argument("--" + name, **_FLAGS[name])
+    if command in TOLERANCES:
+        listed = ", ".join(f"{k} (default {v:g})"
+                           for k, v in TOLERANCES[command].items())
+        sub.add_argument("--tol", action="append", default=[],
+                         metavar="NAME=VALUE",
+                         help=f"override a named tolerance: {listed}")
     sub.add_argument("--out", default=None, help="output JSON path")
 
 
 def _tols(args) -> dict:
-    tols = {}
+    """The command's tolerance table with the --tol overrides applied."""
+    tols = dict(TOLERANCES[args.command])
     for item in args.tol:
         name, sep, value = item.partition("=")
         if not sep or not name:
             raise InputError(f"tol: expected NAME=VALUE, got {item!r}")
+        if name not in tols:
+            raise InputError(f"tol {name}: not a tolerance of {args.command}; "
+                             f"valid names: {', '.join(tols)}")
         try:
             tols[name] = float(value)
         except ValueError:
             raise InputError(f"tol {name}: not a number: {value!r}") from None
+        holds, requirement = _POSITIVE
+        if not holds(tols[name]):
+            raise InputError(f"tol {name}: {requirement}, got {value}")
     return tols
 
 
-def _config(args) -> RunConfig:
-    return RunConfig(args.band, args.p, args.oversample, args.window,
-                     _tols(args), args.seed).validate()
+def _grid(args):
+    return default_grid(args.band, args.window, args.oversample)
 
 
 # -- I/O helpers ---------------------------------------------------------------
@@ -173,12 +187,11 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def cmd_project(args) -> int:
-    cfg = _config(args)
     f = _load_function(args.input)
-    removed = band_residual(f, cfg.band)
-    bl = project_band(f, cfg.band, cfg.p)
+    removed = band_residual(f, args.band)
+    bl = project_band(f, args.band, args.p)
     payload = {
-        "band": cfg.band, "p": cfg.p,
+        "band": args.band, "p": args.p,
         "residual_removed": removed,
         "fun": jsonio.function_to_dict(bl.fun),
     }
@@ -188,9 +201,8 @@ def cmd_project(args) -> int:
 
 
 def cmd_toeplitz(args) -> int:
-    cfg = _config(args)
     sym = _load_symbol(args.symbol)
-    T = toeplitz_matrix(sym, cfg.band, cfg.p, args.basis_window, cfg.grid())
+    T = toeplitz_matrix(sym, args.band, args.p, args.basis_window, _grid(args))
     norms = operator_norm_certified(T)
     payload = {
         "norm_lower": norms["lower"], "norm_upper": norms["upper"],
@@ -199,18 +211,17 @@ def cmd_toeplitz(args) -> int:
     print(f"operator p-norm in [{jsonio._fmt_float(norms['lower'])}, "
           f"{jsonio._fmt_float(norms['upper'])}]")
     _write(args.out or "toeplitz.json", payload,
-           [[cfg.p, norms["lower"], norms["upper"]]],
+           [[args.p, norms["lower"], norms["upper"]]],
            ["p", "norm_lower", "norm_upper"])
     return EXIT_OK
 
 
 def cmd_split(args) -> int:
-    cfg = _config(args)
+    tols = _tols(args)
     sym = _load_symbol(args.symbol)
-    parts = split_symbol(sym, cfg.band, cfg.grid(),
-                         decay_tol=cfg.tol("decay", 1e-8))
+    parts = split_symbol(sym, args.band, _grid(args), decay_tol=tols["decay"])
     payload = {
-        "band": cfg.band,
+        "band": args.band,
         "l1_norms": parts.l1_norms,
         "band_certificates": parts.band_certificates,
         "parts": {name: jsonio.function_to_dict(parts.part(name))
@@ -220,7 +231,7 @@ def cmd_split(args) -> int:
     _write(args.out or "split.json", payload, rows, ["part", "l1_norm"])
     if args.emit_bumps:
         us = np.arange(-4.0, 4.0 + 1e-12, 1.0 / 32.0)
-        table = [[cfg.band * u] + [bump(u, w) for w in ("L", "C", "R")]
+        table = [[args.band * u] + [bump(u, w) for w in ("L", "C", "R")]
                  for u in us]
         _write_csv("bumps.csv", ["xi", "bump_L", "bump_C", "bump_R"], table)
         print("wrote bumps.csv")
@@ -228,14 +239,13 @@ def cmd_split(args) -> int:
 
 
 def cmd_bounded_symbol(args) -> int:
-    cfg = _config(args)
+    tol = _tols(args)["operator_residual"]
     sym = _load_symbol(args.symbol)
-    res = bounded_symbol(sym, cfg.band, cfg.p, M=args.truncation,
-                         grid=cfg.grid(), window=args.basis_window)
-    tol = cfg.tol("operator_residual", 1e-3)
+    res = bounded_symbol(sym, args.band, args.p, M=args.truncation,
+                         grid=_grid(args), window=args.basis_window)
     ok = res.operator_residual <= tol
     payload = {
-        "band": cfg.band, "p": cfg.p,
+        "band": args.band, "p": args.p,
         "sup_norm": res.sup_norm,
         "operator_residual": res.operator_residual,
         "t_norm": res.t_norm,
@@ -257,13 +267,14 @@ def cmd_bounded_symbol(args) -> int:
 
 
 def cmd_nehari(args) -> int:
-    cfg = _config(args)
+    tols = _tols(args)
     sym = _load_symbol(args.symbol)
-    res = nehari_solve(sym, cfg.band, cfg.p, M=args.truncation, grid=cfg.grid())
-    moment_ok = res.moment_residual <= cfg.tol("moment", 1e-6) * res.sigma0
-    sup_ok = res.sup_norm <= (1.0 + cfg.tol("sup_slack", 0.05)) * res.sigma0
+    res = nehari_solve(sym, args.band, args.p, M=args.truncation,
+                       grid=_grid(args))
+    moment_ok = res.moment_residual <= tols["moment"] * res.sigma0
+    sup_ok = res.sup_norm <= (1.0 + tols["sup_slack"]) * res.sigma0
     payload = {
-        "band": cfg.band, "p": cfg.p,
+        "band": args.band, "p": args.p,
         "sigma0": res.sigma0,
         "hankel_norm": res.hankel_norm,
         "moment_residual": res.moment_residual,
@@ -287,24 +298,24 @@ def cmd_nehari(args) -> int:
 
 
 def cmd_factorize(args) -> int:
-    cfg = _config(args)
+    tols = _tols(args)
     f = _load_function(args.input)
-    margin = args.margin if args.margin is not None else 0.9 * cfg.band
-    if not 0.0 < margin < cfg.band:
+    margin = args.margin if args.margin is not None else 0.9 * args.band
+    if not 0.0 < margin < args.band:
         raise InputError(f"margin: must lie in (0, band), got {margin}")
     removed = band_residual(f, 2.0 * margin)
-    if removed > cfg.tol("band_residual", 1e-8):
+    if removed > tols["band_residual"]:
         raise InputError(f"input {args.input}: band residual {removed:.3e} at "
                          f"band {2.0 * margin} exceeds tolerance; widen "
                          "--margin")
-    h = project_band(f, 2.0 * margin, cfg.p)
-    F = weak_factorize(h, cfg.band, cfg.p, atom_tol=cfg.tol("atom", 1e-8))
+    h = project_band(f, 2.0 * margin, args.p)
+    F = weak_factorize(h, args.band, args.p, atom_tol=tols["atom"])
     sup_h = float(np.max(np.abs(h.values))) or 1.0
     l1_h = lp_norm(h.fun, 1.0) or 1.0
-    ok = (F.residual_sup <= cfg.tol("residual_sup", 1e-6) * sup_h
-          and F.residual_l1 <= cfg.tol("residual_l1", 1e-5) * l1_h)
+    ok = (F.residual_sup <= tols["residual_sup"] * sup_h
+          and F.residual_l1 <= tols["residual_l1"] * l1_h)
     payload = {
-        "band": cfg.band, "p": cfg.p, "q": F.q, "margin": margin,
+        "band": args.band, "p": args.p, "q": F.q, "margin": margin,
         "band_residual_removed": removed,
         "n_pairs": len(F.pairs),
         "nuclear_sum": F.nuclear_sum,
@@ -321,7 +332,7 @@ def cmd_factorize(args) -> int:
         if F.plan is not None:
             payload["pairs_format"] = "atoms"
             payload["atom"] = jsonio.function_to_dict(
-                sinc_atom(cfg.band, 0.0, h.grid).fun)
+                sinc_atom(args.band, 0.0, h.grid).fun)
             payload["pairs"] = [
                 {"center": float(t), "weight": [float(w.real), float(w.imag)]}
                 for t, w in zip(F.plan.centers, F.plan.weights)
@@ -348,16 +359,15 @@ def _frame_for(args, T):
         raise InputError(f"band: {args.band} does not match matrix band {T.a}")
     if args.p is not None and args.p != T.p:
         raise InputError(f"p: {args.p} does not match matrix p {T.p}")
-    cfg = RunConfig(T.a, T.p, args.oversample, T.window, _tols(args),
-                    args.seed).validate()
-    return cfg, build_frame(T.a, T.p, cfg.grid())
+    _check("p", T.p)
+    return build_frame(T.a, T.p, default_grid(T.a, T.window, args.oversample))
 
 
 def cmd_commutator_test(args) -> int:
+    tol = _tols(args)["deviation"]
     T = _load_matrix(args.matrix)
-    cfg, frame = _frame_for(args, T)
-    rep = commutator_test(T, frame, seed=cfg.seed)
-    tol = cfg.tol("deviation", 1e-6)
+    frame = _frame_for(args, T)
+    rep = commutator_test(T, frame, seed=args.seed)
     verdict = rep["deviation"] <= tol
     payload = {"is_toeplitz": verdict, "deviation": rep["deviation"],
                "threshold": tol, "band": T.a, "p": T.p}
@@ -368,13 +378,13 @@ def cmd_commutator_test(args) -> int:
 
 
 def cmd_recover_symbol(args) -> int:
+    tol = _tols(args)["roundtrip"]
     T = _load_matrix(args.matrix)
     if T.p != 2.0:
         raise InputError(f"matrix p: symbol recovery needs p = 2, got {T.p}")
-    cfg, frame = _frame_for(args, T)
+    frame = _frame_for(args, T)
     rec = recover_symbol(T, frame)
     rt = recovery_roundtrip(T, frame)
-    tol = cfg.tol("roundtrip", 1e-3)
     payload = {
         "band": T.a, "p": T.p,
         "roundtrip_residual": rt,
@@ -392,8 +402,7 @@ def cmd_recover_symbol(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
-    report = verify_suite.run_all(cfg.band, cfg.p, cfg.seed,
+    report = verify_suite.run_all(args.band, seed=args.seed,
                                   progress=lambda s: print(s, file=sys.stderr))
     out = args.out or "report.json"
     csv_path = out.rsplit(".", 1)[0] + ".csv"
@@ -420,20 +429,20 @@ def build_parser() -> _Parser:
 
     sp = subs.add_parser("project", help="band-project a sampled function")
     sp.add_argument("--input", required=True, help="sampled-function JSON")
-    _add_common(sp)
+    _add_flags(sp, "project", "band", "p")
     sp.set_defaults(func=cmd_project)
 
     sp = subs.add_parser("toeplitz", help="assemble a Toeplitz matrix")
     sp.add_argument("--symbol", required=True, help="symbol JSON")
     sp.add_argument("--basis-window", type=float, default=32.0)
-    _add_common(sp)
+    _add_flags(sp, "toeplitz", "band", "p", "oversample", "window")
     sp.set_defaults(func=cmd_toeplitz)
 
     sp = subs.add_parser("split", help="three-part symbol splitting")
     sp.add_argument("--symbol", required=True)
     sp.add_argument("--emit-bumps", action="store_true",
                     help="also write the cutoff profiles as bumps.csv")
-    _add_common(sp)
+    _add_flags(sp, "split", "band", "oversample", "window")
     sp.set_defaults(func=cmd_split)
 
     sp = subs.add_parser("bounded-symbol",
@@ -441,13 +450,13 @@ def build_parser() -> _Parser:
     sp.add_argument("--symbol", required=True)
     sp.add_argument("--truncation", type=int, default=256)
     sp.add_argument("--basis-window", type=float, default=32.0)
-    _add_common(sp)
+    _add_flags(sp, "bounded-symbol", "band", "p", "oversample", "window")
     sp.set_defaults(func=cmd_bounded_symbol)
 
     sp = subs.add_parser("nehari", help="minimal-sup Hankel completion")
     sp.add_argument("--symbol", required=True)
     sp.add_argument("--truncation", type=int, default=256)
-    _add_common(sp)
+    _add_flags(sp, "nehari", "band", "p", "oversample", "window")
     sp.set_defaults(func=cmd_nehari)
 
     sp = subs.add_parser("factorize", help="weak factorization of a target")
@@ -456,23 +465,23 @@ def build_parser() -> _Parser:
                     help="half-band of the target (default 0.9*band)")
     sp.add_argument("--summary", action="store_true",
                     help="omit the pair list from the output")
-    _add_common(sp)
+    _add_flags(sp, "factorize", "band", "p")
     sp.set_defaults(func=cmd_factorize)
 
     sp = subs.add_parser("commutator-test",
                          help="test a matrix for the Toeplitz property")
     sp.add_argument("--matrix", required=True, help="operator-matrix JSON")
-    _add_common(sp)
+    _add_flags(sp, "commutator-test", "band", "p", "oversample", "seed")
     sp.set_defaults(func=cmd_commutator_test, band=None, p=None)
 
     sp = subs.add_parser("recover-symbol",
                          help="recover a symbol from a Toeplitz matrix")
     sp.add_argument("--matrix", required=True)
-    _add_common(sp)
+    _add_flags(sp, "recover-symbol", "band", "p", "oversample")
     sp.set_defaults(func=cmd_recover_symbol, band=None, p=None)
 
     sp = subs.add_parser("verify", help="run the full identity suite")
-    _add_common(sp)
+    _add_flags(sp, "verify", "band", "seed")
     sp.set_defaults(func=cmd_verify)
 
     return parser
@@ -493,6 +502,9 @@ def main(argv=None) -> int:
             if not hasattr(args, "func"):
                 parser.print_help()
                 return EXIT_INPUT
+            for name in _RANGES:
+                if getattr(args, name, None) is not None:
+                    _check(name, getattr(args, name))
             return args.func(args)
         except (InputError, ValueError) as e:
             print(f"input error: {e}", file=sys.stderr)

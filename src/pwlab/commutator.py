@@ -29,7 +29,6 @@ import numpy as np
 
 from .grid import (Grid, SampledFunction, fft_spectrum, inner,
                    inverse_spectrum, lp_norm)
-from .nehari import cayley
 from .pwspace import (BandlimitedFunction, band_mask, band_residual,
                       default_grid)
 from .toeplitz import NyquistBasis, OperatorMatrix, assemble_matrix
@@ -79,12 +78,9 @@ class ConformalFrame:
     p: float
     grid: Grid
     basis: NyquistBasis
-    omega: np.ndarray            # pointwise (x-i)/(x+i) on the grid
     kernel: SampledFunction      # conjugate kernel, defect-exact lattice profile
     kernel_coeffs: np.ndarray
     alpha: float                 # 1 / ||kernel||_2^2
-    sigma: np.ndarray            # (x+i)^(2/p), arg(x+i) in (0, pi)
-    eta: np.ndarray              # alpha * (2 pi i (x-i))^(-2/p)
 
 
 def build_frame(a: float, p: float = 2.0, grid: Grid | None = None) -> ConformalFrame:
@@ -98,7 +94,6 @@ def build_frame(a: float, p: float = 2.0, grid: Grid | None = None) -> Conformal
     """
     if grid is None:
         grid = default_grid(a)
-    x = grid.points
     basis = NyquistBasis(a, -grid.start, grid)
     _, r = blaschke_params(grid.freq_step)
 
@@ -110,13 +105,8 @@ def build_frame(a: float, p: float = 2.0, grid: Grid | None = None) -> Conformal
     kernel = inverse_spectrum(SampledFunction(fg, profile), start=grid.start)
 
     alpha = 1.0 / lp_norm(kernel, 2.0) ** 2
-    # both bases stay clear of the principal cut on the real grid: x + i has
-    # argument in (0, pi), and 2 pi i (x - i) = 2 pi (1 + i x) stays in the
-    # open right half-plane
-    sigma = np.power(x + 1j, 2.0 / p)
-    eta = alpha * np.power(2j * np.pi * (x - 1j), -2.0 / p)
-    return ConformalFrame(a, p, grid, basis, cayley(x), kernel,
-                          basis.coefficients(kernel), alpha, sigma, eta)
+    return ConformalFrame(a, p, grid, basis, kernel, basis.coefficients(kernel),
+                          alpha)
 
 
 def closed_form_kernel(a: float, grid: Grid) -> SampledFunction:
@@ -245,16 +235,15 @@ def series_reconstruct(T: OperatorMatrix, N: int, frame: ConformalFrame) -> Oper
 
 
 def series_residual(T: OperatorMatrix, S: OperatorMatrix,
-                    frame: ConformalFrame, radius: float | None = None) -> float:
+                    frame: ConformalFrame) -> float:
     """Relative reconstruction error on the drain-certified sub-basis.
 
     Lambda^n pushes mass outward by roughly sqrt(n/(2 pi a)) nodes, so only
     basis vectors well inside that horizon have drained by step N; the
-    certificate reads the operator restricted to nodes |t_k| <= radius
-    (default sqrt(64/(2 pi a))/3, the horizon of the reference step count).
+    certificate reads the operator restricted to nodes |t_k| <= radius =
+    sqrt(64/(2 pi a))/3, the horizon of the reference step count.
     """
-    if radius is None:
-        radius = math.sqrt(64.0 / (2.0 * np.pi * frame.a)) / 3.0
+    radius = math.sqrt(64.0 / (2.0 * np.pi * frame.a)) / 3.0
     sel = np.abs(T.nodes) <= radius
     if not np.any(sel):
         raise ValueError("certification radius excludes every basis vector")

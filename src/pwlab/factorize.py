@@ -53,7 +53,7 @@ def sinc_atom(a: float, t: float, grid: Grid) -> BandlimitedFunction:
     base, i0 = _base_atom(a, grid)
     i = grid.index_of(t)
     vals = np.roll(base, i - i0) if i != i0 else base.copy()
-    return BandlimitedFunction(SampledFunction(grid, vals), a, residual=0.0)
+    return BandlimitedFunction(SampledFunction(grid, vals), a)
 
 
 def fejer_triangle(a: float, xi: np.ndarray) -> np.ndarray:
@@ -177,8 +177,8 @@ def weak_factorize(h: BandlimitedFunction, a: float, p: float,
     cand = s * atom.values * np.conj(atom.values)
     if float(np.max(np.abs(h.values - cand))) <= atom_tol * sup_h:
         f_fun = BandlimitedFunction(
-            SampledFunction(grid, s * atom.values), a, p, residual=0.0)
-        g_fun = BandlimitedFunction(atom.fun, a, q, residual=0.0)
+            SampledFunction(grid, s * atom.values), a, p)
+        g_fun = BandlimitedFunction(atom.fun, a, q)
         nuclear = lp_norm(f_fun.fun, p) * lp_norm(g_fun.fun, q)
         res = np.abs(h.values - cand)
         return Factorization([(f_fun, g_fun)], nuclear,
@@ -202,9 +202,8 @@ def weak_factorize(h: BandlimitedFunction, a: float, p: float,
         atom_t = sinc_atom(a, t, grid)
         f_vals = dt * wk * atom_t.values
         acc += f_vals * np.conj(atom_t.values)
-        pairs.append((BandlimitedFunction(SampledFunction(grid, f_vals), a, p,
-                                          residual=0.0),
-                      BandlimitedFunction(atom_t.fun, a, q, residual=0.0)))
+        pairs.append((BandlimitedFunction(SampledFunction(grid, f_vals), a, p),
+                      BandlimitedFunction(atom_t.fun, a, q)))
 
     res = np.abs(acc - h.values)
     residual_sup = float(res.max())
@@ -254,12 +253,12 @@ def regroup_pairs(F: Factorization) -> Factorization:
         grid = f1.grid
         merged.append((
             BandlimitedFunction(SampledFunction(grid, f1.values + f2.values),
-                                F.a, F.p, residual=0.0),
-            BandlimitedFunction(g1.fun, F.a, F.q, residual=0.0)))
+                                F.a, F.p),
+            BandlimitedFunction(g1.fun, F.a, F.q)))
         merged.append((
-            BandlimitedFunction(f2.fun, F.a, F.p, residual=0.0),
+            BandlimitedFunction(f2.fun, F.a, F.p),
             BandlimitedFunction(SampledFunction(grid, g2.values - g1.values),
-                                F.a, F.q, residual=0.0)))
+                                F.a, F.q)))
     merged.extend(pairs)
     nuclear = float(sum(lp_norm(f.fun, F.p) * lp_norm(g.fun, F.q)
                         for f, g in merged))
@@ -268,16 +267,15 @@ def regroup_pairs(F: Factorization) -> Factorization:
 
 
 def toeplitz_test_set(a: float, p: float, count: int = 5, seed: int = 42,
-                      window: float | None = None,
                       grid: Grid | None = None) -> list:
-    """Identity plus seeded smooth-symbol Toeplitz matrices at unit norm."""
+    """Identity plus seeded smooth-symbol Toeplitz matrices at unit norm, on
+    the full sampling window of the grid."""
     from .symbols import bump_spectrum_symbol
     from .toeplitz import identity_matrix
 
     if grid is None:
         grid = default_grid(a)
-    if window is None:
-        window = -grid.start
+    window = -grid.start
     ops = [identity_matrix(a, p, window)]
     for k in range(max(0, count - 1)):
         sym = bump_spectrum_symbol(0.05 * a, 1.4 * a, seed=seed + k, hermitian=True)

@@ -34,8 +34,11 @@ class Grid:
             raise ValueError("grid start/step must be finite")
         if self.step <= 0:
             raise ValueError("grid step must be positive")
+        if not math.isfinite(self.nyquist):
+            raise ValueError(f"grid step {self.step} is too small: its "
+                             "Nyquist frequency overflows")
         if self.count < 2:
-            raise ValueError("grid needs at least two points")
+            raise ValueError(f"grid count must be at least 2, got {self.count}")
         if self.count % 2:
             # freq_grid() starts at -nyquist, which is a DFT bin only for even
             # counts; an odd count would shift every spectrum by half a bin

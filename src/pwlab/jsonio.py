@@ -10,10 +10,15 @@ formatting reliably.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
 from .grid import Grid, SampledFunction
+
+# the largest magnitude a number read from a file may have: squares and
+# products of two such numbers, summed over any grid, stay finite
+MAX_MAGNITUDE = 1e100
 
 
 def _fmt_float(x: float) -> str:
@@ -79,20 +84,37 @@ def grid_to_dict(g: Grid) -> dict:
     return {"start": g.start, "step": g.step, "count": g.count}
 
 
+def number_field(d: dict, name: str, default=None, cast=float, *, owner: str):
+    """d[name] (or the default when absent) converted by cast; a null,
+    non-numeric, non-finite or too large value is a ValueError naming the
+    field."""
+    value = d[name] if default is None else d.get(name, default)
+    try:
+        out = cast(value)
+        ok = math.isfinite(out) and abs(out) <= MAX_MAGNITUDE
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValueError(f"{owner} field {name!r} must be a finite number of "
+                         f"magnitude at most {MAX_MAGNITUDE:g}, got {value!r}")
+    return out
+
+
+def bounded(arr: np.ndarray) -> np.ndarray:
+    """Elementwise: finite and of magnitude at most MAX_MAGNITUDE."""
+    return np.abs(arr) <= MAX_MAGNITUDE
+
+
 def grid_from_dict(d: dict) -> Grid:
     """Grid from its JSON object; a malformed field is a ValueError naming it."""
     if not isinstance(d, dict):
         raise ValueError(f"field 'grid' must be an object, got {d!r}")
-    fields = []
-    for name, cast in (("start", float), ("step", float), ("count", int)):
+    for name in ("start", "step", "count"):
         if name not in d:
             raise ValueError(f"grid object missing field {name!r}")
-        try:
-            fields.append(cast(d[name]))
-        except (TypeError, ValueError, OverflowError):
-            raise ValueError(f"grid field {name!r} must be a number, "
-                             f"got {d[name]!r}") from None
-    return Grid(*fields)
+    return Grid(number_field(d, "start", owner="grid"),
+                number_field(d, "step", owner="grid"),
+                number_field(d, "count", cast=int, owner="grid"))
 
 
 def function_to_dict(f: SampledFunction) -> dict:
@@ -109,8 +131,14 @@ def function_from_dict(d: dict) -> SampledFunction:
     g = grid_from_dict(d["grid"])
     try:
         pairs = np.asarray(d["values"], dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         pairs = None
     if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("field 'values' must be a list of [re, im] pairs")
+    bad = np.flatnonzero(~np.all(bounded(pairs), axis=1))
+    if len(bad):
+        # a null reads as NaN; name the entry rather than the array
+        raise ValueError(f"field 'values' entry {bad[0]} must be two finite "
+                         f"numbers of magnitude at most {MAX_MAGNITUDE:g}, "
+                         f"got {d['values'][bad[0]]!r}")
     return SampledFunction(g, pairs[:, 0] + 1j * pairs[:, 1])

@@ -40,6 +40,10 @@ def cayley(x) -> np.ndarray:
     return (x - 1j) / (x + 1j)
 
 
+def _circle_size(M: int) -> int:
+    return max(CIRCLE_OVERSAMPLE * M, 2048)
+
+
 def _circle_nodes(size: int) -> tuple[np.ndarray, np.ndarray]:
     """Half-shifted uniform angles and their line preimages -cot(theta/2)."""
     thetas = 2.0 * np.pi * (np.arange(size) + 0.5) / size
@@ -58,8 +62,7 @@ class HankelData:
         return self.tail_ratio <= TAIL_TOL
 
 
-def line_to_disk(b, M: int = DEFAULT_TRUNCATION,
-                 grid_size: int | None = None) -> HankelData:
+def line_to_disk(b, M: int = DEFAULT_TRUNCATION) -> HankelData:
     """Fourier coefficients -M..M of b composed with the inverse Cayley map.
 
     b may be a SymbolSpec or a plain callable on the real line.  The
@@ -67,9 +70,9 @@ def line_to_disk(b, M: int = DEFAULT_TRUNCATION,
     that blows up along the real line still shows up as non-finite or huge
     values near the grid ends and is rejected.
     """
-    size = grid_size or max(CIRCLE_OVERSAMPLE * M, 2048)
-    if size < 2 * M + 2:
-        raise ValueError("circle grid too small for the requested truncation")
+    if M < 1:
+        raise ValueError(f"truncation must be at least 1, got {M}")
+    size = _circle_size(M)
     _, x = _circle_nodes(size)
     vals = np.asarray(b(x) if callable(b) else point_values(b, x), dtype=complex)
     interior = np.abs(x) <= 10.0
@@ -114,10 +117,7 @@ class AAKSolution:
     v_coeffs: np.ndarray     # analytic Schmidt polynomial, ascending powers
     w_coeffs: np.ndarray     # anti-analytic side: w~(z) = sum w_j z^(-j-1)
     truncation: int
-    thetas: np.ndarray
-    psi_circle: np.ndarray
     moment_residual: float
-    sup_ratio: float
 
     def eval_disk(self, z) -> np.ndarray:
         """sigma0 * w~(z) / v(z) on |z| = 1, with guarded division."""
@@ -136,16 +136,13 @@ class AAKSolution:
         return _nearest_fill(raw, bad)
 
 
-def _zero_solution(M: int, size: int) -> AAKSolution:
-    thetas, _ = _circle_nodes(size)
+def _zero_solution(M: int) -> AAKSolution:
     e0 = np.zeros(M, dtype=complex)
     e0[0] = 1.0
-    return AAKSolution(0.0, e0, np.zeros(M, dtype=complex), M, thetas,
-                       np.zeros(size, dtype=complex), 0.0, 0.0)
+    return AAKSolution(0.0, e0, np.zeros(M, dtype=complex), M, 0.0)
 
 
-def aak_solve(hd: HankelData, grid_size: int | None = None,
-              floor: float = 1e-13) -> AAKSolution:
+def aak_solve(hd: HankelData, floor: float = 1e-13) -> AAKSolution:
     """Top-singular-pair completion of the truncated Hankel data.
 
     The returned symbol is sigma0 * w~/v for the top Schmidt pair (v, w) of
@@ -157,14 +154,13 @@ def aak_solve(hd: HankelData, grid_size: int | None = None,
     and one valid pair is returned with a warning.
     """
     M = hd.truncation
-    size = grid_size or max(CIRCLE_OVERSAMPLE * M, 2048)
     peak = float(np.max(np.abs(hd.disk_coeffs)))
     if peak == 0.0:
-        return _zero_solution(M, size)
+        return _zero_solution(M)
     gamma = hd.hankel_matrix
     u, s, vh = np.linalg.svd(gamma)
     if s[0] <= floor * max(1.0, peak):
-        sol = _zero_solution(M, size)
+        sol = _zero_solution(M)
         sol.sigma0 = float(s[0])
         return sol
     if len(s) > 1 and s[1] > s[0] * (1.0 - 1e-10):
@@ -178,17 +174,15 @@ def aak_solve(hd: HankelData, grid_size: int | None = None,
     v = np.conj(vh[0])
     w = u[:, 0]
 
+    size = _circle_size(M)
     thetas, _ = _circle_nodes(size)
-    sol = AAKSolution(sigma0, v, w, M, thetas, np.empty(0), 0.0, 0.0)
-    z = np.exp(1j * thetas)
-    psi = sol.eval_disk(z)
-    sol.psi_circle = psi
+    sol = AAKSolution(sigma0, v, w, M, 0.0)
+    psi = sol.eval_disk(np.exp(1j * thetas))
 
     F = np.fft.fft(psi) / size
     ns = np.arange(-M, 0)
     back = np.exp(-1j * np.pi * ns / size) * F[ns % size]
     sol.moment_residual = float(np.max(np.abs(back - hd.disk_coeffs[:M]))) / sigma0
-    sol.sup_ratio = float(np.max(np.abs(psi))) / sigma0
     return sol
 
 
@@ -341,7 +335,6 @@ class BoundedSymbolResult:
     psi: SampledFunction
     sup_norm: float
     operator_residual: float
-    parts: dict
     t_norm: float
     ratio: float
     c_meas: float
@@ -387,9 +380,8 @@ def bounded_symbol(sym: SymbolSpec, a: float, p: float = 2.0,
 
     if t_norm <= 1e-8 * max(scale, 1.0):
         # the operator itself vanishes; the zero symbol is a valid answer
-        return BoundedSymbolResult(zero, 0.0, t_norm,
-                                   {"psi_l": zero, "phi_c": zero, "psi_r": zero},
-                                   t_norm, 0.0, 0.0, a, p, 0.0, 0.0)
+        return BoundedSymbolResult(zero, 0.0, t_norm, t_norm, 0.0, 0.0, a, p,
+                                   0.0, 0.0)
 
     parts = _stage("split", lambda: split_symbol(sym, a, grid))
     theta2 = np.exp(4j * np.pi * a * x)
@@ -423,7 +415,5 @@ def bounded_symbol(sym: SymbolSpec, a: float, p: float = 2.0,
     sup = lp_norm(psi, np.inf)
     ratio = sup / t_norm
     c_meas = ratio / (p + 1.0 / (p - 1.0)) if p > 1.0 else float("inf")
-    return BoundedSymbolResult(psi, sup, residual,
-                               {"psi_l": psi_l, "phi_c": parts.part_c,
-                                "psi_r": psi_r},
-                               t_norm, ratio, c_meas, a, p, sig_l, sig_r)
+    return BoundedSymbolResult(psi, sup, residual, t_norm, ratio, c_meas, a, p,
+                               sig_l, sig_r)

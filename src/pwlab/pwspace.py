@@ -70,7 +70,6 @@ class BandlimitedFunction:
     fun: SampledFunction
     a: float
     p: float = 2.0
-    residual: float = 0.0
 
     @property
     def grid(self) -> Grid:
@@ -96,12 +95,13 @@ def project_band(f: SampledFunction, a: float, p: float = 2.0) -> BandlimitedFun
     """Spectral truncation of f to the band [-a, a)."""
     if f.grid.nyquist <= a:
         raise ValueError(
-            f"grid resolves frequencies up to {f.grid.nyquist}, cannot project to band {a}")
+            f"grid step {f.grid.step} resolves frequencies up to {f.grid.nyquist}, "
+            f"cannot project to band {a}")
     spec = fft_spectrum(f)
     mask = band_mask(spec.grid.points, a)
     clipped = SampledFunction(spec.grid, np.where(mask, spec.values, 0.0))
     out = inverse_spectrum(clipped, start=f.grid.start)
-    return BandlimitedFunction(out, a, p, residual=0.0)
+    return BandlimitedFunction(out, a, p)
 
 
 def make_bandlimited(f: SampledFunction, a: float, p: float = 2.0,
@@ -109,7 +109,7 @@ def make_bandlimited(f: SampledFunction, a: float, p: float = 2.0,
     r = band_residual(f, a)
     if r > tol:
         raise ValueError(f"band residual {r:.3e} exceeds tolerance {tol:.1e}")
-    return BandlimitedFunction(f, a, p, residual=r)
+    return BandlimitedFunction(f, a, p)
 
 
 def project_halfline(f: SampledFunction, sign: int = +1) -> SampledFunction:
@@ -171,7 +171,7 @@ def _sign_power(y: np.ndarray, e: float) -> np.ndarray:
 
 
 def boyd_lower_bound(apply_fn, adjoint_fn, n: int, p: float, weight: float = 1.0,
-                     starts=None, seed: int = 42, iters: int = 60) -> float:
+                     seed: int = 42, iters: int = 60) -> float:
     """Boyd/Higham power iteration; returns a certified-from-below estimate of
     the p -> p operator norm of a linear map given by apply/adjoint callables.
 
@@ -180,14 +180,11 @@ def boyd_lower_bound(apply_fn, adjoint_fn, n: int, p: float, weight: float = 1.0
     clarity)."""
     q = holder_conjugate(p)
     rng = np.random.default_rng(seed)
-    if starts is None:
-        starts = []
-    pool = [np.ones(n, dtype=complex)] + list(starts)
+    pool = [np.ones(n, dtype=complex)]
     for _ in range(3):
         pool.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
     best = 0.0
-    for x0 in pool:
-        x = np.asarray(x0, dtype=complex)
+    for x in pool:
         nx = (weight * np.sum(np.abs(x) ** p)) ** (1 / p)
         if nx == 0:
             continue
@@ -215,8 +212,8 @@ def boyd_lower_bound(apply_fn, adjoint_fn, n: int, p: float, weight: float = 1.0
     return best
 
 
-def riesz_constant_estimate(p: float, a: float = DEFAULT_BAND,
-                            window: float = 32.0, step: float = 0.125) -> float:
+def riesz_constant_estimate(p: float, window: float = 32.0,
+                            step: float = 0.125) -> float:
     """Lower estimate of the L^p -> L^p norm of the positive-half-line
     projector, computed on a dedicated modest grid.
 

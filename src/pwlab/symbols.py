@@ -16,6 +16,7 @@ Supported kinds (JSON-facing):
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -181,19 +182,7 @@ def to_dict(sym: SymbolSpec) -> dict:
     return d
 
 
-def _number(d: dict, name: str, default=None, cast=float):
-    """d[name] (or the default when absent) converted by cast; a null,
-    non-numeric or non-finite value is a ValueError naming the field."""
-    value = d[name] if default is None else d.get(name, default)
-    try:
-        out = cast(value)
-        finite = math.isfinite(out)
-    except (TypeError, ValueError, OverflowError):
-        finite = False
-    if not finite:
-        raise ValueError(f"symbol field {name!r} must be a finite number, "
-                         f"got {value!r}")
-    return out
+_number = functools.partial(jsonio.number_field, owner="symbol")
 
 
 def _support(d: dict) -> tuple | None:
@@ -231,7 +220,11 @@ def from_dict(d: dict) -> SymbolSpec:
             if not isinstance(d["fun"], dict):
                 raise ValueError(f"symbol field 'fun' must be a sampled-function "
                                  f"object, got {d['fun']!r}")
-            return sampled_symbol(jsonio.function_from_dict(d["fun"]), _support(d))
+            try:
+                fun = jsonio.function_from_dict(d["fun"])
+            except ValueError as e:
+                raise ValueError(f"symbol field 'fun': {e}") from None
+            return sampled_symbol(fun, _support(d))
         if kind == "bump_spectrum":
             seed = d.get("seed")
             return bump_spectrum_symbol(_number(d, "lo"), _number(d, "hi"),

@@ -34,6 +34,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Grid, SampledFunction, fft_spectrum, inverse_spectrum
+from .jsonio import MAX_MAGNITUDE, bounded, number_field
 from .pwspace import (
     BandlimitedFunction,
     band_mask,
@@ -86,7 +87,7 @@ def _apply_mod_poly(sym: SymbolSpec, f: BandlimitedFunction) -> BandlimitedFunct
     vals = (_mod_poly_spectrum(sym.params, spec.values, spec.grid.step)
             * band_mask(spec.grid.points, f.a))
     out = inverse_spectrum(SampledFunction(spec.grid, vals), start=f.grid.start)
-    return BandlimitedFunction(out, f.a, f.p, residual=0.0)
+    return BandlimitedFunction(out, f.a, f.p)
 
 
 def _resolution_check(sym: SymbolSpec, a: float, grid: Grid):
@@ -169,7 +170,7 @@ class NyquistBasis:
         so that project_band leaves it invariant bit-for-bit."""
         unit = np.zeros(self.size)
         unit[k] = 1.0
-        return BandlimitedFunction(self.synthesize(unit), self.a, residual=0.0)
+        return BandlimitedFunction(self.synthesize(unit), self.a)
 
     def coefficients(self, f: SampledFunction) -> np.ndarray:
         """Expansion coefficients of a band-a function: c_k = f(t_k)/sqrt(2a)."""
@@ -349,13 +350,46 @@ def matrix_to_dict(M: OperatorMatrix) -> dict:
     }
 
 
-def matrix_from_dict(d: dict) -> OperatorMatrix:
+def _matrix_array(obj: dict, name: str, ndim: int) -> np.ndarray:
     try:
-        basis = d["basis"]
-        nodes = np.asarray(basis["nodes"], dtype=float)
-        raw = np.asarray(d["entries"], dtype=float)
-        entries = raw[..., 0] + 1j * raw[..., 1]
-        return OperatorMatrix(entries, float(d["band"]), float(d["p"]),
-                              float(basis["window"]), nodes)
-    except (KeyError, IndexError) as e:
-        raise ValueError(f"matrix object missing field {e.args[0]!r}") from None
+        arr = np.asarray(obj[name], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        arr = None
+    if arr is None or arr.ndim != ndim or not np.all(bounded(arr)):
+        raise ValueError(f"matrix field {name!r} must be a {ndim}-dimensional "
+                         f"array of finite numbers of magnitude at most "
+                         f"{MAX_MAGNITUDE:g}")
+    return arr
+
+
+def matrix_from_dict(d: dict) -> OperatorMatrix:
+    """Matrix from its JSON object; a malformed field is a ValueError naming it."""
+    for name in ("band", "p", "basis", "entries"):
+        if name not in d:
+            raise ValueError(f"matrix object missing field {name!r}")
+    basis = d["basis"]
+    if not isinstance(basis, dict):
+        raise ValueError(f"matrix field 'basis' must be an object, got {basis!r}")
+    for name in ("window", "nodes"):
+        if name not in basis:
+            raise ValueError(f"matrix basis missing field {name!r}")
+    band = number_field(d, "band", owner="matrix")
+    p = number_field(d, "p", owner="matrix")
+    window = number_field(basis, "window", owner="matrix")
+    if band <= 0.0:
+        raise ValueError(f"matrix field 'band' must be positive, got {band}")
+    nodes = _matrix_array(basis, "nodes", 1)
+    raw = _matrix_array(d, "entries", 3)
+    n = len(nodes)
+    # the basis is NyquistBasis(band, window): round(4 band window) nodes
+    # spaced 1/(2 band); checked before anything is sized from window
+    spacing = nodes[1] - nodes[0] if n > 1 else 0.0
+    if abs(4.0 * band * window - n) > 0.5 or abs(spacing - 0.5 / band) > 1e-12:
+        raise ValueError(f"matrix fields 'band', 'window' and 'nodes' disagree: "
+                         f"band {band} on window {window} needs "
+                         f"4*band*window nodes spaced 1/(2*band), got {n} "
+                         f"spaced {spacing}")
+    if raw.shape != (n, n, 2):
+        raise ValueError(f"matrix field 'entries' must hold {n} x {n} [re, im] "
+                         f"pairs for the {n} basis nodes, got shape {raw.shape}")
+    return OperatorMatrix(raw[..., 0] + 1j * raw[..., 1], band, p, window, nodes)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from pwlab import jsonio
-from pwlab.cli import main
+from pwlab.cli import TOLERANCES, _tols, build_parser, main
 from pwlab.grid import SampledFunction
 from pwlab.pwspace import default_grid, sinc_kernel
 from pwlab.symbols import gaussian_symbol, sampled_symbol, to_dict
@@ -94,11 +94,11 @@ def test_negative_band_names_the_field(files, capsys):
     assert "band" in capsys.readouterr().err
 
 
-def test_malformed_json_is_exit_one(tmp_path, capsys):
+def test_malformed_json_is_exit_one(files, tmp_path, capsys):
     # (file text, a word the one-line message must contain)
     fun = {"grid": {"start": -1.0, "step": 0.5, "count": 4},
            "values": [[0.0, 0.0]] * 4}
-    cases = [("{not json", "invalid JSON"),
+    symbol_cases = [("{not json", "invalid JSON"),
              ("5", "must be a JSON object"),
              ('{"kind": "gaussian", "amp": null}', "'amp'"),
              ('{"kind": "gaussian", "amp": "inf"}', "'amp'"),
@@ -109,11 +109,29 @@ def test_malformed_json_is_exit_one(tmp_path, capsys):
               "'grid'"),
              (json.dumps({"kind": "sampled",
                           "fun": {**fun, "grid": {**fun["grid"], "count": None}}}),
-              "'count'")]
-    for i, (text, names) in enumerate(cases):
+              "'count'"),
+             (json.dumps({"kind": "sampled",
+                          "fun": {**fun, "values": [[0.0, 0.0], [1, None]] * 2}}),
+              "'values' entry 1")]
+    matrix = json.loads((files / "matrix.json").read_text())
+    matrix_cases = [(json.dumps({**matrix, "band": None}), "'band'"),
+                    (json.dumps({**matrix, "basis": 5}), "'basis'"),
+                    (json.dumps({**matrix, "entries": "x"}), "'entries'"),
+                    (json.dumps({**matrix, "basis": {"nodes": [0.0, 0.5]}}),
+                     "'window'"),
+                    (json.dumps({**matrix, "basis": {**matrix["basis"],
+                                                     "window": 1e9}}),
+                     "'window'"),
+                    (json.dumps({**matrix, "basis": {**matrix["basis"],
+                                                     "nodes": "x"}}),
+                     "'nodes'"),
+                    (json.dumps({**matrix, "p": "two"}), "'p'")]
+    cases = ([("split", "--symbol", *c) for c in symbol_cases]
+             + [("commutator-test", "--matrix", *c) for c in matrix_cases])
+    for i, (command, flag, text, names) in enumerate(cases):
         bad = tmp_path / f"bad{i}.json"
         bad.write_text(text)
-        assert run("split", "--symbol", bad) == 1
+        assert run(command, flag, bad, "--out", tmp_path / "out.json") == 1
         err = capsys.readouterr().err
         assert err.startswith("input error:") and names in err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
@@ -163,9 +181,74 @@ def test_unknown_symbol_kind_is_exit_one(tmp_path, capsys):
 
 
 def test_bad_tol_syntax_is_exit_one(files, capsys):
-    assert run("project", "--input", files / "smooth.json",
-               "--tol", "residual") == 1
+    assert run("split", "--symbol", files / "gauss_flat.json",
+               "--tol", "decay") == 1
     assert "tol" in capsys.readouterr().err
+
+
+# the common flags each command no longer accepts, because it never read them
+REMOVED_FLAGS = {
+    "project": ["--oversample", "--window", "--seed", "--tol"],
+    "toeplitz": ["--seed", "--tol"],
+    "split": ["--p", "--seed"],
+    "bounded-symbol": ["--seed"],
+    "nehari": ["--seed"],
+    "factorize": ["--oversample", "--window", "--seed"],
+    "commutator-test": ["--window"],
+    "recover-symbol": ["--window", "--seed"],
+    "verify": ["--p", "--oversample", "--window", "--tol"],
+}
+REQUIRED = {"project": ["--input", "in.json"], "factorize": ["--input", "in.json"],
+            "commutator-test": ["--matrix", "m.json"],
+            "recover-symbol": ["--matrix", "m.json"], "verify": []}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, flags in
+                                           REMOVED_FLAGS.items() for f in flags])
+def test_flags_a_command_does_not_read_are_exit_one(command, flag, capsys):
+    value = "x=1" if flag == "--tol" else "3"
+    argv = [command, *REQUIRED.get(command, ["--symbol", "s.json"]), flag, value]
+    assert run(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and flag in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_unknown_tolerance_name_lists_the_valid_ones(files, capsys):
+    assert run("nehari", "--symbol", files / "gauss_flat.json",
+               "--tol", "bogus=1") == 1
+    err = capsys.readouterr().err
+    assert "bogus" in err and "moment, sup_slack" in err
+
+
+@pytest.mark.parametrize("command, name", [(c, n) for c, names in
+                                           TOLERANCES.items() for n in names])
+def test_every_declared_tolerance_parses(command, name):
+    argv = [command, *REQUIRED.get(command, ["--symbol", "s.json"]),
+            "--tol", f"{name}=0.25"]
+    assert _tols(build_parser().parse_args(argv)) == {
+        **TOLERANCES[command], name: 0.25}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-6"])
+def test_tolerance_must_be_positive_and_finite(files, value, capsys):
+    assert run("commutator-test", "--matrix", files / "matrix.json",
+               "--tol", f"deviation={value}") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: tol deviation:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["nehari", "--truncation", "0"], ["nehari", "--truncation", "-3"],
+    ["bounded-symbol", "--truncation", "0"],
+    ["toeplitz", "--basis-window", "nan"], ["toeplitz", "--basis-window", "0"],
+    ["bounded-symbol", "--basis-window", "inf"],
+    ["bounded-symbol", "--basis-window", "-8"]])
+def test_out_of_range_flag_is_named(files, argv, capsys):
+    assert run(*argv, "--symbol", files / "gauss_flat.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {argv[-2][2:]}:")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_unknown_flag_is_exit_one_not_abort(files, capsys):

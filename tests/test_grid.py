@@ -24,6 +24,11 @@ def test_odd_count_is_rejected():
         Grid(-2.03125, 0.0625, 65)
 
 
+def test_step_whose_nyquist_overflows_is_rejected():
+    with pytest.raises(ValueError, match="step"):
+        Grid(-1.0, 5e-324, 4)
+
+
 def test_freq_grid_matches_fft_layout():
     g = symmetric_grid(8.0, 0.25)
     fg = g.freq_grid()

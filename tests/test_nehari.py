@@ -8,7 +8,7 @@ from pytest import approx
 from pwlab.grid import SampledFunction, lp_norm
 from pwlab.nehari import (absorption_residual, bounded_symbol,
                           hankel_norm_estimate, hankel_pairing_residual,
-                          nehari_solve)
+                          line_to_disk, nehari_solve)
 from pwlab.pwspace import default_grid, project_band, sinc_kernel
 from pwlab.split import SUPPORTS, split_symbol
 from pwlab.symbols import gaussian_symbol, sampled_symbol, sup_norm
@@ -86,6 +86,12 @@ def test_zero_target_gives_zero_completion(grid):
 def test_tail_warning_fires_at_tiny_truncation(right_target, grid):
     with pytest.warns(UserWarning, match="tail"):
         nehari_solve(right_target, A, 2.0, M=24, grid=grid)
+
+
+@pytest.mark.parametrize("M", [0, -3])
+def test_truncation_below_one_is_rejected(right_target, M):
+    with pytest.raises(ValueError, match="truncation must be at least 1"):
+        line_to_disk(right_target, M)
 
 
 def test_matched_variant_absorbs_into_analytic_class(solved, grid):
