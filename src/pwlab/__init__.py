@@ -30,7 +30,7 @@ from .toeplitz import (NyquistBasis, OperatorMatrix, assemble_matrix,
 from .split import (SplitResult, bump_l1_norms, central_recover,
                     central_recover_sweep, jensen_certificate,
                     sinc_norm_constant, split_symbol)
-from .nehari import (AAKSolution, BoundedSymbolResult, NehariResult, aak_solve,
+from .nehari import (AAKSolution, BoundedSymbol, NehariResult, aak_solve,
                      bounded_symbol, hankel_norm_estimate, nehari_solve)
 from .commutator import (ConformalFrame, RecoveredSymbol, build_frame,
                          commutator_test, defect_identity_residual,

@@ -21,7 +21,8 @@ import warnings
 import numpy as np
 
 from . import jsonio, verify as verify_suite
-from .commutator import build_frame, commutator_test, recover_symbol, recovery_roundtrip
+from .commutator import (build_frame, commutator_test, lambda_ops,
+                         recover_symbol, recovery_roundtrip)
 from .factorize import sinc_atom, weak_factorize
 from .grid import lp_norm
 from .nehari import bounded_symbol, nehari_solve
@@ -202,6 +203,8 @@ def cmd_project(args) -> int:
 
 def cmd_toeplitz(args) -> int:
     sym = _load_symbol(args.symbol)
+    if args.window is None:
+        args.window = args.basis_window
     T = toeplitz_matrix(sym, args.band, args.p, args.basis_window, _grid(args))
     norms = operator_norm_certified(T)
     payload = {
@@ -241,27 +244,25 @@ def cmd_split(args) -> int:
 def cmd_bounded_symbol(args) -> int:
     tol = _tols(args)["operator_residual"]
     sym = _load_symbol(args.symbol)
-    res = bounded_symbol(sym, args.band, args.p, M=args.truncation,
-                         grid=_grid(args), window=args.basis_window)
-    ok = res.operator_residual <= tol
+    res = bounded_symbol(sym, args.band, M=args.truncation, grid=_grid(args),
+                         window=args.basis_window)
+    cert = res.certificate(args.p)
+    ok = cert["operator_residual"] <= tol
     payload = {
         "band": args.band, "p": args.p,
         "sup_norm": res.sup_norm,
-        "operator_residual": res.operator_residual,
-        "t_norm": res.t_norm,
-        "ratio": res.ratio,
-        "c_meas": res.c_meas,
+        **cert,
         "sigma_left": res.sigma_left,
         "sigma_right": res.sigma_right,
         "certified": ok,
         "psi": jsonio.function_to_dict(res.psi),
     }
     _write(args.out or "bounded_symbol.json", payload,
-           [[res.sup_norm, res.operator_residual, res.ratio, res.c_meas]],
+           [[res.sup_norm, cert["operator_residual"], cert["ratio"], cert["c_meas"]]],
            ["sup_norm", "operator_residual", "ratio", "c_meas"])
     if not ok:
         print(f"certificate failure: operator residual "
-              f"{res.operator_residual:.3e} > {tol:.1e}", file=sys.stderr)
+              f"{cert['operator_residual']:.3e} > {tol:.1e}", file=sys.stderr)
         return EXIT_CERT
     return EXIT_OK
 
@@ -354,20 +355,29 @@ def cmd_factorize(args) -> int:
 
 
 def _frame_for(args, T):
-    # band, p, and window come from the matrix file; flags may only agree
+    # band, p, window and grid come from the matrix file; flags may only
+    # agree.  The frame and its compressions are built on T's grid.
     if args.band is not None and args.band != T.a:
         raise InputError(f"band: {args.band} does not match matrix band {T.a}")
     if args.p is not None and args.p != T.p:
         raise InputError(f"p: {args.p} does not match matrix p {T.p}")
     _check("p", T.p)
-    return build_frame(T.a, T.p, default_grid(T.a, T.window, args.oversample))
+    grid = T.grid or default_grid(T.a, T.window, args.oversample)
+    if not math.isclose(-grid.start, T.window) or \
+            not math.isclose(grid.start + grid.span, T.window):
+        raise InputError(f"window: the matrix grid (start {grid.start}, step "
+                         f"{grid.step}, count {grid.count}) does not span its "
+                         f"basis window {T.window}; assemble it with --window "
+                         f"{T.window}")
+    frame = build_frame(T.a, T.p, grid)
+    return frame, lambda_ops(frame)
 
 
 def cmd_commutator_test(args) -> int:
     tol = _tols(args)["deviation"]
     T = _load_matrix(args.matrix)
-    frame = _frame_for(args, T)
-    rep = commutator_test(T, frame, seed=args.seed)
+    frame, ops = _frame_for(args, T)
+    rep = commutator_test(T, frame, ops, seed=args.seed)
     verdict = rep["deviation"] <= tol
     payload = {"is_toeplitz": verdict, "deviation": rep["deviation"],
                "threshold": tol, "band": T.a, "p": T.p}
@@ -382,9 +392,8 @@ def cmd_recover_symbol(args) -> int:
     T = _load_matrix(args.matrix)
     if T.p != 2.0:
         raise InputError(f"matrix p: symbol recovery needs p = 2, got {T.p}")
-    frame = _frame_for(args, T)
-    rec = recover_symbol(T, frame)
-    rt = recovery_roundtrip(T, frame)
+    rec = recover_symbol(T, *_frame_for(args, T))
+    rt = recovery_roundtrip(T, rec)
     payload = {
         "band": T.a, "p": T.p,
         "roundtrip_residual": rt,
@@ -436,7 +445,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--symbol", required=True, help="symbol JSON")
     sp.add_argument("--basis-window", type=float, default=32.0)
     _add_flags(sp, "toeplitz", "band", "p", "oversample", "window")
-    sp.set_defaults(func=cmd_toeplitz)
+    # the grid spans the basis window unless --window says otherwise
+    sp.set_defaults(func=cmd_toeplitz, window=None)
 
     sp = subs.add_parser("split", help="three-part symbol splitting")
     sp.add_argument("--symbol", required=True)

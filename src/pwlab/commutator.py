@@ -31,7 +31,8 @@ from .grid import (Grid, SampledFunction, fft_spectrum, inner,
                    inverse_spectrum, lp_norm)
 from .pwspace import (BandlimitedFunction, band_mask, band_residual,
                       default_grid)
-from .toeplitz import NyquistBasis, OperatorMatrix, assemble_matrix
+from .symbols import sampled_symbol
+from .toeplitz import NyquistBasis, OperatorMatrix, assemble_matrix, toeplitz_matrix
 
 
 def blaschke_params(freq_step: float) -> tuple[float, float]:
@@ -177,11 +178,11 @@ def defect_identity_residual(ops: CompressionOps, frame: ConformalFrame) -> floa
     return float(np.linalg.norm(defect - frame.alpha * np.outer(kc, np.conj(kc)), 2))
 
 
-def _check_frame_matrix(T: OperatorMatrix, frame: ConformalFrame):
-    if T.size != frame.basis.size:
+def _check_frame_matrix(T: OperatorMatrix, ops: CompressionOps):
+    if T.size != ops.size:
         raise ValueError(f"operator is on a {T.size}-vector basis, but the frame "
-                         f"uses {frame.basis.size}; assemble it at window "
-                         f"{-frame.grid.start}")
+                         f"uses {ops.size}; assemble it at window "
+                         f"{ops.lam.window}")
 
 
 def _k_project_coeffs(vecs: np.ndarray, frame: ConformalFrame) -> np.ndarray:
@@ -191,15 +192,16 @@ def _k_project_coeffs(vecs: np.ndarray, frame: ConformalFrame) -> np.ndarray:
 
 
 def commutator_test(T: OperatorMatrix, frame: ConformalFrame,
-                    n_test: int = 8, seed: int = 42) -> dict:
+                    ops: CompressionOps, n_test: int = 8, seed: int = 42) -> dict:
     """Toeplitz characterization: <T f, g> = <T(omega f), omega g> on Ran K.
 
     Seeded random coefficient vectors are K-projected on both sides; for such
     vectors the lattice omega-multiplication coincides with Lambda, so the
     right pairing is (Lambda g)^H T (Lambda f).  deviation is the largest
-    normalized mismatch; is_toeplitz flags deviation <= 1e-6.
+    normalized mismatch; is_toeplitz flags deviation <= 1e-6.  ops is
+    lambda_ops(frame).
     """
-    _check_frame_matrix(T, frame)
+    _check_frame_matrix(T, ops)
     n = T.size
     tnorm = float(np.linalg.norm(T.entries, 2))
     if tnorm == 0.0:
@@ -209,7 +211,7 @@ def commutator_test(T: OperatorMatrix, frame: ConformalFrame,
                            + 1j * rng.standard_normal((n, n_test)), frame)
     gs = _k_project_coeffs(rng.standard_normal((n, n_test))
                            + 1j * rng.standard_normal((n, n_test)), frame)
-    lam = lambda_ops(frame).lam.entries
+    lam = ops.lam.entries
     plain = np.conj(gs).T @ (T.entries @ fs)
     moved = np.conj(lam @ gs).T @ (T.entries @ (lam @ fs))
     scale = tnorm * np.outer(np.linalg.norm(gs, axis=0), np.linalg.norm(fs, axis=0))
@@ -217,21 +219,18 @@ def commutator_test(T: OperatorMatrix, frame: ConformalFrame,
     return {"is_toeplitz": deviation <= 1e-6, "deviation": deviation}
 
 
-def series_reconstruct(T: OperatorMatrix, N: int, frame: ConformalFrame) -> OperatorMatrix:
+def series_reconstruct(T: OperatorMatrix, N: int,
+                       ops: CompressionOps) -> OperatorMatrix:
     """Partial sum sum_{n=0}^{N} LambdaBar^n (T - LambdaBar T Lambda) Lambda^n.
 
-    Computed by the exact recursion S <- C + LambdaBar S Lambda, which
-    telescopes to T - LambdaBar^(N+1) T Lambda^(N+1): the reconstruction error
-    is precisely the operator mass not yet drained through the compression.
+    The sum telescopes to T - LambdaBar^(N+1) T Lambda^(N+1), evaluated with
+    binary matrix powers: the reconstruction error is precisely the operator
+    mass not yet drained through the compression.
     """
-    _check_frame_matrix(T, frame)
-    ops = lambda_ops(frame)
-    lam, lam_bar = ops.lam.entries, ops.lam_bar.entries
-    C = T.entries - lam_bar @ T.entries @ lam
-    S = C.copy()
-    for _ in range(N):
-        S = C + lam_bar @ S @ lam
-    return OperatorMatrix(S, T.a, T.p, T.window, T.nodes)
+    _check_frame_matrix(T, ops)
+    drained = (np.linalg.matrix_power(ops.lam_bar.entries, N + 1) @ T.entries
+               @ np.linalg.matrix_power(ops.lam.entries, N + 1))
+    return OperatorMatrix(T.entries - drained, T.a, T.p, T.window, T.nodes)
 
 
 def series_residual(T: OperatorMatrix, S: OperatorMatrix,
@@ -265,7 +264,8 @@ class RecoveredSymbol:
                                self.phi_bar_part.values + self.psi_part.values)
 
 
-def recover_symbol(T: OperatorMatrix, frame: ConformalFrame) -> RecoveredSymbol:
+def recover_symbol(T: OperatorMatrix, frame: ConformalFrame,
+                   ops: CompressionOps) -> RecoveredSymbol:
     """Recover the two-sided symbol of a Toeplitz-certified operator at p = 2.
 
     With C = T - LambdaBar T Lambda and Q = C^H - alpha conj(<C k, k>) I, the
@@ -281,13 +281,12 @@ def recover_symbol(T: OperatorMatrix, frame: ConformalFrame) -> RecoveredSymbol:
     by anything else (say the continuum closed form, which the discretized
     kernel tracks only to a few percent at this window) would leak the kernel
     discretization into the recovered symbol.  A guarded division protects any
-    grid point where the kernel is negligibly small.
+    grid point where the kernel is negligibly small.  ops is lambda_ops(frame).
     """
     if frame.p != 2.0:
         raise ValueError("symbol recovery is supported at p = 2 only "
                          "(fractional branch powers enter otherwise)")
-    _check_frame_matrix(T, frame)
-    ops = lambda_ops(frame)
+    _check_frame_matrix(T, ops)
     lam, lam_bar = ops.lam.entries, ops.lam_bar.entries
     kc = frame.kernel_coeffs
     C = T.entries - lam_bar @ T.entries @ lam
@@ -313,14 +312,10 @@ def recover_symbol(T: OperatorMatrix, frame: ConformalFrame) -> RecoveredSymbol:
     return RecoveredSymbol(pull(Ck, conj_out=False), pull(Qk, conj_out=True))
 
 
-def recovery_roundtrip(T: OperatorMatrix, frame: ConformalFrame) -> float:
+def recovery_roundtrip(T: OperatorMatrix, rec: RecoveredSymbol) -> float:
     """Relative norm error of reassembling T from its recovered symbol."""
-    from .symbols import sampled_symbol
-    from .toeplitz import toeplitz_matrix
-
-    rec = recover_symbol(T, frame)
-    T_rec = toeplitz_matrix(sampled_symbol(rec.total), frame.a, frame.p,
-                            T.window, frame.grid)
+    T_rec = toeplitz_matrix(sampled_symbol(rec.total), T.a, T.p, T.window,
+                            rec.total.grid)
     tnorm = float(np.linalg.norm(T.entries, 2))
     err = float(np.linalg.norm(T_rec.entries - T.entries, 2))
     return err / tnorm if tnorm > 0.0 else err

@@ -28,6 +28,8 @@ from .grid import Grid, SampledFunction, fft_spectrum, lp_norm
 from .pwspace import default_grid, project_halfline
 from .split import SUPPORTS, split_symbol
 from .symbols import SymbolSpec, point_values, sampled_symbol, samples
+from .toeplitz import (OperatorMatrix, matrix_pnorm, operator_norm_certified,
+                       toeplitz_matrix)
 
 DEFAULT_TRUNCATION = 256
 CIRCLE_OVERSAMPLE = 8
@@ -331,17 +333,27 @@ def reflect(f: SampledFunction) -> SampledFunction:
 
 
 @dataclass
-class BoundedSymbolResult:
+class BoundedSymbol:
+    """psi and the matrices of T_phi and T_psi (None when T_phi vanishes)."""
     psi: SampledFunction
     sup_norm: float
-    operator_residual: float
-    t_norm: float
-    ratio: float
-    c_meas: float
-    a: float
-    p: float
     sigma_left: float
     sigma_right: float
+    m_phi: OperatorMatrix
+    m_psi: OperatorMatrix | None
+
+    def certificate(self, p: float) -> dict:
+        """|T_phi|, |T_phi - T_psi| / |T_phi|, |psi|_inf / |T_phi| and the
+        implied constant ratio / (p + 1/(p-1)), in the p-norm."""
+        t_norm = operator_norm_certified(self.m_phi, p)["lower"]
+        if self.m_psi is None:     # psi = 0; the residual is absolute
+            return {"t_norm": t_norm, "operator_residual": t_norm,
+                    "ratio": 0.0, "c_meas": 0.0}
+        diff = matrix_pnorm(self.m_phi.interior() - self.m_psi.interior(), p)
+        ratio = self.sup_norm / t_norm
+        c_meas = ratio / (p + 1.0 / (p - 1.0)) if p > 1.0 else float("inf")
+        return {"t_norm": t_norm, "operator_residual": diff["upper"] / t_norm,
+                "ratio": ratio, "c_meas": c_meas}
 
 
 def _stage(name: str, thunk):
@@ -352,9 +364,9 @@ def _stage(name: str, thunk):
         raise ValueError(f"bounded_symbol stage '{name}': {exc}") from exc
 
 
-def bounded_symbol(sym: SymbolSpec, a: float, p: float = 2.0,
-                   M: int = DEFAULT_TRUNCATION, grid: Grid | None = None,
-                   window: float = 32.0) -> BoundedSymbolResult:
+def bounded_symbol(sym: SymbolSpec, a: float, M: int = DEFAULT_TRUNCATION,
+                   grid: Grid | None = None,
+                   window: float = 32.0) -> BoundedSymbol:
     """Bounded symbol with the same Toeplitz operator as sym on the band.
 
     Splits the symbol, keeps the central part verbatim, and replaces the two
@@ -362,26 +374,20 @@ def bounded_symbol(sym: SymbolSpec, a: float, p: float = 2.0,
 
         psi = conj(theta)^2 psi_l + phi_C + theta^2 psi_r.
 
-    The certificate assembles both operators in the shifted-sinc coordinates
-    and reports the relative matrix-norm difference; the sup norm is reported
-    against the measured operator norm as the ratio and the implied constant
-    ratio / (p + 1/(p-1)).
+    Nothing here depends on p (the matrices' entries do not): both operators
+    are assembled once in the shifted-sinc coordinates and `certificate(p)`
+    reads their norms.  T_phi vanishes when its 2-norm is below 1e-8 of the
+    symbol's sup (at least 1); psi is then zero.
     """
-    from .toeplitz import operator_norm_certified, toeplitz_matrix
-
     if grid is None:
         grid = default_grid(a)
     x = grid.points
     zero = SampledFunction(grid, np.zeros(grid.count, dtype=complex))
 
-    m_phi = _stage("assemble", lambda: toeplitz_matrix(sym, a, p, window, grid))
-    t_norm = operator_norm_certified(m_phi)["lower"]
+    m_phi = _stage("assemble", lambda: toeplitz_matrix(sym, a, 2.0, window, grid))
     scale = float(np.max(np.abs(samples(sym, grid).values)))
-
-    if t_norm <= 1e-8 * max(scale, 1.0):
-        # the operator itself vanishes; the zero symbol is a valid answer
-        return BoundedSymbolResult(zero, 0.0, t_norm, t_norm, 0.0, 0.0, a, p,
-                                   0.0, 0.0)
+    if operator_norm_certified(m_phi, 2.0)["lower"] <= 1e-8 * max(scale, 1.0):
+        return BoundedSymbol(zero, 0.0, 0.0, 0.0, m_phi, None)
 
     parts = _stage("split", lambda: split_symbol(sym, a, grid))
     theta2 = np.exp(4j * np.pi * a * x)
@@ -393,7 +399,7 @@ def bounded_symbol(sym: SymbolSpec, a: float, p: float = 2.0,
         lo, hi = SUPPORTS["R"]
         b = sampled_symbol(SampledFunction(grid, part.values * np.conj(theta2)),
                            support=(lo * a - 2.0 * a, hi * a - 2.0 * a))
-        res = _stage(label, lambda: nehari_solve(b, a, p, M, grid))
+        res = _stage(label, lambda: nehari_solve(b, a, M=M, grid=grid))
         # the matched variant carries b's exact co-analytic lattice content,
         # so the reassembled operator agrees with the original to rounding
         return res.psi_matched, res.sigma0
@@ -407,13 +413,5 @@ def bounded_symbol(sym: SymbolSpec, a: float, p: float = 2.0,
     psi = SampledFunction(grid, psi_vals)
 
     m_psi = _stage("certify",
-                   lambda: toeplitz_matrix(sampled_symbol(psi), a, p, window, grid))
-    diff = operator_norm_certified(
-        type(m_phi)(m_phi.entries - m_psi.entries, a, p, window, m_phi.nodes))
-    residual = diff["upper"] / t_norm if t_norm > 0 else diff["upper"]
-
-    sup = lp_norm(psi, np.inf)
-    ratio = sup / t_norm
-    c_meas = ratio / (p + 1.0 / (p - 1.0)) if p > 1.0 else float("inf")
-    return BoundedSymbolResult(psi, sup, residual, t_norm, ratio, c_meas, a, p,
-                               sig_l, sig_r)
+                   lambda: toeplitz_matrix(sampled_symbol(psi), a, 2.0, window, grid))
+    return BoundedSymbol(psi, lp_norm(psi, np.inf), sig_l, sig_r, m_phi, m_psi)

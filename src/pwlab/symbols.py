@@ -28,6 +28,13 @@ from . import jsonio
 
 KINDS = ("gaussian", "mod_poly", "sampled", "bump_spectrum")
 
+# The lattice derivative is applied once per degree, and the matrix entries
+# grow geometrically with it.  At degree 32 the largest entry, over mod 0,
+# +-0.25 and 1 at band 1, is 7.4e64 on the window-32 grid and 3.5e77 on the
+# window-256 one; at degree 64 it is 4.3e132 on the default grid, past
+# jsonio.MAX_MAGNITUDE = 1e100, so the written matrix file could not be read.
+MAX_MOD_POLY_DEGREE = 32
+
 
 @dataclass
 class SymbolSpec:
@@ -55,8 +62,9 @@ def gaussian_symbol(amp: float = 1.0, width: float = 1.0, shift: float = 0.0,
 
 
 def mod_poly_symbol(degree: int, mod: float, amp: float = 1.0) -> SymbolSpec:
-    if degree < 0 or degree != int(degree):
-        raise ValueError("degree must be a nonnegative integer")
+    if degree < 0 or degree != int(degree) or degree > MAX_MOD_POLY_DEGREE:
+        raise ValueError(f"degree must be an integer in [0, "
+                         f"{MAX_MOD_POLY_DEGREE}], got {degree}")
     # spectrum is a distribution concentrated at the single frequency `mod`
     return SymbolSpec("mod_poly", {"degree": int(degree), "mod": mod, "amp": amp},
                       spectral_support=(mod, mod))

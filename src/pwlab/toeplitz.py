@@ -34,7 +34,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import Grid, SampledFunction, fft_spectrum, inverse_spectrum
-from .jsonio import MAX_MAGNITUDE, bounded, number_field
+from .jsonio import (MAX_MAGNITUDE, bounded, grid_from_dict, grid_to_dict,
+                     number_field)
 from .pwspace import (
     BandlimitedFunction,
     band_mask,
@@ -191,6 +192,7 @@ class OperatorMatrix:
     p: float
     window: float
     nodes: np.ndarray
+    grid: Grid | None = None     # the grid it was assembled on, when known
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=complex)
@@ -224,7 +226,7 @@ def assemble_matrix(kernel: np.ndarray, a: float, p: float, window: float,
     kv = kernel[np.arange(1 - m, m) % grid.count]
     toep = sliding_window_view(kv, m)[:, ::-1]      # toep[j, l] = K(j - l)
     entries = (grid.freq_step / (2.0 * a)) * (E.T @ (toep @ np.conj(E)))
-    return OperatorMatrix(entries, a, p, window, basis.nodes)
+    return OperatorMatrix(entries, a, p, window, basis.nodes, grid)
 
 
 def toeplitz_matrix(sym: SymbolSpec, a: float, p: float, window: float = 32.0,
@@ -337,17 +339,21 @@ def identity_residuals(a: float = 1.0, p: float = 2.0, grid: Grid | None = None,
 
 # -- matrix files --------------------------------------------------------------
 # {"band": a, "p": p, "basis": {"window": w, "nodes": [...]}, "entries":
-#  [[[re, im], ...], ...]}
+#  [[[re, im], ...], ...]} and, for an assembled matrix, "grid": {"start",
+#  "step", "count"}
 
 
 def matrix_to_dict(M: OperatorMatrix) -> dict:
-    return {
+    d = {
         "band": M.a,
         "p": M.p,
         "basis": {"window": M.window, "nodes": [float(t) for t in M.nodes]},
         "entries": [[[float(z.real), float(z.imag)] for z in row]
                     for row in M.entries],
     }
+    if M.grid is not None:
+        d["grid"] = grid_to_dict(M.grid)
+    return d
 
 
 def _matrix_array(obj: dict, name: str, ndim: int) -> np.ndarray:
@@ -392,4 +398,6 @@ def matrix_from_dict(d: dict) -> OperatorMatrix:
     if raw.shape != (n, n, 2):
         raise ValueError(f"matrix field 'entries' must hold {n} x {n} [re, im] "
                          f"pairs for the {n} basis nodes, got shape {raw.shape}")
-    return OperatorMatrix(raw[..., 0] + 1j * raw[..., 1], band, p, window, nodes)
+    grid = grid_from_dict(d["grid"]) if "grid" in d else None
+    return OperatorMatrix(raw[..., 0] + 1j * raw[..., 1], band, p, window, nodes,
+                          grid)

@@ -227,10 +227,11 @@ def check_10_bounded_symbol(a: float, seed: int) -> list:
     worst_res = 0.0
     worst_c = 0.0
     for sym in syms:
+        out = bounded_symbol(sym, a)
         for p in (1.5, 2.0, 3.0):
-            out = bounded_symbol(sym, a, p)
-            worst_res = max(worst_res, out.operator_residual)
-            worst_c = max(worst_c, out.c_meas)
+            cert = out.certificate(p)
+            worst_res = max(worst_res, cert["operator_residual"])
+            worst_c = max(worst_c, cert["c_meas"])
     return [
         _row("10-operator-residual", "bounded-symbol-pipeline", worst_res, 1e-3,
              note="3 symbols x p in {1.5, 2, 3}"),
@@ -250,13 +251,13 @@ def check_11_commutator(a: float, seed: int) -> list:
                 bump_spectrum_symbol(0.05 * a, 1.5 * a, seed=seed + 31,
                                      hermitian=True)):
         T = toeplitz_matrix(sym, a, 2.0, W, grid)
-        worst_toe = max(worst_toe, commutator_test(T, frame)["deviation"])
+        worst_toe = max(worst_toe, commutator_test(T, frame, ops)["deviation"])
 
     T = toeplitz_matrix(gaussian_symbol(), a, 2.0, W, grid)
     e = np.zeros(T.size)
     e[T.size // 2] = e[T.size // 2 + 16] = 1.0 / math.sqrt(2.0)
     spoiled = OperatorMatrix(T.entries + np.outer(e, e), a, 2.0, W, T.nodes)
-    dev = commutator_test(spoiled, frame)["deviation"]
+    dev = commutator_test(spoiled, frame, ops)["deviation"]
     return [
         _row("11-toeplitz-deviation", "toeplitz-commutator-test", worst_toe, 1e-6),
         _row("11-spoiler-floor", "toeplitz-commutator-test", 1e-3, dev),
@@ -267,13 +268,14 @@ def check_11_commutator(a: float, seed: int) -> list:
 def check_12_series(a: float, seed: int) -> list:
     grid = default_grid(a)
     frame = build_frame(a)
+    ops = lambda_ops(frame)
     W = -grid.start
     rows = []
     for label, T in (("identity", identity_matrix(a, 2.0, W)),
                      ("gaussian", toeplitz_matrix(gaussian_symbol(), a, 2.0,
                                                   W, grid))):
-        r8 = series_residual(T, series_reconstruct(T, 8, frame), frame)
-        r64 = series_residual(T, series_reconstruct(T, 64, frame), frame)
+        r8 = series_residual(T, series_reconstruct(T, 8, ops), frame)
+        r64 = series_residual(T, series_reconstruct(T, 64, ops), frame)
         rows.append(_row(f"12-{label}-n64", "compression-series", r64, 0.05))
         rows.append(_row(f"12-{label}-monotone", "compression-series", r64, r8,
                          note=f"n8 {r8:.6f}"))

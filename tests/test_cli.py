@@ -330,6 +330,43 @@ def test_recover_symbol_roundtrip(files, tmp_path):
     assert set(payload) >= {"anti_analytic_part", "analytic_part", "total"}
 
 
+def _toeplitz_matrix_file(files, tmp_path, *flags):
+    # the README's step between toeplitz and the matrix commands
+    assert run("toeplitz", "--symbol", files / "gauss_flat.json", *flags,
+               "--out", tmp_path / "T.json") == 0
+    matrix = json.loads((tmp_path / "T.json").read_text())["matrix"]
+    (tmp_path / "T_matrix.json").write_text(json.dumps(matrix))
+    return tmp_path / "T_matrix.json"
+
+
+def test_readme_pipeline_runs_as_written(files, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    matrix = _toeplitz_matrix_file(files, tmp_path, "--basis-window", 32)
+    assert json.loads(matrix.read_text())["grid"]["start"] == -32.0
+    assert run("commutator-test", "--matrix", matrix) == 0
+    assert run("recover-symbol", "--matrix", matrix) == 0
+
+
+def test_matrix_on_a_wider_grid_names_window(files, tmp_path, capsys):
+    matrix = _toeplitz_matrix_file(files, tmp_path, "--basis-window", 32,
+                                   "--window", 64)
+    capsys.readouterr()
+    for command in ("commutator-test", "recover-symbol"):
+        assert run(command, "--matrix", matrix, "--out", tmp_path / "x.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: window:")
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_mod_poly_degree_is_bounded_on_load(tmp_path, capsys):
+    sym = tmp_path / "poly.json"
+    sym.write_text('{"kind": "mod_poly", "degree": 100000, "mod": 0}')
+    assert run("toeplitz", "--symbol", sym, "--out", tmp_path / "t.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "degree" in err
+    assert len(err.strip().splitlines()) == 1     # no numpy warnings
+
+
 def test_recover_symbol_needs_p_two(files, tmp_path, capsys):
     assert run("recover-symbol", "--matrix", files / "matrix_p3.json",
                "--out", tmp_path / "x.json") == 1

@@ -109,18 +109,18 @@ def test_lambda_norm_and_defect_identity(ops, frame):
     assert defect_identity_residual(ops, frame) < 1e-6
 
 
-def test_commutator_passes_toeplitz_inputs(frame, grid, T_gauss):
-    assert commutator_test(T_gauss, frame)["deviation"] < 1e-6
+def test_commutator_passes_toeplitz_inputs(frame, ops, grid, T_gauss):
+    assert commutator_test(T_gauss, frame, ops)["deviation"] < 1e-6
     sym = bump_spectrum_symbol(0.05, 1.5, seed=7, hermitian=True)
     T = toeplitz_matrix(sym, A, 2.0, W, grid)
-    assert commutator_test(T, frame)["deviation"] < 1e-6
+    assert commutator_test(T, frame, ops)["deviation"] < 1e-6
     Z = OperatorMatrix(np.zeros_like(T_gauss.entries), A, 2.0, W,
                        T_gauss.nodes)
-    rep = commutator_test(Z, frame)
+    rep = commutator_test(Z, frame, ops)
     assert rep["is_toeplitz"] and rep["deviation"] == 0.0
 
 
-def test_single_node_spoiler_is_invisible(frame, T_gauss):
+def test_single_node_spoiler_is_invisible(frame, ops, T_gauss):
     # rank-one spikes on one basis vector are absorbed by the kernel direction
     # and provably pass the test; detection needs two nodes
     n = T_gauss.size
@@ -128,66 +128,81 @@ def test_single_node_spoiler_is_invisible(frame, T_gauss):
     e[n // 2] = 1.0
     S = OperatorMatrix(T_gauss.entries + np.outer(e, e), A, 2.0, W,
                        T_gauss.nodes)
-    assert commutator_test(S, frame)["deviation"] < 1e-6
+    assert commutator_test(S, frame, ops)["deviation"] < 1e-6
 
 
-def test_two_node_spoiler_is_detected(frame, T_gauss):
+def test_two_node_spoiler_is_detected(frame, ops, T_gauss):
     n = T_gauss.size
     e = np.zeros(n)
     e[n // 2] = e[n // 2 + 16] = 1.0 / np.sqrt(2.0)
     S = OperatorMatrix(T_gauss.entries + np.outer(e, e), A, 2.0, W,
                        T_gauss.nodes)
-    assert commutator_test(S, frame)["deviation"] > 1e-3
+    assert commutator_test(S, frame, ops)["deviation"] > 1e-3
 
 
-def test_series_reconstruction_improves_with_order(frame, T_gauss):
-    r8 = series_residual(T_gauss, series_reconstruct(T_gauss, 8, frame), frame)
-    r64 = series_residual(T_gauss, series_reconstruct(T_gauss, 64, frame),
-                          frame)
+def test_series_reconstruction_improves_with_order(frame, ops, T_gauss):
+    r8 = series_residual(T_gauss, series_reconstruct(T_gauss, 8, ops), frame)
+    r64 = series_residual(T_gauss, series_reconstruct(T_gauss, 64, ops), frame)
     assert r64 < 0.05
     assert r64 < r8
 
 
-def test_series_on_identity(frame):
+def test_series_on_identity(frame, ops):
     T1 = identity_matrix(A, 2.0, W)
-    r64 = series_residual(T1, series_reconstruct(T1, 64, frame), frame)
+    r64 = series_residual(T1, series_reconstruct(T1, 64, ops), frame)
     assert r64 < 0.05
 
 
-def test_recovery_roundtrip_identity(frame):
+@pytest.mark.parametrize("label", ["identity", "gaussian"])
+@pytest.mark.parametrize("N", [0, 1, 8])
+def test_series_closed_form_matches_partial_sum(ops, T_gauss, label, N):
+    # the definition, summed term by term: sum_{n=0}^{N} LBar^n C L^n
+    T = identity_matrix(A, 2.0, W) if label == "identity" else T_gauss
+    lam, lam_bar = ops.lam.entries, ops.lam_bar.entries
+    term = T.entries - lam_bar @ T.entries @ lam
+    total = np.zeros_like(term)
+    for _ in range(N + 1):
+        total += term
+        term = lam_bar @ term @ lam
+    S = series_reconstruct(T, N, ops).entries
+    assert np.linalg.norm(S - total, 2) <= 1e-12 * np.linalg.norm(total, 2)
+
+
+def test_recovery_roundtrip_identity(frame, ops):
     T1 = identity_matrix(A, 2.0, W)
-    assert recovery_roundtrip(T1, frame) < 1e-3
+    assert recovery_roundtrip(T1, recover_symbol(T1, frame, ops)) < 1e-3
 
 
-def test_recovery_roundtrip_gaussian(frame, T_gauss):
-    assert recovery_roundtrip(T_gauss, frame) < 1e-3
+def test_recovery_roundtrip_gaussian(frame, ops, T_gauss):
+    rec = recover_symbol(T_gauss, frame, ops)
+    assert recovery_roundtrip(T_gauss, rec) < 1e-3
 
 
-def test_recovery_roundtrip_deep_frequency(frame, grid):
+def test_recovery_roundtrip_deep_frequency(frame, ops, grid):
     # pure frequency with spectrum entirely below the band: the recovered
     # symbol must reproduce content invisible to naive central recovery
     sym = sampled_symbol(
         SampledFunction(grid, np.exp(2j * np.pi * (-1.5) * grid.points)),
         support=(-1.5, -1.5))
     T = toeplitz_matrix(sym, A, 2.0, W, grid)
-    assert recovery_roundtrip(T, frame) < 1e-3
+    assert recovery_roundtrip(T, recover_symbol(T, frame, ops)) < 1e-3
 
 
-def test_recovery_of_zero_operator(frame, T_gauss):
+def test_recovery_of_zero_operator(frame, ops, T_gauss):
     Z = OperatorMatrix(np.zeros_like(T_gauss.entries), A, 2.0, W,
                        T_gauss.nodes)
-    rec = recover_symbol(Z, frame)
+    rec = recover_symbol(Z, frame, ops)
     assert np.max(np.abs(rec.total.values)) == 0.0
 
 
-def test_recovery_requires_p_two(grid):
+def test_recovery_requires_p_two(ops, grid):
     frame3 = build_frame(A, 3.0, grid)
     T = toeplitz_matrix(gaussian_symbol(), A, 3.0, W, grid)
     with pytest.raises(ValueError, match="p = 2"):
-        recover_symbol(T, frame3)
+        recover_symbol(T, frame3, ops)
 
 
-def test_frame_matrix_size_guard(frame, grid):
+def test_frame_matrix_size_guard(frame, ops, grid):
     T = toeplitz_matrix(gaussian_symbol(), A, 2.0, 32.0, grid)
     with pytest.raises(ValueError, match="window"):
-        commutator_test(T, frame)
+        commutator_test(T, frame, ops)

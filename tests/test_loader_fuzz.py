@@ -35,7 +35,8 @@ _FILES = {
                                               _SMALL)),
                [("band",), ("p",), ("basis",), ("entries",),
                 ("basis", "window"), ("basis", "nodes"), ("entries", 2),
-                ("entries", 2, 5), ("entries", 2, 5, 0)]),
+                ("entries", 2, 5), ("entries", 2, 5, 0), ("grid",),
+                ("grid", "start"), ("grid", "step"), ("grid", "count")]),
 }
 
 _CORRUPT = st.one_of(

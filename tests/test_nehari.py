@@ -12,6 +12,7 @@ from pwlab.nehari import (absorption_residual, bounded_symbol,
 from pwlab.pwspace import default_grid, project_band, sinc_kernel
 from pwlab.split import SUPPORTS, split_symbol
 from pwlab.symbols import gaussian_symbol, sampled_symbol, sup_norm
+from pwlab.toeplitz import toeplitz_matrix
 
 A = 1.0
 
@@ -106,19 +107,36 @@ def test_matched_variant_absorbs_into_analytic_class(solved, grid):
     assert raw > 1e-3  # the minimal variant alone leaves genuine content
 
 
-def test_bounded_symbol_certifies_gaussian(grid):
+@pytest.fixture(scope="module")
+def bounded(grid):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        res = bounded_symbol(gaussian_symbol(), A, 2.0, grid=grid)
-    assert res.operator_residual < 1e-3
-    assert res.sup_norm <= 1.0 + 1e-6   # no worse than the symbol itself here
-    assert res.ratio < 20.0
-    assert res.c_meas < 20.0
+        return bounded_symbol(gaussian_symbol(), A, grid=grid)
 
 
-def test_bounded_symbol_residual_small_across_p(grid):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for p in (1.5, 3.0):
-            res = bounded_symbol(gaussian_symbol(), A, p, grid=grid)
-            assert res.operator_residual < 1e-3
+def test_bounded_symbol_certifies_gaussian(bounded):
+    cert = bounded.certificate(2.0)
+    assert cert["operator_residual"] < 1e-3
+    assert bounded.sup_norm <= 1.0 + 1e-6   # no worse than the symbol itself here
+    assert cert["ratio"] < 20.0
+    assert cert["c_meas"] < 20.0
+
+
+def test_bounded_symbol_residual_small_across_p(bounded):
+    # one p-free construction, certified at each p
+    for p in (1.5, 3.0):
+        assert bounded.certificate(p)["operator_residual"] < 1e-3
+
+
+def test_construction_stages_do_not_depend_on_p(right_target, grid):
+    # bounded_symbol builds once and certifies per p; this is what allows it
+    def build(p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return (toeplitz_matrix(gaussian_symbol(), A, p, 32.0, grid).entries,
+                    nehari_solve(right_target, A, p, grid=grid).psi_matched.values)
+
+    ref = build(2.0)
+    for p in (1.5, 3.0):
+        for got, want in zip(build(p), ref):
+            assert np.array_equal(got, want)

@@ -6,9 +6,10 @@ from pytest import approx
 
 from pwlab.grid import Grid, symmetric_grid
 from pwlab.pwspace import default_grid
-from pwlab.symbols import (bump_spectrum_symbol, from_dict, gaussian_symbol,
-                           mod_poly_symbol, point_values, sampled_symbol,
-                           samples, spectrum_on, sup_norm, to_dict)
+from pwlab.symbols import (MAX_MOD_POLY_DEGREE, bump_spectrum_symbol, from_dict,
+                           gaussian_symbol, mod_poly_symbol, point_values,
+                           sampled_symbol, samples, spectrum_on, sup_norm,
+                           to_dict)
 
 
 def test_gaussian_samples_match_closed_form(grid1):
@@ -99,6 +100,14 @@ def test_from_dict_rejects_unknown_kind():
 def test_from_dict_names_missing_field():
     with pytest.raises(ValueError, match="degree"):
         from_dict({"kind": "mod_poly", "mod": 2.0})
+
+
+def test_mod_poly_degree_is_bounded():
+    mod_poly_symbol(MAX_MOD_POLY_DEGREE, 0.0)
+    with pytest.raises(ValueError, match="degree"):
+        mod_poly_symbol(MAX_MOD_POLY_DEGREE + 1, 0.0)
+    with pytest.raises(ValueError, match="degree"):
+        from_dict({"kind": "mod_poly", "degree": 100000, "mod": 0.0})
 
 
 @given(st.floats(min_value=0.1, max_value=3.0),
