@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from . import jsonio, verify as verify_suite
+from . import jsonio
 from .commutator import (build_frame, commutator_test, lambda_ops,
                          recover_symbol, recovery_roundtrip)
 from .factorize import sinc_atom, weak_factorize
@@ -119,6 +119,18 @@ def _grid(args):
     return default_grid(args.band, args.window, args.oversample)
 
 
+def _check_basis_window(args) -> None:
+    """The Nyquist basis of --basis-window needs at least 8 nodes and a grid
+    (--window) at least as wide as itself; checked before either is sized."""
+    count = int(round(4.0 * args.band * args.basis_window))
+    if count < 8:
+        raise InputError(f"basis-window: {args.basis_window} holds {count} "
+                         f"basis nodes at band {args.band}, fewer than 8")
+    if args.window < args.basis_window:
+        raise InputError(f"window: the grid half-width {args.window} is less "
+                         f"than the basis window {args.basis_window}")
+
+
 # -- I/O helpers ---------------------------------------------------------------
 
 
@@ -202,9 +214,10 @@ def cmd_project(args) -> int:
 
 
 def cmd_toeplitz(args) -> int:
-    sym = _load_symbol(args.symbol)
     if args.window is None:
         args.window = args.basis_window
+    _check_basis_window(args)
+    sym = _load_symbol(args.symbol)
     T = toeplitz_matrix(sym, args.band, args.p, args.basis_window, _grid(args))
     norms = operator_norm_certified(T)
     payload = {
@@ -243,6 +256,7 @@ def cmd_split(args) -> int:
 
 def cmd_bounded_symbol(args) -> int:
     tol = _tols(args)["operator_residual"]
+    _check_basis_window(args)
     sym = _load_symbol(args.symbol)
     res = bounded_symbol(sym, args.band, M=args.truncation, grid=_grid(args),
                          window=args.basis_window)
@@ -411,6 +425,8 @@ def cmd_recover_symbol(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # imported here: no other command needs the suite
+    from . import verify as verify_suite
     report = verify_suite.run_all(args.band, seed=args.seed,
                                   progress=lambda s: print(s, file=sys.stderr))
     out = args.out or "report.json"

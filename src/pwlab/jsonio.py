@@ -1,10 +1,16 @@
 """Canonical JSON serialization.
 
 All floats are rendered with %.17g so that repeated runs produce
-byte-identical files (17 significant digits round-trips IEEE doubles).
-Complex arrays are stored as [[re, im], ...] pairs.  The emitter is
-hand-rolled because the stdlib encoder does not let us control float
-formatting reliably.
+byte-identical files (17 significant digits round-trips IEEE doubles),
+negative zero is written as 0, and dict keys are sorted.  Every array and
+object opens a new line per element, indented one space per level.
+
+The writer walks dicts, lists, tuples and scalars one value at a time.  A
+nonempty float64 ndarray, the form the *_to_dict writers give bulk numbers
+(complex values as [re, im] pairs along the last axis), is written in one
+step instead: a %.17g template with the walk's layout is built for its shape
+and depth and filled with all its values at once.  Other ndarrays are
+written as their tolist().
 """
 
 from __future__ import annotations
@@ -29,9 +35,29 @@ def _fmt_float(x: float) -> str:
     return "0" if s == "-0" else s
 
 
+def _array_template(shape: tuple, indent: int) -> str:
+    """The %.17g format the walk writes for nested lists of this shape that
+    sit `indent` levels deep, built innermost axis first."""
+    template = "%.17g"
+    for depth in range(indent + len(shape) - 1, indent - 1, -1):
+        item = " " * (depth + 1) + template
+        template = ("[\n" + ",\n".join([item] * shape[depth - indent]) + "\n"
+                    + " " * depth + "]")
+    return template
+
+
 def _emit(obj, out, indent):
     pad = " " * indent
-    if isinstance(obj, dict):
+    if isinstance(obj, np.ndarray):
+        if obj.dtype != np.float64 or obj.ndim == 0 or obj.size == 0:
+            _emit(obj.tolist(), out, indent)
+        elif not np.all(np.isfinite(obj)):
+            raise ValueError("cannot serialize non-finite float")
+        else:
+            # adding 0.0 turns -0.0 into 0.0
+            values = tuple((obj + 0.0).ravel().tolist())
+            out.append(_array_template(obj.shape, indent) % values)
+    elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
@@ -41,16 +67,15 @@ def _emit(obj, out, indent):
             _emit(obj[k], out, indent + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
-    elif isinstance(obj, (list, tuple, np.ndarray)):
-        seq = obj.tolist() if isinstance(obj, np.ndarray) else list(obj)
-        if not seq:
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
             out.append("[]")
             return
         out.append("[\n")
-        for i, v in enumerate(seq):
+        for i, v in enumerate(obj):
             out.append(pad + " ")
             _emit(v, out, indent + 1)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
+            out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "]")
     elif isinstance(obj, (bool, np.bool_)):
         out.append("true" if obj else "false")
@@ -75,8 +100,11 @@ def dumps_canonical(obj) -> str:
 
 
 def dump_canonical(obj, path):
+    # rendered before the file is opened, so a value that cannot be written
+    # leaves no truncated file behind
+    text = dumps_canonical(obj)
     with open(path, "w") as fh:
-        fh.write(dumps_canonical(obj))
+        fh.write(text)
         fh.write("\n")
 
 
@@ -120,7 +148,7 @@ def grid_from_dict(d: dict) -> Grid:
 def function_to_dict(f: SampledFunction) -> dict:
     return {
         "grid": grid_to_dict(f.grid),
-        "values": [[float(v.real), float(v.imag)] for v in f.values],
+        "values": np.stack([f.values.real, f.values.imag], axis=-1),
     }
 
 

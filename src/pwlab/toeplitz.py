@@ -347,9 +347,8 @@ def matrix_to_dict(M: OperatorMatrix) -> dict:
     d = {
         "band": M.a,
         "p": M.p,
-        "basis": {"window": M.window, "nodes": [float(t) for t in M.nodes]},
-        "entries": [[[float(z.real), float(z.imag)] for z in row]
-                    for row in M.entries],
+        "basis": {"window": M.window, "nodes": np.array(M.nodes, dtype=float)},
+        "entries": np.stack([M.entries.real, M.entries.imag], axis=-1),
     }
     if M.grid is not None:
         d["grid"] = grid_to_dict(M.grid)

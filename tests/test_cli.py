@@ -180,6 +180,15 @@ def test_unknown_symbol_kind_is_exit_one(tmp_path, capsys):
     assert "sawtooth" in capsys.readouterr().err
 
 
+def test_unwritable_payload_leaves_no_file(files, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("pwlab.cli.band_residual", lambda f, a: float("inf"))
+    out = tmp_path / "proj.json"
+    assert run("project", "--input", files / "smooth.json", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err.strip() == "input error: cannot serialize non-finite float"
+    assert not out.exists() and not (tmp_path / "proj.csv").exists()
+
+
 def test_bad_tol_syntax_is_exit_one(files, capsys):
     assert run("split", "--symbol", files / "gauss_flat.json",
                "--tol", "decay") == 1
@@ -243,7 +252,12 @@ def test_tolerance_must_be_positive_and_finite(files, value, capsys):
     ["bounded-symbol", "--truncation", "0"],
     ["toeplitz", "--basis-window", "nan"], ["toeplitz", "--basis-window", "0"],
     ["bounded-symbol", "--basis-window", "inf"],
-    ["bounded-symbol", "--basis-window", "-8"]])
+    ["bounded-symbol", "--basis-window", "-8"],
+    # too few basis nodes, or a basis wider than its grid
+    ["toeplitz", "--basis-window", "0.1"],
+    ["toeplitz", "--basis-window", "64", "--window", "32"],
+    ["bounded-symbol", "--basis-window", "0.1"],
+    ["bounded-symbol", "--basis-window", "128", "--window", "64"]])
 def test_out_of_range_flag_is_named(files, argv, capsys):
     assert run(*argv, "--symbol", files / "gauss_flat.json") == 1
     err = capsys.readouterr().err

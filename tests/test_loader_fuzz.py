@@ -17,22 +17,30 @@ from pwlab.toeplitz import matrix_to_dict, toeplitz_matrix
 _GRID = default_grid(1.0)
 _SMALL = default_grid(1.0, 8.0)          # 256 points: a window-8 matrix frame
 
+
+def _as_read(d: dict) -> dict:
+    """The plain JSON tree a file written from d holds (the *_to_dict writers
+    give bulk numbers as arrays)."""
+    return json.loads(jsonio.dumps_canonical(d))
+
+
 # (command, flag, valid file contents, paths of the fields to corrupt)
 _FILES = {
-    "symbol": ("split", "--symbol", to_dict(gaussian_symbol(1.1, 0.9, 0.2)),
+    "symbol": ("split", "--symbol",
+               _as_read(to_dict(gaussian_symbol(1.1, 0.9, 0.2))),
                [("kind",), ("amp",), ("width",), ("shift",), ("mod",)]),
     "sampled-symbol": ("split", "--symbol",
-                       to_dict(sampled_symbol(sinc_kernel(0.5, 0.0, _GRID),
-                                              support=(-0.5, 0.5))),
+                       _as_read(to_dict(sampled_symbol(
+                           sinc_kernel(0.5, 0.0, _GRID), support=(-0.5, 0.5)))),
                        [("fun",), ("support",), ("fun", "grid"),
                         ("fun", "values", 7)]),
     "function": ("project", "--input",
-                 jsonio.function_to_dict(sinc_kernel(0.5, 0.0, _SMALL)),
+                 _as_read(jsonio.function_to_dict(sinc_kernel(0.5, 0.0, _SMALL))),
                  [("grid",), ("values",), ("grid", "start"), ("grid", "step"),
                   ("grid", "count"), ("values", 3), ("values", 3, 0)]),
     "matrix": ("commutator-test", "--matrix",
-               matrix_to_dict(toeplitz_matrix(gaussian_symbol(), 1.0, 2.0, 8.0,
-                                              _SMALL)),
+               _as_read(matrix_to_dict(toeplitz_matrix(
+                   gaussian_symbol(), 1.0, 2.0, 8.0, _SMALL))),
                [("band",), ("p",), ("basis",), ("entries",),
                 ("basis", "window"), ("basis", "nodes"), ("entries", 2),
                 ("entries", 2, 5), ("entries", 2, 5, 0), ("grid",),
