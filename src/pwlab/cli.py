@@ -24,7 +24,7 @@ from . import jsonio
 from .commutator import (build_frame, commutator_test, lambda_ops,
                          recover_symbol, recovery_roundtrip)
 from .factorize import sinc_atom, weak_factorize
-from .grid import lp_norm
+from .grid import SampledFunction, lp_norm
 from .nehari import bounded_symbol, nehari_solve
 from .pwspace import band_residual, default_grid, project_band
 from .split import bump, split_symbol
@@ -115,20 +115,28 @@ def _tols(args) -> dict:
     return tols
 
 
-def _grid(args):
+def _grid(args, window_flag: str = "window"):
+    """The flags' grid.  A half-width that is not a whole number of steps is
+    refused, naming the band if it would be one at band 1, else window_flag."""
+    steps = 2.0 * args.band * args.oversample * args.window
+    if abs(steps - round(steps)) > 1e-9:
+        unit = 2.0 * args.oversample * args.window
+        name = "band" if abs(unit - round(unit)) <= 1e-9 else window_flag
+        raise InputError(f"{name}: the grid half-width {args.window} is "
+                         f"{steps:g} grid steps, not a whole number")
     return default_grid(args.band, args.window, args.oversample)
 
 
 def _check_basis_window(args) -> None:
     """The Nyquist basis of --basis-window needs at least 8 nodes and a grid
-    (--window) at least as wide as itself; checked before either is sized."""
+    (--window) that spans it and its first node; checked before sizing."""
     count = int(round(4.0 * args.band * args.basis_window))
     if count < 8:
         raise InputError(f"basis-window: {args.basis_window} holds {count} "
                          f"basis nodes at band {args.band}, fewer than 8")
-    if args.window < args.basis_window:
-        raise InputError(f"window: the grid half-width {args.window} is less "
-                         f"than the basis window {args.basis_window}")
+    if max(args.basis_window, (count // 2) / (2.0 * args.band)) > args.window + 1e-9:
+        raise InputError(f"window: the grid half-width {args.window} does not "
+                         f"hold the basis window {args.basis_window}")
 
 
 # -- I/O helpers ---------------------------------------------------------------
@@ -214,11 +222,13 @@ def cmd_project(args) -> int:
 
 
 def cmd_toeplitz(args) -> int:
+    flag = "window"
     if args.window is None:
-        args.window = args.basis_window
+        args.window, flag = args.basis_window, "basis-window"
+    grid = _grid(args, flag)
     _check_basis_window(args)
     sym = _load_symbol(args.symbol)
-    T = toeplitz_matrix(sym, args.band, args.p, args.basis_window, _grid(args))
+    T = toeplitz_matrix(sym, args.band, args.p, args.basis_window, grid)
     norms = operator_norm_certified(T)
     payload = {
         "norm_lower": norms["lower"], "norm_upper": norms["upper"],

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, SampledFunction, fft_spectrum, inverse_spectrum, lp_norm
+from .grid import (Grid, SampledFunction, filter_spectrum, inverse_spectrum,
+                   lp_norm)
 from .pwspace import (BandlimitedFunction, band_mask, band_residual,
                       default_grid, holder_conjugate)
 from .toeplitz import NyquistBasis, OperatorMatrix, matrix_pnorm, toeplitz_matrix
@@ -133,12 +134,11 @@ def fejer_deconvolve(h: BandlimitedFunction, a: float) -> SampledFunction:
     r = band_residual(h.fun, h.a)
     if r > 1e-8:
         raise ValueError(f"h drifted out of its declared band: residual {r:.3e}")
-    spec = fft_spectrum(h.fun)
-    xi = spec.grid.points
+    xi = h.grid.freq_grid().points
     tri = fejer_triangle(a, xi)
     inside = np.abs(xi) <= 2.0 * b
-    w_spec = np.where(inside, spec.values / np.where(tri > 0.0, tri, 1.0), 0.0)
-    return inverse_spectrum(SampledFunction(spec.grid, w_spec), start=h.grid.start)
+    inv_tri = np.where(inside, 1.0 / np.where(tri > 0.0, tri, 1.0), 0.0)
+    return filter_spectrum(h.fun, inv_tri)
 
 
 def _atom_stride(grid: Grid, a: float, b: float) -> int:

@@ -6,7 +6,11 @@ Conventions used throughout the package:
 * A function sampled on ``x_k = start + k*step`` has the discrete transform
   ``S_j = step * sum_k f(x_k) exp(-2 pi i xi_j x_k)`` evaluated on the
   frequency lattice ``xi_j`` induced by the grid (spacing ``1/(count*step)``).
-* Spectra are returned in increasing-frequency ("natural") order.
+* Spectra are returned in increasing-frequency ("natural") order, bin
+  j = -count/2 .. count/2 - 1 at xi_j = j/(count*step).
+* One phase rule: exp(-2 pi i xi_j start) = lattice_phase(j, -start/step,
+  count), reduced mod count before the exponential.  Filters (pointwise
+  spectral multipliers, `filter_spectrum`) apply no phase: the two cancel.
 
 With these weights the discrete transform is the rectangle-rule approximation
 of the continuous one, so Parseval and quadrature identities hold with no
@@ -117,16 +121,21 @@ def from_callable(fn, grid: Grid) -> SampledFunction:
     return SampledFunction(grid, np.asarray(fn(grid.points), dtype=complex))
 
 
+def lattice_phase(j, s, n: int) -> np.ndarray:
+    """exp(2 pi i (j*s mod n)/n): an exact root of unity for whole j and s."""
+    return np.exp(2j * np.pi * (np.multiply(j, s) % n) / n)
+
+
 def fft_spectrum(f: SampledFunction) -> SampledFunction:
     """Discrete Fourier transform of f on the induced frequency lattice.
 
     Includes the grid-offset phase, so the result approximates the continuous
     transform of the underlying function, not just of the sample vector.
     """
-    g = f.grid
-    xi = np.fft.fftfreq(g.count, g.step)
-    raw = g.step * np.fft.fft(f.values) * np.exp(-2j * np.pi * xi * g.start)
-    return SampledFunction(g.freq_grid(), np.fft.fftshift(raw))
+    g, n = f.grid, f.grid.count
+    raw = np.fft.fftshift(np.fft.fft(f.values))
+    phase = lattice_phase(np.arange(n) - n // 2, -g.start / g.step, n)
+    return SampledFunction(g.freq_grid(), g.step * raw * phase)
 
 
 def inverse_spectrum(spec: SampledFunction, start: float | None = None) -> SampledFunction:
@@ -137,12 +146,26 @@ def inverse_spectrum(spec: SampledFunction, start: float | None = None) -> Sampl
     step = 1.0 / (count * fg.step)
     if start is None:
         start = -0.5 * count * step
-    xi = fg.points
     # v_k = dxi * sum_j S_j exp(2 pi i xi_j x_k); fold the start phase in and
     # let ifft handle the k-dependence.
-    phased = spec.values * np.exp(2j * np.pi * xi * start)
+    phased = spec.values * lattice_phase(np.arange(count) - count // 2,
+                                         start / step, count)
     vals = np.fft.ifft(np.fft.ifftshift(phased)) / step
     return SampledFunction(Grid(start, step, count), vals)
+
+
+def filter_spectrum(f: SampledFunction, h: np.ndarray) -> SampledFunction:
+    """f with its spectrum multiplied by h (natural order), on f's grid; the
+    offset phases cancel against a pointwise multiplier, so none is applied."""
+    return SampledFunction(f.grid,
+                           np.fft.ifft(np.fft.ifftshift(h) * np.fft.fft(f.values)))
+
+
+def energy_fraction(spec: SampledFunction, mask: np.ndarray) -> float:
+    """Fraction of the spectrum's L2 energy where mask holds; 0 if there is none."""
+    power = np.abs(spec.values) ** 2
+    total = float(np.sum(power))
+    return float(np.sum(power[mask])) / total if total > 0.0 else 0.0
 
 
 def quad_integral(f: SampledFunction) -> complex:

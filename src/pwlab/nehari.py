@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Grid, SampledFunction, fft_spectrum, lp_norm
+from .grid import Grid, SampledFunction, energy_fraction, fft_spectrum, lp_norm
 from .pwspace import default_grid, project_halfline
 from .split import SUPPORTS, split_symbol
 from .symbols import SymbolSpec, point_values, sampled_symbol, samples
@@ -52,6 +52,13 @@ def _circle_nodes(size: int) -> tuple[np.ndarray, np.ndarray]:
     return thetas, -1.0 / np.tan(thetas / 2.0)
 
 
+def _circle_coeffs(vals: np.ndarray, ns: np.ndarray) -> np.ndarray:
+    """Fourier coefficients n in ns of samples at _circle_nodes(len(vals))."""
+    size = len(vals)
+    F = np.fft.fft(vals) / size
+    return np.exp(-1j * np.pi * ns / size) * F[ns % size]
+
+
 @dataclass
 class HankelData:
     disk_coeffs: np.ndarray      # indices -M..M
@@ -74,8 +81,7 @@ def line_to_disk(b, M: int = DEFAULT_TRUNCATION) -> HankelData:
     """
     if M < 1:
         raise ValueError(f"truncation must be at least 1, got {M}")
-    size = _circle_size(M)
-    _, x = _circle_nodes(size)
+    _, x = _circle_nodes(_circle_size(M))
     vals = np.asarray(b(x) if callable(b) else point_values(b, x), dtype=complex)
     interior = np.abs(x) <= 10.0
     scale = float(np.max(np.abs(vals[interior]))) if np.any(interior) else 0.0
@@ -83,9 +89,7 @@ def line_to_disk(b, M: int = DEFAULT_TRUNCATION) -> HankelData:
             float(np.max(np.abs(vals))) > 1e8 * (1.0 + scale):
         raise ValueError("symbol blows up toward x = +-inf (circle point z = 1); "
                          "cannot transfer to the disk")
-    F = np.fft.fft(vals) / size
-    ns = np.arange(-M, M + 1)
-    coeffs = np.exp(-1j * np.pi * ns / size) * F[ns % size]
+    coeffs = _circle_coeffs(vals, np.arange(-M, M + 1))
     peak = float(np.max(np.abs(coeffs)))
     tail = float(np.abs(coeffs[0])) / peak if peak > 0.0 else 0.0
 
@@ -176,14 +180,11 @@ def aak_solve(hd: HankelData, floor: float = 1e-13) -> AAKSolution:
     v = np.conj(vh[0])
     w = u[:, 0]
 
-    size = _circle_size(M)
-    thetas, _ = _circle_nodes(size)
+    thetas, _ = _circle_nodes(_circle_size(M))
     sol = AAKSolution(sigma0, v, w, M, 0.0)
     psi = sol.eval_disk(np.exp(1j * thetas))
 
-    F = np.fft.fft(psi) / size
-    ns = np.arange(-M, 0)
-    back = np.exp(-1j * np.pi * ns / size) * F[ns % size]
+    back = _circle_coeffs(psi, np.arange(-M, 0))
     sol.moment_residual = float(np.max(np.abs(back - hd.disk_coeffs[:M]))) / sigma0
     return sol
 
@@ -196,19 +197,17 @@ def hankel_norm_estimate(b: SampledFunction, seed: int = 42,
     the iteration runs on A*A with A = P_- M_b P_+ and a seeded start, so the
     estimate is deterministic.
     """
-    bv = b.values
-    n = b.grid.count
-    nonneg = np.fft.fftfreq(n, b.grid.step) >= 0
+    bv, n = b.values, b.grid.count
 
-    def mask(vals, keep_nonneg):
-        return np.fft.ifft(np.fft.fft(vals) * (nonneg if keep_nonneg else ~nonneg))
+    def half(vals, sign):
+        return project_halfline(SampledFunction(b.grid, vals), sign).values
 
     rng = np.random.default_rng(seed)
-    f = mask(rng.standard_normal(n) + 1j * rng.standard_normal(n), True)
+    f = half(rng.standard_normal(n) + 1j * rng.standard_normal(n), +1)
     est = 0.0
     for _ in range(iters):
-        g = mask(bv * f, False)                     # A f
-        h = mask(np.conj(bv) * g, True)             # A* A f
+        g = half(bv * f, -1)                        # A f
+        h = half(np.conj(bv) * g, +1)               # A* A f
         nf = float(np.linalg.norm(f))
         if nf == 0.0:
             return 0.0
@@ -253,14 +252,11 @@ def nehari_solve(b: SymbolSpec, a: float, p: float = 2.0,
         grid = default_grid(a)
     bs = samples(b, grid)
     spec = fft_spectrum(bs)
-    total = float(np.sum(np.abs(spec.values) ** 2))
-    if total > 0.0:
-        below = spec.grid.points < -2.0 * a - 2.0 * spec.grid.step
-        frac = float(np.sum(np.abs(spec.values[below]) ** 2)) / total
-        if frac > 1e-8:
-            raise ValueError(
-                f"nehari: spectrum extends below -2a (energy fraction {frac:.2e}); "
-                "expected theta_bar^2 times an analytic-spectrum symbol")
+    frac = energy_fraction(spec, spec.grid.points < -2.0 * a - 2.0 * spec.grid.step)
+    if frac > 1e-8:
+        raise ValueError(
+            f"nehari: spectrum extends below -2a (energy fraction {frac:.2e}); "
+            "expected theta_bar^2 times an analytic-spectrum symbol")
 
     hd = line_to_disk(b, M)
     if not hd.tail_certified:
@@ -293,14 +289,9 @@ def absorption_residual(psi_r: SampledFunction, a: float,
     """
     grid = psi_r.grid
     theta2 = np.exp(4j * np.pi * a * grid.points)
-    prod = SampledFunction(grid, psi_r.values * theta2 * f.values)
-    spec = fft_spectrum(prod)
+    spec = fft_spectrum(SampledFunction(grid, psi_r.values * theta2 * f.values))
     xi = spec.grid.points
-    window = (xi >= -3.0 * a) & (xi < 0.0)
-    total = float(np.sqrt(np.sum(np.abs(spec.values) ** 2)))
-    if total == 0.0:
-        return 0.0
-    return float(np.sqrt(np.sum(np.abs(spec.values[window]) ** 2))) / total
+    return float(np.sqrt(energy_fraction(spec, (xi >= -3.0 * a) & (xi < 0.0))))
 
 
 def hankel_pairing_residual(b, result: NehariResult, orders: int = 64,
@@ -318,9 +309,7 @@ def hankel_pairing_residual(b, result: NehariResult, orders: int = 64,
     thetas, x = _circle_nodes(nodes)
     vb = np.asarray(b(x) if callable(b) else point_values(b, x), dtype=complex)
     vp = result.solution.eval_disk(np.exp(1j * thetas))
-    spec = np.fft.ifft(vp - vb)
-    s = np.arange(1, orders + 1)
-    return float(np.max(np.abs(spec[s % nodes])))
+    return float(np.max(np.abs(_circle_coeffs(vp - vb, -np.arange(1, orders + 1)))))
 
 
 # -- bounded-symbol pipeline ---------------------------------------------------

@@ -19,8 +19,9 @@ import numpy as np
 from .grid import (
     Grid,
     SampledFunction,
+    energy_fraction,
     fft_spectrum,
-    inverse_spectrum,
+    filter_spectrum,
     symmetric_grid,
 )
 
@@ -83,12 +84,7 @@ class BandlimitedFunction:
 def band_residual(f: SampledFunction, a: float) -> float:
     """Fraction of spectral L2 energy outside [-a, a).  Zero function -> 0."""
     spec = fft_spectrum(f)
-    total = float(np.sum(np.abs(spec.values) ** 2))
-    if total == 0.0:
-        return 0.0
-    mask = band_mask(spec.grid.points, a)
-    outside = float(np.sum(np.abs(spec.values[~mask]) ** 2))
-    return outside / total
+    return energy_fraction(spec, ~band_mask(spec.grid.points, a))
 
 
 def project_band(f: SampledFunction, a: float, p: float = 2.0) -> BandlimitedFunction:
@@ -97,11 +93,8 @@ def project_band(f: SampledFunction, a: float, p: float = 2.0) -> BandlimitedFun
         raise ValueError(
             f"grid step {f.grid.step} resolves frequencies up to {f.grid.nyquist}, "
             f"cannot project to band {a}")
-    spec = fft_spectrum(f)
-    mask = band_mask(spec.grid.points, a)
-    clipped = SampledFunction(spec.grid, np.where(mask, spec.values, 0.0))
-    out = inverse_spectrum(clipped, start=f.grid.start)
-    return BandlimitedFunction(out, a, p)
+    mask = band_mask(f.grid.freq_grid().points, a)
+    return BandlimitedFunction(filter_spectrum(f, mask), a, p)
 
 
 def make_bandlimited(f: SampledFunction, a: float, p: float = 2.0,
@@ -114,11 +107,8 @@ def make_bandlimited(f: SampledFunction, a: float, p: float = 2.0,
 
 def project_halfline(f: SampledFunction, sign: int = +1) -> SampledFunction:
     """Riesz projection: keep frequencies xi >= 0 (sign=+1) or xi < 0 (sign=-1)."""
-    spec = fft_spectrum(f)
-    xi = spec.grid.points
-    mask = xi >= 0 if sign > 0 else xi < 0
-    clipped = SampledFunction(spec.grid, np.where(mask, spec.values, 0.0))
-    return inverse_spectrum(clipped, start=f.grid.start)
+    nonneg = np.arange(f.grid.count) >= f.grid.count // 2
+    return filter_spectrum(f, nonneg if sign > 0 else ~nonneg)
 
 
 def modulate(f: SampledFunction, b: float) -> SampledFunction:
@@ -227,12 +217,8 @@ def riesz_constant_estimate(p: float, window: float = 32.0,
     g = symmetric_grid(window, step)
     if p == 2.0:
         return 1.0
-    xi = np.fft.fftfreq(g.count, g.step)
-    mask = (xi >= 0).astype(float)
-
-    def apply(v):
-        return np.fft.ifft(mask * np.fft.fft(v))
-
     # the projector matrix is Hermitian (even in p-land we use the same map
     # with conjugate exponent for the adjoint)
+    def apply(v):
+        return project_halfline(SampledFunction(g, v)).values
     return boyd_lower_bound(apply, apply, g.count, p, weight=g.step, seed=42)

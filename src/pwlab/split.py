@@ -19,8 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Grid, SampledFunction, evaluate_offgrid, fft_spectrum,
-                   inverse_spectrum, lp_norm, symmetric_grid)
+from .grid import (Grid, SampledFunction, energy_fraction, evaluate_offgrid,
+                   fft_spectrum, filter_spectrum, inverse_spectrum, lp_norm,
+                   symmetric_grid)
 from .pwspace import default_grid, holder_conjugate, sinc_kernel, sinc_profile
 from .symbols import SymbolSpec, samples, sampled_symbol
 
@@ -99,17 +100,6 @@ class SplitResult:
                                                          hi * self.a))
 
 
-def _support_residual(spec: SampledFunction, lo: float, hi: float) -> float:
-    """Energy fraction of a spectrum outside [lo, hi] (half-open lattice
-    bins; a one-bin slack absorbs the endpoint bins themselves)."""
-    xi = spec.grid.points
-    outside = (xi < lo - spec.grid.step) | (xi > hi + spec.grid.step)
-    total = float(np.sum(np.abs(spec.values) ** 2))
-    if total == 0.0:
-        return 0.0
-    return float(np.sum(np.abs(spec.values[outside]) ** 2)) / total
-
-
 def split_symbol(sym: SymbolSpec, a: float, grid: Grid | None = None,
                  decay_tol: float = 1e-8) -> SplitResult:
     """Split a symbol into spectral parts via the dilated cutoff triple.
@@ -137,10 +127,12 @@ def split_symbol(sym: SymbolSpec, a: float, grid: Grid | None = None,
     certs = {}
     for name in BUMP_NAMES:
         cut = _bump_vals(xi / a, name)
-        part_spec = SampledFunction(spec.grid, spec.values * cut)
         lo, hi = SUPPORTS[name]
-        certs[name] = _support_residual(part_spec, lo * a, hi * a)
-        parts[name] = inverse_spectrum(part_spec, start=grid.start)
+        # energy outside [lo a, hi a]; one bin of slack for the endpoint bins
+        outside = (xi < lo * a - spec.grid.step) | (xi > hi * a + spec.grid.step)
+        part_spec = SampledFunction(spec.grid, spec.values * cut)
+        certs[name] = energy_fraction(part_spec, outside)
+        parts[name] = filter_spectrum(f, cut)
     return SplitResult(parts["L"], parts["C"], parts["R"],
                        bump_l1_norms(a), certs, a)
 

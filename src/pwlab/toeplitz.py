@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .grid import Grid, SampledFunction, fft_spectrum, inverse_spectrum
+from .grid import (Grid, SampledFunction, energy_fraction, fft_spectrum,
+                   inverse_spectrum, lattice_phase)
 from .jsonio import (MAX_MAGNITUDE, bounded, grid_from_dict, grid_to_dict,
                      number_field)
 from .pwspace import (
@@ -115,12 +116,10 @@ def toeplitz_apply(sym: SymbolSpec, f: BandlimitedFunction) -> BandlimitedFuncti
 def hankel_apply(sym: SymbolSpec, f: SampledFunction, tol: float = 1e-6) -> SampledFunction:
     """H_phi f = P_-[phi * f] for f in the analytic class (spectrum in R_+)."""
     spec = fft_spectrum(f)
-    total = float(np.sum(np.abs(spec.values) ** 2))
-    if total > 0:
-        neg = float(np.sum(np.abs(spec.values[spec.grid.points < 0]) ** 2))
-        if neg / total > tol:
-            raise ValueError(
-                f"input is not analytic-class: negative-frequency energy fraction {neg/total:.2e}")
+    neg = energy_fraction(spec, spec.grid.points < 0)
+    if neg > tol:
+        raise ValueError(
+            f"input is not analytic-class: negative-frequency energy fraction {neg:.2e}")
     phi = samples(sym, f.grid)
     return project_halfline(SampledFunction(f.grid, phi.values * f.values), -1)
 
@@ -164,11 +163,11 @@ class NyquistBasis:
         n = self.grid.count
         bins = self._band - n // 2
         k = np.arange(self.size) - self.size // 2
-        return np.exp(2j * np.pi * (np.outer(bins, k * self._stride) % n) / n)
+        return lattice_phase(bins[:, None], k * self._stride, n)
 
     def vector(self, k: int) -> BandlimitedFunction:
         """Basis vector synthesized exactly on the lattice (periodized sinc),
-        so that project_band leaves it invariant bit-for-bit."""
+        so that project_band leaves it invariant up to rounding."""
         unit = np.zeros(self.size)
         unit[k] = 1.0
         return BandlimitedFunction(self.synthesize(unit), self.a)

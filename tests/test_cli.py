@@ -257,7 +257,14 @@ def test_tolerance_must_be_positive_and_finite(files, value, capsys):
     ["toeplitz", "--basis-window", "0.1"],
     ["toeplitz", "--basis-window", "64", "--window", "32"],
     ["bounded-symbol", "--basis-window", "0.1"],
-    ["bounded-symbol", "--basis-window", "128", "--window", "64"]])
+    ["bounded-symbol", "--basis-window", "128", "--window", "64"],
+    # a grid half-width that is not a whole number of grid steps
+    ["toeplitz", "--basis-window", "8", "--window", "8.3"],
+    ["toeplitz", "--basis-window", "8.3"],
+    ["split", "--window", "10.1"],
+    ["toeplitz", "--basis-window", "8", "--band", "0.3"],
+    # a whole-step grid whose left end misses the first basis node, -8
+    ["toeplitz", "--basis-window", "7.9", "--window", "7.9375"]])
 def test_out_of_range_flag_is_named(files, argv, capsys):
     assert run(*argv, "--symbol", files / "gauss_flat.json") == 1
     err = capsys.readouterr().err

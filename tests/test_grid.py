@@ -4,9 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from pytest import approx
 
-from pwlab.grid import (Grid, SampledFunction, evaluate_offgrid, fft_spectrum,
+from pwlab.factorize import fejer_triangle
+from pwlab.grid import (Grid, SampledFunction, energy_fraction,
+                        evaluate_offgrid, fft_spectrum, filter_spectrum,
                         from_callable, inner, inverse_spectrum, lp_norm,
                         quad_integral, symmetric_grid)
+from pwlab.pwspace import band_mask, default_grid
 
 
 def test_symmetric_grid_layout():
@@ -56,6 +59,46 @@ def test_inverse_spectrum_roundtrip():
                         + 1j * rng.standard_normal(g.count))
     back = inverse_spectrum(fft_spectrum(f), start=g.start)
     assert np.max(np.abs(back.values - f.values)) < 1e-12
+
+
+def test_impulse_at_zero_has_flat_spectrum():
+    # the offset phase is reduced in integers, so on a grid whose start is a
+    # whole number of steps it is an exact root of unity even at n = 8192
+    g = symmetric_grid(256.0, 1.0 / 16.0)
+    assert g.count == 8192
+    vals = np.zeros(g.count)
+    vals[g.index_of(0.0)] = 1.0
+    spec = fft_spectrum(SampledFunction(g, vals))
+    assert np.max(np.abs(spec.values - g.step)) <= 1e-14 * g.step
+
+
+def _filters(xi):
+    """Band, half-line and Fejer-divisor multipliers on the frequencies xi."""
+    tri = fejer_triangle(1.0, xi)
+    return {"band": band_mask(xi, 1.0).astype(float),
+            "halfline": (xi >= 0).astype(float),
+            "fejer": np.where(np.abs(xi) <= 1.8, 1.0 / np.where(tri > 0, tri, 1.0),
+                              0.0)}
+
+
+@pytest.mark.parametrize("g", [default_grid(1.0), Grid(-8.3, 0.0625, 266)],
+                         ids=["default", "off-lattice"])
+def test_filter_spectrum_matches_phased_route(g):
+    # reference: the offset-phased transform, multiplier, phased inverse
+    f = _rough(g, seed=5)
+    spec = fft_spectrum(f)
+    for name, h in _filters(spec.grid.points).items():
+        want = inverse_spectrum(SampledFunction(spec.grid, h * spec.values),
+                                start=g.start).values
+        got = filter_spectrum(f, h)
+        assert got.grid == g
+        assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+
+def test_energy_fraction_of_zero_function_is_zero():
+    g = symmetric_grid(8.0, 0.25)
+    spec = fft_spectrum(SampledFunction(g, np.zeros(g.count)))
+    assert energy_fraction(spec, spec.grid.points < 0) == 0.0
 
 
 def test_quad_integral_gaussian():
