@@ -31,6 +31,10 @@ from .pwspace import (BandlimitedFunction, band_mask, band_residual,
                       default_grid, holder_conjugate)
 from .toeplitz import NyquistBasis, OperatorMatrix, matrix_pnorm, toeplitz_matrix
 
+# pairs per matrix product in `pair`: at m = 256 nodes a (64, m) complex
+# block is 256 kB, so its working memory stays near 1 MB for any pair count
+_PAIR_BLOCK = 64
+
 
 @functools.lru_cache(maxsize=8)
 def _base_atom(a: float, grid: Grid) -> tuple[np.ndarray, int]:
@@ -230,13 +234,15 @@ def pair(T: OperatorMatrix, F: Factorization) -> complex:
                          f"factorization at a = {F.a}")
     if not F.pairs:
         return 0.0 + 0.0j
-    basis = NyquistBasis(T.a, T.window, F.pairs[0][0].grid)
+    nodes = NyquistBasis(T.a, T.window, F.pairs[0][0].grid).node_indices()
     total = 0.0 + 0.0j
-    for f, g in F.pairs:
-        cf = basis.coefficients(f.fun)
-        cg = basis.coefficients(g.fun)
-        total += np.conj(cg) @ (T.entries @ cf)
-    return complex(total)
+    for s in range(0, len(F.pairs), _PAIR_BLOCK):
+        # node samples of a block of pairs; coefficients are samples/sqrt(2a)
+        block = F.pairs[s:s + _PAIR_BLOCK]
+        cf = np.array([f.values[nodes] for f, _ in block])
+        cg = np.array([g.values[nodes] for _, g in block])
+        total += np.vdot(cg, cf @ T.entries.T)
+    return complex(total / (2.0 * T.a))
 
 
 def regroup_pairs(F: Factorization) -> Factorization:

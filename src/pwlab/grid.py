@@ -86,14 +86,18 @@ def symmetric_grid(half_width: float, step: float) -> Grid:
 
 @dataclass
 class SampledFunction:
-    """Complex samples attached to a grid."""
+    """Complex samples attached to a grid: one function, shape (count,), or a
+    stack of k functions on the same grid, shape (k, count), with the grid on
+    the last axis.  Transforms and filters act row by row; `evaluate_offgrid`
+    and the reductions (`lp_norm`, `inner`, `energy_fraction`,
+    `quad_integral`) take one function."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        if self.values.ndim != 1 or len(self.values) != self.grid.count:
+        if self.values.ndim not in (1, 2) or self.values.shape[-1] != self.grid.count:
             raise ValueError("values length does not match grid count")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values contain NaN or Inf")
@@ -133,7 +137,7 @@ def fft_spectrum(f: SampledFunction) -> SampledFunction:
     transform of the underlying function, not just of the sample vector.
     """
     g, n = f.grid, f.grid.count
-    raw = np.fft.fftshift(np.fft.fft(f.values))
+    raw = np.fft.fftshift(np.fft.fft(f.values), axes=-1)
     phase = lattice_phase(np.arange(n) - n // 2, -g.start / g.step, n)
     return SampledFunction(g.freq_grid(), g.step * raw * phase)
 
@@ -150,7 +154,7 @@ def inverse_spectrum(spec: SampledFunction, start: float | None = None) -> Sampl
     # let ifft handle the k-dependence.
     phased = spec.values * lattice_phase(np.arange(count) - count // 2,
                                          start / step, count)
-    vals = np.fft.ifft(np.fft.ifftshift(phased)) / step
+    vals = np.fft.ifft(np.fft.ifftshift(phased, axes=-1)) / step
     return SampledFunction(Grid(start, step, count), vals)
 
 

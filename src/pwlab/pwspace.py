@@ -163,43 +163,49 @@ def _sign_power(y: np.ndarray, e: float) -> np.ndarray:
 def boyd_lower_bound(apply_fn, adjoint_fn, n: int, p: float, weight: float = 1.0,
                      seed: int = 42, iters: int = 60) -> float:
     """Boyd/Higham power iteration; returns a certified-from-below estimate of
-    the p -> p operator norm of a linear map given by apply/adjoint callables.
+    the p -> p operator norm (1 < p < inf) of a linear map given by
+    apply/adjoint callables.
 
-    `weight` is the quadrature step if vectors represent function samples
-    (norms are then weight^(1/p)-scaled, which cancels in the ratio; kept for
-    clarity)."""
+    The four starts (ones, then three seeded complex Gaussians) iterate as one
+    block: each callable maps a (k, n) stack of row vectors to a (k, n) stack
+    and is called once per iteration on the rows still running, at most
+    `iters` times in all.  A row stops on its own when its image or dual image
+    vanishes or its estimate changes by at most 1e-12 relative, and leaves
+    the block.  `weight` is the quadrature step if vectors represent function
+    samples (norms are then weight^(1/p)-scaled, which cancels in the ratio)."""
+    if not 1.0 < p < math.inf:
+        raise ValueError(f"p must be in (1, inf), got {p}")
     q = holder_conjugate(p)
     rng = np.random.default_rng(seed)
-    pool = [np.ones(n, dtype=complex)]
-    for _ in range(3):
-        pool.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    best = 0.0
-    for x in pool:
-        nx = (weight * np.sum(np.abs(x) ** p)) ** (1 / p)
-        if nx == 0:
-            continue
-        x = x / nx
-        est_prev = 0.0
-        for _ in range(iters):
-            y = apply_fn(x)
-            ny = (weight * np.sum(np.abs(y) ** p)) ** (1 / p)
-            if ny == 0:
-                break
-            est = ny
-            # dual step: z = |y|^{p-1} sgn(y), push through the adjoint
-            w = adjoint_fn(_sign_power(y, p - 1.0))
-            nw = (weight * np.sum(np.abs(w) ** q)) ** (1 / q)
-            if nw == 0:
-                break
-            x = _sign_power(w, q - 1.0)
-            nx = (weight * np.sum(np.abs(x) ** p)) ** (1 / p)
-            x = x / nx
-            if abs(est - est_prev) <= 1e-12 * max(est, 1e-300):
-                est_prev = est
-                break
-            est_prev = est
-        best = max(best, est_prev)
-    return best
+    x = np.ones((4, n), dtype=complex)
+    for i in range(1, 4):
+        x[i] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+    def norm(v, e):
+        return (weight * np.sum(np.abs(v) ** e, axis=-1)) ** (1 / e)
+
+    nx = norm(x, p)
+    rows = np.flatnonzero(nx != 0)
+    x = x[rows] / nx[rows, None]
+    est_prev = np.zeros(4)
+    for _ in range(iters):
+        if not len(rows):
+            break
+        y = apply_fn(x)
+        ny = norm(y, p)
+        rows, y, ny = rows[ny != 0], y[ny != 0], ny[ny != 0]
+        if not len(rows):
+            break
+        # dual step: z = |y|^{p-1} sgn(y), push through the adjoint
+        w = adjoint_fn(_sign_power(y, p - 1.0))
+        nw = norm(w, q)
+        rows, w, ny = rows[nw != 0], w[nw != 0], ny[nw != 0]
+        x = _sign_power(w, q - 1.0)
+        x = x / norm(x, p)[:, None]
+        running = np.abs(ny - est_prev[rows]) > 1e-12 * np.maximum(ny, 1e-300)
+        est_prev[rows] = ny
+        rows, x = rows[running], x[running]
+    return float(np.max(est_prev))
 
 
 def riesz_constant_estimate(p: float, window: float = 32.0,

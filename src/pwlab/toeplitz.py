@@ -262,8 +262,8 @@ def matrix_pnorm(M, p: float) -> dict:
     ||M||_p = ||M*||_q is folded into the lower bound.
     """
     A = M.entries if isinstance(M, OperatorMatrix) else np.asarray(M)
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1, got {p}")
     if p == 1:
         v = float(np.max(np.sum(np.abs(A), axis=0)))
         return {"lower": v, "upper": v}
@@ -274,8 +274,10 @@ def matrix_pnorm(M, p: float) -> dict:
         v = float(np.linalg.norm(A, 2))
         return {"lower": v, "upper": v}
     q = holder_conjugate(p)
-    lo = boyd_lower_bound(lambda x: A @ x, lambda y: A.conj().T @ y, A.shape[1], p)
-    lo_dual = boyd_lower_bound(lambda x: A.conj().T @ x, lambda y: A @ y, A.shape[0], q)
+    # the estimator's callables map a stack of row vectors: x -> A x is X @ A^T
+    At, Ac = A.T, A.conj()
+    lo = boyd_lower_bound(lambda X: X @ At, lambda Y: Y @ Ac, A.shape[1], p)
+    lo_dual = boyd_lower_bound(lambda X: X @ Ac, lambda Y: Y @ At, A.shape[0], q)
     lo = max(lo, lo_dual)
     n1 = float(np.max(np.sum(np.abs(A), axis=0)))
     ninf = float(np.max(np.sum(np.abs(A), axis=1)))

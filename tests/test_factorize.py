@@ -1,15 +1,17 @@
 """Constructive weak factorization and the operator pairing."""
+import dataclasses
+
 import numpy as np
 import pytest
 from pytest import approx
 
-from pwlab.factorize import (FejerAtomPlan, fejer_deconvolve, fejer_triangle,
-                             pair, regroup_pairs, sinc_atom, toeplitz_test_set,
-                             weak_factorize, xpq_sandwich)
+from pwlab.factorize import (_PAIR_BLOCK, FejerAtomPlan, fejer_deconvolve,
+                             fejer_triangle, pair, regroup_pairs, sinc_atom,
+                             toeplitz_test_set, weak_factorize, xpq_sandwich)
 from pwlab.grid import SampledFunction, fft_spectrum, lp_norm, quad_integral
 from pwlab.pwspace import default_grid, project_band, sinc_profile
 from pwlab.symbols import gaussian_symbol
-from pwlab.toeplitz import identity_matrix, toeplitz_matrix
+from pwlab.toeplitz import NyquistBasis, identity_matrix, toeplitz_matrix
 
 A = 1.0
 B = 0.9  # target half-band with the standard margin
@@ -92,6 +94,36 @@ def test_pair_with_zero_operator(fact, grid):
     T1 = identity_matrix(A, 2.0, -grid.start)
     Z = type(T1)(np.zeros_like(T1.entries), A, 2.0, T1.window, T1.nodes)
     assert pair(Z, fact) == 0j
+
+
+def _pair_per_pair(T, F):
+    """Reference: one coefficient read and one matrix-vector product per pair."""
+    basis = NyquistBasis(T.a, T.window, F.pairs[0][0].grid)
+    total = 0.0 + 0.0j
+    for f, g in F.pairs:
+        cf = basis.coefficients(f.fun)
+        cg = basis.coefficients(g.fun)
+        total += np.conj(cg) @ (T.entries @ cf)
+    return complex(total)
+
+
+def test_block_pair_matches_per_pair(fact, grid):
+    atom = sinc_atom(A, 0.5, grid)
+    single = weak_factorize(project_band(SampledFunction(
+        grid, 0.3 * atom.values * np.conj(atom.values)), 2.0 * A), A, 2.0)
+    forms = {"blocks": fact, "partial-block": dataclasses.replace(
+                 fact, pairs=fact.pairs[:_PAIR_BLOCK + 36]),
+             "regrouped": regroup_pairs(fact), "one-pair": single}
+    assert len(fact.pairs) > _PAIR_BLOCK and len(single.pairs) == 1
+    W = -grid.start
+    for T in (identity_matrix(A, 2.0, W),
+              toeplitz_matrix(gaussian_symbol(), A, 2.0, W, grid),
+              toeplitz_matrix(gaussian_symbol(), A, 2.0, 32.0, grid)):
+        for name, F in forms.items():
+            want = _pair_per_pair(T, F)
+            assert abs(pair(T, F) - want) <= 1e-12 * abs(want), name
+    empty = dataclasses.replace(fact, pairs=[])
+    assert pair(T, empty) == 0j and isinstance(pair(T, empty), complex)
 
 
 def test_band_mismatch_is_an_error(fact, grid):

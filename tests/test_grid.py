@@ -9,7 +9,7 @@ from pwlab.grid import (Grid, SampledFunction, energy_fraction,
                         evaluate_offgrid, fft_spectrum, filter_spectrum,
                         from_callable, inner, inverse_spectrum, lp_norm,
                         quad_integral, symmetric_grid)
-from pwlab.pwspace import band_mask, default_grid
+from pwlab.pwspace import band_mask, default_grid, project_band, project_halfline
 
 
 def test_symmetric_grid_layout():
@@ -93,6 +93,31 @@ def test_filter_spectrum_matches_phased_route(g):
         got = filter_spectrum(f, h)
         assert got.grid == g
         assert np.max(np.abs(got.values - want)) <= 1e-13 * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize("g", [default_grid(1.0), Grid(-8.3, 0.0625, 266)],
+                         ids=["default", "off-lattice"])
+def test_stack_transforms_act_row_by_row(g):
+    rows = [_rough(g, seed=s).values for s in (1, 2, 3)]
+    routes = {
+        "project_band": lambda f: project_band(f, 1.0).values,
+        "project_halfline": lambda f: project_halfline(f, -1).values,
+        "fft_spectrum": lambda f: fft_spectrum(f).values,
+        "inverse_spectrum": lambda f: inverse_spectrum(fft_spectrum(f),
+                                                       start=g.start).values,
+    }
+    for name, route in routes.items():
+        got = route(SampledFunction(g, np.array(rows)))
+        want = np.array([route(SampledFunction(g, v)) for v in rows])
+        assert got.shape == (3, g.count), name
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), name
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 64), (3, 63), (64, 3), (0,), ()])
+def test_sampled_function_rejects_other_shapes(shape):
+    g = symmetric_grid(4.0, 0.125)
+    with pytest.raises(ValueError, match="values length does not match grid count"):
+        SampledFunction(g, np.zeros(shape))
 
 
 def test_energy_fraction_of_zero_function_is_zero():

@@ -52,6 +52,9 @@ _CORRUPT = st.one_of(
     st.text(max_size=6),
     st.integers(min_value=-10**6, max_value=10**6),
     st.lists(st.integers(min_value=-3, max_value=3), max_size=3),
+    # one level deeper than a list of [re, im] pairs: a stack of functions
+    st.lists(st.lists(st.lists(st.integers(min_value=-3, max_value=3),
+                               min_size=2, max_size=2), max_size=2), max_size=2),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
     st.just(float("nan")),
     st.sampled_from([1e308, -1e308, 10**400]),
@@ -95,3 +98,16 @@ def test_uncorrupted_files_exit_zero(tmp_path):
         src.write_text(json.dumps(valid))
         assert main([command, flag, str(src),
                      "--out", str(tmp_path / f"{kind}-out.json")]) == 0, kind
+
+
+def test_values_nested_one_level_deeper_exit_one(tmp_path, capsys):
+    # SampledFunction holds a (k, count) stack; a file holds one function
+    _, _, valid, _ = _FILES["function"]
+    for values in ([valid["values"]], [[pair] for pair in valid["values"]]):
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(dict(valid, values=values)))
+        code = main(["project", "--input", str(src),
+                     "--out", str(tmp_path / "out.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("input error:") and "'values'" in err, err

@@ -4,11 +4,12 @@ import pytest
 from pytest import approx
 
 from pwlab.grid import SampledFunction, from_callable, inner, lp_norm
-from pwlab.pwspace import (band_residual, boyd_lower_bound, default_grid,
-                           eval_functional, holder_conjugate, make_bandlimited,
-                           modulate, project_band, project_halfline,
-                           projector_two_term, riesz_constant_estimate,
-                           sinc_kernel, sinc_profile)
+from pwlab.pwspace import (_sign_power, band_residual, boyd_lower_bound,
+                           default_grid, eval_functional, holder_conjugate,
+                           make_bandlimited, modulate, project_band,
+                           project_halfline, projector_two_term,
+                           riesz_constant_estimate, sinc_kernel, sinc_profile)
+from pwlab.toeplitz import matrix_pnorm
 
 
 def test_sinc_profile_center_and_zeros():
@@ -116,3 +117,99 @@ def test_boyd_estimate_on_scaled_identity():
     for p in (1.5, 2.0, 3.0):
         est = boyd_lower_bound(apply, apply, n, p, seed=5)
         assert est == approx(3.0, rel=1e-8)
+
+
+def _boyd_per_start(apply_fn, adjoint_fn, n, p, weight=1.0, seed=42, iters=60):
+    """Reference: the four starts iterated one after another, one vector at a
+    time, with the same draws and stop rules as the block route."""
+    q = holder_conjugate(p)
+    rng = np.random.default_rng(seed)
+    pool = [np.ones(n, dtype=complex)]
+    for _ in range(3):
+        pool.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    best = 0.0
+    for x in pool:
+        nx = (weight * np.sum(np.abs(x) ** p)) ** (1 / p)
+        if nx == 0:
+            continue
+        x = x / nx
+        est_prev = 0.0
+        for _ in range(iters):
+            y = apply_fn(x)
+            ny = (weight * np.sum(np.abs(y) ** p)) ** (1 / p)
+            if ny == 0:
+                break
+            est = ny
+            w = adjoint_fn(_sign_power(y, p - 1.0))
+            nw = (weight * np.sum(np.abs(w) ** q)) ** (1 / q)
+            if nw == 0:
+                break
+            x = _sign_power(w, q - 1.0)
+            nx = (weight * np.sum(np.abs(x) ** p)) ** (1 / p)
+            x = x / nx
+            if abs(est - est_prev) <= 1e-12 * max(est, 1e-300):
+                est_prev = est
+                break
+            est_prev = est
+        best = max(best, est_prev)
+    return best
+
+
+def _dense(n, seed=11):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 8.0])
+@pytest.mark.parametrize("adjoint", [False, True], ids=["A", "A*"])
+def test_block_boyd_matches_per_start_on_dense_matrix(p, adjoint):
+    M = _dense(48)
+    A = M.conj().T if adjoint else M
+    want = _boyd_per_start(lambda x: A @ x, lambda y: A.conj().T @ y, 48, p)
+    got = boyd_lower_bound(lambda X: X @ A.T, lambda Y: Y @ A.conj(), 48, p)
+    assert got == approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [1.5, 3.0])
+def test_block_boyd_matches_per_start_on_band_projector(p, grid1):
+    def apply(v):  # maps one vector or a stack of rows alike
+        return project_band(SampledFunction(grid1, v), 1.0).values
+
+    want = _boyd_per_start(apply, apply, grid1.count, p, weight=grid1.step)
+    got = boyd_lower_bound(apply, apply, grid1.count, p, weight=grid1.step)
+    assert got == approx(want, rel=1e-12, abs=0.0)
+
+
+def test_block_boyd_drops_a_start_that_stops_early():
+    # A annihilates the ones vector, the first start: that row stops at once
+    # on a zero image while the three Gaussian starts keep iterating.  Whole
+    # entries and a start scaled by 1/8 (n = 64, p = 2) make that image
+    # exactly zero in any summation order.
+    n = 64
+    rng = np.random.default_rng(3)
+    A = (rng.integers(-5, 6, (n, n)) + 1j * rng.integers(-5, 6, (n, n)))
+    A[:, -1] = -A[:, :-1].sum(axis=1)
+    assert not np.any(np.ones((1, n)) @ A.T)
+    rows_seen = []
+
+    def apply(X):
+        rows_seen.append(X.shape[0])
+        return X @ A.T
+
+    want = _boyd_per_start(lambda x: A @ x, lambda y: A.conj().T @ y, n, 2.0)
+    got = boyd_lower_bound(apply, lambda Y: Y @ A.conj(), n, 2.0)
+    assert got == approx(want, rel=1e-12, abs=0.0)
+    assert rows_seen[0] == 4 and rows_seen[1] == 3
+    assert rows_seen == sorted(rows_seen, reverse=True)
+    assert len(rows_seen) <= 60
+
+
+@pytest.mark.parametrize("p", [1.0, 0.5, np.inf, np.nan])
+def test_boyd_rejects_p_outside_open_range(p):
+    with pytest.raises(ValueError, match="p must be in"):
+        boyd_lower_bound(lambda X: X, lambda Y: Y, 8, p)
+
+
+def test_matrix_pnorm_rejects_nan_p():
+    with pytest.raises(ValueError, match="p must be"):
+        matrix_pnorm(2.0 * np.eye(4), float("nan"))
