@@ -29,7 +29,7 @@ from .nehari import bounded_symbol, nehari_solve
 from .pwspace import band_residual, default_grid, project_band
 from .split import bump, split_symbol
 from .symbols import KINDS as SYMBOL_KINDS, from_dict as symbol_from_dict
-from .toeplitz import (matrix_from_dict, matrix_to_dict,
+from .toeplitz import (matrix_from_dict, matrix_to_dict, nyquist_indices,
                        operator_norm_certified, toeplitz_matrix)
 
 EXIT_OK = 0
@@ -130,11 +130,11 @@ def _grid(args, window_flag: str = "window"):
 def _check_basis_window(args) -> None:
     """The Nyquist basis of --basis-window needs at least 8 nodes and a grid
     (--window) that spans it and its first node; checked before sizing."""
-    count = int(round(4.0 * args.band * args.basis_window))
-    if count < 8:
-        raise InputError(f"basis-window: {args.basis_window} holds {count} "
+    k = nyquist_indices(args.band, args.basis_window)
+    if k.stop - k.start < 8:          # len() overflows past sys.maxsize
+        raise InputError(f"basis-window: {args.basis_window} holds {len(k)} "
                          f"basis nodes at band {args.band}, fewer than 8")
-    if max(args.basis_window, (count // 2) / (2.0 * args.band)) > args.window + 1e-9:
+    if max(args.basis_window, -k.start / (2.0 * args.band)) > args.window + 1e-9:
         raise InputError(f"window: the grid half-width {args.window} does not "
                          f"hold the basis window {args.basis_window}")
 

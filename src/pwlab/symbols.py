@@ -1,9 +1,9 @@
 """Symbol specifications for Toeplitz/Hankel operators.
 
 A symbol is described declaratively (kind + parameters) so that operators can
-pick the best application route: pointwise products for decaying symbols,
-exact spectral shifts/differentiation for polynomial-times-exponential
-symbols, lattice synthesis for symbols given by their spectrum.
+pick its multiplier on the grid: samples for decaying symbols, synthesis from
+the exact lattice kernel for polynomial-times-exponential symbols, and
+lattice synthesis for symbols given by their spectrum.
 
 Supported kinds (JSON-facing):
 
@@ -28,11 +28,11 @@ from . import jsonio
 
 KINDS = ("gaussian", "mod_poly", "sampled", "bump_spectrum")
 
-# The lattice derivative is applied once per degree, and the matrix entries
-# grow geometrically with it.  At degree 32 the largest entry, over mod 0,
-# +-0.25 and 1 at band 1, is 7.4e64 on the window-32 grid and 3.5e77 on the
-# window-256 one; at degree 64 it is 4.3e132 on the default grid, past
-# jsonio.MAX_MAGNITUDE = 1e100, so the written matrix file could not be read.
+# Matrix entries grow geometrically with the degree.  With the basis spanning
+# its grid, over mod 0, +-0.25 and 1 at band 1, the largest at degree 32 is
+# 7.4e64 on window 32 and 9.4e93 on window 256, under jsonio.MAX_MAGNITUDE =
+# 1e100, past which a written matrix file could not be read; on window 32 it
+# passes 1e100 at degree 50.
 MAX_MOD_POLY_DEGREE = 32
 
 

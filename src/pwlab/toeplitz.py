@@ -4,16 +4,16 @@ Nyquist-basis matrix assembly, and p-norm estimation.
 Application routes
 ------------------
 
-Decaying symbols are applied as pointwise products followed by the spectral
-band projection.  Symbols of the form A x^n exp(2 pi i c x) grow, so the
-product route would be polluted by the sampling window; they are applied
-exactly on the frequency lattice instead: the modulation is a lattice shift,
-each factor x becomes (i/2 pi) d/dxi realized by a one-sided 5-point stencil.
-The stencil is oriented away from the shifted spectrum (trailing for c > 0,
-leading for c < 0) so that the difference never reaches across the support
-jump; whatever edge spikes remain land outside the half-open band and are cut
-by the projection.  This reproduces the vanishing of T_{x exp(4 pi i a x)}
-at machine precision, where the naive product route fails completely.
+Every symbol is applied as T_phi f = P_a[m f], a pointwise product followed
+by the spectral band projection.  The multiplier m is the symbol's samples,
+except for A x^n exp(2 pi i c x): it grows, so its samples would be polluted
+by the sampling window, and m is synthesized from its exact lattice kernel
+instead, the lattice shift c/dxi convolved with the n-th power of a 5-point
+stencil for (i/2 pi) d/dxi.  The stencil is oriented away from the shifted
+spectrum (trailing for c > 0, leading for c < 0) so that it never reaches
+across the support jump; edge spikes land outside the half-open band and are
+cut by the projection.  This reproduces the vanishing of T_{x exp(4 pi i a x)}
+at machine precision, where the sampled product fails completely.
 
 Matrix assembly
 ---------------
@@ -27,6 +27,7 @@ the column route (synthesize e_k, apply, read the nodes) up to rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -49,47 +50,40 @@ from .pwspace import (
 )
 from .symbols import SymbolSpec, samples
 
-# 4th-order one-sided and central first-derivative stencils
-_STENCIL_BACKWARD = (np.array([25 / 12, -4.0, 3.0, -4 / 3, 1 / 4]), (0, -1, -2, -3, -4))
-_STENCIL_FORWARD = (np.array([-25 / 12, 4.0, -3.0, 4 / 3, -1 / 4]), (0, 1, 2, 3, 4))
-_STENCIL_CENTRAL = (np.array([1 / 12, -2 / 3, 2 / 3, -1 / 12]), (-2, -1, 1, 2))
+# 4th-order first-derivative taps K(d), d ascending: trailing from d = 0 (the
+# leading stencil is its negated mirror, ending at d = 0), central from d = -2
+_STENCIL_TRAILING = np.array([25 / 12, -4.0, 3.0, -4 / 3, 1 / 4])
+_STENCIL_CENTRAL = np.array([-1 / 12, 2 / 3, 0.0, -2 / 3, 1 / 12])
 
 
-def _lattice_derivative(spec_vals: np.ndarray, dxi: float, direction: int) -> np.ndarray:
-    """d/dxi on the natural-order frequency lattice via a 5-point stencil."""
-    if direction > 0:
-        coefs, offs = _STENCIL_BACKWARD
-    elif direction < 0:
-        coefs, offs = _STENCIL_FORWARD
-    else:
-        coefs, offs = _STENCIL_CENTRAL
-    out = np.zeros_like(spec_vals)
-    for c, o in zip(coefs, offs):
-        # np.roll(v, k)[j] = v[j-k]: reading offset o means rolling by -o
-        out += c * np.roll(spec_vals, -o)
-    return out / dxi
-
-
-def _mod_poly_spectrum(P: dict, vals: np.ndarray, dxi: float) -> np.ndarray:
-    """Action of A x^n exp(2 pi i c x) on lattice spectrum values."""
-    shift = P["mod"] / dxi
+def _mod_poly_kernel(params: dict, grid: Grid) -> np.ndarray:
+    """Lattice kernel K(d), indexed by d mod n, of A x^degree exp(2 pi i c x)
+    (see Application routes)."""
+    dxi = grid.freq_step
+    shift = params["mod"] / dxi
     if abs(shift - round(shift)) > 1e-9:
         raise ValueError(
-            f"mod_poly modulation {P['mod']} is not on the frequency lattice "
+            f"mod_poly modulation {params['mod']} is not on the frequency lattice "
             f"(step {dxi}); choose mod as a multiple of the lattice step")
-    vals = np.roll(vals, int(round(shift)))
-    direction = int(np.sign(P["mod"]))
-    for _ in range(P["degree"]):
-        vals = (1j / (2 * np.pi)) * _lattice_derivative(vals, dxi, direction)
-    return P["amp"] * vals
+    taps, first = {1: (_STENCIL_TRAILING, 0), -1: (-_STENCIL_TRAILING[::-1], -4),
+                   0: (_STENCIL_CENTRAL, -2)}[int(np.sign(params["mod"]))]
+    degree = params["degree"]
+    # numpy.polynomial's polypow loop, without the import every process would pay
+    coeffs = params["amp"] * functools.reduce(
+        np.convolve, [(1j / (2 * np.pi * dxi)) * taps] * degree, np.ones(1))
+    kernel = np.zeros(grid.count, dtype=complex)
+    # a power wider than the lattice wraps around it
+    np.add.at(kernel, (round(shift) + first * degree + np.arange(len(coeffs)))
+              % grid.count, coeffs)
+    return kernel
 
 
-def _apply_mod_poly(sym: SymbolSpec, f: BandlimitedFunction) -> BandlimitedFunction:
-    spec = fft_spectrum(f.fun)
-    vals = (_mod_poly_spectrum(sym.params, spec.values, spec.grid.step)
-            * band_mask(spec.grid.points, f.a))
-    out = inverse_spectrum(SampledFunction(spec.grid, vals), start=f.grid.start)
-    return BandlimitedFunction(out, f.a, f.p)
+def _multiplier(sym: SymbolSpec, grid: Grid) -> SampledFunction:
+    """phi's samples; for mod_poly, the function whose lattice kernel is K."""
+    if sym.kind != "mod_poly":
+        return samples(sym, grid)
+    spec = np.fft.fftshift(_mod_poly_kernel(sym.params, grid)) / grid.freq_step
+    return inverse_spectrum(SampledFunction(grid.freq_grid(), spec), start=grid.start)
 
 
 def _resolution_check(sym: SymbolSpec, a: float, grid: Grid):
@@ -106,11 +100,8 @@ def _resolution_check(sym: SymbolSpec, a: float, grid: Grid):
 def toeplitz_apply(sym: SymbolSpec, f: BandlimitedFunction) -> BandlimitedFunction:
     """T_phi f = P_a[phi * f]."""
     _resolution_check(sym, f.a, f.grid)
-    if sym.kind == "mod_poly":
-        return _apply_mod_poly(sym, f)
-    phi = samples(sym, f.grid)
-    prod = SampledFunction(f.grid, phi.values * f.values)
-    return project_band(prod, f.a, f.p)
+    phi = _multiplier(sym, f.grid)
+    return project_band(SampledFunction(f.grid, phi.values * f.values), f.a, f.p)
 
 
 def hankel_apply(sym: SymbolSpec, f: SampledFunction, tol: float = 1e-6) -> SampledFunction:
@@ -127,6 +118,13 @@ def hankel_apply(sym: SymbolSpec, f: SampledFunction, tol: float = 1e-6) -> Samp
 # -- Nyquist basis and matrix assembly ---------------------------------------
 
 
+def nyquist_indices(a: float, window: float) -> range:
+    """Indices k, from -(count // 2), of the count = round(4 a window) nodes
+    t_k = k/(2a) covering [-window, window); a range, so it sizes nothing."""
+    count = int(round(4.0 * a * window))
+    return range(-(count // 2), count - count // 2)
+
+
 @dataclass
 class NyquistBasis:
     """Shifted-sinc coordinate system e_k = sinc_a(. - t_k)/sqrt(2a) for the
@@ -137,11 +135,11 @@ class NyquistBasis:
     grid: Grid
 
     def __post_init__(self):
-        count = int(round(4.0 * self.a * self.window))
-        if count < 8:
+        k = nyquist_indices(self.a, self.window)
+        if len(k) < 8:
             raise ValueError("window too small: fewer than 8 basis functions")
-        k = np.arange(count) - count // 2
-        self.nodes = k / (2.0 * self.a)
+        self._k = np.arange(k.start, k.stop)
+        self.nodes = self._k / (2.0 * self.a)
         # every node must sit on the sampling grid so coefficients are exact reads
         ratio = 1.0 / (2.0 * self.a * self.grid.step)
         if abs(ratio - round(ratio)) > 1e-9:
@@ -162,8 +160,7 @@ class NyquistBasis:
         argument bin_j * k * stride / n is reduced mod n in integers."""
         n = self.grid.count
         bins = self._band - n // 2
-        k = np.arange(self.size) - self.size // 2
-        return lattice_phase(bins[:, None], k * self._stride, n)
+        return lattice_phase(bins[:, None], self._k * self._stride, n)
 
     def vector(self, k: int) -> BandlimitedFunction:
         """Basis vector synthesized exactly on the lattice (periodized sinc),
@@ -230,59 +227,62 @@ def assemble_matrix(kernel: np.ndarray, a: float, p: float, window: float,
 
 def toeplitz_matrix(sym: SymbolSpec, a: float, p: float, window: float = 32.0,
                     grid: Grid | None = None) -> OperatorMatrix:
-    """Nyquist-basis matrix of T_phi, assembled from its lattice kernel."""
+    """Nyquist-basis matrix of T_phi, assembled from its lattice kernel; a
+    mod_poly matrix that float64 cannot resolve is refused."""
     if grid is None:
         grid = default_grid(a)
     _resolution_check(sym, a, grid)
-    n = grid.count
-    if sym.kind == "mod_poly":
-        impulse = (np.arange(n) == 0).astype(complex)
-        kernel = _mod_poly_spectrum(sym.params, impulse, grid.freq_step)
-    else:
+    if sym.kind != "mod_poly":
         # K(d) = dxi * phi^(xi_d): the symbol's lattice spectrum in FFT order
         kernel = grid.freq_step * np.fft.ifftshift(fft_spectrum(samples(sym, grid)).values)
-    return assemble_matrix(kernel, a, p, window, grid)
+        return assemble_matrix(kernel, a, p, window, grid)
+    kernel = _mod_poly_kernel(sym.params, grid)
+    M = assemble_matrix(kernel, a, p, window, grid)
+    # an entry sums the taps |d| < m (m band bins) with weights of modulus 1/m;
+    # a basis narrower than its grid cancels taps far larger than the entries
+    m = int(np.count_nonzero(band_mask(grid.freq_grid().points, a)))
+    taps = np.abs(kernel[np.arange(1 - m, m) % grid.count])
+    if np.finfo(float).eps * np.sum(taps) > 1e-8 * np.max(np.abs(M.entries)):
+        raise ValueError(f"mod_poly degree {sym.params['degree']}: float64 cannot resolve "
+                         f"this matrix; lower the degree or widen the basis to the grid")
+    return M
 
 
 def identity_matrix(a: float, p: float, window: float = 32.0) -> OperatorMatrix:
-    count = int(round(4.0 * a * window))
-    k = np.arange(count) - count // 2
-    return OperatorMatrix(np.eye(count, dtype=complex), a, p, window, k / (2.0 * a))
+    k = nyquist_indices(a, window)
+    return OperatorMatrix(np.eye(len(k), dtype=complex), a, p, window,
+                          np.arange(k.start, k.stop) / (2.0 * a))
 
 
 # -- matrix p-norms -----------------------------------------------------------
 
 
 def matrix_pnorm(M, p: float) -> dict:
-    """{lower, upper} bounds for the l^p -> l^p norm of a dense matrix.
-
-    Exact at p in {1, 2, inf}; otherwise a Boyd-Higham power iteration from
-    several fixed-seed starts gives the lower bound and Riesz-Thorin
-    interpolation ||M||_1^(1/p) ||M||_inf^(1/q) the upper.  Duality
-    ||M||_p = ||M*||_q is folded into the lower bound.
-    """
+    """{lower, upper} bounds for the l^p -> l^p norm of a dense matrix.  The
+    upper is `_pnorm_upper`; off p in {1, 2, inf} a Boyd-Higham iteration from
+    fixed-seed starts, with duality ||M||_p = ||M*||_q, gives the lower."""
     A = M.entries if isinstance(M, OperatorMatrix) else np.asarray(M)
-    if not p >= 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    if p == 1:
-        v = float(np.max(np.sum(np.abs(A), axis=0)))
-        return {"lower": v, "upper": v}
-    if p == math.inf:
-        v = float(np.max(np.sum(np.abs(A), axis=1)))
-        return {"lower": v, "upper": v}
-    if p == 2:
-        v = float(np.linalg.norm(A, 2))
-        return {"lower": v, "upper": v}
+    up = _pnorm_upper(A, p)
+    if p in (1, 2, math.inf):
+        return {"lower": up, "upper": up}
     q = holder_conjugate(p)
     # the estimator's callables map a stack of row vectors: x -> A x is X @ A^T
     At, Ac = A.T, A.conj()
     lo = boyd_lower_bound(lambda X: X @ At, lambda Y: Y @ Ac, A.shape[1], p)
     lo_dual = boyd_lower_bound(lambda X: X @ Ac, lambda Y: Y @ At, A.shape[0], q)
-    lo = max(lo, lo_dual)
-    n1 = float(np.max(np.sum(np.abs(A), axis=0)))
-    ninf = float(np.max(np.sum(np.abs(A), axis=1)))
-    up = n1 ** (1.0 / p) * ninf ** (1.0 / q)
-    return {"lower": min(lo, up), "upper": up}
+    return {"lower": min(max(lo, lo_dual), up), "upper": up}
+
+
+def _pnorm_upper(A: np.ndarray, p: float) -> float:
+    """The l^p -> l^p norm of A exactly at p in {1, 2, inf}, otherwise the
+    Riesz-Thorin bound ||A||_1^(1/p) ||A||_inf^(1/q)."""
+    if not p >= 1:
+        raise ValueError(f"p must be >= 1, got {p}")
+    if p == 2:
+        return float(np.linalg.norm(A, 2))
+    # exact at p = 1 and p = inf, where one of the two exponents is 0
+    n1, ninf = (float(np.max(np.sum(np.abs(A), axis=ax))) for ax in (0, 1))
+    return n1 ** (1.0 / p) * ninf ** (1.0 / holder_conjugate(p))
 
 
 def operator_norm_certified(M: OperatorMatrix, p: float | None = None,
@@ -387,13 +387,12 @@ def matrix_from_dict(d: dict) -> OperatorMatrix:
     nodes = _matrix_array(basis, "nodes", 1)
     raw = _matrix_array(d, "entries", 3)
     n = len(nodes)
-    # the basis is NyquistBasis(band, window): round(4 band window) nodes
-    # spaced 1/(2 band); checked before anything is sized from window
+    k = nyquist_indices(band, window)   # no len(): window may be 1e100
     spacing = nodes[1] - nodes[0] if n > 1 else 0.0
-    if abs(4.0 * band * window - n) > 0.5 or abs(spacing - 0.5 / band) > 1e-12:
+    if k.stop - k.start != n or abs(spacing - 0.5 / band) > 1e-12:
         raise ValueError(f"matrix fields 'band', 'window' and 'nodes' disagree: "
                          f"band {band} on window {window} needs "
-                         f"4*band*window nodes spaced 1/(2*band), got {n} "
+                         f"{k.stop - k.start} nodes spaced 1/(2*band), got {n} "
                          f"spaced {spacing}")
     if raw.shape != (n, n, 2):
         raise ValueError(f"matrix field 'entries' must hold {n} x {n} [re, im] "

@@ -388,6 +388,22 @@ def test_mod_poly_degree_is_bounded_on_load(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1     # no numpy warnings
 
 
+@pytest.mark.parametrize("degree, mod, code", [(12, 0.25, 1), (8, 0.25, 1),
+                                               (4, 0.25, 0), (1, 2.0, 0)])
+def test_unresolved_mod_poly_matrix_is_refused(tmp_path, capsys, degree, mod,
+                                               code):
+    # a basis narrower than its grid: the band block cancels kernel taps far
+    # larger than itself; at degree 8 the error is 5e-8 of the largest entry
+    sym = tmp_path / "poly.json"
+    sym.write_text(json.dumps({"kind": "mod_poly", "degree": degree, "mod": mod}))
+    assert run("toeplitz", "--symbol", sym, "--basis-window", 16,
+               "--window", 64, "--out", tmp_path / "t.json") == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.startswith(f"input error: mod_poly degree {degree}:")
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_recover_symbol_needs_p_two(files, tmp_path, capsys):
     assert run("recover-symbol", "--matrix", files / "matrix_p3.json",
                "--out", tmp_path / "x.json") == 1

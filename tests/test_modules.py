@@ -1,5 +1,6 @@
-"""Static hygiene of the package modules: every imported name is used and
-every annotation resolves.  Standard library only (ast, typing)."""
+"""Static hygiene of the package modules: every imported name is used, every
+private module-level name is referenced, and every annotation resolves.
+Standard library only (ast, typing)."""
 import ast
 import importlib
 import inspect
@@ -32,6 +33,48 @@ def _unused_imports(tree: ast.Module) -> list:
 def test_no_unused_imports(name):
     tree = ast.parse((SRC / f"{name}.py").read_text())
     assert _unused_imports(tree) == []
+
+
+def _private_definitions(tree: ast.Module) -> list:
+    """Names starting with one underscore that a module binds at top level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _references(tree: ast.Module) -> set:
+    """Names a module reads, reads as attributes, or imports."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_private_names_are_referenced():
+    trees = {name: ast.parse((SRC / f"{name}.py").read_text()) for name in MODULES}
+    refs = set().union(*(_references(tree) for tree in trees.values()))
+    defined = [(name, n) for name, tree in trees.items()
+               for n in _private_definitions(tree)]
+    assert len(defined) > 40
+    assert [f"{name}.{n}" for name, n in defined if n not in refs] == []
+
+
+def test_private_name_detector_flags_a_stray_helper():
+    tree = ast.parse("_LIMIT = 3\n_used = 1\ndef _stale():\n    pass\n"
+                     "def run():\n    return _used\n")
+    assert _private_definitions(tree) == ["_LIMIT", "_used", "_stale"]
+    assert {"_LIMIT", "_stale"}.isdisjoint(_references(tree))
+    assert "_used" in _references(tree)
 
 
 def _functions(module):

@@ -8,11 +8,11 @@ from pwlab.grid import SampledFunction, inner
 from pwlab.pwspace import default_grid, project_band, sinc_kernel
 from pwlab.symbols import (bump_spectrum_symbol, gaussian_symbol,
                            mod_poly_symbol, sampled_symbol, samples)
-from pwlab.toeplitz import (NyquistBasis, OperatorMatrix, hankel_apply,
-                            identity_matrix, identity_residuals,
-                            matrix_from_dict, matrix_pnorm, matrix_to_dict,
-                            operator_norm_certified, toeplitz_apply,
-                            toeplitz_matrix)
+from pwlab.toeplitz import (NyquistBasis, OperatorMatrix, _mod_poly_kernel,
+                            assemble_matrix, hankel_apply, identity_matrix,
+                            identity_residuals, matrix_from_dict, matrix_pnorm,
+                            matrix_to_dict, operator_norm_certified,
+                            toeplitz_apply, toeplitz_matrix)
 
 A = 1.0
 
@@ -61,6 +61,40 @@ def _apply_route(sym, grid):
 
 def _matrix_route(sym, grid):
     return toeplitz_matrix(sym, A, 2.0, 8.0, grid)
+
+
+# the stencil loop the lattice kernel replaced: the shift, then the 5-point
+# (i/2 pi) d/dxi once per degree, each as a sum of rolls
+_LOOP_STENCILS = {1: ((25 / 12, -4.0, 3.0, -4 / 3, 1 / 4), (0, -1, -2, -3, -4)),
+                  -1: ((-25 / 12, 4.0, -3.0, 4 / 3, -1 / 4), (0, 1, 2, 3, 4)),
+                  0: ((1 / 12, -2 / 3, 2 / 3, -1 / 12), (-2, -1, 1, 2))}
+
+
+def _stencil_loop_kernel(params, grid):
+    dxi = grid.freq_step
+    vals = np.roll((np.arange(grid.count) == 0).astype(complex),
+                   int(round(params["mod"] / dxi)))
+    coefs, offs = _LOOP_STENCILS[int(np.sign(params["mod"]))]
+    for _ in range(params["degree"]):
+        vals = (1j / (2 * np.pi)) * sum(c * np.roll(vals, -o)
+                                        for c, o in zip(coefs, offs)) / dxi
+    return params["amp"] * vals
+
+
+# the basis spans its grid; on the 64-point window-2 grid the power's 81 and
+# 129 taps wrap around the lattice
+@pytest.mark.parametrize("degree, mod, window", [
+    (degree, mod, 8.0) for degree in range(6)
+    for mod in (-1.0, -0.25, 0.0, 0.5, 2.0 * A)] + [(20, 0.5, 2.0), (32, 0.0, 2.0)])
+def test_mod_poly_kernel_matches_stencil_loop(degree, mod, window):
+    grid = default_grid(A, window)
+    params = {"degree": degree, "mod": mod, "amp": 0.7}
+    kernel, ref = _mod_poly_kernel(params, grid), _stencil_loop_kernel(params, grid)
+    assert np.max(np.abs(kernel - ref)) <= 1e-12 * np.max(np.abs(ref))
+    M = toeplitz_matrix(mod_poly_symbol(degree, mod, 0.7), A, 2.0, window, grid)
+    R = assemble_matrix(ref, A, 2.0, window, grid).entries
+    # at mod 2a the band block holds no tap: both are exactly zero
+    assert np.linalg.norm(M.entries - R, 2) <= 1e-12 * np.linalg.norm(R, 2)
 
 
 def test_mod_poly_needs_lattice_modulation(grid):
@@ -205,6 +239,20 @@ def test_matrix_from_dict_names_missing_field():
     with pytest.raises(ValueError, match="entries"):
         matrix_from_dict({"band": 1.0, "p": 2.0,
                           "basis": {"window": 8.0, "nodes": [0.0]}})
+
+
+@pytest.mark.parametrize("count, accepted", [(8, True), (9, False)])
+def test_matrix_from_dict_counts_nodes_as_the_basis_does(count, accepted):
+    # 4 band window = 8.5: NyquistBasis holds round(8.5) = 8 nodes
+    nodes = (np.arange(count) - count // 2) / 2.0
+    d = {"band": 1.0, "p": 2.0, "basis": {"window": 2.125, "nodes": nodes},
+         "entries": np.zeros((count, count, 2))}
+    if accepted:
+        basis = NyquistBasis(1.0, 2.125, default_grid(1.0, 2.125))
+        assert matrix_from_dict(d).size == basis.size
+    else:
+        with pytest.raises(ValueError, match="needs 8 nodes"):
+            matrix_from_dict(d)
 
 
 def test_hankel_apply_produces_antianalytic_output(grid):
