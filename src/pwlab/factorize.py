@@ -120,7 +120,7 @@ class Factorization:
 def _as_banded(h, name: str) -> BandlimitedFunction:
     if not isinstance(h, BandlimitedFunction):
         raise TypeError(f"{name} must be a BandlimitedFunction carrying its "
-                        "certified band (use project_band / make_bandlimited)")
+                        "certified band (use project_band)")
     return h
 
 

@@ -89,8 +89,8 @@ class SampledFunction:
     """Complex samples attached to a grid: one function, shape (count,), or a
     stack of k functions on the same grid, shape (k, count), with the grid on
     the last axis.  Transforms and filters act row by row; `evaluate_offgrid`
-    and the reductions (`lp_norm`, `inner`, `energy_fraction`,
-    `quad_integral`) take one function."""
+    and the reductions (`lp_norm`, `inner`, `energy_fraction`) take one
+    function."""
 
     grid: Grid
     values: np.ndarray
@@ -170,11 +170,6 @@ def energy_fraction(spec: SampledFunction, mask: np.ndarray) -> float:
     power = np.abs(spec.values) ** 2
     total = float(np.sum(power))
     return float(np.sum(power[mask])) / total if total > 0.0 else 0.0
-
-
-def quad_integral(f: SampledFunction) -> complex:
-    """Rectangle-rule integral, step * sum."""
-    return f.grid.step * np.sum(f.values)
 
 
 def lp_norm(f: SampledFunction, p: float) -> float:

@@ -9,6 +9,12 @@ top singular value a.e. and whose negative moments reproduce the data.  The
 quotient is a closed form, so pulling back to the line is pointwise
 evaluation, not interpolation.
 
+Only sigma0, sigma1 and the top pair of the section are read: `_top_pairs`
+finds them by Lanczos bidiagonalization, stopped once the top Ritz pair's
+residual is below 1e-15 of sigma0, not by a full SVD.  The lattice Hankel-norm
+estimate is computed on first read of `NehariResult.hankel_norm`, which the
+bounded-symbol pipeline never reads.
+
 The bounded-symbol pipeline splits a symbol into spectral parts, replaces
 each one-sided part by its minimal-norm Hankel completion (the left part via
 reflection, which swaps the roles of analytic and anti-analytic), and
@@ -21,6 +27,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -142,10 +149,50 @@ class AAKSolution:
         return _nearest_fill(raw, bad)
 
 
-def _zero_solution(M: int) -> AAKSolution:
+def _zero_solution(M: int, sigma0: float = 0.0) -> AAKSolution:
     e0 = np.zeros(M, dtype=complex)
     e0[0] = 1.0
-    return AAKSolution(0.0, e0, np.zeros(M, dtype=complex), M, 0.0)
+    return AAKSolution(sigma0, e0, np.zeros(M, dtype=complex), M, 0.0)
+
+
+def _top_pairs(A: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """sigma0, sigma1 and the top pair (u, v), A v = sigma0 u, of a square A.
+
+    Golub-Kahan-Lanczos bidiagonalization A V_k = U_k B_k (Golub & Kahan 1965;
+    Golub & Van Loan ch. 10) from a seeded start, each vector orthogonalized
+    twice against all earlier ones.  Every 4 steps B_k = P S Q* is decomposed;
+    the top Ritz pair (U_k p, V_k q) has residual A* U_k p - s V_k q =
+    beta_k p[-1] v_(k+1), so the iteration stops once beta_k |p[-1]| <= 1e-15 s
+    (at k = n the factorization is exact).  One start sees one vector of an
+    exactly repeated value unless rounding or a closed subspace brings in
+    another, so sigma1 may then read the next distinct value.
+    """
+    n = A.shape[0]
+    rng = np.random.default_rng(0)
+    U, V = np.zeros((2, n, n), dtype=complex)        # basis vectors as rows
+    alpha, beta = np.zeros((2, n))
+
+    def extend(Q: np.ndarray, k: int, x: np.ndarray) -> float:
+        """Store x, orthogonalized against Q[:k] and normalized, as Q[k]."""
+        for _ in range(2):
+            x = x - np.conj(Q[:k] @ np.conj(x)) @ Q[:k]
+        norm = float(np.linalg.norm(x))
+        if norm == 0.0:        # an invariant subspace: go on from a fresh direction
+            extend(Q, k, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        else:
+            Q[k] = x / norm
+        return norm
+
+    extend(V, 0, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    for k in range(n):      # orthogonalizing removes beta u_(k-1), alpha v_k below
+        alpha[k] = extend(U, k, A @ V[k])
+        if k + 1 < n:                                # A* u = conj(conj(u) A)
+            beta[k] = extend(V, k + 1, np.conj(np.conj(U[k]) @ A))
+        if (k + 1) % 4 == 0 or k + 1 == n:
+            p, s, qh = np.linalg.svd(np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1))
+            if beta[k] * abs(p[k, 0]) <= 1e-15 * s[0] or k + 1 == n:
+                return (float(s[0]), float(s[1]) if k else 0.0,
+                        p[:, 0] @ U[:k + 1], np.conj(qh[0]) @ V[:k + 1])
 
 
 def aak_solve(hd: HankelData, floor: float = 1e-13) -> AAKSolution:
@@ -157,28 +204,22 @@ def aak_solve(hd: HankelData, floor: float = 1e-13) -> AAKSolution:
     in 1/z whose infinite Hankel matrix the section captures in full).  A
     nearly degenerate top singular value makes the completion non-unique; the
     section is then enlarged by one (a zero pad, the operator is unchanged)
-    and one valid pair is returned with a warning.
+    and one valid pair is returned with a warning.  sigma0, sigma1 and the
+    pair come from `_top_pairs`, for the padded re-solve too.
     """
     M = hd.truncation
     peak = float(np.max(np.abs(hd.disk_coeffs)))
     if peak == 0.0:
         return _zero_solution(M)
     gamma = hd.hankel_matrix
-    u, s, vh = np.linalg.svd(gamma)
-    if s[0] <= floor * max(1.0, peak):
-        sol = _zero_solution(M)
-        sol.sigma0 = float(s[0])
-        return sol
-    if len(s) > 1 and s[1] > s[0] * (1.0 - 1e-10):
+    sigma0, sigma1, w, v = _top_pairs(gamma)
+    if sigma0 <= floor * max(1.0, peak):
+        return _zero_solution(M, sigma0)
+    if sigma1 > sigma0 * (1.0 - 1e-10):
         warnings.warn("top singular value is (nearly) degenerate; the "
                       "minimal completion is not unique, returning one "
                       "valid choice", stacklevel=2)
-        padded = np.zeros((M + 1, M + 1), dtype=complex)
-        padded[:M, :M] = gamma
-        u, s, vh = np.linalg.svd(padded)
-    sigma0 = float(s[0])
-    v = np.conj(vh[0])
-    w = u[:, 0]
+        sigma0, _, w, v = _top_pairs(np.pad(gamma, (0, 1)))
 
     thetas, _ = _circle_nodes(_circle_size(M))
     sol = AAKSolution(sigma0, v, w, M, 0.0)
@@ -224,13 +265,18 @@ class NehariResult:
     psi: SampledFunction          # minimal-sup completion, pulled back pointwise
     psi_matched: SampledFunction  # psi plus the residual co-analytic lattice content
     sigma0: float
-    hankel_norm: float
     moment_residual: float
     sup_norm: float               # sup |psi| (the minimal variant)
     correction_sup: float         # sup of the matched-variant correction term
     tail_ratio: float
     truncation: int
     solution: AAKSolution
+    symbol_samples: SampledFunction   # b on the grid
+
+    @cached_property
+    def hankel_norm(self) -> float:
+        """`hankel_norm_estimate` of the symbol samples, computed on first read."""
+        return hankel_norm_estimate(self.symbol_samples)
 
 
 def nehari_solve(b: SymbolSpec, a: float, p: float = 2.0,
@@ -266,50 +312,12 @@ def nehari_solve(b: SymbolSpec, a: float, p: float = 2.0,
     psi = SampledFunction(grid, sol.eval_disk(cayley(grid.points)))
     corr = project_halfline(SampledFunction(grid, bs.values - psi.values), -1)
     matched = SampledFunction(grid, psi.values + corr.values)
-    hnorm = hankel_norm_estimate(bs)
     sup = lp_norm(psi, np.inf)
     if sol.sigma0 > 0.0 and sup > (1.0 + tol_aak) * sol.sigma0:
         warnings.warn(f"sup norm {sup:.4e} exceeds (1+tol)*sigma0 "
                       f"{(1 + tol_aak) * sol.sigma0:.4e}", stacklevel=2)
-    return NehariResult(psi, matched, sol.sigma0, hnorm, sol.moment_residual,
-                        sup, lp_norm(corr, np.inf), hd.tail_ratio, M, sol)
-
-
-def absorption_residual(psi_r: SampledFunction, a: float,
-                        f: SampledFunction) -> float:
-    """Relative defect of P_+[psi_r theta^2 f] = psi_r theta^2 f.
-
-    For a completion whose co-analytic content sits in [-2a, 0), the product
-    with theta^2 and an analytic band function has no genuine content below
-    zero: whatever negative-frequency mass exists is either a Hankel defect
-    (it lands in [-3a, 0), since the factors shift spectra by at most 3a) or
-    periodic-lattice wrap from near the Nyquist edge (it lands far below).
-    The certificate therefore reads the spectral mass in [-3a, 0) only, which
-    is exactly the continuum statement on a wrap-free lattice.
-    """
-    grid = psi_r.grid
-    theta2 = np.exp(4j * np.pi * a * grid.points)
-    spec = fft_spectrum(SampledFunction(grid, psi_r.values * theta2 * f.values))
-    xi = spec.grid.points
-    return float(np.sqrt(energy_fraction(spec, (xi >= -3.0 * a) & (xi < 0.0))))
-
-
-def hankel_pairing_residual(b, result: NehariResult, orders: int = 64,
-                            nodes: int = 8192) -> float:
-    """Largest pairing defect |<(psi - b) f_j, g_k>| over canonical probes.
-
-    The probes are the unit-norm transfers of the circle monomials,
-    f_j = pi^(-1/2) (x+i)^(-1) omega(x)^j on the analytic side and
-    g_k = pi^(-1/2) (x+i)^(-1) conj(omega(x))^k on the co-analytic side.
-    Substituting x = -cot(theta/2) collapses the pairing integral to a single
-    Fourier coefficient of (psi - b) along the circle parameter, evaluated
-    here by midpoint quadrature; both factors are closed forms, so no window
-    truncation enters.  Probe orders j + k run over 1..orders.
-    """
-    thetas, x = _circle_nodes(nodes)
-    vb = np.asarray(b(x) if callable(b) else point_values(b, x), dtype=complex)
-    vp = result.solution.eval_disk(np.exp(1j * thetas))
-    return float(np.max(np.abs(_circle_coeffs(vp - vb, -np.arange(1, orders + 1)))))
+    return NehariResult(psi, matched, sol.sigma0, sol.moment_residual, sup,
+                        lp_norm(corr, np.inf), hd.tail_ratio, M, sol, bs)
 
 
 # -- bounded-symbol pipeline ---------------------------------------------------
@@ -366,8 +374,15 @@ def bounded_symbol(sym: SymbolSpec, a: float, M: int = DEFAULT_TRUNCATION,
     Nothing here depends on p (the matrices' entries do not): both operators
     are assembled once in the shifted-sinc coordinates and `certificate(p)`
     reads their norms.  T_phi vanishes when its 2-norm is below 1e-8 of the
-    symbol's sup (at least 1); psi is then zero.
+    symbol's sup (at least 1); psi is then zero.  A mod_poly symbol of degree
+    n >= 1 with |mod| < 2a is refused before anything is built: in frequency
+    it is an n-th derivative the band does not tame, so T_phi is unbounded.
     """
+    P = sym.params
+    if sym.kind == "mod_poly" and P["degree"] >= 1 and abs(P["mod"]) < 2.0 * a \
+            and P["amp"] != 0.0:
+        raise ValueError(f"mod_poly degree {P['degree']} with mod {P['mod']}: "
+                         f"T_phi is unbounded for degree >= 1 and |mod| < 2a = {2.0 * a}")
     if grid is None:
         grid = default_grid(a)
     x = grid.points

@@ -97,14 +97,6 @@ def project_band(f: SampledFunction, a: float, p: float = 2.0) -> BandlimitedFun
     return BandlimitedFunction(filter_spectrum(f, mask), a, p)
 
 
-def make_bandlimited(f: SampledFunction, a: float, p: float = 2.0,
-                     tol: float = 1e-8) -> BandlimitedFunction:
-    r = band_residual(f, a)
-    if r > tol:
-        raise ValueError(f"band residual {r:.3e} exceeds tolerance {tol:.1e}")
-    return BandlimitedFunction(f, a, p)
-
-
 def project_halfline(f: SampledFunction, sign: int = +1) -> SampledFunction:
     """Riesz projection: keep frequencies xi >= 0 (sign=+1) or xi < 0 (sign=-1)."""
     nonneg = np.arange(f.grid.count) >= f.grid.count // 2

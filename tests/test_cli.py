@@ -404,6 +404,22 @@ def test_unresolved_mod_poly_matrix_is_refused(tmp_path, capsys, degree, mod,
         assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("degree, mod, code", [(1, 0.25, 1), (3, -1.5, 1),
+                                               (1, 2.0, 0), (0, 0.25, 0)])
+def test_unbounded_mod_poly_is_refused_by_bounded_symbol(tmp_path, capsys,
+                                                         degree, mod, code):
+    # degree >= 1 with |mod| < 2a is unbounded; mod = 2a is the zero operator
+    sym = tmp_path / "poly.json"
+    sym.write_text(json.dumps({"kind": "mod_poly", "degree": degree, "mod": mod}))
+    out = tmp_path / "b.json"
+    assert run("bounded-symbol", "--symbol", sym, "--out", out) == code
+    err = capsys.readouterr().err
+    assert out.exists() == (code == 0)
+    if code:
+        assert err.startswith(f"input error: mod_poly degree {degree} with mod {mod}:")
+        assert len(err.strip().splitlines()) == 1
+
+
 def test_recover_symbol_needs_p_two(files, tmp_path, capsys):
     assert run("recover-symbol", "--matrix", files / "matrix_p3.json",
                "--out", tmp_path / "x.json") == 1

