@@ -10,10 +10,9 @@ quotient is a closed form, so pulling back to the line is pointwise
 evaluation, not interpolation.
 
 Only sigma0, sigma1 and the top pair of the section are read: `_top_pairs`
-finds them by Lanczos bidiagonalization, stopped once the top Ritz pair's
-residual is below 1e-15 of sigma0, not by a full SVD.  The lattice Hankel-norm
-estimate is computed on first read of `NehariResult.hankel_norm`, which the
-bounded-symbol pipeline never reads.
+finds them by Lanczos, not a full SVD, stopped once the top two Ritz pairs'
+residuals are below 1e-15 and 1e-11 of sigma0.  `NehariResult.hankel_norm`
+is computed on first read; the bounded-symbol pipeline never reads it.
 
 The bounded-symbol pipeline splits a symbol into spectral parts, replaces
 each one-sided part by its minimal-norm Hankel completion (the left part via
@@ -160,12 +159,13 @@ def _top_pairs(A: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
 
     Golub-Kahan-Lanczos bidiagonalization A V_k = U_k B_k (Golub & Kahan 1965;
     Golub & Van Loan ch. 10) from a seeded start, each vector orthogonalized
-    twice against all earlier ones.  Every 4 steps B_k = P S Q* is decomposed;
-    the top Ritz pair (U_k p, V_k q) has residual A* U_k p - s V_k q =
-    beta_k p[-1] v_(k+1), so the iteration stops once beta_k |p[-1]| <= 1e-15 s
-    (at k = n the factorization is exact).  One start sees one vector of an
-    exactly repeated value unless rounding or a closed subspace brings in
-    another, so sigma1 may then read the next distinct value.
+    twice against all earlier ones.  B_k = P S Q* is decomposed every 4 steps
+    to k = 32, then every k/8 to k/4 steps (about 3 decompositions of size n
+    if the run reaches k = n, where it is exact).  Ritz pair j has residual
+    beta_k |p_j[-1]|; the run stops once pair 0's is <= 1e-15 s_0 and pair
+    1's <= 1e-11 s_0.  Ritz values interlace from below, and a tied value's
+    second vector enters only by rounding, so without pair 1's test sigma1
+    could read the next distinct value.
     """
     n = A.shape[0]
     rng = np.random.default_rng(0)
@@ -188,9 +188,10 @@ def _top_pairs(A: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
         alpha[k] = extend(U, k, A @ V[k])
         if k + 1 < n:                                # A* u = conj(conj(u) A)
             beta[k] = extend(V, k + 1, np.conj(np.conj(U[k]) @ A))
-        if (k + 1) % 4 == 0 or k + 1 == n:
+        if (k + 1) % max(4, 2 ** ((k + 1).bit_length() - 3)) == 0 or k + 1 == n:
             p, s, qh = np.linalg.svd(np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1))
-            if beta[k] * abs(p[k, 0]) <= 1e-15 * s[0] or k + 1 == n:
+            res = beta[k] * np.abs(p[k, :2])            # the top two Ritz pairs
+            if res[0] <= 1e-15 * s[0] and res[-1] <= 1e-11 * s[0] or k + 1 == n:
                 return (float(s[0]), float(s[1]) if k else 0.0,
                         p[:, 0] @ U[:k + 1], np.conj(qh[0]) @ V[:k + 1])
 
@@ -205,7 +206,8 @@ def aak_solve(hd: HankelData, floor: float = 1e-13) -> AAKSolution:
     nearly degenerate top singular value makes the completion non-unique; the
     section is then enlarged by one (a zero pad, the operator is unchanged)
     and one valid pair is returned with a warning.  sigma0, sigma1 and the
-    pair come from `_top_pairs`, for the padded re-solve too.
+    pair come from `_top_pairs` (Lanczos, stopped once the top pair's residual
+    is <= 1e-15 sigma0 and sigma1's <= 1e-11 sigma0), for the re-solve too.
     """
     M = hd.truncation
     peak = float(np.max(np.abs(hd.disk_coeffs)))
@@ -379,13 +381,11 @@ def bounded_symbol(sym: SymbolSpec, a: float, M: int = DEFAULT_TRUNCATION,
     it is an n-th derivative the band does not tame, so T_phi is unbounded.
     """
     P = sym.params
-    if sym.kind == "mod_poly" and P["degree"] >= 1 and abs(P["mod"]) < 2.0 * a \
-            and P["amp"] != 0.0:
+    if sym.kind == "mod_poly" and P["amp"] and P["degree"] >= 1 and abs(P["mod"]) < 2 * a:
         raise ValueError(f"mod_poly degree {P['degree']} with mod {P['mod']}: "
                          f"T_phi is unbounded for degree >= 1 and |mod| < 2a = {2.0 * a}")
     if grid is None:
         grid = default_grid(a)
-    x = grid.points
     zero = SampledFunction(grid, np.zeros(grid.count, dtype=complex))
 
     m_phi = _stage("assemble", lambda: toeplitz_matrix(sym, a, 2.0, window, grid))
@@ -394,7 +394,7 @@ def bounded_symbol(sym: SymbolSpec, a: float, M: int = DEFAULT_TRUNCATION,
         return BoundedSymbol(zero, 0.0, 0.0, 0.0, m_phi, None)
 
     parts = _stage("split", lambda: split_symbol(sym, a, grid))
-    theta2 = np.exp(4j * np.pi * a * x)
+    theta2 = np.exp(4j * np.pi * a * grid.points)
     norm2 = lp_norm(samples(sym, grid), 2.0)
 
     def one_side(part: SampledFunction, label: str) -> tuple:
@@ -412,9 +412,8 @@ def bounded_symbol(sym: SymbolSpec, a: float, M: int = DEFAULT_TRUNCATION,
     psi_l_ref, sig_l = one_side(reflect(parts.part_l), "nehari(left,reflected)")
     psi_l = reflect(psi_l_ref)
 
-    psi_vals = (np.conj(theta2) * psi_l.values + parts.part_c.values
-                + theta2 * psi_r.values)
-    psi = SampledFunction(grid, psi_vals)
+    psi = SampledFunction(grid, np.conj(theta2) * psi_l.values + parts.part_c.values
+                          + theta2 * psi_r.values)
 
     m_psi = _stage("certify",
                    lambda: toeplitz_matrix(sampled_symbol(psi), a, 2.0, window, grid))

@@ -291,6 +291,32 @@ def test_degenerate_section_warns(coeffs):
     assert sol.sigma0 == approx(1.0, rel=1e-12)
 
 
+def _tied_matrix(gap: float, n: int = 256) -> np.ndarray:
+    """U diag(1, 1 - gap, 254 values drawn from [1e-3, 0.95]) V*, U and V
+    seeded random unitaries: a full-rank section-sized matrix whose Krylov
+    space does not close before n steps."""
+    rng = np.random.default_rng(101)
+    tail = np.sort(rng.uniform(1e-3, 0.95, n - 2))[::-1]
+    U, V = (np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+            for _ in range(2))
+    return U @ np.diag(np.r_[1.0, 1.0 - gap, tail]) @ np.conj(V.T)
+
+
+@pytest.mark.parametrize("gap", [1e-11, 0.0], ids=["near-tie", "exact-tie"])
+def test_high_rank_tie_is_resolved_and_warns(gap):
+    # stopping on the top pair alone reads sigma1 = 0.947 at 56 steps for the
+    # exact tie; the second Ritz pair's residual holds the iteration until
+    # the tied vector has entered by rounding
+    gamma = _tied_matrix(gap)
+    s0, s1, _, _ = _svd_reference(gamma)
+    got0, got1, _, _ = _top_pairs(gamma)
+    assert abs(got0 - s0) <= 1e-12 * s0 and abs(got1 - s1) <= 1e-12 * s0
+    disk = np.zeros(2 * 256 + 1, dtype=complex)
+    disk[0] = 1.0
+    with pytest.warns(UserWarning, match="degenerate"):
+        aak_solve(HankelData(disk, 256, gamma, 0.0))
+
+
 def test_zero_and_below_floor_sections_give_zero_solution():
     zero = aak_solve(_section({}))
     assert zero.sigma0 == 0.0 and zero.moment_residual == 0.0
