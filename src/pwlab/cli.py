@@ -115,26 +115,32 @@ def _tols(args) -> dict:
     return tols
 
 
-def _grid(args, window_flag: str = "window"):
+def _grid(args, window_flag: str = "window", basis: bool = False):
     """The flags' grid.  A half-width that is not a whole number of steps is
-    refused, naming the band if it would be one at band 1, else window_flag."""
-    steps = 2.0 * args.band * args.oversample * args.window
-    if abs(steps - round(steps)) > 1e-9:
-        unit = 2.0 * args.oversample * args.window
-        name = "band" if abs(unit - round(unit)) <= 1e-9 else window_flag
-        raise InputError(f"{name}: the grid half-width {args.window} is "
-                         f"{steps:g} grid steps, not a whole number")
+    refused, and for a Nyquist basis also one that puts a fractional number of
+    bins in the band, naming the band if the number would be whole at band 1,
+    else window_flag."""
+    units = [(2.0 * args.oversample * args.window, "is {:g} grid steps")]
+    if basis:
+        units.append((4.0 * args.window, "puts {:g} bins in the band"))
+    for unit, what in units:
+        count = args.band * unit
+        if abs(count - round(count)) > 1e-9:
+            name = "band" if abs(unit - round(unit)) <= 1e-9 else window_flag
+            raise InputError(f"{name}: the grid half-width {args.window} "
+                             f"{what.format(count)}, not a whole number")
     return default_grid(args.band, args.window, args.oversample)
 
 
 def _check_basis_window(args) -> None:
     """The Nyquist basis of --basis-window needs at least 8 nodes and a grid
-    (--window) that spans it and its first node; checked before sizing."""
+    (--window) that spans it, and with it every node (see `_grid`); checked
+    before sizing."""
     k = nyquist_indices(args.band, args.basis_window)
     if k.stop - k.start < 8:          # len() overflows past sys.maxsize
         raise InputError(f"basis-window: {args.basis_window} holds {len(k)} "
                          f"basis nodes at band {args.band}, fewer than 8")
-    if max(args.basis_window, -k.start / (2.0 * args.band)) > args.window + 1e-9:
+    if args.basis_window > args.window + 1e-9:
         raise InputError(f"window: the grid half-width {args.window} does not "
                          f"hold the basis window {args.basis_window}")
 
@@ -225,7 +231,7 @@ def cmd_toeplitz(args) -> int:
     flag = "window"
     if args.window is None:
         args.window, flag = args.basis_window, "basis-window"
-    grid = _grid(args, flag)
+    grid = _grid(args, flag, basis=True)
     _check_basis_window(args)
     sym = _load_symbol(args.symbol)
     T = toeplitz_matrix(sym, args.band, args.p, args.basis_window, grid)
@@ -266,9 +272,10 @@ def cmd_split(args) -> int:
 
 def cmd_bounded_symbol(args) -> int:
     tol = _tols(args)["operator_residual"]
+    grid = _grid(args, basis=True)
     _check_basis_window(args)
     sym = _load_symbol(args.symbol)
-    res = bounded_symbol(sym, args.band, M=args.truncation, grid=_grid(args),
+    res = bounded_symbol(sym, args.band, M=args.truncation, grid=grid,
                          window=args.basis_window)
     cert = res.certificate(args.p)
     ok = cert["operator_residual"] <= tol

@@ -29,8 +29,7 @@ import numpy as np
 
 from .grid import (Grid, SampledFunction, fft_spectrum, inner,
                    inverse_spectrum, lp_norm)
-from .pwspace import (BandlimitedFunction, band_mask, band_residual,
-                      default_grid)
+from .pwspace import BandlimitedFunction, band_residual, default_grid
 from .symbols import sampled_symbol
 from .toeplitz import NyquistBasis, OperatorMatrix, assemble_matrix, toeplitz_matrix
 
@@ -99,10 +98,8 @@ def build_frame(a: float, p: float = 2.0, grid: Grid | None = None) -> Conformal
     _, r = blaschke_params(grid.freq_step)
 
     fg = grid.freq_grid()
-    mask = band_mask(fg.points, a)
-    idx = np.where(mask)[0]
     profile = np.zeros(fg.count, dtype=complex)
-    profile[idx] = math.exp(-4.0 * np.pi * a) * r ** (-np.arange(len(idx), dtype=float))
+    profile[basis.band] = math.exp(-4.0 * np.pi * a) * r ** (-np.arange(basis.bins, dtype=float))
     kernel = inverse_spectrum(SampledFunction(fg, profile), start=grid.start)
 
     alpha = 1.0 / lp_norm(kernel, 2.0) ** 2

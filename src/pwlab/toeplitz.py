@@ -20,9 +20,13 @@ Matrix assembly
 
 The Nyquist basis vectors are band-limited, so an operator acting on spectra
 as a lattice convolution, out_j = sum_l K(j - l) in_l, is fully described by
-the Toeplitz block of K on the band bins: its matrix is (dxi/2a) E^T Toep(K)
+the Toeplitz block of K on the m band bins: its matrix is (dxi/2a) E^T Toep(K)
 conj(E), with E = exp(2 pi i xi_j t_k) the band-bin x node phases, and equals
-the column route (synthesize e_k, apply, read the nodes) up to rounding.
+the column route (synthesize e_k, apply, read the nodes) up to rounding.  As
+m = 2a/dxi, the bins xi_j = (b0 + j) dxi and nodes t_k = k/(2a) give
+E[j, k] = d_k exp(2 pi i j (k mod m)/m) with d_k = exp(2 pi i b0 k/m): E is a
+block of the m-point DFT, dxi/2a = 1/m, and the matrix is d_k conj(d_k') times
+the (k mod m, k' mod m) entries of fft(ifft(Toep(K), axis=0), axis=1).
 """
 
 from __future__ import annotations
@@ -128,7 +132,12 @@ def nyquist_indices(a: float, window: float) -> range:
 @dataclass
 class NyquistBasis:
     """Shifted-sinc coordinate system e_k = sinc_a(. - t_k)/sqrt(2a) for the
-    band [-a, a), nodes t_k = k/(2a) covering [-window, window)."""
+    band [-a, a), nodes t_k = k/(2a) covering [-window, window).  Its band
+    phases are the m-point DFT (see Matrix assembly) on a grid that holds every
+    node and puts m = count/stride whole bins in the band (stride grid steps per
+    node): `bins` = m from `first_bin` = b0, at `band` in natural order, and
+    node k at `residues` k mod m with `phase` d_k.  The basis refuses any
+    other grid."""
 
     a: float
     window: float
@@ -140,13 +149,23 @@ class NyquistBasis:
             raise ValueError("window too small: fewer than 8 basis functions")
         self._k = np.arange(k.start, k.stop)
         self.nodes = self._k / (2.0 * self.a)
-        # every node must sit on the sampling grid so coefficients are exact reads
         ratio = 1.0 / (2.0 * self.a * self.grid.step)
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("grid step does not subdivide the Nyquist spacing")
         self._stride = int(round(ratio))
+        band = np.flatnonzero(band_mask(self.grid.freq_grid().points, self.a))
+        if len(band) * self._stride != self.grid.count:
+            raise ValueError(f"grid count {self.grid.count} is not a multiple of "
+                             f"the {self._stride} grid steps per basis node: the "
+                             f"band holds a fractional number of bins")
+        self.bins, self.band = len(band), slice(int(band[0]), int(band[-1]) + 1)
+        self.first_bin = self.band.start - self.grid.count // 2
+        self.residues = self._k % self.bins
+        self.phase = lattice_phase(self.first_bin, self._k, self.bins)
+        # every node must sit on the sampling grid so coefficients are exact
+        # reads; the first and last on it give size <= bins: distinct k mod m
         self._base = self.grid.index_of(self.nodes[0])
-        self._band = np.flatnonzero(band_mask(self.grid.freq_grid().points, self.a))
+        self.grid.index_of(self.nodes[-1])
 
     @property
     def size(self) -> int:
@@ -154,13 +173,6 @@ class NyquistBasis:
 
     def node_indices(self) -> np.ndarray:
         return self._base + self._stride * np.arange(self.size)
-
-    def phases(self) -> np.ndarray:
-        """E[j, k] = exp(2 pi i xi_j t_k) over band bins j and nodes k; the
-        argument bin_j * k * stride / n is reduced mod n in integers."""
-        n = self.grid.count
-        bins = self._band - n // 2
-        return lattice_phase(bins[:, None], self._k * self._stride, n)
 
     def vector(self, k: int) -> BandlimitedFunction:
         """Basis vector synthesized exactly on the lattice (periodized sinc),
@@ -174,10 +186,13 @@ class NyquistBasis:
         return f.values[self.node_indices()] / math.sqrt(2.0 * self.a)
 
     def synthesize(self, coeffs: np.ndarray) -> SampledFunction:
+        """sum_k c_k e_k: the band is the m-point fft of c_k conj(d_k) at k mod m."""
+        placed = np.zeros(self.bins, dtype=complex)
+        placed[self.residues] = (np.asarray(coeffs) * np.conj(self.phase)
+                                 / math.sqrt(2.0 * self.a))
         fg = self.grid.freq_grid()
         spec = np.zeros(fg.count, dtype=complex)
-        spec[self._band] = np.conj(self.phases()) @ (np.asarray(coeffs)
-                                                      / math.sqrt(2.0 * self.a))
+        spec[self.band] = np.fft.fft(placed)
         return inverse_spectrum(SampledFunction(fg, spec), start=self.grid.start)
 
 
@@ -215,14 +230,15 @@ class OperatorMatrix:
 def assemble_matrix(kernel: np.ndarray, a: float, p: float, window: float,
                     grid: Grid) -> OperatorMatrix:
     """Nyquist-basis matrix of the lattice convolution out_j = sum_l K(j - l) in_l,
-    given kernel[d mod n] = K(d): (dxi/2a) E^T Toep(K) conj(E) on the band bins."""
+    given kernel[d mod n] = K(d): the 2-D m-point FFT of its band block."""
     basis = NyquistBasis(a, window, grid)
-    E = basis.phases()
-    m = E.shape[0]
+    m = basis.bins
     kv = kernel[np.arange(1 - m, m) % grid.count]
     toep = sliding_window_view(kv, m)[:, ::-1]      # toep[j, l] = K(j - l)
-    entries = (grid.freq_step / (2.0 * a)) * (E.T @ (toep @ np.conj(E)))
-    return OperatorMatrix(entries, a, p, window, basis.nodes, grid)
+    r, d = basis.residues, basis.phase
+    block = np.fft.fft(np.fft.ifft(toep, axis=0)[r], axis=1)[:, r]
+    return OperatorMatrix(d[:, None] * block * np.conj(d), a, p, window,
+                          basis.nodes, grid)
 
 
 def toeplitz_matrix(sym: SymbolSpec, a: float, p: float, window: float = 32.0,
@@ -240,7 +256,7 @@ def toeplitz_matrix(sym: SymbolSpec, a: float, p: float, window: float = 32.0,
     M = assemble_matrix(kernel, a, p, window, grid)
     # an entry sums the taps |d| < m (m band bins) with weights of modulus 1/m;
     # a basis narrower than its grid cancels taps far larger than the entries
-    m = int(np.count_nonzero(band_mask(grid.freq_grid().points, a)))
+    m = NyquistBasis(a, window, grid).bins
     taps = np.abs(kernel[np.arange(1 - m, m) % grid.count])
     if np.finfo(float).eps * np.sum(taps) > 1e-8 * np.max(np.abs(M.entries)):
         raise ValueError(f"mod_poly degree {sym.params['degree']}: float64 cannot resolve "

@@ -1,6 +1,7 @@
 """What the benchmark in perfbench/ relies on: every function its tracer wraps
 still exists, and the call shapes its workloads use still bind.  A change to
 pwlab that breaks either fails here rather than in a benchmark run."""
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -46,6 +47,13 @@ CALL_SHAPES = {
                         ("sym", 1.0, 2.0, 64.0, "grid"), {}),
     "project_band": (pwspace.project_band, ("f", 1.0, 2.0), {}),
     "project_band-no-p": (pwspace.project_band, ("f", 1.0), {}),
+    # the assembly workload's column route and cli_prepare's spoiled matrix
+    "NyquistBasis": (toeplitz.NyquistBasis, (1.0, 64.0, "grid"), {}),
+    "NyquistBasis.vector": (toeplitz.NyquistBasis.vector, ("basis", 3), {}),
+    "NyquistBasis.coefficients": (toeplitz.NyquistBasis.coefficients,
+                                  ("basis", "f"), {}),
+    "OperatorMatrix": (toeplitz.OperatorMatrix,
+                       ("entries", 1.0, 2.0, 64.0, "nodes"), {}),
     "run_all": (verify.run_all, (),
                 {"a": 1.0, "p": 2.0, "seed": 1, "progress": None}),
 }
@@ -58,3 +66,9 @@ def test_workload_call_shape_binds(name):
     if name == "toeplitz_matrix":
         # the tracer keys each assembly by these parameter names
         assert {"sym", "a", "window", "grid"} <= set(bound.arguments)
+
+
+def test_frame_carries_its_basis():
+    # the lambda_ops workload reads its column route's basis as frame.basis
+    fields = {f.name: f.type for f in dataclasses.fields(commutator.ConformalFrame)}
+    assert fields.get("basis") in (toeplitz.NyquistBasis, "NyquistBasis")

@@ -6,7 +6,7 @@ import pytest
 
 from pwlab import jsonio
 from pwlab.cli import TOLERANCES, _tols, build_parser, main
-from pwlab.grid import SampledFunction
+from pwlab.grid import Grid, SampledFunction
 from pwlab.pwspace import default_grid, sinc_kernel
 from pwlab.symbols import gaussian_symbol, sampled_symbol, to_dict
 from pwlab.toeplitz import OperatorMatrix, matrix_to_dict, toeplitz_matrix
@@ -263,8 +263,16 @@ def test_tolerance_must_be_positive_and_finite(files, value, capsys):
     ["toeplitz", "--basis-window", "8.3"],
     ["split", "--window", "10.1"],
     ["toeplitz", "--basis-window", "8", "--band", "0.3"],
-    # a whole-step grid whose left end misses the first basis node, -8
-    ["toeplitz", "--basis-window", "7.9", "--window", "7.9375"]])
+    # a whole-step grid whose left end misses the first basis node, -8: its
+    # band holds 31.75 bins, and every grid with whole band bins holds the node
+    ["toeplitz", "--basis-window", "7.9", "--window", "7.9375"],
+    # whole-step grids whose band holds 256.25, 128.25 and 49.5 bins; 66 would
+    # be whole at band 1
+    ["toeplitz", "--basis-window", "32", "--window", "64.0625"],
+    ["bounded-symbol", "--basis-window", "32", "--window", "64.0625"],
+    ["toeplitz", "--basis-window", "32.0625"],
+    ["toeplitz", "--basis-window", "16", "--window", "16.5", "--band", "0.75"],
+    ["bounded-symbol", "--basis-window", "16", "--window", "16.5", "--band", "0.75"]])
 def test_out_of_range_flag_is_named(files, argv, capsys):
     assert run(*argv, "--symbol", files / "gauss_flat.json") == 1
     err = capsys.readouterr().err
@@ -376,6 +384,20 @@ def test_matrix_on_a_wider_grid_names_window(files, tmp_path, capsys):
         assert run(command, "--matrix", matrix, "--out", tmp_path / "x.json") == 1
         err = capsys.readouterr().err
         assert err.startswith("input error: window:")
+        assert len(err.strip().splitlines()) == 1
+
+
+def test_matrix_on_a_grid_of_fractional_band_bins_is_refused(tmp_path, capsys):
+    # window 16.0625 puts 64.25 bins in the band, so the frame has no basis
+    grid = Grid(-16.0625, 0.0625, 514)
+    nodes = np.arange(-32, 32) / 2.0
+    matrix = tmp_path / "m.json"
+    jsonio.dump_canonical(matrix_to_dict(OperatorMatrix(
+        np.eye(64), 1.0, 2.0, 16.0625, nodes, grid)), matrix)
+    for command in ("commutator-test", "recover-symbol"):
+        assert run(command, "--matrix", matrix, "--out", tmp_path / "x.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("input error: grid count 514") and "fractional" in err
         assert len(err.strip().splitlines()) == 1
 
 

@@ -4,7 +4,7 @@ import pytest
 from pytest import approx
 
 from pwlab.commutator import build_frame, lambda_ops, lattice_omega_apply
-from pwlab.grid import SampledFunction, inner
+from pwlab.grid import Grid, SampledFunction, inner
 from pwlab.pwspace import default_grid, project_band, sinc_kernel
 from pwlab.symbols import (bump_spectrum_symbol, gaussian_symbol,
                            mod_poly_symbol, sampled_symbol, samples)
@@ -109,14 +109,28 @@ def test_resolution_guard_names_the_problem(grid):
             route(bump_spectrum_symbol(6.0, 7.5, seed=1), grid)
 
 
-def _symbol_case(make, window=8.0):
+def _symbol_case(make, window=8.0, a=A, grid_args=None):
+    """On the window-64 grid, or on default_grid(a, *grid_args) when given."""
     def build(grid):
-        if window != 8.0:
+        if grid_args is not None:
+            grid = default_grid(a, *grid_args)
+        elif window != 8.0:
             grid = default_grid(A, window)
         sym = make(grid)
-        return (toeplitz_matrix(sym, A, 2.0, window, grid),
-                NyquistBasis(A, window, grid), lambda v: toeplitz_apply(sym, v))
+        return (toeplitz_matrix(sym, a, 2.0, window, grid),
+                NyquistBasis(a, window, grid), lambda v: toeplitz_apply(sym, v))
     return build
+
+
+# band 0.75 at oversample 5 on the window-16 grid: stride 5, m = 48 band bins
+# from b0 = -24, and basis window 6 holds N = 18 nodes; on the window-17 grid
+# at oversample 8, m = 51 is odd, b0 = -25, and d_k^2 = exp(4 pi i b0 k/m) != 1
+NARROW_BAND, NARROW_WINDOW, NARROW_GRID = 0.75, 6.0, (16.0, 5)
+ODD_GRID = (17.0, 8)
+
+
+def _narrow_case(make, grid_args=NARROW_GRID):
+    return _symbol_case(make, NARROW_WINDOW, NARROW_BAND, grid_args)
 
 
 def _omega_case(conjugate):
@@ -143,6 +157,12 @@ BLOCK_CASES = {
         samples(gaussian_symbol(amp=1.1, width=0.9, mod=-0.5), g))),
     "bump-hermitian": _symbol_case(lambda g: bump_spectrum_symbol(
         0.05, 1.5, seed=2, hermitian=True)),
+    "gaussian-a0.75-os5": _narrow_case(lambda g: gaussian_symbol()),
+    "mod_poly-2-negative-mod-a0.75-os5": _narrow_case(
+        lambda g: mod_poly_symbol(2, -0.25)),
+    "bump-hermitian-a0.75-os5": _narrow_case(lambda g: bump_spectrum_symbol(
+        0.05, 1.5, seed=2, hermitian=True)),
+    "gaussian-a0.75-odd-bins": _narrow_case(lambda g: gaussian_symbol(), ODD_GRID),
     "omega": _omega_case(False),
     "omega-bar": _omega_case(True),
 }
@@ -180,11 +200,30 @@ def test_nyquist_basis_is_orthonormal(grid):
 
 
 def test_basis_coefficients_invert_synthesis(grid):
-    basis = NyquistBasis(A, 8.0, grid)
     rng = np.random.default_rng(4)
-    c = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
-    f = basis.synthesize(c)
-    assert np.max(np.abs(basis.coefficients(f) - c)) < 1e-12
+    bases = [NyquistBasis(A, 8.0, grid)] + [
+        NyquistBasis(NARROW_BAND, NARROW_WINDOW, default_grid(NARROW_BAND, *g))
+        for g in (NARROW_GRID, ODD_GRID)]
+    for basis in bases:
+        c = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
+        f = basis.synthesize(c)
+        assert np.max(np.abs(basis.coefficients(f) - c)) < 1e-12
+
+
+@pytest.mark.parametrize("a, window", [(A, 64.0625), (0.75, 16.5)])
+def test_basis_refuses_a_fractional_number_of_band_bins(a, window):
+    # 4 a window = 256.25 and 49.5 bins: the vectors would not be orthonormal
+    grid = default_grid(a, window)
+    with pytest.raises(ValueError, match="not a multiple of the 8 grid steps"):
+        NyquistBasis(a, 8.0, grid)
+    with pytest.raises(ValueError, match="fractional number of bins"):
+        toeplitz_matrix(gaussian_symbol(), a, 2.0, 8.0, grid)
+
+
+def test_basis_refuses_a_grid_that_misses_its_last_node():
+    # [-8, 2) holds the first node, -8, but not the last, 7.5
+    with pytest.raises(ValueError, match="7.5 is not a point of this grid"):
+        NyquistBasis(A, 8.0, Grid(-8.0, 1.0 / 16.0, 160))
 
 
 def test_identity_matrix_is_identity(grid):
@@ -243,12 +282,13 @@ def test_matrix_from_dict_names_missing_field():
 
 @pytest.mark.parametrize("count, accepted", [(8, True), (9, False)])
 def test_matrix_from_dict_counts_nodes_as_the_basis_does(count, accepted):
-    # 4 band window = 8.5: NyquistBasis holds round(8.5) = 8 nodes
+    # 4 band window = 8.5: NyquistBasis holds round(8.5) = 8 nodes; its grid
+    # spans window 2.25, since the band holds 8.5 bins of a window-2.125 grid
     nodes = (np.arange(count) - count // 2) / 2.0
     d = {"band": 1.0, "p": 2.0, "basis": {"window": 2.125, "nodes": nodes},
          "entries": np.zeros((count, count, 2))}
     if accepted:
-        basis = NyquistBasis(1.0, 2.125, default_grid(1.0, 2.125))
+        basis = NyquistBasis(1.0, 2.125, default_grid(1.0, 2.25))
         assert matrix_from_dict(d).size == basis.size
     else:
         with pytest.raises(ValueError, match="needs 8 nodes"):
