@@ -12,8 +12,8 @@ factorization and the duality pairing), `verify` (the identity suite), and
 `cli` (the command-line surface).
 """
 
-from .grid import (Grid, SampledFunction, evaluate_offgrid, fft_spectrum,
-                   from_callable, inner, inverse_spectrum, lp_norm, symmetric_grid)
+from .grid import (Grid, SampledFunction, evaluate_offgrid, fft_spectrum, inner,
+                   inverse_spectrum, lp_norm, symmetric_grid)
 from .pwspace import (BandlimitedFunction, band_mask, band_residual, boyd_lower_bound,
                       default_grid, eval_functional, holder_conjugate, modulate,
                       project_band, project_halfline, projector_two_term,

@@ -121,10 +121,6 @@ def _require_same_grid(f: SampledFunction, g: SampledFunction):
         raise ValueError("operands live on different grids")
 
 
-def from_callable(fn, grid: Grid) -> SampledFunction:
-    return SampledFunction(grid, np.asarray(fn(grid.points), dtype=complex))
-
-
 def lattice_phase(j, s, n: int) -> np.ndarray:
     """exp(2 pi i (j*s mod n)/n): an exact root of unity for whole j and s."""
     return np.exp(2j * np.pi * (np.multiply(j, s) % n) / n)

@@ -10,9 +10,9 @@ quotient is a closed form, so pulling back to the line is pointwise
 evaluation, not interpolation.
 
 Only sigma0, sigma1 and the top pair of the section are read: `_top_pairs`
-finds them by Lanczos, not a full SVD, stopped once the top two Ritz pairs'
-residuals are below 1e-15 and 1e-11 of sigma0.  `NehariResult.hankel_norm`
-is computed on first read; the bounded-symbol pipeline never reads it.
+finds them by Lanczos from the operator's products, and the same kernel on
+the lattice operator P_- M_b P_+ gives `NehariResult.hankel_norm`, computed
+on first read; the bounded-symbol pipeline never reads it.
 
 The bounded-symbol pipeline splits a symbol into spectral parts, replaces
 each one-sided part by its minimal-norm Hankel completion (the left part via
@@ -34,12 +34,13 @@ from .grid import Grid, SampledFunction, energy_fraction, fft_spectrum, lp_norm
 from .pwspace import default_grid, project_halfline
 from .split import SUPPORTS, split_symbol
 from .symbols import SymbolSpec, point_values, sampled_symbol, samples
-from .toeplitz import (OperatorMatrix, _pnorm_upper, operator_norm_certified,
-                       toeplitz_matrix)
+from .toeplitz import (OperatorMatrix, _pnorm_upper, _unbounded_mod_poly,
+                       operator_norm_certified, toeplitz_matrix)
 
 DEFAULT_TRUNCATION = 256
 CIRCLE_OVERSAMPLE = 8
 TAIL_TOL = 1e-8
+LANCZOS_CAP = 256       # most steps of `_top_pairs`, and the rows of its bases
 
 
 def cayley(x) -> np.ndarray:
@@ -148,29 +149,31 @@ class AAKSolution:
         return _nearest_fill(raw, bad)
 
 
-def _zero_solution(M: int, sigma0: float = 0.0) -> AAKSolution:
+def _zero_solution(M: int, sigma0: float) -> AAKSolution:
     e0 = np.zeros(M, dtype=complex)
     e0[0] = 1.0
     return AAKSolution(sigma0, e0, np.zeros(M, dtype=complex), M, 0.0)
 
 
-def _top_pairs(A: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """sigma0, sigma1 and the top pair (u, v), A v = sigma0 u, of a square A.
+def _top_pairs(apply, adjoint, n: int,
+               floor: float = 0.0) -> tuple[float, float, np.ndarray, np.ndarray]:
+    """sigma0, sigma1 and the top pair (u, v), A v = sigma0 u, of the operator
+    on C^n with products x -> A x (`apply`) and y -> A* y (`adjoint`).
 
     Golub-Kahan-Lanczos bidiagonalization A V_k = U_k B_k (Golub & Kahan 1965;
     Golub & Van Loan ch. 10) from a seeded start, each vector orthogonalized
     twice against all earlier ones.  B_k = P S Q* is decomposed every 4 steps
-    to k = 32, then every k/8 to k/4 steps (about 3 decompositions of size n
-    if the run reaches k = n, where it is exact).  Ritz pair j has residual
+    to k = 32, then every k/8 to k/4 steps.  Ritz pair j has residual
     beta_k |p_j[-1]|; the run stops once pair 0's is <= 1e-15 s_0 and pair
-    1's <= 1e-11 s_0.  Ritz values interlace from below, and a tied value's
-    second vector enters only by rounding, so without pair 1's test sigma1
-    could read the next distinct value.
+    1's <= 1e-11 s_0 (a tied value's second vector enters only by rounding;
+    sigma1 waits for it), or once s_0 <= floor (a numerically zero operator's
+    residuals are noise).  Each basis holds min(n, LANCZOS_CAP) + 1 rows; the
+    run is exact at k = n, and one the cap stops warns and returns a lower bound.
     """
-    n = A.shape[0]
     rng = np.random.default_rng(0)
-    U, V = np.zeros((2, n, n), dtype=complex)        # basis vectors as rows
-    alpha, beta = np.zeros((2, n))
+    cap = min(n, LANCZOS_CAP)
+    U, V = np.zeros((2, cap + 1, n), dtype=complex)  # basis vectors as rows
+    alpha, beta = np.zeros((2, cap))
 
     def extend(Q: np.ndarray, k: int, x: np.ndarray) -> float:
         """Store x, orthogonalized against Q[:k] and normalized, as Q[k]."""
@@ -184,16 +187,21 @@ def _top_pairs(A: np.ndarray) -> tuple[float, float, np.ndarray, np.ndarray]:
         return norm
 
     extend(V, 0, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    for k in range(n):      # orthogonalizing removes beta u_(k-1), alpha v_k below
-        alpha[k] = extend(U, k, A @ V[k])
-        if k + 1 < n:                                # A* u = conj(conj(u) A)
-            beta[k] = extend(V, k + 1, np.conj(np.conj(U[k]) @ A))
-        if (k + 1) % max(4, 2 ** ((k + 1).bit_length() - 3)) == 0 or k + 1 == n:
+    for k in range(cap):    # orthogonalizing removes beta u_(k-1), alpha v_k below
+        alpha[k] = extend(U, k, apply(V[k]))
+        if k + 1 < n:
+            beta[k] = extend(V, k + 1, adjoint(U[k]))
+        if (k + 1) % max(4, 2 ** ((k + 1).bit_length() - 3)) == 0 or k + 1 == cap:
             p, s, qh = np.linalg.svd(np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1))
             res = beta[k] * np.abs(p[k, :2])            # the top two Ritz pairs
-            if res[0] <= 1e-15 * s[0] and res[-1] <= 1e-11 * s[0] or k + 1 == n:
-                return (float(s[0]), float(s[1]) if k else 0.0,
-                        p[:, 0] @ U[:k + 1], np.conj(qh[0]) @ V[:k + 1])
+            if res[0] <= 1e-15 * s[0] and res[-1] <= 1e-11 * s[0] or s[0] <= floor:
+                break
+    else:                   # the cap, not the residuals, ended the run
+        warnings.warn(f"Lanczos stopped at its cap of {cap} steps with residuals "
+                      f"{res[0] / s[0]:.1e} and {res[-1] / s[0]:.1e} of sigma0; "
+                      f"sigma0 {s[0]:.8e} is a lower bound")
+    return (float(s[0]), float(s[1]) if k else 0.0,
+            p[:, 0] @ U[:k + 1], np.conj(qh[0]) @ V[:k + 1])
 
 
 def aak_solve(hd: HankelData, floor: float = 1e-13) -> AAKSolution:
@@ -206,22 +214,24 @@ def aak_solve(hd: HankelData, floor: float = 1e-13) -> AAKSolution:
     nearly degenerate top singular value makes the completion non-unique; the
     section is then enlarged by one (a zero pad, the operator is unchanged)
     and one valid pair is returned with a warning.  sigma0, sigma1 and the
-    pair come from `_top_pairs` (Lanczos, stopped once the top pair's residual
-    is <= 1e-15 sigma0 and sigma1's <= 1e-11 sigma0), for the re-solve too.
+    pair come from `_top_pairs` on the section's products, for the re-solve
+    too; the floor that zeroes the completion also stops the kernel.
     """
     M = hd.truncation
-    peak = float(np.max(np.abs(hd.disk_coeffs)))
-    if peak == 0.0:
-        return _zero_solution(M)
+    floor *= max(1.0, float(np.max(np.abs(hd.disk_coeffs))))
+
+    def top_pairs(A: np.ndarray) -> tuple:        # A* y = conj(conj(y) A)
+        return _top_pairs(lambda x: A @ x, lambda y: np.conj(np.conj(y) @ A), len(A), floor)
+
     gamma = hd.hankel_matrix
-    sigma0, sigma1, w, v = _top_pairs(gamma)
-    if sigma0 <= floor * max(1.0, peak):
+    sigma0, sigma1, w, v = top_pairs(gamma)
+    if sigma0 <= floor:
         return _zero_solution(M, sigma0)
     if sigma1 > sigma0 * (1.0 - 1e-10):
         warnings.warn("top singular value is (nearly) degenerate; the "
                       "minimal completion is not unique, returning one "
                       "valid choice", stacklevel=2)
-        sigma0, _, w, v = _top_pairs(np.pad(gamma, (0, 1)))
+        sigma0, _, w, v = top_pairs(np.pad(gamma, (0, 1)))
 
     thetas, _ = _circle_nodes(_circle_size(M))
     sol = AAKSolution(sigma0, v, w, M, 0.0)
@@ -232,34 +242,20 @@ def aak_solve(hd: HankelData, floor: float = 1e-13) -> AAKSolution:
     return sol
 
 
-def hankel_norm_estimate(b: SampledFunction, seed: int = 42,
-                         iters: int = 80) -> float:
-    """2-norm of f -> P_-[b f] on the analytic class, by power iteration.
+def hankel_norm_estimate(b: SampledFunction) -> float:
+    """2-norm of f -> P_-[b f] on the analytic class, by `_top_pairs`.
 
     The lattice realizes the analytic class as nonnegative-frequency content;
-    the iteration runs on A*A with A = P_- M_b P_+ and a seeded start, so the
-    estimate is deterministic.
+    the kernel runs on A = P_- M_b P_+ and A* = P_+ M_conj(b) P_- and stops at
+    the floor sigma0 <= 1e-13 max|b| (b = 1 leaves rounding noise) or at
+    LANCZOS_CAP steps with a warning and a lower bound, never an n x n basis.
     """
-    bv, n = b.values, b.grid.count
-
-    def half(vals, sign):
+    def half(vals: np.ndarray, sign: int) -> np.ndarray:
         return project_halfline(SampledFunction(b.grid, vals), sign).values
 
-    rng = np.random.default_rng(seed)
-    f = half(rng.standard_normal(n) + 1j * rng.standard_normal(n), +1)
-    est = 0.0
-    for _ in range(iters):
-        g = half(bv * f, -1)                        # A f
-        h = half(np.conj(bv) * g, +1)               # A* A f
-        nf = float(np.linalg.norm(f))
-        if nf == 0.0:
-            return 0.0
-        est = float(np.linalg.norm(g)) / nf
-        nh = float(np.linalg.norm(h))
-        if nh == 0.0:
-            return est
-        f = h / nh
-    return est
+    return _top_pairs(lambda x: half(b.values * half(x, +1), -1),
+                      lambda y: half(np.conj(b.values) * half(y, -1), +1),
+                      b.grid.count, 1e-13 * float(np.max(np.abs(b.values))))[0]
 
 
 @dataclass
@@ -376,14 +372,11 @@ def bounded_symbol(sym: SymbolSpec, a: float, M: int = DEFAULT_TRUNCATION,
     Nothing here depends on p (the matrices' entries do not): both operators
     are assembled once in the shifted-sinc coordinates and `certificate(p)`
     reads their norms.  T_phi vanishes when its 2-norm is below 1e-8 of the
-    symbol's sup (at least 1); psi is then zero.  A mod_poly symbol of degree
-    n >= 1 with |mod| < 2a is refused before anything is built: in frequency
-    it is an n-th derivative the band does not tame, so T_phi is unbounded.
+    symbol's sup (at least 1); psi is then zero.  A mod_poly symbol whose
+    T_phi is unbounded (`_unbounded_mod_poly`) is refused before anything is built.
     """
-    P = sym.params
-    if sym.kind == "mod_poly" and P["amp"] and P["degree"] >= 1 and abs(P["mod"]) < 2 * a:
-        raise ValueError(f"mod_poly degree {P['degree']} with mod {P['mod']}: "
-                         f"T_phi is unbounded for degree >= 1 and |mod| < 2a = {2.0 * a}")
+    if unbounded := _unbounded_mod_poly(sym, a):
+        raise ValueError(unbounded)
     if grid is None:
         grid = default_grid(a)
     zero = SampledFunction(grid, np.zeros(grid.count, dtype=complex))

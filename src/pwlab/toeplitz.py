@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,6 +81,16 @@ def _mod_poly_kernel(params: dict, grid: Grid) -> np.ndarray:
     np.add.at(kernel, (round(shift) + first * degree + np.arange(len(coeffs)))
               % grid.count, coeffs)
     return kernel
+
+
+def _unbounded_mod_poly(sym: SymbolSpec, a: float) -> str | None:
+    """Why T_phi is unbounded, or None: A x^n exp(2 pi i c x) with n >= 1, A != 0
+    and |c| < 2a is in frequency an n-th derivative the band does not tame."""
+    P = sym.params
+    if sym.kind == "mod_poly" and P["amp"] and P["degree"] >= 1 and abs(P["mod"]) < 2 * a:
+        return (f"mod_poly degree {P['degree']} with mod {P['mod']}: T_phi is "
+                f"unbounded for degree >= 1 and |mod| < 2a = {2.0 * a}")
+    return None
 
 
 def _multiplier(sym: SymbolSpec, grid: Grid) -> SampledFunction:
@@ -244,7 +255,7 @@ def assemble_matrix(kernel: np.ndarray, a: float, p: float, window: float,
 def toeplitz_matrix(sym: SymbolSpec, a: float, p: float, window: float = 32.0,
                     grid: Grid | None = None) -> OperatorMatrix:
     """Nyquist-basis matrix of T_phi, assembled from its lattice kernel; a
-    mod_poly matrix that float64 cannot resolve is refused."""
+    mod_poly matrix that float64 cannot resolve is refused, an unbounded one warns."""
     if grid is None:
         grid = default_grid(a)
     _resolution_check(sym, a, grid)
@@ -261,6 +272,8 @@ def toeplitz_matrix(sym: SymbolSpec, a: float, p: float, window: float = 32.0,
     if np.finfo(float).eps * np.sum(taps) > 1e-8 * np.max(np.abs(M.entries)):
         raise ValueError(f"mod_poly degree {sym.params['degree']}: float64 cannot resolve "
                          f"this matrix; lower the degree or widen the basis to the grid")
+    if unbounded := _unbounded_mod_poly(sym, a):
+        warnings.warn(f"{unbounded}; its matrix grows with the basis window", stacklevel=2)
     return M
 
 

@@ -426,6 +426,24 @@ def test_unresolved_mod_poly_matrix_is_refused(tmp_path, capsys, degree, mod,
         assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("degree, mod, amp, warned", [
+    (1, 0.25, 1.0, True), (1, 2.0, 1.0, False), (0, 0.25, 1.0, False),
+    (1, 0.25, 0.0, False)])
+def test_unbounded_mod_poly_matrix_warns(tmp_path, capsys, degree, mod, amp, warned):
+    # degree >= 1, amp != 0 and |mod| < 2a: the matrix is written, and its growth named
+    sym = tmp_path / "poly.json"
+    sym.write_text(json.dumps({"kind": "mod_poly", "degree": degree, "mod": mod,
+                               "amp": amp}))
+    assert run("toeplitz", "--symbol", sym, "--out", tmp_path / "t.json") == 0
+    err = capsys.readouterr().err.strip().splitlines()
+    if warned:
+        assert len(err) == 1 and err[0].startswith(
+            f"warning: mod_poly degree {degree} with mod {mod}:")
+        assert "unbounded" in err[0]
+    else:
+        assert err == []
+
+
 @pytest.mark.parametrize("degree, mod, code", [(1, 0.25, 1), (3, -1.5, 1),
                                                (1, 2.0, 0), (0, 0.25, 0)])
 def test_unbounded_mod_poly_is_refused_by_bounded_symbol(tmp_path, capsys,

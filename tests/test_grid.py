@@ -6,9 +6,8 @@ from pytest import approx
 
 from pwlab.factorize import fejer_triangle
 from pwlab.grid import (Grid, SampledFunction, energy_fraction,
-                        evaluate_offgrid, fft_spectrum, filter_spectrum,
-                        from_callable, inner, inverse_spectrum, lp_norm,
-                        symmetric_grid)
+                        evaluate_offgrid, fft_spectrum, filter_spectrum, inner,
+                        inverse_spectrum, lp_norm, symmetric_grid)
 from pwlab.pwspace import band_mask, default_grid, project_band, project_halfline
 
 
@@ -133,13 +132,13 @@ def quad_integral(f: SampledFunction) -> complex:
 
 def test_quad_integral_gaussian():
     g = symmetric_grid(32.0, 1.0 / 16.0)
-    f = from_callable(lambda x: np.exp(-np.pi * x ** 2), g)
+    f = SampledFunction(g, np.exp(-np.pi * g.points ** 2))
     assert quad_integral(f) == approx(1.0, abs=1e-12)
 
 
 def test_lp_norm_scaling():
     g = symmetric_grid(16.0, 1.0 / 8.0)
-    f = from_callable(lambda x: np.exp(-x ** 2), g)
+    f = SampledFunction(g, np.exp(-g.points ** 2))
     doubled = SampledFunction(g, 2.0 * f.values)
     for p in (1.0, 1.5, 2.0, 4.0):
         assert lp_norm(doubled, p) == approx(2.0 * lp_norm(f, p), rel=1e-12)
@@ -156,7 +155,7 @@ def test_inner_against_parseval():
 
 def test_evaluate_offgrid_reproduces_grid_points():
     g = symmetric_grid(8.0, 0.25)
-    f = from_callable(lambda x: np.cos(0.3 * x), g)
+    f = SampledFunction(g, np.cos(0.3 * g.points))
     xs = g.points[::7]
     got = evaluate_offgrid(f, xs)
     assert np.max(np.abs(got - f.values[::7])) < 1e-12
@@ -220,6 +219,6 @@ def test_index_of_inverts_points(k):
 def test_bandlimited_interpolation_consistency(x0, width):
     # trig interpolation of a smooth band-limited sample is stable off-grid
     g = symmetric_grid(32.0, 1.0 / 8.0)
-    f = from_callable(lambda x: np.exp(-width * x ** 2), g)
+    f = SampledFunction(g, np.exp(-width * g.points ** 2))
     v = evaluate_offgrid(f, np.asarray([x0]))[0]
     assert abs(v - np.exp(-width * x0 ** 2)) < 1e-6

@@ -1,4 +1,5 @@
 """Minimal Hankel completions and the bounded-symbol pipeline."""
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -204,6 +205,16 @@ def _svd_reference(gamma):
     return s[0], s[1], u[:, 0], np.conj(vh[0])
 
 
+def _products(A):
+    """`_top_pairs`'s operator arguments for a dense square A."""
+    return lambda x: A @ x, lambda y: np.conj(np.conj(y) @ A), len(A)
+
+
+def _counted(apply, adjoint, calls: list):
+    """apply and adjoint, each appending to calls when it runs."""
+    return lambda x: calls.append(1) or apply(x), lambda y: calls.append(1) or adjoint(y)
+
+
 @pytest.fixture(scope="module")
 def sections(right_target, grid):
     """Check 09's section, check 10's sigma1/sigma0 = 0.991 section (the right
@@ -223,7 +234,7 @@ def test_top_pairs_match_svd(sections, name, gap):
     s0, s1, u, v = _svd_reference(gamma)
     if gap is not None:                                # the intended section
         assert s1 / s0 == approx(gap, abs=1e-3)
-    got0, got1, gu, gv = _top_pairs(gamma)
+    got0, got1, gu, gv = _top_pairs(*_products(gamma))
     assert abs(got0 - s0) <= 1e-12 * s0
     assert abs(got1 - s1) <= 1e-12 * s0
     phase = np.vdot(v, gv) / abs(np.vdot(v, gv))     # the pair is unique up to phase
@@ -232,23 +243,13 @@ def test_top_pairs_match_svd(sections, name, gap):
     assert np.linalg.norm(gamma @ gv - got0 * gu) <= 1e-12 * s0
 
 
-class _CountedMatrix(np.ndarray):
-    """An array that counts the matrix products it takes part in."""
-    products = 0
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if ufunc is np.matmul:
-            _CountedMatrix.products += 1
-        inputs = [np.asarray(x) if isinstance(x, _CountedMatrix) else x for x in inputs]
-        return getattr(ufunc, method)(*inputs, **kwargs)
-
-
 def test_top_pairs_stops_on_the_residual(sections):
     # two products per Lanczos step; 24 steps leave a 3e-6 relative residual
     # on the 0.991 section, and the factorization is exact only at 256
-    _CountedMatrix.products = 0
-    _top_pairs(sections["check10-0.991"].view(_CountedMatrix))
-    assert 2 * 24 < _CountedMatrix.products <= 2 * 40
+    apply, adjoint, n = _products(sections["check10-0.991"])
+    calls = []
+    _top_pairs(*_counted(apply, adjoint, calls), n)
+    assert 2 * 24 < len(calls) <= 2 * 40
 
 
 @pytest.mark.parametrize("name", ["check09", "check10-0.991"])
@@ -309,7 +310,7 @@ def test_high_rank_tie_is_resolved_and_warns(gap):
     # the tied vector has entered by rounding
     gamma = _tied_matrix(gap)
     s0, s1, _, _ = _svd_reference(gamma)
-    got0, got1, _, _ = _top_pairs(gamma)
+    got0, got1, _, _ = _top_pairs(*_products(gamma))
     assert abs(got0 - s0) <= 1e-12 * s0 and abs(got1 - s1) <= 1e-12 * s0
     disk = np.zeros(2 * 256 + 1, dtype=complex)
     disk[0] = 1.0
@@ -347,3 +348,65 @@ def test_hankel_norm_is_the_estimate_on_first_read(right_target, grid):
         res = nehari_solve(right_target, A, 2.0, grid=grid)
     assert "hankel_norm" not in vars(res)
     assert res.hankel_norm == hankel_norm_estimate(samples(right_target, grid))
+
+
+# -- the Hankel norm: the same kernel on the lattice operator -------------------
+
+
+def _lattice_hankel_norm(b: SampledFunction) -> float:
+    """Dense SVD of P_- M_b P_+ in the unitary DFT basis, where M_b is the
+    circulant of b's DFT and P_+ / P_- keep the nonnegative / negative bins."""
+    n = b.grid.count
+    c = np.fft.fft(b.values) / n
+    neg, nonneg = np.arange(n // 2, n), np.arange(n // 2)
+    return np.linalg.svd(c[(neg[:, None] - nonneg[None, :]) % n], compute_uv=False)[0]
+
+
+@pytest.fixture(scope="module")
+def grid32():
+    return default_grid(A, 32.0)          # n = 1024
+
+
+@pytest.mark.parametrize("sym", [gaussian_symbol(), gaussian_symbol(amp=0.8, width=2.0)],
+                         ids=["check09", "check10-0.991"])
+def test_hankel_norm_matches_lattice_svd(grid32, sym):
+    b = samples(_right_target(sym, grid32), grid32)
+    ref = _lattice_hankel_norm(b)
+    assert abs(hankel_norm_estimate(b) - ref) <= 1e-12 * ref
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0])
+def test_hankel_norm_of_a_constant_stops_at_the_floor(grid, monkeypatch, value):
+    # P_- M_1 P_+ = 0, on the lattice rounding noise near 4e-16 that no
+    # relative residual test passes; the floor ends the run at the first check
+    calls, kernel = [], nehari._top_pairs
+    monkeypatch.setattr(nehari, "_top_pairs", lambda apply, adjoint, n, floor:
+                        kernel(*_counted(apply, adjoint, calls), n, floor))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = hankel_norm_estimate(SampledFunction(grid, np.full(grid.count, value, complex)))
+    assert est <= 1e-13 * value
+    assert len(calls) <= 8
+
+
+def test_hankel_norm_at_the_cap_warns_and_bounds_from_below(grid32, monkeypatch):
+    b = samples(_right_target(gaussian_symbol(), grid32), grid32)
+    monkeypatch.setattr(nehari, "LANCZOS_CAP", 8)
+    with pytest.warns(UserWarning, match="cap of 8 steps") as caught:
+        est = hankel_norm_estimate(b)
+    assert len(caught) == 1
+    assert est <= _lattice_hankel_norm(b)
+
+
+def test_hankel_norm_memory_is_bounded_by_the_cap(right_target, grid):
+    # two bases of LANCZOS_CAP + 1 rows and a few vectors; an n x n basis
+    # would be 134 MB on this grid
+    n = grid.count
+    b = samples(right_target, grid)
+    tracemalloc.start()
+    try:
+        hankel_norm_estimate(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (nehari.LANCZOS_CAP + 1) * n * 16 + 32 * n * 16

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from pwlab.grid import SampledFunction, from_callable, inner, lp_norm
+from pwlab.grid import SampledFunction, inner, lp_norm
 from pwlab.pwspace import (BandlimitedFunction, _sign_power, band_residual,
                            boyd_lower_bound, default_grid, eval_functional,
                            holder_conjugate, modulate, project_band,
