@@ -32,7 +32,7 @@ def main() -> None:
         h = project_band(SampledFunction(grid, k.values ** 2), 2.0 * b,
                          args.p)
         F = weak_factorize(h, a, args.p)
-        print(f"{b:6.3f} {len(F.pairs):6d} {F.nuclear_sum:10.4f} "
+        print(f"{b:6.3f} {len(F):6d} {F.nuclear_sum:10.4f} "
               f"{lp_norm(h.fun, 1.0):8.4f} {F.residual_sup:10.2e} "
               f"{F.residual_l1:10.2e}")
     print(f"\natom band a = {a}; the triangle denominator 1 - |xi|/(2a) "

@@ -184,8 +184,14 @@ def _load_function(path: str) -> SampledFunction:
 
 
 def _load_matrix(path: str):
+    """A matrix file, or `toeplitz`'s output file through its `matrix` member."""
+    d = _load_json(path)
+    if "matrix" in d:
+        if not isinstance(d["matrix"], dict):
+            raise InputError(f"{path}: field 'matrix' must hold an object")
+        d = d["matrix"]
     try:
-        return matrix_from_dict(_load_json(path))
+        return matrix_from_dict(d)
     except ValueError as e:
         raise InputError(f"{path}: {e}") from None
 
@@ -349,7 +355,7 @@ def cmd_factorize(args) -> int:
     payload = {
         "band": args.band, "p": args.p, "q": F.q, "margin": margin,
         "band_residual_removed": removed,
-        "n_pairs": len(F.pairs),
+        "n_pairs": len(F),
         "nuclear_sum": F.nuclear_sum,
         "residual_sup": F.residual_sup,
         "residual_l1": F.residual_l1,
@@ -372,11 +378,11 @@ def cmd_factorize(args) -> int:
         else:
             payload["pairs_format"] = "explicit"
             payload["pairs"] = [
-                {"f": jsonio.function_to_dict(fk.fun),
-                 "g": jsonio.function_to_dict(gk.fun)}
-                for fk, gk in F.pairs]
+                {"f": jsonio.function_to_dict(SampledFunction(h.grid, fk)),
+                 "g": jsonio.function_to_dict(SampledFunction(h.grid, gk))}
+                for fk, gk in zip(F.f.values, F.g.values)]
     _write(args.out or "factorization.json", payload,
-           [[len(F.pairs), F.nuclear_sum, F.residual_sup, F.residual_l1]],
+           [[len(F), F.nuclear_sum, F.residual_sup, F.residual_l1]],
            ["n_pairs", "nuclear_sum", "residual_sup", "residual_l1"])
     if not ok:
         print("certificate failure: reconstruction residual exceeded the "

@@ -189,10 +189,10 @@ def _k_project_coeffs(vecs: np.ndarray, frame: ConformalFrame) -> np.ndarray:
 
 
 def commutator_test(T: OperatorMatrix, frame: ConformalFrame,
-                    ops: CompressionOps, n_test: int = 8, seed: int = 42) -> dict:
+                    ops: CompressionOps, seed: int = 42) -> dict:
     """Toeplitz characterization: <T f, g> = <T(omega f), omega g> on Ran K.
 
-    Seeded random coefficient vectors are K-projected on both sides; for such
+    Eight seeded random coefficient vectors a side are K-projected; for such
     vectors the lattice omega-multiplication coincides with Lambda, so the
     right pairing is (Lambda g)^H T (Lambda f).  deviation is the largest
     normalized mismatch; is_toeplitz flags deviation <= 1e-6.  ops is
@@ -204,10 +204,10 @@ def commutator_test(T: OperatorMatrix, frame: ConformalFrame,
     if tnorm == 0.0:
         return {"is_toeplitz": True, "deviation": 0.0}
     rng = np.random.default_rng(seed)
-    fs = _k_project_coeffs(rng.standard_normal((n, n_test))
-                           + 1j * rng.standard_normal((n, n_test)), frame)
-    gs = _k_project_coeffs(rng.standard_normal((n, n_test))
-                           + 1j * rng.standard_normal((n, n_test)), frame)
+    fs = _k_project_coeffs(rng.standard_normal((n, 8))
+                           + 1j * rng.standard_normal((n, 8)), frame)
+    gs = _k_project_coeffs(rng.standard_normal((n, 8))
+                           + 1j * rng.standard_normal((n, 8)), frame)
     lam = ops.lam.entries
     plain = np.conj(gs).T @ (T.entries @ fs)
     moved = np.conj(lam @ gs).T @ (T.entries @ (lam @ fs))

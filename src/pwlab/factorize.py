@@ -10,9 +10,10 @@ K-hat(xi) = max(2a - |xi|, 0), the spectrum of |A|^2.  On the sampling
 lattice the identity is exact rather than approximate: the atoms are
 synthesized spectrally (so translation is a cyclic roll), |A|^2 has exactly
 the triangle spectrum, and the atom spacing delta_t < 1/(2(a+b)) pushes every
-spectral alias of w clear of the triangle's support.  The pair list
-(f_k, g_k) = (delta_t w(t_k) A(. - t_k), A(. - t_k)) then realizes the
-factorization with an explicit nuclear sum  sum_k ||f_k||_p ||g_k||_q.
+spectral alias of w clear of the triangle's support.  The pairs
+(f_k, g_k) = (delta_t w(t_k) A(. - t_k), A(. - t_k)), held as two (k, count)
+sample stacks, then realize the factorization with an explicit nuclear sum
+sum_k ||f_k||_p ||g_k||_q.
 
 Full-band targets (b = a) are excluded: the triangle vanishes at +-2a and the
 deconvolution blows up.  The margin b is read off the target's certified band.
@@ -24,16 +25,17 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import (Grid, SampledFunction, filter_spectrum, inverse_spectrum,
                    lp_norm)
 from .pwspace import (BandlimitedFunction, band_mask, band_residual,
                       default_grid, holder_conjugate)
-from .toeplitz import NyquistBasis, OperatorMatrix, matrix_pnorm, toeplitz_matrix
+from .symbols import bump_spectrum_symbol
+from .toeplitz import (NyquistBasis, OperatorMatrix, identity_matrix,
+                       matrix_pnorm, toeplitz_matrix)
 
-# pairs per matrix product in `pair`: at m = 256 nodes a (64, m) complex
-# block is 256 kB, so its working memory stays near 1 MB for any pair count
-_PAIR_BLOCK = 64
+TEST_SET_SIZE = 4      # `toeplitz_test_set`: identity and three smooth symbols
 
 
 @functools.lru_cache(maxsize=8)
@@ -91,9 +93,18 @@ class FejerAtomPlan:
         return float(np.max(np.abs(self.weights) * (1.0 + self.centers ** 2)))
 
 
+def _product_sum(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_k f_k conj(g_k), accumulated row by row: no (k, count) temporary."""
+    acc = np.zeros(f.shape[-1], dtype=complex)
+    for fk, gk in zip(f, g):
+        acc += fk * np.conj(gk)
+    return acc
+
+
 @dataclass
 class Factorization:
-    pairs: list                       # (f_k, g_k) BandlimitedFunction pairs
+    f: SampledFunction                # (k, count) stack of the f_k
+    g: SampledFunction                # (k, count) stack of the g_k, same grid
     nuclear_sum: float                # sum ||f_k||_p ||g_k||_q
     residual_sup: float
     residual_l1: float
@@ -101,20 +112,16 @@ class Factorization:
     p: float
     plan: FejerAtomPlan | None = None
 
+    def __len__(self) -> int:
+        return len(self.f.values)
+
     @property
     def q(self) -> float:
         return holder_conjugate(self.p)
 
     def reconstruct(self) -> SampledFunction:
         """Sum f_k * conj(g_k) over the pairs."""
-        if not self.pairs:
-            grid = default_grid(self.a)
-            return SampledFunction(grid, np.zeros(grid.count, dtype=complex))
-        grid = self.pairs[0][0].grid
-        acc = np.zeros(grid.count, dtype=complex)
-        for f, g in self.pairs:
-            acc += f.values * np.conj(g.values)
-        return SampledFunction(grid, acc)
+        return SampledFunction(self.f.grid, _product_sum(self.f.values, self.g.values))
 
 
 def _as_banded(h, name: str) -> BandlimitedFunction:
@@ -171,7 +178,8 @@ def weak_factorize(h: BandlimitedFunction, a: float, p: float,
     q = holder_conjugate(p)
     sup_h = float(np.max(np.abs(h.values)))
     if sup_h == 0.0:
-        return Factorization([], 0.0, 0.0, 0.0, a, p, plan=None)
+        empty = SampledFunction(grid, np.zeros((0, grid.count)))
+        return Factorization(empty, empty, 0.0, 0.0, 0.0, a, p, plan=None)
 
     # single-atom passthrough: h = s * A(.-t) conj(A(.-t)) for a grid center t
     i_star = int(np.argmax(np.abs(h.values)))
@@ -180,12 +188,11 @@ def weak_factorize(h: BandlimitedFunction, a: float, p: float,
     s = h.values[i_star] / peak
     cand = s * atom.values * np.conj(atom.values)
     if float(np.max(np.abs(h.values - cand))) <= atom_tol * sup_h:
-        f_fun = BandlimitedFunction(
-            SampledFunction(grid, s * atom.values), a, p)
-        g_fun = BandlimitedFunction(atom.fun, a, q)
-        nuclear = lp_norm(f_fun.fun, p) * lp_norm(g_fun.fun, q)
+        f = s * atom.values
+        nuclear = lp_norm(SampledFunction(grid, f), p) * lp_norm(atom.fun, q)
         res = np.abs(h.values - cand)
-        return Factorization([(f_fun, g_fun)], nuclear,
+        return Factorization(SampledFunction(grid, f[None]),
+                             SampledFunction(grid, atom.values[None]), nuclear,
                              float(res.max()), float(grid.step * res.sum()),
                              a, p, plan=None)
 
@@ -198,28 +205,28 @@ def weak_factorize(h: BandlimitedFunction, a: float, p: float,
     weights = w.values[idx]
     plan = FejerAtomPlan(dt, centers, weights, b, a)
 
-    pairs = []
-    acc = np.zeros(grid.count, dtype=complex)
-    for i, t, wk in zip(idx, centers, weights):
-        if wk == 0.0:
-            continue
-        atom_t = sinc_atom(a, t, grid)
-        f_vals = dt * wk * atom_t.values
-        acc += f_vals * np.conj(atom_t.values)
-        pairs.append((BandlimitedFunction(SampledFunction(grid, f_vals), a, p),
-                      BandlimitedFunction(atom_t.fun, a, q)))
+    # the atom centred at idx[j] is the base atom rolled by idx[j] - i0: a
+    # window of the atom tiled three times, starting n + i0 - idx[j]
+    base, i0 = _base_atom(a, grid)
+    n = grid.count
+    g = sliding_window_view(np.tile(base, 3), n)[n + i0:i0:-stride]
+    keep = weights != 0.0
+    if not keep.all():
+        g = g[keep]
+    f = (dt * weights[keep])[:, None] * g
 
-    res = np.abs(acc - h.values)
+    res = np.abs(_product_sum(f, g) - h.values)
     residual_sup = float(res.max())
     residual_l1 = float(grid.step * res.sum())
     if residual_sup > 1e-6 * sup_h:
         warnings.warn(f"atom-sum reconstruction off by {residual_sup:.3e} "
                       f"(sup {sup_h:.3e}); factorization returned as-is",
                       RuntimeWarning)
-    atom_p = lp_norm(pairs[0][1].fun, p) if pairs else 0.0
-    atom_q = lp_norm(pairs[0][1].fun, q) if pairs else 0.0
+    atom_p = lp_norm(SampledFunction(grid, g[0]), p) if len(g) else 0.0
+    atom_q = lp_norm(SampledFunction(grid, g[0]), q) if len(g) else 0.0
     nuclear = float(dt * np.sum(np.abs(weights)) * atom_p * atom_q)
-    return Factorization(pairs, nuclear, residual_sup, residual_l1, a, p, plan=plan)
+    return Factorization(SampledFunction(grid, f), SampledFunction(grid, g),
+                         nuclear, residual_sup, residual_l1, a, p, plan=plan)
 
 
 def pair(T: OperatorMatrix, F: Factorization) -> complex:
@@ -229,20 +236,14 @@ def pair(T: OperatorMatrix, F: Factorization) -> complex:
     it are truncated honestly; with the full sampling window the basis is a
     square Parseval frame and the pairing matches grid quadrature exactly.
     """
-    if F.pairs and abs(T.a - F.a) > 1e-12:
+    if len(F) == 0:
+        return 0.0 + 0.0j
+    if abs(T.a - F.a) > 1e-12:
         raise ValueError(f"band mismatch: operator at a = {T.a}, "
                          f"factorization at a = {F.a}")
-    if not F.pairs:
-        return 0.0 + 0.0j
-    nodes = NyquistBasis(T.a, T.window, F.pairs[0][0].grid).node_indices()
-    total = 0.0 + 0.0j
-    for s in range(0, len(F.pairs), _PAIR_BLOCK):
-        # node samples of a block of pairs; coefficients are samples/sqrt(2a)
-        block = F.pairs[s:s + _PAIR_BLOCK]
-        cf = np.array([f.values[nodes] for f, _ in block])
-        cg = np.array([g.values[nodes] for _, g in block])
-        total += np.vdot(cg, cf @ T.entries.T)
-    return complex(total / (2.0 * T.a))
+    basis = NyquistBasis(T.a, T.window, F.f.grid)
+    return complex(np.vdot(basis.coefficients(F.g),
+                           basis.coefficients(F.f) @ T.entries.T))
 
 
 def regroup_pairs(F: Factorization) -> Factorization:
@@ -250,40 +251,30 @@ def regroup_pairs(F: Factorization) -> Factorization:
 
     (f1, g1), (f2, g2) -> (f1 + f2, g1), (f2, g2 - g1): the pairwise products
     sum to the same function, so the pairing must agree with the original —
-    this is the representation-independence probe.
+    this is the representation-independence probe.  An odd last pair stays.
     """
-    merged = []
-    pairs = list(F.pairs)
-    while len(pairs) >= 2:
-        (f1, g1), (f2, g2) = pairs.pop(0), pairs.pop(0)
-        grid = f1.grid
-        merged.append((
-            BandlimitedFunction(SampledFunction(grid, f1.values + f2.values),
-                                F.a, F.p),
-            BandlimitedFunction(g1.fun, F.a, F.q)))
-        merged.append((
-            BandlimitedFunction(f2.fun, F.a, F.p),
-            BandlimitedFunction(SampledFunction(grid, g2.values - g1.values),
-                                F.a, F.q)))
-    merged.extend(pairs)
-    nuclear = float(sum(lp_norm(f.fun, F.p) * lp_norm(g.fun, F.q)
-                        for f, g in merged))
-    return Factorization(merged, nuclear, F.residual_sup, F.residual_l1,
-                         F.a, F.p, plan=F.plan)
+    f, g = F.f.values.copy(), F.g.values.copy()
+    k = len(F) - len(F) % 2
+    np.add(f[0:k:2], f[1:k:2], out=f[0:k:2])
+    np.subtract(g[1:k:2], g[0:k:2], out=g[1:k:2])
+    grid = F.f.grid
+    nuclear = float(sum(lp_norm(SampledFunction(grid, fk), F.p)
+                        * lp_norm(SampledFunction(grid, gk), F.q)
+                        for fk, gk in zip(f, g)))
+    return Factorization(SampledFunction(grid, f), SampledFunction(grid, g),
+                         nuclear, F.residual_sup, F.residual_l1, F.a, F.p,
+                         plan=F.plan)
 
 
-def toeplitz_test_set(a: float, p: float, count: int = 5, seed: int = 42,
+def toeplitz_test_set(a: float, p: float, seed: int = 42,
                       grid: Grid | None = None) -> list:
     """Identity plus seeded smooth-symbol Toeplitz matrices at unit norm, on
-    the full sampling window of the grid."""
-    from .symbols import bump_spectrum_symbol
-    from .toeplitz import identity_matrix
-
+    the full sampling window of the grid: TEST_SET_SIZE operators."""
     if grid is None:
         grid = default_grid(a)
     window = -grid.start
     ops = [identity_matrix(a, p, window)]
-    for k in range(max(0, count - 1)):
+    for k in range(TEST_SET_SIZE - 1):
         sym = bump_spectrum_symbol(0.05 * a, 1.4 * a, seed=seed + k, hermitian=True)
         T = toeplitz_matrix(sym, a, p, window, grid)
         norm = matrix_pnorm(T, p)["lower"]

@@ -40,6 +40,7 @@ from .toeplitz import (OperatorMatrix, _pnorm_upper, _unbounded_mod_poly,
 DEFAULT_TRUNCATION = 256
 CIRCLE_OVERSAMPLE = 8
 TAIL_TOL = 1e-8
+AAK_TOL = 5e-2          # nehari_solve warns when sup|psi| > sigma0 * (1 + AAK_TOL)
 LANCZOS_CAP = 256       # most steps of `_top_pairs`, and the rows of its bases
 
 
@@ -204,7 +205,7 @@ def _top_pairs(apply, adjoint, n: int,
             p[:, 0] @ U[:k + 1], np.conj(qh[0]) @ V[:k + 1])
 
 
-def aak_solve(hd: HankelData, floor: float = 1e-13) -> AAKSolution:
+def aak_solve(hd: HankelData) -> AAKSolution:
     """Top-singular-pair completion of the truncated Hankel data.
 
     The returned symbol is sigma0 * w~/v for the top Schmidt pair (v, w) of
@@ -218,7 +219,7 @@ def aak_solve(hd: HankelData, floor: float = 1e-13) -> AAKSolution:
     too; the floor that zeroes the completion also stops the kernel.
     """
     M = hd.truncation
-    floor *= max(1.0, float(np.max(np.abs(hd.disk_coeffs))))
+    floor = 1e-13 * max(1.0, float(np.max(np.abs(hd.disk_coeffs))))
 
     def top_pairs(A: np.ndarray) -> tuple:        # A* y = conj(conj(y) A)
         return _top_pairs(lambda x: A @ x, lambda y: np.conj(np.conj(y) @ A), len(A), floor)
@@ -278,14 +279,13 @@ class NehariResult:
 
 
 def nehari_solve(b: SymbolSpec, a: float, p: float = 2.0,
-                 M: int = DEFAULT_TRUNCATION, grid: Grid | None = None,
-                 tol_aak: float = 5e-2) -> NehariResult:
+                 M: int = DEFAULT_TRUNCATION, grid: Grid | None = None) -> NehariResult:
     """Minimal-sup-norm symbol with the same Hankel operator as b.
 
     b must carry its spectrum in [-2a, inf) (the shape theta_bar^2 times an
     analytic-spectrum factor produced by the splitting stage); the anti-
     analytic content is then a transferred polynomial tail the completion can
-    match.  The returned `psi` satisfies sup|psi| <= sigma0 * (1 + tol_aak)
+    match.  The returned `psi` satisfies sup|psi| <= sigma0 * (1 + AAK_TOL)
     and reproduces the first `truncation` negative disk moments to the
     reported residual; moments beyond the section are uncontrolled, so
     `psi_matched` additionally swaps in b's exact negative-frequency lattice
@@ -311,9 +311,9 @@ def nehari_solve(b: SymbolSpec, a: float, p: float = 2.0,
     corr = project_halfline(SampledFunction(grid, bs.values - psi.values), -1)
     matched = SampledFunction(grid, psi.values + corr.values)
     sup = lp_norm(psi, np.inf)
-    if sol.sigma0 > 0.0 and sup > (1.0 + tol_aak) * sol.sigma0:
+    if sol.sigma0 > 0.0 and sup > (1.0 + AAK_TOL) * sol.sigma0:
         warnings.warn(f"sup norm {sup:.4e} exceeds (1+tol)*sigma0 "
-                      f"{(1 + tol_aak) * sol.sigma0:.4e}", stacklevel=2)
+                      f"{(1 + AAK_TOL) * sol.sigma0:.4e}", stacklevel=2)
     return NehariResult(psi, matched, sol.sigma0, sol.moment_residual, sup,
                         lp_norm(corr, np.inf), hd.tail_ratio, M, sol, bs)
 

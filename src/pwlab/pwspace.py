@@ -153,7 +153,7 @@ def _sign_power(y: np.ndarray, e: float) -> np.ndarray:
 
 
 def boyd_lower_bound(apply_fn, adjoint_fn, n: int, p: float, weight: float = 1.0,
-                     seed: int = 42, iters: int = 60) -> float:
+                     seed: int = 42) -> float:
     """Boyd/Higham power iteration; returns a certified-from-below estimate of
     the p -> p operator norm (1 < p < inf) of a linear map given by
     apply/adjoint callables.
@@ -161,7 +161,7 @@ def boyd_lower_bound(apply_fn, adjoint_fn, n: int, p: float, weight: float = 1.0
     The four starts (ones, then three seeded complex Gaussians) iterate as one
     block: each callable maps a (k, n) stack of row vectors to a (k, n) stack
     and is called once per iteration on the rows still running, at most
-    `iters` times in all.  A row stops on its own when its image or dual image
+    60 times in all.  A row stops on its own when its image or dual image
     vanishes or its estimate changes by at most 1e-12 relative, and leaves
     the block.  `weight` is the quadrature step if vectors represent function
     samples (norms are then weight^(1/p)-scaled, which cancels in the ratio)."""
@@ -180,7 +180,7 @@ def boyd_lower_bound(apply_fn, adjoint_fn, n: int, p: float, weight: float = 1.0
     rows = np.flatnonzero(nx != 0)
     x = x[rows] / nx[rows, None]
     est_prev = np.zeros(4)
-    for _ in range(iters):
+    for _ in range(60):
         if not len(rows):
             break
         y = apply_fn(x)
@@ -200,10 +200,9 @@ def boyd_lower_bound(apply_fn, adjoint_fn, n: int, p: float, weight: float = 1.0
     return float(np.max(est_prev))
 
 
-def riesz_constant_estimate(p: float, window: float = 32.0,
-                            step: float = 0.125) -> float:
+def riesz_constant_estimate(p: float) -> float:
     """Lower estimate of the L^p -> L^p norm of the positive-half-line
-    projector, computed on a dedicated modest grid.
+    projector, computed on a dedicated modest grid, [-32, 32) at step 1/8.
 
     At p = 2 the projector has norm exactly 1.  For p != 2 the discrete model
     (a circulant, i.e. the periodic Hilbert transform) has norm > 1 and grows
@@ -212,7 +211,7 @@ def riesz_constant_estimate(p: float, window: float = 32.0,
     """
     if not (1.0 < p < math.inf):
         raise ValueError("p must be in (1, inf)")
-    g = symmetric_grid(window, step)
+    g = symmetric_grid(32.0, 0.125)
     if p == 2.0:
         return 1.0
     # the projector matrix is Hermitian (even in p-land we use the same map

@@ -51,9 +51,11 @@ from .pwspace import (
     holder_conjugate,
     project_band,
     project_halfline,
+    projector_halfline_sandwich,
+    projector_two_term,
     modulate,
 )
-from .symbols import SymbolSpec, samples
+from .symbols import SymbolSpec, bump_spectrum_symbol, sampled_symbol, samples
 
 # 4th-order first-derivative taps K(d), d ascending: trailing from d = 0 (the
 # leading stencil is its negated mirror, ending at d = 0), central from d = -2
@@ -119,11 +121,12 @@ def toeplitz_apply(sym: SymbolSpec, f: BandlimitedFunction) -> BandlimitedFuncti
     return project_band(SampledFunction(f.grid, phi.values * f.values), f.a, f.p)
 
 
-def hankel_apply(sym: SymbolSpec, f: SampledFunction, tol: float = 1e-6) -> SampledFunction:
-    """H_phi f = P_-[phi * f] for f in the analytic class (spectrum in R_+)."""
+def hankel_apply(sym: SymbolSpec, f: SampledFunction) -> SampledFunction:
+    """H_phi f = P_-[phi * f] for f in the analytic class (spectrum in R_+): its
+    negative-frequency energy fraction must be at most 1e-6."""
     spec = fft_spectrum(f)
     neg = energy_fraction(spec, spec.grid.points < 0)
-    if neg > tol:
+    if neg > 1e-6:
         raise ValueError(
             f"input is not analytic-class: negative-frequency energy fraction {neg:.2e}")
     phi = samples(sym, f.grid)
@@ -193,8 +196,9 @@ class NyquistBasis:
         return BandlimitedFunction(self.synthesize(unit), self.a)
 
     def coefficients(self, f: SampledFunction) -> np.ndarray:
-        """Expansion coefficients of a band-a function: c_k = f(t_k)/sqrt(2a)."""
-        return f.values[self.node_indices()] / math.sqrt(2.0 * self.a)
+        """Expansion coefficients of a band-a function, c_k = f(t_k)/sqrt(2a);
+        of a (k, count) stack, one row of coefficients per function."""
+        return f.values[..., self.node_indices()] / math.sqrt(2.0 * self.a)
 
     def synthesize(self, coeffs: np.ndarray) -> SampledFunction:
         """sum_k c_k e_k: the band is the m-point fft of c_k conj(d_k) at k mod m."""
@@ -231,10 +235,10 @@ class OperatorMatrix:
     def size(self) -> int:
         return len(self.nodes)
 
-    def interior(self, frac: float = 0.1) -> np.ndarray:
-        """Submatrix dropping basis functions within `frac` of the window edge
+    def interior(self) -> np.ndarray:
+        """Submatrix without the basis functions in the window's outer tenth
         (their tails stick out of the sampling window and pollute norms)."""
-        keep = np.abs(self.nodes) <= (1.0 - frac) * self.window
+        keep = np.abs(self.nodes) <= 0.9 * self.window
         return self.entries[np.ix_(keep, keep)]
 
 
@@ -314,10 +318,9 @@ def _pnorm_upper(A: np.ndarray, p: float) -> float:
     return n1 ** (1.0 / p) * ninf ** (1.0 / holder_conjugate(p))
 
 
-def operator_norm_certified(M: OperatorMatrix, p: float | None = None,
-                            edge_frac: float = 0.1) -> dict:
+def operator_norm_certified(M: OperatorMatrix, p: float | None = None) -> dict:
     """p-norm bounds on the edge-excluded interior block."""
-    return matrix_pnorm(M.interior(edge_frac), M.p if p is None else p)
+    return matrix_pnorm(M.interior(), M.p if p is None else p)
 
 
 # -- identity checks ----------------------------------------------------------
@@ -327,8 +330,6 @@ def identity_residuals(a: float = 1.0, p: float = 2.0, grid: Grid | None = None,
                        seed: int = 42, trials: int = 10) -> dict:
     """Max relative residuals of the band-projector identities and the
     Hankel/Toeplitz intertwining, over a seeded random test set."""
-    from .pwspace import projector_two_term, projector_halfline_sandwich
-
     if grid is None:
         grid = default_grid(a)
     rng = np.random.default_rng(seed)
@@ -345,8 +346,6 @@ def identity_residuals(a: float = 1.0, p: float = 2.0, grid: Grid | None = None,
 
     # Hankel/Toeplitz intertwining: H_{conj(th_a)^2 phi}[th_a g] =
     # conj(th_a) T_phi[g] for g in the band space and phi with spectrum in R_+
-    from .symbols import bump_spectrum_symbol, sampled_symbol
-
     r_hankel = 0.0
     for k in range(3):
         phi = bump_spectrum_symbol(0.3 * a, 1.6 * a, seed=seed + k)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pwlab import commutator, nehari, pwspace, toeplitz, verify
+from pwlab import commutator, factorize, nehari, pwspace, toeplitz, verify
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -56,6 +56,10 @@ CALL_SHAPES = {
                        ("entries", 1.0, 2.0, 64.0, "nodes"), {}),
     "run_all": (verify.run_all, (),
                 {"a": 1.0, "p": 2.0, "seed": 1, "progress": None}),
+    # the spectral workload's factorization op
+    "weak_factorize": (factorize.weak_factorize, ("h", 1.0, 2.0), {}),
+    "regroup_pairs": (factorize.regroup_pairs, ("F",), {}),
+    "pair": (factorize.pair, ("T", "F"), {}),
 }
 
 
@@ -72,3 +76,9 @@ def test_frame_carries_its_basis():
     # the lambda_ops workload reads its column route's basis as frame.basis
     fields = {f.name: f.type for f in dataclasses.fields(commutator.ConformalFrame)}
     assert fields.get("basis") in (toeplitz.NyquistBasis, "NyquistBasis")
+
+
+def test_factorization_keeps_the_residual_fields():
+    # the spectral workload's check reads these two from weak_factorize's result
+    fields = {f.name for f in dataclasses.fields(factorize.Factorization)}
+    assert {"residual_sup", "residual_l1"} <= fields

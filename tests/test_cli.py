@@ -1,5 +1,8 @@
 """End-to-end runs of the command-line entry point (exit codes, files, bytes)."""
 import json
+import shlex
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -359,26 +362,31 @@ def test_recover_symbol_roundtrip(files, tmp_path):
     assert set(payload) >= {"anti_analytic_part", "analytic_part", "total"}
 
 
-def _toeplitz_matrix_file(files, tmp_path, *flags):
-    # the README's step between toeplitz and the matrix commands
-    assert run("toeplitz", "--symbol", files / "gauss_flat.json", *flags,
-               "--out", tmp_path / "T.json") == 0
-    matrix = json.loads((tmp_path / "T.json").read_text())["matrix"]
-    (tmp_path / "T_matrix.json").write_text(json.dumps(matrix))
-    return tmp_path / "T_matrix.json"
+def _readme_commands():
+    """The README's `pwlab` command lines, each as the argv after `pwlab`."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [b.split("```", 1)[0] for b in text.split("```sh\n")[1:]]
+    return [shlex.split(line)[1:] for b in blocks for line in b.splitlines()
+            if line.startswith("pwlab ")]
 
 
 def test_readme_pipeline_runs_as_written(files, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    matrix = _toeplitz_matrix_file(files, tmp_path, "--basis-window", 32)
-    assert json.loads(matrix.read_text())["grid"]["start"] == -32.0
-    assert run("commutator-test", "--matrix", matrix) == 0
-    assert run("recover-symbol", "--matrix", matrix) == 0
+    shutil.copy(files / "gauss_flat.json", tmp_path / "gauss.json")
+    argvs = [argv for argv in _readme_commands()
+             if argv[0] in ("toeplitz", "commutator-test", "recover-symbol")]
+    assert [argv[0] for argv in argvs] == ["toeplitz", "commutator-test",
+                                           "recover-symbol"]
+    for argv in argvs:
+        assert main(argv) == 0, argv
+    matrix = json.loads((tmp_path / "T.json").read_text())["matrix"]
+    assert matrix["grid"]["start"] == -32.0
 
 
 def test_matrix_on_a_wider_grid_names_window(files, tmp_path, capsys):
-    matrix = _toeplitz_matrix_file(files, tmp_path, "--basis-window", 32,
-                                   "--window", 64)
+    matrix = tmp_path / "T.json"
+    assert run("toeplitz", "--symbol", files / "gauss_flat.json",
+               "--basis-window", 32, "--window", 64, "--out", matrix) == 0
     capsys.readouterr()
     for command in ("commutator-test", "recover-symbol"):
         assert run(command, "--matrix", matrix, "--out", tmp_path / "x.json") == 1

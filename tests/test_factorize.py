@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from pwlab.factorize import (_PAIR_BLOCK, FejerAtomPlan, fejer_deconvolve,
-                             fejer_triangle, pair, regroup_pairs, sinc_atom,
-                             toeplitz_test_set, weak_factorize, xpq_sandwich)
+from pwlab import factorize
+from pwlab.factorize import (FejerAtomPlan, fejer_deconvolve, fejer_triangle,
+                             pair, regroup_pairs, sinc_atom, toeplitz_test_set,
+                             weak_factorize, xpq_sandwich)
 from pwlab.grid import SampledFunction, fft_spectrum, lp_norm
 from pwlab.pwspace import default_grid, project_band, sinc_profile
 from pwlab.symbols import gaussian_symbol
@@ -60,8 +61,22 @@ def test_reconstruction_residuals(fact, target):
     sup_h = np.max(np.abs(target.values))
     assert fact.residual_sup < 1e-6 * sup_h
     assert fact.residual_l1 < 1e-5 * lp_norm(target.fun, 1.0)
-    assert len(fact.pairs) == 512
+    assert len(fact) == 512
     assert fact.nuclear_sum == approx(3.1108065814890642, rel=1e-9)
+
+
+def test_atom_stack_is_a_view_of_one_atom(target, grid, monkeypatch):
+    calls = []
+    monkeypatch.setattr(factorize, "sinc_atom",
+                        lambda *args: calls.append(args) or sinc_atom(*args))
+    F = weak_factorize(target, A, 2.0)
+    assert len(calls) <= 1                    # the passthrough candidate only
+    assert F.f.values.shape == F.g.values.shape == (512, grid.count)
+    assert not F.g.values.flags.writeable and not F.g.values.flags.owndata
+    stride = round(F.plan.spacing / grid.step)
+    for k in (0, 1, 255, 511):
+        atom = sinc_atom(A, grid.points[k * stride], grid)
+        assert np.array_equal(F.g.values[k], atom.values)
 
 
 def test_reconstruct_matches_target(fact, target):
@@ -97,25 +112,31 @@ def test_pair_with_zero_operator(fact, grid):
     assert pair(Z, fact) == 0j
 
 
+def _rows(F, rows):
+    """F restricted to the given rows of its stacks."""
+    return dataclasses.replace(F, f=SampledFunction(F.f.grid, F.f.values[rows]),
+                               g=SampledFunction(F.g.grid, F.g.values[rows]))
+
+
 def _pair_per_pair(T, F):
     """Reference: one coefficient read and one matrix-vector product per pair."""
-    basis = NyquistBasis(T.a, T.window, F.pairs[0][0].grid)
+    basis = NyquistBasis(T.a, T.window, F.f.grid)
     total = 0.0 + 0.0j
-    for f, g in F.pairs:
-        cf = basis.coefficients(f.fun)
-        cg = basis.coefficients(g.fun)
+    for fk, gk in zip(F.f.values, F.g.values):
+        cf = basis.coefficients(SampledFunction(F.f.grid, fk))
+        cg = basis.coefficients(SampledFunction(F.g.grid, gk))
         total += np.conj(cg) @ (T.entries @ cf)
     return complex(total)
 
 
-def test_block_pair_matches_per_pair(fact, grid):
+def test_stack_pair_matches_per_pair(fact, grid):
     atom = sinc_atom(A, 0.5, grid)
     single = weak_factorize(project_band(SampledFunction(
         grid, 0.3 * atom.values * np.conj(atom.values)), 2.0 * A), A, 2.0)
-    forms = {"blocks": fact, "partial-block": dataclasses.replace(
-                 fact, pairs=fact.pairs[:_PAIR_BLOCK + 36]),
-             "regrouped": regroup_pairs(fact), "one-pair": single}
-    assert len(fact.pairs) > _PAIR_BLOCK and len(single.pairs) == 1
+    forms = {"full": fact, "first-100": _rows(fact, slice(0, 100)),
+             "regrouped": regroup_pairs(fact), "one-pair": single,
+             "empty": _rows(fact, slice(0, 0))}
+    assert len(single) == 1 and len(forms["empty"]) == 0
     W = -grid.start
     for T in (identity_matrix(A, 2.0, W),
               toeplitz_matrix(gaussian_symbol(), A, 2.0, W, grid),
@@ -123,8 +144,16 @@ def test_block_pair_matches_per_pair(fact, grid):
         for name, F in forms.items():
             want = _pair_per_pair(T, F)
             assert abs(pair(T, F) - want) <= 1e-12 * abs(want), name
-    empty = dataclasses.replace(fact, pairs=[])
-    assert pair(T, empty) == 0j and isinstance(pair(T, empty), complex)
+    assert isinstance(pair(T, forms["empty"]), complex)
+
+
+def test_coefficients_of_a_stack_are_its_rows(fact, grid):
+    basis = NyquistBasis(A, 32.0, grid)
+    stack = basis.coefficients(fact.f)
+    assert stack.shape == (len(fact), basis.size)
+    for k in (0, 7, 300, 511):
+        row = basis.coefficients(SampledFunction(grid, fact.f.values[k]))
+        assert np.array_equal(stack[k], row)
 
 
 def test_band_mismatch_is_an_error(fact, grid):
@@ -138,17 +167,20 @@ def test_single_atom_product_passes_through(grid):
     vals = 0.3 * atom.values * np.conj(atom.values)
     h = project_band(SampledFunction(grid, vals), 2.0 * A)
     F = weak_factorize(h, A, 2.0)
-    assert len(F.pairs) == 1
+    assert len(F) == 1
     assert F.residual_sup < 1e-14
     assert F.nuclear_sum == approx(0.3 * lp_norm(atom.fun, 2.0) ** 2, rel=1e-9)
 
 
-def test_zero_target(grid):
+def test_zero_target():
+    grid = default_grid(A, 32.0)     # not the default grid of the band
     h = project_band(SampledFunction(grid, np.zeros(grid.count, complex)),
                      2.0 * B)
     F = weak_factorize(h, A, 2.0)
-    assert F.pairs == []
+    assert len(F) == 0
     assert F.nuclear_sum == 0.0
+    rec = F.reconstruct()
+    assert rec.grid == grid and not np.any(rec.values)
 
 
 def test_full_band_target_is_rejected(grid):
@@ -178,9 +210,12 @@ def test_nuclear_sum_grows_with_shrinking_margin(grid):
 def test_holder_per_term(fact, grid):
     T1 = identity_matrix(A, 2.0, -grid.start)
     q = fact.q
-    for fk, gk in fact.pairs[::64]:
-        term = abs(pair(T1, type(fact)([(fk, gk)], 0.0, 0.0, 0.0, A, 2.0)))
-        assert term <= lp_norm(fk.fun, 2.0) * lp_norm(gk.fun, q) * (1 + 1e-3)
+    for k in range(0, len(fact), 64):
+        fk, gk = (SampledFunction(grid, s.values[k:k + 1]) for s in (fact.f, fact.g))
+        term = abs(pair(T1, type(fact)(fk, gk, 0.0, 0.0, 0.0, A, 2.0)))
+        bound = (lp_norm(SampledFunction(grid, fk.values[0]), 2.0)
+                 * lp_norm(SampledFunction(grid, gk.values[0]), q))
+        assert term <= bound * (1 + 1e-3)
 
 
 def test_quartic_target_integral(grid):
@@ -195,7 +230,7 @@ def test_quartic_target_integral(grid):
 
 
 def test_xpq_sandwich_certificates(target, fact, grid):
-    tests = toeplitz_test_set(A, 2.0, count=4, seed=42, grid=grid)
+    tests = toeplitz_test_set(A, 2.0, seed=42, grid=grid)
     rep = xpq_sandwich(target, A, 2.0, tests)
     assert rep["l1_within_nuclear"]
     assert rep["estimate_within_nuclear"]

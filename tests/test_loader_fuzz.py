@@ -46,6 +46,11 @@ _FILES = {
                 ("entries", 2, 5), ("entries", 2, 5, 0), ("grid",),
                 ("grid", "start"), ("grid", "step"), ("grid", "count")]),
 }
+# toeplitz's output file, read through its `matrix` member
+_FILES["toeplitz-output"] = ("commutator-test", "--matrix",
+                             {"norm_lower": 1.0, "matrix": _FILES["matrix"][2]},
+                             [("matrix",), ("matrix", "band"),
+                              ("matrix", "entries", 2)])
 
 _CORRUPT = st.one_of(
     st.none(),
