@@ -14,22 +14,27 @@ unit trace, and the trace of the lattice defect is c^2 r^2 / (1 - r^2)^2 up
 to a term r^(2n).  With this choice the defect is *exactly* rank one on the
 geometric profile r^(-l), the lattice twin of the conjugate-kernel spectrum
 e^(2 pi (xi - a)) (the two growth rates agree to ~1e-6 per bin, ~1e-3 across
-the band).  Everything downstream -- the compatibility test, the commutator
-characterization, the series reconstruction, and the symbol recovery --
-works in this exact lattice algebra, with the closed-form kernel kept as an
-independent cross-check.
+the band).  Everything downstream -- the commutator characterization, the
+series reconstruction, and the symbol recovery -- works in this exact lattice
+algebra.
+
+The band bins are a contiguous block of the lattice, a semi-invariant
+subspace of every lower-triangular kernel, and compressions to a
+semi-invariant subspace multiply (Sarason, Trans. AMS 127, 1967): Lambda^k is
+the compression of M^k, whose first column is the Blaschke column's k-th
+power as a power series, truncated to the band's m bins.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (Grid, SampledFunction, fft_spectrum, inner,
-                   inverse_spectrum, lp_norm)
-from .pwspace import BandlimitedFunction, band_residual, default_grid
+from .grid import Grid, SampledFunction, fft_spectrum, inverse_spectrum, lp_norm
+from .pwspace import default_grid
 from .symbols import sampled_symbol
 from .toeplitz import NyquistBasis, OperatorMatrix, assemble_matrix, toeplitz_matrix
 
@@ -88,9 +93,9 @@ def build_frame(a: float, p: float = 2.0, grid: Grid | None = None) -> Conformal
 
     The conjugate kernel is built in the frequency domain as the geometric
     profile r^(-l) anchored at e^(-4 pi a) on the bottom band bin -- the
-    profile on which the compression defect is exactly rank one.  Its closed
-    form (1/2 pi i)(theta_a(x) - e^(-4 pi a) conj(theta_a)(x))/(x - i) is
-    available from closed_form_kernel for cross-checks.
+    profile on which the compression defect is exactly rank one.  It tracks
+    the closed form (1/2 pi i)(theta_a(x) - e^(-4 pi a) conj(theta_a)(x))/(x - i)
+    to a few percent at this window.
     """
     if grid is None:
         grid = default_grid(a)
@@ -107,40 +112,6 @@ def build_frame(a: float, p: float = 2.0, grid: Grid | None = None) -> Conformal
                           alpha)
 
 
-def closed_form_kernel(a: float, grid: Grid) -> SampledFunction:
-    """(1/2 pi i)(theta_a - e^(-4 pi a) conj(theta_a))/(x - i) on the grid."""
-    x = grid.points
-    theta = np.exp(2j * np.pi * a * x)
-    decay = math.exp(-4.0 * np.pi * a)
-    vals = (theta - decay * np.conj(theta)) / (2j * np.pi * (x - 1j))
-    return SampledFunction(grid, vals)
-
-
-def omega_compatible(f: SampledFunction | BandlimitedFunction,
-                     frame: ConformalFrame) -> dict:
-    """Kernel-orthogonality test for membership of omega*f in the band class.
-
-    defect = |<f, k>| / (||f|| ||k||); the flag is defect <= 1e-6.  The other
-    side of the equivalence, the out-of-band mass of omega*f, is computed
-    independently through the lattice multiplication and reported alongside.
-    """
-    fun = f.fun if isinstance(f, BandlimitedFunction) else f
-    nf = lp_norm(fun, 2.0)
-    nk = lp_norm(frame.kernel, 2.0)
-    defect = abs(inner(fun, frame.kernel)) / (nf * nk) if nf > 0.0 else 0.0
-    omega_f = lattice_omega_apply(fun)
-    residual = band_residual(omega_f, frame.a) if nf > 0.0 else 0.0
-    return {"flag": defect <= 1e-6, "defect": defect, "omega_residual": residual}
-
-
-def k_projector(f: SampledFunction | BandlimitedFunction,
-                frame: ConformalFrame) -> SampledFunction:
-    """K f = f - alpha <f, k> k, the projector onto the kernel's complement."""
-    fun = f.fun if isinstance(f, BandlimitedFunction) else f
-    coef = frame.alpha * inner(fun, frame.kernel)
-    return SampledFunction(fun.grid, fun.values - coef * frame.kernel.values)
-
-
 @dataclass
 class CompressionOps:
     lam: OperatorMatrix        # compression of multiplication by omega
@@ -151,6 +122,25 @@ class CompressionOps:
         return self.lam.size
 
 
+def _compressions(basis: NyquistBasis, p: float, k: int) -> CompressionOps:
+    """Lambda^k and LambdaBar^k from the Blaschke column's k-th power, truncated
+    to the m band bins by repeated squaring (see module docstring)."""
+    a, window, grid = basis.a, basis.window, basis.grid
+    m, n = basis.bins, grid.count
+    if basis.size != m:   # only N = m nodes make the matrix similar to the band block
+        raise ValueError(f"compression powers need a basis that spans the band: "
+                         f"{basis.size} nodes for {m} bins; use window {-grid.start}")
+    power, base = np.eye(1, m)[0], _omega_kernel(m, grid.freq_step)   # power = 1
+    while k:
+        if k & 1:
+            power = np.convolve(power, base)[:m]
+        base, k = np.convolve(base, base)[:m], k >> 1
+    kernel = np.zeros(n)        # indexed by d mod n: no weight on d < 0
+    kernel[:m] = power
+    return CompressionOps(assemble_matrix(kernel, a, p, window, grid),
+                          assemble_matrix(kernel[-np.arange(n) % n], a, p, window, grid))
+
+
 def lambda_ops(frame: ConformalFrame) -> CompressionOps:
     """Assemble the band compressions of omega- and conj(omega)-multiplication.
 
@@ -159,12 +149,7 @@ def lambda_ops(frame: ConformalFrame) -> CompressionOps:
     built on its own (not one as the adjoint of the other); at p = 2
     adjointness is then a checkable property rather than a definition.
     """
-    a, p, grid, window = frame.a, frame.p, frame.grid, -frame.grid.start
-    n = grid.count
-    col = _omega_kernel(n, grid.freq_step)
-    col[n // 2:] = 0.0          # indexed by d mod n: no weight on d < 0
-    return CompressionOps(assemble_matrix(col, a, p, window, grid),
-                          assemble_matrix(col[-np.arange(n) % n], a, p, window, grid))
+    return _compressions(frame.basis, frame.p, 1)
 
 
 def defect_identity_residual(ops: CompressionOps, frame: ConformalFrame) -> float:
@@ -220,13 +205,19 @@ def series_reconstruct(T: OperatorMatrix, N: int,
                        ops: CompressionOps) -> OperatorMatrix:
     """Partial sum sum_{n=0}^{N} LambdaBar^n (T - LambdaBar T Lambda) Lambda^n.
 
-    The sum telescopes to T - LambdaBar^(N+1) T Lambda^(N+1), evaluated with
-    binary matrix powers: the reconstruction error is precisely the operator
-    mass not yet drained through the compression.
+    The sum telescopes to T - LambdaBar^(N+1) T Lambda^(N+1): the
+    reconstruction error is precisely the operator mass not yet drained
+    through the compression.  Compressions to a semi-invariant subspace
+    multiply (Sarason, Trans. AMS 127, 1967), so the powers are assembled as
+    the compressions of omega^(N+1) and conj(omega)^(N+1), from the (N+1)-th
+    power of the Blaschke column, not by dense matrix products.
     """
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 0:
+        raise ValueError(f"series order N must be a non-negative integer, got {N!r}")
     _check_frame_matrix(T, ops)
-    drained = (np.linalg.matrix_power(ops.lam_bar.entries, N + 1) @ T.entries
-               @ np.linalg.matrix_power(ops.lam.entries, N + 1))
+    lam = ops.lam
+    powers = _compressions(NyquistBasis(lam.a, lam.window, lam.grid), lam.p, int(N) + 1)
+    drained = powers.lam_bar.entries @ T.entries @ powers.lam.entries
     return OperatorMatrix(T.entries - drained, T.a, T.p, T.window, T.nodes)
 
 

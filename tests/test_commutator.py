@@ -1,23 +1,59 @@
 """Conformal frame, compression calculus, Toeplitz test, symbol recovery."""
+import math
+
 import numpy as np
 import pytest
 from pytest import approx
 
-from pwlab.commutator import (blaschke_params, build_frame, closed_form_kernel,
-                              commutator_test, defect_identity_residual,
-                              k_projector, lambda_ops, lattice_omega_apply,
-                              omega_compatible, recover_symbol,
+from pwlab.commutator import (CompressionOps, _compressions, blaschke_params,
+                              build_frame, commutator_test,
+                              defect_identity_residual, lambda_ops,
+                              lattice_omega_apply, recover_symbol,
                               recovery_roundtrip, series_reconstruct,
                               series_residual)
 from pwlab.grid import SampledFunction, inner, lp_norm
 from pwlab.nehari import cayley
-from pwlab.pwspace import band_residual, default_grid, project_band, sinc_kernel
+from pwlab.pwspace import (BandlimitedFunction, band_residual, default_grid,
+                           project_band, sinc_kernel)
 from pwlab.symbols import (bump_spectrum_symbol, gaussian_symbol,
                            sampled_symbol)
-from pwlab.toeplitz import OperatorMatrix, identity_matrix, toeplitz_matrix
+from pwlab.toeplitz import (NyquistBasis, OperatorMatrix, identity_matrix,
+                            toeplitz_matrix)
 
 A = 1.0
 W = 64.0  # frame operators need the basis to span the whole grid window
+
+
+def closed_form_kernel(a, grid):
+    """(1/2 pi i)(theta_a - e^(-4 pi a) conj(theta_a))/(x - i) on the grid."""
+    x = grid.points
+    theta = np.exp(2j * np.pi * a * x)
+    decay = math.exp(-4.0 * np.pi * a)
+    vals = (theta - decay * np.conj(theta)) / (2j * np.pi * (x - 1j))
+    return SampledFunction(grid, vals)
+
+
+def omega_compatible(f, frame):
+    """Kernel-orthogonality test for membership of omega*f in the band class.
+
+    defect = |<f, k>| / (||f|| ||k||); the flag is defect <= 1e-6.  The other
+    side of the equivalence, the out-of-band mass of omega*f, is computed
+    independently through the lattice multiplication and reported alongside.
+    """
+    fun = f.fun if isinstance(f, BandlimitedFunction) else f
+    nf = lp_norm(fun, 2.0)
+    nk = lp_norm(frame.kernel, 2.0)
+    defect = abs(inner(fun, frame.kernel)) / (nf * nk) if nf > 0.0 else 0.0
+    omega_f = lattice_omega_apply(fun)
+    residual = band_residual(omega_f, frame.a) if nf > 0.0 else 0.0
+    return {"flag": defect <= 1e-6, "defect": defect, "omega_residual": residual}
+
+
+def k_projector(f, frame):
+    """K f = f - alpha <f, k> k, the projector onto the kernel's complement."""
+    fun = f.fun if isinstance(f, BandlimitedFunction) else f
+    coef = frame.alpha * inner(fun, frame.kernel)
+    return SampledFunction(fun.grid, fun.values - coef * frame.kernel.values)
 
 
 @pytest.fixture(scope="module")
@@ -153,9 +189,10 @@ def test_series_on_identity(frame, ops):
     assert r64 < 0.05
 
 
-@pytest.mark.parametrize("label", ["identity", "gaussian"])
-@pytest.mark.parametrize("N", [0, 1, 8])
-def test_series_closed_form_matches_partial_sum(ops, T_gauss, label, N):
+@pytest.mark.parametrize("N,label", [(N, label) for N in (0, 1, 8)
+                                      for label in ("identity", "gaussian")]
+                         + [(64, "gaussian")])
+def test_series_closed_form_matches_partial_sum(ops, T_gauss, N, label):
     # the definition, summed term by term: sum_{n=0}^{N} LBar^n C L^n
     T = identity_matrix(A, 2.0, W) if label == "identity" else T_gauss
     lam, lam_bar = ops.lam.entries, ops.lam_bar.entries
@@ -166,6 +203,29 @@ def test_series_closed_form_matches_partial_sum(ops, T_gauss, label, N):
         term = lam_bar @ term @ lam
     S = series_reconstruct(T, N, ops).entries
     assert np.linalg.norm(S - total, 2) <= 1e-12 * np.linalg.norm(total, 2)
+
+
+@pytest.mark.parametrize("k", [1, 2, 9, 65])
+def test_compression_powers_match_matrix_powers(ops, grid, k):
+    # Lambda^k and LambdaBar^k assembled from the k-th power of the Blaschke
+    # column, against dense powers of lambda_ops' matrices
+    powers = _compressions(NyquistBasis(A, W, grid), 2.0, k)
+    for got, base in ((powers.lam, ops.lam), (powers.lam_bar, ops.lam_bar)):
+        ref = np.linalg.matrix_power(base.entries, k)
+        assert np.max(np.abs(got.entries - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("N", [-2, 1.5, True])
+def test_series_order_must_be_a_nonnegative_integer(ops, T_gauss, N):
+    with pytest.raises(ValueError, match="N must be a non-negative integer"):
+        series_reconstruct(T_gauss, N, ops)
+
+
+def test_series_needs_a_basis_spanning_the_band(grid):
+    # a window-32 basis on the window-64 grid holds half the band's bins
+    T = toeplitz_matrix(gaussian_symbol(), A, 2.0, 32.0, grid)
+    with pytest.raises(ValueError, match="spans the band"):
+        series_reconstruct(T, 8, CompressionOps(T, T))
 
 
 def test_recovery_roundtrip_identity(frame, ops):

@@ -100,6 +100,16 @@ def test_pair_is_representation_independent(fact, grid):
     assert abs(v1 - v2) < 1e-6 * abs(v1)
 
 
+@pytest.mark.parametrize("p", [2.0, 1.5, 1.0])
+def test_regroup_nuclear_sum_is_the_per_row_sum(target, grid, p):
+    # the reference wraps each row and takes lp_norm; same arithmetic, so equal
+    R = regroup_pairs(weak_factorize(target, A, p))
+    want = float(sum(lp_norm(SampledFunction(grid, fk), R.p)
+                     * lp_norm(SampledFunction(grid, gk), R.q)
+                     for fk, gk in zip(R.f.values, R.g.values)))
+    assert R.nuclear_sum == want
+
+
 def test_pair_respects_symbol_bound(fact, target, grid):
     # |<T_psi, h>| <= sup|psi| * ||h||_1
     T = toeplitz_matrix(gaussian_symbol(), A, 2.0, -grid.start, grid)
