@@ -15,8 +15,8 @@ factorization and the duality pairing), `verify` (the identity suite), and
 from .grid import (Grid, SampledFunction, evaluate_offgrid, fft_spectrum, inner,
                    inverse_spectrum, lp_norm, symmetric_grid)
 from .pwspace import (BandlimitedFunction, band_mask, band_residual, boyd_lower_bound,
-                      default_grid, eval_functional, holder_conjugate, modulate,
-                      project_band, project_halfline, projector_two_term,
+                      default_grid, holder_conjugate, modulate, project_band,
+                      project_halfline, projector_two_term,
                       riesz_constant_estimate, sinc_kernel, sinc_profile)
 from .symbols import (SymbolSpec, bump_spectrum_symbol, gaussian_symbol,
                       mod_poly_symbol, sampled_symbol, samples, sup_norm)

@@ -69,6 +69,7 @@ _RANGES = {
     "p": (lambda v: 1.0 < v < math.inf, "must lie in (1, inf)"),
     "oversample": (lambda v: v >= 4, "must be at least 4"),
     "truncation": (lambda v: v >= 1, "must be at least 1"),
+    "seed": (lambda v: v >= 0, "must be non-negative"),
 }
 
 

@@ -201,8 +201,7 @@ def commutator_test(T: OperatorMatrix, frame: ConformalFrame,
     return {"is_toeplitz": deviation <= 1e-6, "deviation": deviation}
 
 
-def series_reconstruct(T: OperatorMatrix, N: int,
-                       ops: CompressionOps) -> OperatorMatrix:
+def series_reconstruct(T, N: int, ops: CompressionOps) -> OperatorMatrix | list:
     """Partial sum sum_{n=0}^{N} LambdaBar^n (T - LambdaBar T Lambda) Lambda^n.
 
     The sum telescopes to T - LambdaBar^(N+1) T Lambda^(N+1): the
@@ -210,15 +209,21 @@ def series_reconstruct(T: OperatorMatrix, N: int,
     through the compression.  Compressions to a semi-invariant subspace
     multiply (Sarason, Trans. AMS 127, 1967), so the powers are assembled as
     the compressions of omega^(N+1) and conj(omega)^(N+1), from the (N+1)-th
-    power of the Blaschke column, not by dense matrix products.
+    power of the Blaschke column, not by dense matrix products.  T is one
+    OperatorMatrix, giving one partial sum, or a sequence of them, giving
+    theirs in order from powers assembled once.
     """
     if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 0:
         raise ValueError(f"series order N must be a non-negative integer, got {N!r}")
-    _check_frame_matrix(T, ops)
+    mats = [T] if isinstance(T, OperatorMatrix) else list(T)
+    for M in mats:
+        _check_frame_matrix(M, ops)
     lam = ops.lam
     powers = _compressions(NyquistBasis(lam.a, lam.window, lam.grid), lam.p, int(N) + 1)
-    drained = powers.lam_bar.entries @ T.entries @ powers.lam.entries
-    return OperatorMatrix(T.entries - drained, T.a, T.p, T.window, T.nodes)
+    sums = [OperatorMatrix(M.entries - powers.lam_bar.entries @ M.entries
+                           @ powers.lam.entries, M.a, M.p, M.window, M.nodes)
+            for M in mats]
+    return sums[0] if isinstance(T, OperatorMatrix) else sums
 
 
 def series_residual(T: OperatorMatrix, S: OperatorMatrix,

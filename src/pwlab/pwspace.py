@@ -44,17 +44,6 @@ def sinc_profile(a: float, x) -> np.ndarray:
     return 2.0 * a * np.sinc(2.0 * a * np.asarray(x, dtype=float))
 
 
-def csinc(a: float, z) -> np.ndarray:
-    """sinc for complex arguments, with a series fallback near z = 0."""
-    z = np.asarray(z, dtype=complex)
-    zz = np.atleast_1d(z)
-    small = np.abs(zz) < 1e-8
-    w = 2.0 * np.pi * a * zz
-    den = np.where(small, 1.0, zz)
-    out = np.where(small, 2.0 * a * (1.0 - w ** 2 / 6.0), np.sin(w) / (np.pi * den))
-    return out if z.shape else out[0]
-
-
 def sinc_kernel(a: float, t: float, grid: Grid) -> SampledFunction:
     """Translate of the band-a reproducing kernel centred at t."""
     return SampledFunction(grid, sinc_profile(a, grid.points - t).astype(complex))
@@ -106,13 +95,6 @@ def project_halfline(f: SampledFunction, sign: int = +1) -> SampledFunction:
 def modulate(f: SampledFunction, b: float) -> SampledFunction:
     """Multiply by exp(2 pi i b x); shifts the spectrum up by b."""
     return SampledFunction(f.grid, f.values * np.exp(2j * np.pi * b * f.grid.points))
-
-
-def eval_functional(fb: BandlimitedFunction, z) -> complex:
-    """Evaluate fb at a (possibly complex) point via the kernel pairing
-    integral step*sum sinc_a(z - y) f(y)."""
-    ker = csinc(fb.a, np.asarray(z, dtype=complex) - fb.grid.points)
-    return complex(fb.grid.step * np.sum(ker * fb.values))
 
 
 def projector_two_term(f: SampledFunction, a: float) -> SampledFunction:

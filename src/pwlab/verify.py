@@ -269,12 +269,12 @@ def check_12_series(a: float, seed: int) -> list:
     frame = build_frame(a)
     ops = lambda_ops(frame)
     W = -grid.start
+    tests = {"identity": identity_matrix(a, 2.0, W),
+             "gaussian": toeplitz_matrix(gaussian_symbol(), a, 2.0, W, grid)}
+    s8, s64 = (series_reconstruct(tests.values(), N, ops) for N in (8, 64))
     rows = []
-    for label, T in (("identity", identity_matrix(a, 2.0, W)),
-                     ("gaussian", toeplitz_matrix(gaussian_symbol(), a, 2.0,
-                                                  W, grid))):
-        r8 = series_residual(T, series_reconstruct(T, 8, ops), frame)
-        r64 = series_residual(T, series_reconstruct(T, 64, ops), frame)
+    for (label, T), S8, S64 in zip(tests.items(), s8, s64):
+        r8, r64 = series_residual(T, S8, frame), series_residual(T, S64, frame)
         rows.append(_row(f"12-{label}-n64", "compression-series", r64, 0.05))
         rows.append(_row(f"12-{label}-monotone", "compression-series", r64, r8,
                          note=f"n8 {r8:.6f}"))
@@ -307,11 +307,10 @@ def check_13_weak_factorization(a: float, seed: int) -> list:
     W = -grid.start
     ops = (identity_matrix(a, 2.0, W),
            toeplitz_matrix(gaussian_symbol(), a, 2.0, W, grid))
-    v1 = [pair(T, F) for T in ops]
+    v1 = pair(ops, F)
     # rebinding F frees the original's stack before the regrouped pairings
     F = regroup_pairs(F)
-    worst = max(abs(u - pair(T, F)) / max(abs(u), 1e-300)
-                for T, u in zip(ops, v1))
+    worst = max(abs(u - v) / max(abs(u), 1e-300) for u, v in zip(v1, pair(ops, F)))
     return rows + [
         _row("13-pairing-well-defined", "pairing-representation-independence",
              worst, 1e-6),

@@ -283,6 +283,17 @@ def test_out_of_range_flag_is_named(files, argv, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [["verify"],
+                                  ["commutator-test", "--matrix", "missing.json"]])
+def test_negative_seed_is_refused_before_any_work(argv, monkeypatch, capsys):
+    def ran(*args, **kwargs):
+        raise AssertionError("ran with a negative seed")
+    monkeypatch.setattr("pwlab.verify.run_all", ran)
+    monkeypatch.setattr("pwlab.cli.commutator_test", ran)
+    assert run(*argv, "--seed", "-1") == 1
+    assert capsys.readouterr().err == "input error: seed: must be non-negative, got -1\n"
+
+
 def test_unknown_flag_is_exit_one_not_abort(files, capsys):
     # argparse normally calls sys.exit(2); we reserve 2 for certificates
     assert run("project", "--input", files / "smooth.json", "--frobble") == 1

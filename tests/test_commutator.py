@@ -205,6 +205,15 @@ def test_series_closed_form_matches_partial_sum(ops, T_gauss, N, label):
     assert np.linalg.norm(S - total, 2) <= 1e-12 * np.linalg.norm(total, 2)
 
 
+@pytest.mark.parametrize("N", [0, 8, 64])
+def test_series_over_a_sequence_matches_single_calls(ops, T_gauss, N):
+    mats = [identity_matrix(A, 2.0, W), T_gauss]
+    together = series_reconstruct(mats, N, ops)
+    assert len(together) == len(mats)
+    for T, S in zip(mats, together):
+        assert np.array_equal(S.entries, series_reconstruct(T, N, ops).entries)
+
+
 @pytest.mark.parametrize("k", [1, 2, 9, 65])
 def test_compression_powers_match_matrix_powers(ops, grid, k):
     # Lambda^k and LambdaBar^k assembled from the k-th power of the Blaschke

@@ -148,13 +148,19 @@ def test_stack_pair_matches_per_pair(fact, grid):
              "empty": _rows(fact, slice(0, 0))}
     assert len(single) == 1 and len(forms["empty"]) == 0
     W = -grid.start
-    for T in (identity_matrix(A, 2.0, W),
-              toeplitz_matrix(gaussian_symbol(), A, 2.0, W, grid),
-              toeplitz_matrix(gaussian_symbol(), A, 2.0, 32.0, grid)):
+    # one sequence per Nyquist window: each operator alone and in its sequence
+    for ops in ([identity_matrix(A, 2.0, W),
+                 toeplitz_matrix(gaussian_symbol(), A, 2.0, W, grid)],
+                [toeplitz_matrix(gaussian_symbol(), A, 2.0, 32.0, grid)]):
         for name, F in forms.items():
-            want = _pair_per_pair(T, F)
-            assert abs(pair(T, F) - want) <= 1e-12 * abs(want), name
+            together = pair(ops, F)
+            assert len(together) == len(ops), name
+            for T, got in zip(ops, together):
+                want = _pair_per_pair(T, F)
+                assert abs(pair(T, F) - want) <= 1e-12 * abs(want), name
+                assert abs(got - want) <= 1e-12 * abs(want), name
     assert isinstance(pair(T, forms["empty"]), complex)
+    assert pair([], fact) == []
 
 
 def test_coefficients_of_a_stack_are_its_rows(fact, grid):
@@ -170,6 +176,22 @@ def test_band_mismatch_is_an_error(fact, grid):
     T = identity_matrix(2.0, 2.0, -grid.start / 2)
     with pytest.raises(ValueError, match="band"):
         pair(T, fact)
+
+
+def test_band_is_checked_before_the_empty_shortcut(fact, grid):
+    T = identity_matrix(2.0, 2.0, -grid.start / 2)
+    with pytest.raises(ValueError, match="band mismatch"):
+        pair(T, _rows(fact, slice(0, 0)))
+    with pytest.raises(ValueError, match="band mismatch"):
+        pair([T], _rows(fact, slice(0, 0)))
+
+
+def test_a_sequence_must_share_one_nyquist_window(fact, grid):
+    W = -grid.start
+    for other in (identity_matrix(A, 2.0, 32.0), identity_matrix(2.0, 2.0, W)):
+        for F in (fact, _rows(fact, slice(0, 0))):
+            with pytest.raises(ValueError, match="different Nyquist windows"):
+                pair([identity_matrix(A, 2.0, W), other], F)
 
 
 def test_single_atom_product_passes_through(grid):

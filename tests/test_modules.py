@@ -72,7 +72,7 @@ def test_private_names_are_referenced():
 
 # Public functions that only the tests call.  This list may shrink, not grow:
 # a new public function needs a caller in the package, scripts/ or perfbench/.
-TEST_ONLY = {"pwspace.eval_functional"}
+TEST_ONLY = set()
 
 
 def _public_functions(tree: ast.Module) -> list:

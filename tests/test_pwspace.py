@@ -5,10 +5,10 @@ from pytest import approx
 
 from pwlab.grid import SampledFunction, inner, lp_norm
 from pwlab.pwspace import (BandlimitedFunction, _sign_power, band_residual,
-                           boyd_lower_bound, default_grid, eval_functional,
-                           holder_conjugate, modulate, project_band,
-                           project_halfline, projector_two_term,
-                           riesz_constant_estimate, sinc_kernel, sinc_profile)
+                           boyd_lower_bound, default_grid, holder_conjugate,
+                           modulate, project_band, project_halfline,
+                           projector_two_term, riesz_constant_estimate,
+                           sinc_kernel, sinc_profile)
 from pwlab.toeplitz import matrix_pnorm
 
 
@@ -42,6 +42,24 @@ def test_projection_is_selfadjoint(grid1):
     lhs = inner(project_band(f, 1.0).fun, g)
     rhs = inner(f, project_band(g, 1.0).fun)
     assert lhs == approx(rhs, rel=1e-12)
+
+
+def csinc(a: float, z) -> np.ndarray:
+    """sinc for complex arguments, with a series fallback near z = 0."""
+    z = np.asarray(z, dtype=complex)
+    zz = np.atleast_1d(z)
+    small = np.abs(zz) < 1e-8
+    w = 2.0 * np.pi * a * zz
+    den = np.where(small, 1.0, zz)
+    out = np.where(small, 2.0 * a * (1.0 - w ** 2 / 6.0), np.sin(w) / (np.pi * den))
+    return out if z.shape else out[0]
+
+
+def eval_functional(fb: BandlimitedFunction, z) -> complex:
+    """Reference: fb at a (possibly complex) point via the kernel pairing
+    integral step*sum sinc_a(z - y) f(y)."""
+    ker = csinc(fb.a, np.asarray(z, dtype=complex) - fb.grid.points)
+    return complex(fb.grid.step * np.sum(ker * fb.values))
 
 
 def test_kernel_reproduces_point_values(grid1):
