@@ -127,11 +127,15 @@ def holder_conjugate(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _sign_power(y: np.ndarray, e: float) -> np.ndarray:
-    """|y|^e * sign(y) for complex y, zero-safe."""
-    ay = np.abs(y)
-    safe = np.where(ay > 0, ay, 1.0)
-    return np.where(ay > 0, ay ** e * (y / safe), 0.0)
+def _dual_power(v: np.ndarray, e: float, weight: float):
+    """Per row: m = max|v|, u = r^(e-1)·sgn(v) and s = weight·Σ r^e with
+    r = |v|/m <= 1, so no power overflows, ||v||_e = m·s^(1/e), ||u||_e'^e' = s."""
+    a = np.abs(v)
+    m = np.max(a, axis=-1, initial=0.0)
+    r = a / np.where(m > 0, m, 1.0)[:, None]
+    t = r ** (e - 1.0)
+    s = weight * np.sum(r * t, axis=-1)
+    return m, v * np.divide(t, a, out=a, where=a > 0), s
 
 
 def boyd_lower_bound(apply_fn, adjoint_fn, n: int, p: float, weight: float = 1.0,
@@ -146,7 +150,9 @@ def boyd_lower_bound(apply_fn, adjoint_fn, n: int, p: float, weight: float = 1.0
     60 times in all.  A row stops on its own when its image or dual image
     vanishes or its estimate changes by at most 1e-12 relative, and leaves
     the block.  `weight` is the quadrature step if vectors represent function
-    samples (norms are then weight^(1/p)-scaled, which cancels in the ratio)."""
+    samples (norms are then weight^(1/p)-scaled, which cancels in the ratio).
+    Each half-step takes one power of |v|/(row max), giving ||y||_p and the
+    next start's norm (||x||_p^p = Σ|w|^q) with no overflow at any p."""
     if not 1.0 < p < math.inf:
         raise ValueError(f"p must be in (1, inf), got {p}")
     q = holder_conjugate(p)
@@ -155,27 +161,21 @@ def boyd_lower_bound(apply_fn, adjoint_fn, n: int, p: float, weight: float = 1.0
     for i in range(1, 4):
         x[i] = rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
-    def norm(v, e):
-        return (weight * np.sum(np.abs(v) ** e, axis=-1)) ** (1 / e)
-
-    nx = norm(x, p)
-    rows = np.flatnonzero(nx != 0)
-    x = x[rows] / nx[rows, None]
+    m, _, s = _dual_power(x, p, weight)
+    rows = np.flatnonzero(m != 0)
+    x = x[rows] / (m[rows] * s[rows] ** (1 / p))[:, None]
     est_prev = np.zeros(4)
     for _ in range(60):
         if not len(rows):
             break
-        y = apply_fn(x)
-        ny = norm(y, p)
-        rows, y, ny = rows[ny != 0], y[ny != 0], ny[ny != 0]
+        m, z, s = _dual_power(apply_fn(x), p, weight)
+        keep = m != 0
+        rows, z, ny = rows[keep], z[keep], m[keep] * s[keep] ** (1 / p)
         if not len(rows):
             break
-        # dual step: z = |y|^{p-1} sgn(y), push through the adjoint
-        w = adjoint_fn(_sign_power(y, p - 1.0))
-        nw = norm(w, q)
-        rows, w, ny = rows[nw != 0], w[nw != 0], ny[nw != 0]
-        x = _sign_power(w, q - 1.0)
-        x = x / norm(x, p)[:, None]
+        m, x, s = _dual_power(adjoint_fn(z), q, weight)
+        keep = m != 0
+        rows, ny, x = rows[keep], ny[keep], x[keep] / s[keep, None] ** (1 / p)
         running = np.abs(ny - est_prev[rows]) > 1e-12 * np.maximum(ny, 1e-300)
         est_prev[rows] = ny
         rows, x = rows[running], x[running]
@@ -187,17 +187,15 @@ def riesz_constant_estimate(p: float) -> float:
     projector, computed on a dedicated modest grid, [-32, 32) at step 1/8.
 
     At p = 2 the projector has norm exactly 1.  For p != 2 the discrete model
-    (a circulant, i.e. the periodic Hilbert transform) has norm > 1 and grows
-    as p moves away from 2, mirroring the continuous growth rate
-    ~ max(p, p/(p-1)).
+    (a circulant, i.e. the periodic Hilbert transform) has norm > 1, the same
+    at p and at its conjugate as the projector is self-adjoint (so `apply` is
+    its own adjoint), and grows as p moves away from 2 like max(p, p/(p-1)).
     """
     if not (1.0 < p < math.inf):
         raise ValueError("p must be in (1, inf)")
-    g = symmetric_grid(32.0, 0.125)
     if p == 2.0:
         return 1.0
-    # the projector matrix is Hermitian (even in p-land we use the same map
-    # with conjugate exponent for the adjoint)
+    g = symmetric_grid(32.0, 0.125)
     def apply(v):
         return project_halfline(SampledFunction(g, v)).values
     return boyd_lower_bound(apply, apply, g.count, p, weight=g.step, seed=42)

@@ -9,6 +9,30 @@ appear as "-floor" rows with the floor in the measured slot.
 import pytest
 
 from pwlab import verify
+from pwlab.grid import SampledFunction
+from pwlab.pwspace import boyd_lower_bound, default_grid, project_band
+
+ROW_IDS = [
+    "01-repro-spectral", "01-repro-quadrature", "02-zero-symbol",
+    "03-vanishing-spectrum",
+    "04-two-term-identity", "04-sandwich-identity", "04-hankel-intertwine",
+    "04-projector-norm-p1.5", "04-projector-norm-p2", "04-projector-norm-p3",
+    "05-operator-sum", "05-jensen-ratio", "05-cutoff-a-invariance",
+    "06-recovery-sweep", "06-central-sup-bound",
+    "07-sinc-constant-p1.1", "07-sinc-constant-p1.5", "07-sinc-constant-p2",
+    "07-sinc-constant-p3", "07-sinc-constant-p8", "07-sinc-constant-p2-value",
+    "08-upper-0", "08-lower-floor-0", "08-upper-1", "08-lower-floor-1",
+    "08-upper-2", "08-lower-floor-2",
+    "09-moment-match", "09-sup-vs-sigma0", "09-sigma0-vs-hankel",
+    "10-operator-residual", "10-constant-ceiling",
+    "11-toeplitz-deviation", "11-spoiler-floor", "11-rank-one-defect",
+    "12-identity-n64", "12-identity-monotone", "12-gaussian-n64",
+    "12-gaussian-monotone",
+    "13-reconstruction-sup", "13-reconstruction-l1", "13-nuclear-ceiling",
+    "13-pairing-well-defined",
+    "14-l1-vs-nuclear-sinc-sq", "14-estimate-vs-nuclear-sinc-sq",
+    "14-l1-vs-nuclear-sinc-quartic", "14-estimate-vs-nuclear-sinc-quartic",
+]
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +128,42 @@ def test_suite_is_complete_and_green(report):
     assert meta["n_rows"] == 47
     assert meta["all_pass"] is True
     assert meta["elapsed_s"] < 300.0  # desk-scale runtime budget
+
+
+def test_row_ids_and_order_are_pinned(report):
+    assert [r["check_id"] for r in report["checks"]] == ROW_IDS
+
+
+def test_04_conjugate_exponents_share_one_estimate(report):
+    by_id = {r["check_id"]: r for r in report["checks"]}
+    p15, p3 = by_id["04-projector-norm-p1.5"], by_id["04-projector-norm-p3"]
+    assert p15["measured"] == p3["measured"] and p15["bound"] == p3["bound"]
+    assert p15["note"] == p3["note"]
+
+
+def test_04_runs_one_estimate_per_conjugate_pair(monkeypatch):
+    boyd_ps, riesz_ps = [], []
+    boyd, riesz = verify.boyd_lower_bound, verify.riesz_constant_estimate
+    monkeypatch.setattr(verify, "boyd_lower_bound", lambda f, g, n, p, **kw:
+                        boyd_ps.append(p) or boyd(f, g, n, p, **kw))
+    monkeypatch.setattr(verify, "riesz_constant_estimate",
+                        lambda p: riesz_ps.append(p) or riesz(p))
+    verify.check_04_projector(1.0, 42)
+    assert sorted(boyd_ps) == [2.0, 3.0] and sorted(riesz_ps) == [2.0, 3.0]
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42])
+def test_04_shared_estimate_is_at_least_a_separate_p15_run(seed):
+    grid = default_grid(1.0)
+
+    def apply(v):
+        return project_band(SampledFunction(grid, v), 1.0).values
+
+    shared = next(r.measured for r in verify.check_04_projector(1.0, seed)
+                  if r.check_id == "04-projector-norm-p1.5")
+    alone = boyd_lower_bound(apply, apply, grid.count, 1.5, weight=grid.step,
+                             seed=seed)
+    assert shared >= alone
 
 
 def test_warnings_are_recorded_per_check(report):

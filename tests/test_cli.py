@@ -165,6 +165,16 @@ def test_warnings_print_as_one_line(tmp_path, capsys):
     assert not any(".py:" in line for line in lines)
 
 
+@pytest.mark.filterwarnings("error")
+def test_toeplitz_near_p_one_writes_no_overflow_warning(files, tmp_path, capsys):
+    out = tmp_path / "t.json"
+    assert run("toeplitz", "--symbol", files / "gauss_flat.json",
+               "--basis-window", 8, "--p", 1.001, "--out", out) == 0
+    assert "overflow" not in capsys.readouterr().err
+    payload = json.loads(out.read_text())
+    assert 0.0 < payload["norm_lower"] <= payload["norm_upper"] * (1 + 1e-12)
+
+
 def test_odd_count_grid_is_exit_one(tmp_path, capsys):
     bad = tmp_path / "odd.json"
     bad.write_text(json.dumps({"grid": {"start": -2.03125, "step": 0.0625,

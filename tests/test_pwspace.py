@@ -4,7 +4,7 @@ import pytest
 from pytest import approx
 
 from pwlab.grid import SampledFunction, inner, lp_norm
-from pwlab.pwspace import (BandlimitedFunction, _sign_power, band_residual,
+from pwlab.pwspace import (BandlimitedFunction, band_residual,
                            boyd_lower_bound, default_grid, holder_conjugate,
                            modulate, project_band, project_halfline,
                            projector_two_term, riesz_constant_estimate,
@@ -147,9 +147,17 @@ def test_boyd_estimate_on_scaled_identity():
         assert est == approx(3.0, rel=1e-8)
 
 
+def _sign_power(y, e):
+    """|y|^e * sign(y) for complex y, zero-safe."""
+    ay = np.abs(y)
+    safe = np.where(ay > 0, ay, 1.0)
+    return np.where(ay > 0, ay ** e * (y / safe), 0.0)
+
+
 def _boyd_per_start(apply_fn, adjoint_fn, n, p, weight=1.0, seed=42, iters=60):
     """Reference: the four starts iterated one after another, one vector at a
-    time, with the same draws and stop rules as the block route."""
+    time, with the same draws and stop rules as the block route, and every
+    norm and power taken unscaled, as written in the definition."""
     q = holder_conjugate(p)
     rng = np.random.default_rng(seed)
     pool = [np.ones(n, dtype=complex)]
@@ -198,7 +206,17 @@ def test_block_boyd_matches_per_start_on_dense_matrix(p, adjoint):
     assert got == approx(want, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.parametrize("p", [1.5, 3.0])
+@pytest.mark.parametrize("p", [1.1, 3.0])
+def test_block_boyd_matches_per_start_with_quadrature_weight(p):
+    A = _dense(48, seed=5)
+    want = _boyd_per_start(lambda x: A @ x, lambda y: A.conj().T @ y, 48, p,
+                           weight=0.0625)
+    got = boyd_lower_bound(lambda X: X @ A.T, lambda Y: Y @ A.conj(), 48, p,
+                           weight=0.0625)
+    assert got == approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [1.1, 1.5, 3.0, 8.0])
 def test_block_boyd_matches_per_start_on_band_projector(p, grid1):
     def apply(v):  # maps one vector or a stack of rows alike
         return project_band(SampledFunction(grid1, v), 1.0).values
@@ -230,6 +248,39 @@ def test_block_boyd_drops_a_start_that_stops_early():
     assert rows_seen[0] == 4 and rows_seen[1] == 3
     assert rows_seen == sorted(rows_seen, reverse=True)
     assert len(rows_seen) <= 60
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [1.001, 1000.0])
+def test_boyd_is_exact_on_a_diagonal_at_extreme_p(p):
+    # |y|^999 at p = 1000, and |w|^1000 at p = 1.001 (q = 1001), overflow
+    # unless each row is scaled by its largest modulus first
+    d = np.array([3.0, 1.0, 0.5])
+    est = boyd_lower_bound(lambda X: X * d, lambda Y: Y * d, 3, p)
+    assert est == approx(3.0, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [1.001, 1000.0])
+def test_matrix_pnorm_lower_bound_stays_finite_at_extreme_p(p):
+    got = matrix_pnorm(_dense(32, seed=2), p)
+    assert np.isfinite(got["lower"]) and got["lower"] > 0.0
+    assert got["lower"] <= got["upper"] * (1 + 1e-12)
+
+
+@pytest.mark.parametrize("project", [lambda f: project_band(f, 1.0).fun,
+                                     project_halfline],
+                         ids=["band", "halfline"])
+def test_projectors_are_self_adjoint(project, grid1):
+    # real 0/1 spectral masks: <Px, y> = <x, Py>, which lets one Boyd run
+    # serve a conjugate pair of exponents
+    rng = np.random.default_rng(4)
+    x, y = (SampledFunction(grid1, rng.standard_normal((3, grid1.count))
+                            + 1j * rng.standard_normal((3, grid1.count)))
+            for _ in range(2))
+    lhs = np.sum(project(x).values * np.conj(y.values), axis=-1)
+    rhs = np.sum(x.values * np.conj(project(y).values), axis=-1)
+    assert np.max(np.abs(lhs - rhs)) <= 1e-13 * np.max(np.abs(lhs))
 
 
 @pytest.mark.parametrize("p", [1.0, 0.5, np.inf, np.nan])
