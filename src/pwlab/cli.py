@@ -451,7 +451,7 @@ def cmd_recover_symbol(args) -> int:
 def cmd_verify(args) -> int:
     # imported here: no other command needs the suite
     from . import verify as verify_suite
-    report = verify_suite.run_all(args.band, seed=args.seed,
+    report = verify_suite.run_all(seed=args.seed,
                                   progress=lambda s: print(s, file=sys.stderr))
     out = args.out or "report.json"
     csv_path = out.rsplit(".", 1)[0] + ".csv"
@@ -531,7 +531,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_recover_symbol, band=None, p=None)
 
     sp = subs.add_parser("verify", help="run the full identity suite")
-    _add_flags(sp, "verify", "band", "seed")
+    _add_flags(sp, "verify", "seed")
     sp.set_defaults(func=cmd_verify)
 
     return parser

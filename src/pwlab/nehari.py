@@ -10,9 +10,10 @@ quotient is a closed form, so pulling back to the line is pointwise
 evaluation, not interpolation.
 
 Only sigma0, sigma1 and the top pair of the section are read: `_top_pairs`
-finds them by Lanczos from the operator's products, and the same kernel on
-the lattice operator P_- M_b P_+ gives `NehariResult.hankel_norm`, computed
-on first read; the bounded-symbol pipeline never reads it.
+finds them by Lanczos from its FFT products (the section is held as its
+2M + 1 disk coefficients, never as a matrix), and the same kernel on the
+lattice operator P_- M_b P_+ gives `NehariResult.hankel_norm`, computed on
+first read; the bounded-symbol pipeline never reads it.
 
 The bounded-symbol pipeline splits a symbol into spectral parts, replaces
 each one-sided part by its minimal-norm Hankel completion (the left part via
@@ -67,44 +68,25 @@ def _circle_coeffs(vals: np.ndarray, ns: np.ndarray) -> np.ndarray:
     return np.exp(-1j * np.pi * ns / size) * F[ns % size]
 
 
-@dataclass
-class HankelData:
-    disk_coeffs: np.ndarray      # indices -M..M
-    truncation: int
-    hankel_matrix: np.ndarray    # M x M, anti-diagonal s reads coeff(-s)
-    tail_ratio: float            # |coeff(-M)| / max|coeff|
+def line_to_disk(b: SymbolSpec, M: int = DEFAULT_TRUNCATION) -> np.ndarray:
+    """Fourier coefficients c(-M..M) of b composed with the inverse Cayley map:
+    all that `aak_solve` reads of b.
 
-    @property
-    def tail_certified(self) -> bool:
-        return self.tail_ratio <= TAIL_TOL
-
-
-def line_to_disk(b, M: int = DEFAULT_TRUNCATION) -> HankelData:
-    """Fourier coefficients -M..M of b composed with the inverse Cayley map.
-
-    b may be a SymbolSpec or a plain callable on the real line.  The
-    half-shifted circle grid keeps all sample points at finite x; a symbol
+    The half-shifted circle grid keeps all sample points at finite x; a symbol
     that blows up along the real line still shows up as non-finite or huge
     values near the grid ends and is rejected.
     """
     if M < 1:
         raise ValueError(f"truncation must be at least 1, got {M}")
     _, x = _circle_nodes(_circle_size(M))
-    vals = np.asarray(b(x) if callable(b) else point_values(b, x), dtype=complex)
+    vals = np.asarray(point_values(b, x), dtype=complex)
     interior = np.abs(x) <= 10.0
     scale = float(np.max(np.abs(vals[interior]))) if np.any(interior) else 0.0
     if not np.all(np.isfinite(vals)) or \
             float(np.max(np.abs(vals))) > 1e8 * (1.0 + scale):
         raise ValueError("symbol blows up toward x = +-inf (circle point z = 1); "
                          "cannot transfer to the disk")
-    coeffs = _circle_coeffs(vals, np.arange(-M, M + 1))
-    peak = float(np.max(np.abs(coeffs)))
-    tail = float(np.abs(coeffs[0])) / peak if peak > 0.0 else 0.0
-
-    j = np.arange(M)
-    s = j[:, None] + j[None, :] + 1          # anti-diagonal index
-    gamma = np.where(s <= M, coeffs[np.clip(M - s, 0, 2 * M)], 0.0)
-    return HankelData(coeffs, M, gamma, tail)
+    return _circle_coeffs(vals, np.arange(-M, M + 1))
 
 
 def _nearest_fill(vals: np.ndarray, bad: np.ndarray) -> np.ndarray:
@@ -130,7 +112,6 @@ class AAKSolution:
     sigma0: float
     v_coeffs: np.ndarray     # analytic Schmidt polynomial, ascending powers
     w_coeffs: np.ndarray     # anti-analytic side: w~(z) = sum w_j z^(-j-1)
-    truncation: int
     moment_residual: float
 
     def eval_disk(self, z) -> np.ndarray:
@@ -148,12 +129,6 @@ class AAKSolution:
         bad = np.abs(v) < 1e-8 * float(np.max(np.abs(v)))
         raw = self.sigma0 * wt / np.where(bad, 1.0, v)
         return _nearest_fill(raw, bad)
-
-
-def _zero_solution(M: int, sigma0: float) -> AAKSolution:
-    e0 = np.zeros(M, dtype=complex)
-    e0[0] = 1.0
-    return AAKSolution(sigma0, e0, np.zeros(M, dtype=complex), M, 0.0)
 
 
 def _top_pairs(apply, adjoint, n: int,
@@ -205,41 +180,52 @@ def _top_pairs(apply, adjoint, n: int,
             p[:, 0] @ U[:k + 1], np.conj(qh[0]) @ V[:k + 1])
 
 
-def aak_solve(hd: HankelData) -> AAKSolution:
-    """Top-singular-pair completion of the truncated Hankel data.
+def _section_products(coeffs: np.ndarray, n: int) -> tuple:
+    """x -> G x and y -> G* y for the n x n section G[j, k] = c(-(j+k+1)), n >= M,
+    of the coefficients c(-M..M), zero past -M.  (G x)[j] = sum_k h[j+k] x[k],
+    h[t] = c(-(t+1)), is a correlation: j + k < 2n, so 2n-point FFTs give it
+    without wrap.  G is symmetric, so G* y = conj(G conj(y))."""
+    M = len(coeffs) // 2
+    h = np.zeros(2 * n, dtype=complex)
+    h[:M] = coeffs[:M][::-1]
+    hf = np.fft.fft(h)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        return np.fft.ifft(hf * np.fft.ifft(x, 2 * n, norm="forward"))[:n]
+
+    return apply, lambda y: np.conj(apply(np.conj(y)))
+
+
+def aak_solve(coeffs: np.ndarray) -> AAKSolution:
+    """Top-singular-pair completion of the disk coefficients c(-M..M).
 
     The returned symbol is sigma0 * w~/v for the top Schmidt pair (v, w) of
-    the section; its negative Fourier coefficients reproduce the stored ones
-    (exactly in exact arithmetic, since the truncated series is a polynomial
-    in 1/z whose infinite Hankel matrix the section captures in full).  A
-    nearly degenerate top singular value makes the completion non-unique; the
-    section is then enlarged by one (a zero pad, the operator is unchanged)
-    and one valid pair is returned with a warning.  sigma0, sigma1 and the
-    pair come from `_top_pairs` on the section's products, for the re-solve
-    too; the floor that zeroes the completion also stops the kernel.
+    the M x M section of c(-M..-1), which its negative Fourier coefficients
+    reproduce (exactly in exact arithmetic: the section holds the whole Hankel
+    matrix of that polynomial in 1/z).  `_top_pairs` runs on the section's FFT
+    products (`_section_products`); the floor that zeroes the completion also
+    stops it.  A nearly degenerate top singular value makes the completion
+    non-unique; the re-solve at n = M + 1 (a zero row and column, the same
+    operator) returns one valid pair with a warning.
     """
-    M = hd.truncation
-    floor = 1e-13 * max(1.0, float(np.max(np.abs(hd.disk_coeffs))))
-
-    def top_pairs(A: np.ndarray) -> tuple:        # A* y = conj(conj(y) A)
-        return _top_pairs(lambda x: A @ x, lambda y: np.conj(np.conj(y) @ A), len(A), floor)
-
-    gamma = hd.hankel_matrix
-    sigma0, sigma1, w, v = top_pairs(gamma)
+    M = len(coeffs) // 2
+    floor = 1e-13 * max(1.0, float(np.max(np.abs(coeffs))))
+    sigma0, sigma1, w, v = _top_pairs(*_section_products(coeffs, M), M, floor)
     if sigma0 <= floor:
-        return _zero_solution(M, sigma0)
+        return AAKSolution(sigma0, np.eye(1, M, dtype=complex)[0],
+                           np.zeros(M, dtype=complex), 0.0)
     if sigma1 > sigma0 * (1.0 - 1e-10):
         warnings.warn("top singular value is (nearly) degenerate; the "
                       "minimal completion is not unique, returning one "
                       "valid choice", stacklevel=2)
-        sigma0, _, w, v = top_pairs(np.pad(gamma, (0, 1)))
+        sigma0, _, w, v = _top_pairs(*_section_products(coeffs, M + 1), M + 1, floor)
 
     thetas, _ = _circle_nodes(_circle_size(M))
-    sol = AAKSolution(sigma0, v, w, M, 0.0)
+    sol = AAKSolution(sigma0, v, w, 0.0)
     psi = sol.eval_disk(np.exp(1j * thetas))
 
     back = _circle_coeffs(psi, np.arange(-M, 0))
-    sol.moment_residual = float(np.max(np.abs(back - hd.disk_coeffs[:M]))) / sigma0
+    sol.moment_residual = float(np.max(np.abs(back - coeffs[:M]))) / sigma0
     return sol
 
 
@@ -302,11 +288,13 @@ def nehari_solve(b: SymbolSpec, a: float, p: float = 2.0,
             f"nehari: spectrum extends below -2a (energy fraction {frac:.2e}); "
             "expected theta_bar^2 times an analytic-spectrum symbol")
 
-    hd = line_to_disk(b, M)
-    if not hd.tail_certified:
-        warnings.warn(f"coefficient tail ratio {hd.tail_ratio:.2e} exceeds "
+    coeffs = line_to_disk(b, M)
+    peak = float(np.max(np.abs(coeffs)))
+    tail = float(np.abs(coeffs[0])) / peak if peak > 0.0 else 0.0
+    if tail > TAIL_TOL:
+        warnings.warn(f"coefficient tail ratio {tail:.2e} exceeds "
                       f"{TAIL_TOL}; increase the truncation", stacklevel=2)
-    sol = aak_solve(hd)
+    sol = aak_solve(coeffs)
     psi = SampledFunction(grid, sol.eval_disk(cayley(grid.points)))
     corr = project_halfline(SampledFunction(grid, bs.values - psi.values), -1)
     matched = SampledFunction(grid, psi.values + corr.values)
@@ -315,7 +303,7 @@ def nehari_solve(b: SymbolSpec, a: float, p: float = 2.0,
         warnings.warn(f"sup norm {sup:.4e} exceeds (1+tol)*sigma0 "
                       f"{(1 + AAK_TOL) * sol.sigma0:.4e}", stacklevel=2)
     return NehariResult(psi, matched, sol.sigma0, sol.moment_residual, sup,
-                        lp_norm(corr, np.inf), hd.tail_ratio, M, sol, bs)
+                        lp_norm(corr, np.inf), tail, M, sol, bs)
 
 
 # -- bounded-symbol pipeline ---------------------------------------------------

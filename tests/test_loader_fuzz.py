@@ -6,6 +6,7 @@ import copy
 import json
 import re
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pwlab import jsonio
@@ -96,6 +97,7 @@ def test_corrupted_field_exits_cleanly(case, tmp_path, capsys):
         assert re.search(rf"\b{field}\b", message), (path, value, message)
 
 
+@pytest.mark.filterwarnings("default::UserWarning")   # split warns; main prints it
 def test_uncorrupted_files_exit_zero(tmp_path):
     # so that every exit 1 in the fuzz test comes from the corruption
     for kind, (command, flag, valid, _) in _FILES.items():

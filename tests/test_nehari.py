@@ -8,8 +8,8 @@ from pytest import approx
 
 from pwlab import nehari
 from pwlab.grid import SampledFunction, energy_fraction, fft_spectrum, lp_norm
-from pwlab.nehari import (AAKSolution, HankelData, NehariResult, _circle_coeffs,
-                          _circle_nodes, _circle_size, _top_pairs, aak_solve,
+from pwlab.nehari import (AAKSolution, NehariResult, _circle_coeffs, _circle_nodes,
+                          _circle_size, _section_products, _top_pairs, aak_solve,
                           bounded_symbol, hankel_norm_estimate, line_to_disk,
                           nehari_solve)
 from pwlab.pwspace import default_grid, project_band, sinc_kernel
@@ -56,7 +56,7 @@ def hankel_pairing_residual(b, result: NehariResult, orders: int = 64,
     truncation enters.  Probe orders j + k run over 1..orders.
     """
     thetas, x = _circle_nodes(nodes)
-    vb = np.asarray(b(x) if callable(b) else point_values(b, x), dtype=complex)
+    vb = point_values(b, x)
     vp = result.solution.eval_disk(np.exp(1j * thetas))
     return float(np.max(np.abs(_circle_coeffs(vp - vb, -np.arange(1, orders + 1)))))
 
@@ -215,32 +215,76 @@ def _counted(apply, adjoint, calls: list):
     return lambda x: calls.append(1) or apply(x), lambda y: calls.append(1) or adjoint(y)
 
 
+def _dense_section(coeffs: np.ndarray, n: int | None = None) -> np.ndarray:
+    """The n x n section G[j, k] = c(-(j+k+1)) of the disk coefficients
+    c(-M..M), zero past -M (n = M by default), built entry by entry."""
+    M = len(coeffs) // 2
+    s = np.arange(n or M)[:, None] + np.arange(n or M)[None, :] + 1
+    return np.where(s <= M, coeffs[np.clip(M - s, 0, 2 * M)], 0.0)
+
+
 @pytest.fixture(scope="module")
-def sections(right_target, grid):
-    """Check 09's section, check 10's sigma1/sigma0 = 0.991 section (the right
-    part of gaussian(0.8, 2.0)) and a seeded complex 48 x 48 matrix."""
+def hard_target(grid):
+    """Check 10's sigma1/sigma0 = 0.991 target: the right part of gaussian(0.8, 2.0)."""
+    return _right_target(gaussian_symbol(amp=0.8, width=2.0), grid)
+
+
+@pytest.fixture(scope="module")
+def disks(right_target, hard_target):
+    """Check 09's and check 10's disk coefficients at the default truncation."""
+    return {"check09": line_to_disk(right_target),
+            "check10-0.991": line_to_disk(hard_target)}
+
+
+@pytest.fixture(scope="module")
+def sections(disks):
+    """The dense sections of `disks` and a seeded complex 48 x 48 matrix."""
     rng = np.random.default_rng(48)
-    hard = _right_target(gaussian_symbol(amp=0.8, width=2.0), grid)
-    return {"check09": line_to_disk(right_target).hankel_matrix,
-            "check10-0.991": line_to_disk(hard).hankel_matrix,
+    return {**{name: _dense_section(c) for name, c in disks.items()},
             "random48": rng.standard_normal((48, 48))
             + 1j * rng.standard_normal((48, 48))}
 
 
-@pytest.mark.parametrize("name, gap", [("check09", 0.959), ("check10-0.991", 0.991),
-                                       ("random48", None)])
-def test_top_pairs_match_svd(sections, name, gap):
-    gamma = sections[name]
+@pytest.mark.parametrize("M", [1, 2, 64, 256])
+@pytest.mark.parametrize("extra", [0, 1], ids=["n=M", "n=M+1"])
+@pytest.mark.parametrize("which", ["check09", "check10-0.991"])
+def test_section_products_match_dense_section(right_target, hard_target, M, extra, which):
+    coeffs = line_to_disk(right_target if which == "check09" else hard_target, M)
+    n = M + extra
+    G = _dense_section(coeffs, n)
+    apply, adjoint = _section_products(coeffs, n)
+    rng = np.random.default_rng(M + extra)
+    for _ in range(3):
+        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        for got, want in ((apply(x), G @ x), (adjoint(x), np.conj(G.T) @ x)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def _assert_top_pairs(gamma, products, gap):
+    """`_top_pairs` on products of gamma gives its SVD's sigma0, sigma1 and top
+    pair to 1e-12 relative; gap is the intended sigma1/sigma0, if any."""
     s0, s1, u, v = _svd_reference(gamma)
     if gap is not None:                                # the intended section
         assert s1 / s0 == approx(gap, abs=1e-3)
-    got0, got1, gu, gv = _top_pairs(*_products(gamma))
+    got0, got1, gu, gv = _top_pairs(*products)
     assert abs(got0 - s0) <= 1e-12 * s0
     assert abs(got1 - s1) <= 1e-12 * s0
     phase = np.vdot(v, gv) / abs(np.vdot(v, gv))     # the pair is unique up to phase
     assert np.max(np.abs(gv - phase * v)) <= 1e-12
     assert np.max(np.abs(gu - phase * u)) <= 1e-12
     assert np.linalg.norm(gamma @ gv - got0 * gu) <= 1e-12 * s0
+
+
+@pytest.mark.parametrize("name, gap", [("check09", 0.959), ("check10-0.991", 0.991),
+                                       ("random48", None)])
+def test_top_pairs_match_svd(sections, name, gap):
+    _assert_top_pairs(sections[name], _products(sections[name]), gap)
+
+
+@pytest.mark.parametrize("name, gap", [("check09", 0.959), ("check10-0.991", 0.991)])
+def test_top_pairs_on_section_products_match_svd(sections, disks, name, gap):
+    n = len(sections[name])
+    _assert_top_pairs(sections[name], (*_section_products(disks[name], n), n), gap)
 
 
 def test_top_pairs_stops_on_the_residual(sections):
@@ -253,14 +297,11 @@ def test_top_pairs_stops_on_the_residual(sections):
 
 
 @pytest.mark.parametrize("name", ["check09", "check10-0.991"])
-def test_aak_completion_matches_svd_completion(right_target, grid, name):
-    b = right_target if name == "check09" else _right_target(
-        gaussian_symbol(amp=0.8, width=2.0), grid)
-    hd = line_to_disk(b)
-    s0, _, u, v = _svd_reference(hd.hankel_matrix)
-    ref = AAKSolution(s0, v, u, hd.truncation, 0.0)
-    got = aak_solve(hd)
-    z = np.exp(1j * _circle_nodes(_circle_size(hd.truncation))[0])
+def test_aak_completion_matches_svd_completion(disks, sections, name):
+    s0, _, u, v = _svd_reference(sections[name])
+    ref = AAKSolution(s0, v, u, 0.0)
+    got = aak_solve(disks[name])
+    z = np.exp(1j * _circle_nodes(_circle_size(len(v)))[0])
     want = ref.eval_disk(z)
     assert abs(got.sigma0 - s0) <= 1e-12 * s0
     # psi = sigma0 w~/v magnifies a rounding-level change of the pair by
@@ -272,14 +313,12 @@ def test_aak_completion_matches_svd_completion(right_target, grid, name):
                   <= 1e-12 * np.max(np.abs(want)) * cond)
 
 
-def _section(coeffs: dict, M: int = 64) -> HankelData:
-    """HankelData holding disk coefficients {n: c_n}, laid out as line_to_disk does."""
+def _section(coeffs: dict, M: int = 64) -> np.ndarray:
+    """Disk coefficients c(-M..M) holding {n: c_n}, laid out as line_to_disk does."""
     disk = np.zeros(2 * M + 1, dtype=complex)
     for n, c in coeffs.items():
         disk[M + n] = c
-    s = np.arange(M)[:, None] + np.arange(M)[None, :] + 1
-    gamma = np.where(s <= M, disk[np.clip(M - s, 0, 2 * M)], 0.0)
-    return HankelData(disk, M, gamma, 0.0)
+    return disk
 
 
 @pytest.mark.parametrize("coeffs", [{-2: 1.0}, {-1: 1e-12, -3: 1.0}],
@@ -304,7 +343,7 @@ def _tied_matrix(gap: float, n: int = 256) -> np.ndarray:
 
 
 @pytest.mark.parametrize("gap", [1e-11, 0.0], ids=["near-tie", "exact-tie"])
-def test_high_rank_tie_is_resolved_and_warns(gap):
+def test_high_rank_tie_is_resolved(gap):
     # stopping on the top pair alone reads sigma1 = 0.947 at 56 steps for the
     # exact tie; the second Ritz pair's residual holds the iteration until
     # the tied vector has entered by rounding
@@ -312,10 +351,6 @@ def test_high_rank_tie_is_resolved_and_warns(gap):
     s0, s1, _, _ = _svd_reference(gamma)
     got0, got1, _, _ = _top_pairs(*_products(gamma))
     assert abs(got0 - s0) <= 1e-12 * s0 and abs(got1 - s1) <= 1e-12 * s0
-    disk = np.zeros(2 * 256 + 1, dtype=complex)
-    disk[0] = 1.0
-    with pytest.warns(UserWarning, match="degenerate"):
-        aak_solve(HankelData(disk, 256, gamma, 0.0))
 
 
 def test_zero_and_below_floor_sections_give_zero_solution():
@@ -410,3 +445,16 @@ def test_hankel_norm_memory_is_bounded_by_the_cap(right_target, grid):
     finally:
         tracemalloc.stop()
     assert peak < 2 * (nehari.LANCZOS_CAP + 1) * n * 16 + 32 * n * 16
+
+
+def test_completion_memory_is_bounded_by_the_cap():
+    # the Lanczos bases and a few vectors on the 8M circle nodes; the M x M
+    # section alone would be 67 MB at M = 2048
+    M = 2048
+    tracemalloc.start()
+    try:
+        aak_solve(line_to_disk(gaussian_symbol(amp=0.5, width=3.0, mod=-1.0), M))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (nehari.LANCZOS_CAP + 1) * M * 16 + 64 * M * 16
