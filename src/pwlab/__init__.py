@@ -12,7 +12,7 @@ factorization and the duality pairing), `verify` (the identity suite), and
 `cli` (the command-line surface).
 """
 
-from .grid import (Grid, SampledFunction, evaluate_offgrid, fft_spectrum, inner,
+from .grid import (Grid, SampledFunction, evaluate_offgrid, fft_spectrum,
                    inverse_spectrum, lp_norm, symmetric_grid)
 from .pwspace import (BandlimitedFunction, band_mask, band_residual, boyd_lower_bound,
                       default_grid, holder_conjugate, modulate, project_band,
@@ -25,9 +25,8 @@ from .toeplitz import (NyquistBasis, OperatorMatrix, assemble_matrix,
                        matrix_from_dict, matrix_pnorm, matrix_to_dict,
                        operator_norm_certified, toeplitz_apply,
                        toeplitz_matrix)
-from .split import (SplitResult, bump_l1_norms, central_recover,
-                    central_recover_sweep, jensen_certificate,
-                    sinc_norm_constant, split_symbol)
+from .split import (SplitResult, bump_l1_norms, central_recover_sweep,
+                    jensen_certificate, sinc_norm_constant, split_symbol)
 from .nehari import (AAKSolution, BoundedSymbol, NehariResult, aak_solve,
                      bounded_symbol, hankel_norm_estimate, nehari_solve)
 from .commutator import (ConformalFrame, RecoveredSymbol, build_frame,

@@ -21,11 +21,11 @@ import warnings
 import numpy as np
 
 from . import jsonio
-from .commutator import (build_frame, commutator_test, lambda_ops,
-                         recover_symbol, recovery_roundtrip)
+from .commutator import (build_frame, commutator_test, recover_symbol,
+                         recovery_roundtrip)
 from .factorize import sinc_atom, weak_factorize
 from .grid import SampledFunction, lp_norm
-from .nehari import bounded_symbol, nehari_solve
+from .nehari import MAX_TRUNCATION, bounded_symbol, nehari_solve
 from .pwspace import band_residual, default_grid, project_band
 from .split import bump, split_symbol
 from .symbols import KINDS as SYMBOL_KINDS, from_dict as symbol_from_dict
@@ -68,7 +68,8 @@ _RANGES = {
     "band": _POSITIVE, "window": _POSITIVE, "basis_window": _POSITIVE,
     "p": (lambda v: 1.0 < v < math.inf, "must lie in (1, inf)"),
     "oversample": (lambda v: v >= 4, "must be at least 4"),
-    "truncation": (lambda v: v >= 1, "must be at least 1"),
+    "truncation": (lambda v: 1 <= v <= MAX_TRUNCATION,
+                   f"must lie in [1, {MAX_TRUNCATION}]"),
     "seed": (lambda v: v >= 0, "must be non-negative"),
 }
 
@@ -202,19 +203,9 @@ def _write(out_path: str, payload: dict, csv_rows=None, csv_header=None) -> None
     wrote = out_path
     if csv_rows is not None:
         csv_path = out_path.rsplit(".", 1)[0] + ".csv"
-        _write_csv(csv_path, csv_header, csv_rows)
+        jsonio.write_csv(csv_path, csv_header, csv_rows)
         wrote += f" and {csv_path}"
     print(f"wrote {wrote}")
-
-
-def _write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(
-            jsonio._fmt_float(v) if isinstance(v, float) else str(v)
-            for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 # -- commands ------------------------------------------------------------------
@@ -270,9 +261,9 @@ def cmd_split(args) -> int:
     _write(args.out or "split.json", payload, rows, ["part", "l1_norm"])
     if args.emit_bumps:
         us = np.arange(-4.0, 4.0 + 1e-12, 1.0 / 32.0)
-        table = [[args.band * u] + [bump(u, w) for w in ("L", "C", "R")]
-                 for u in us]
-        _write_csv("bumps.csv", ["xi", "bump_L", "bump_C", "bump_R"], table)
+        table = np.column_stack([args.band * us]
+                                + [bump(us, w) for w in ("L", "C", "R")])
+        jsonio.write_csv("bumps.csv", ["xi", "bump_L", "bump_C", "bump_R"], table)
         print("wrote bumps.csv")
     return EXIT_OK
 
@@ -394,7 +385,7 @@ def cmd_factorize(args) -> int:
 
 def _frame_for(args, T):
     # band, p, window and grid come from the matrix file; flags may only
-    # agree.  The frame and its compressions are built on T's grid.
+    # agree.  The frame is built on T's grid.
     if args.band is not None and args.band != T.a:
         raise InputError(f"band: {args.band} does not match matrix band {T.a}")
     if args.p is not None and args.p != T.p:
@@ -407,20 +398,18 @@ def _frame_for(args, T):
                          f"{grid.step}, count {grid.count}) does not span its "
                          f"basis window {T.window}; assemble it with --window "
                          f"{T.window}")
-    frame = build_frame(T.a, T.p, grid)
-    return frame, lambda_ops(frame)
+    return build_frame(T.a, T.p, grid)
 
 
 def cmd_commutator_test(args) -> int:
     tol = _tols(args)["deviation"]
     T = _load_matrix(args.matrix)
-    frame, ops = _frame_for(args, T)
-    rep = commutator_test(T, frame, ops, seed=args.seed)
-    verdict = rep["deviation"] <= tol
-    payload = {"is_toeplitz": verdict, "deviation": rep["deviation"],
+    deviation = commutator_test(T, _frame_for(args, T), seed=args.seed)
+    verdict = deviation <= tol
+    payload = {"is_toeplitz": verdict, "deviation": deviation,
                "threshold": tol, "band": T.a, "p": T.p}
     _write(args.out or "commutator_test.json", payload,
-           [[rep["deviation"], tol, str(verdict).lower()]],
+           [[deviation, tol, str(verdict).lower()]],
            ["deviation", "threshold", "is_toeplitz"])
     return EXIT_OK if verdict else EXIT_CERT
 
@@ -430,7 +419,7 @@ def cmd_recover_symbol(args) -> int:
     T = _load_matrix(args.matrix)
     if T.p != 2.0:
         raise InputError(f"matrix p: symbol recovery needs p = 2, got {T.p}")
-    rec = recover_symbol(T, *_frame_for(args, T))
+    rec = recover_symbol(T, _frame_for(args, T))
     rt = recovery_roundtrip(T, rec)
     payload = {
         "band": T.a, "p": T.p,

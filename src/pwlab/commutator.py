@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -86,6 +87,11 @@ class ConformalFrame:
     kernel: SampledFunction      # conjugate kernel, defect-exact lattice profile
     kernel_coeffs: np.ndarray
     alpha: float                 # 1 / ||kernel||_2^2
+
+    @cached_property
+    def ops(self) -> CompressionOps:
+        """lambda_ops(self), assembled on first use."""
+        return lambda_ops(self)
 
 
 def build_frame(a: float, p: float = 2.0, grid: Grid | None = None) -> ConformalFrame:
@@ -152,19 +158,19 @@ def lambda_ops(frame: ConformalFrame) -> CompressionOps:
     return _compressions(frame.basis, frame.p, 1)
 
 
-def defect_identity_residual(ops: CompressionOps, frame: ConformalFrame) -> float:
+def defect_identity_residual(frame: ConformalFrame) -> float:
     """|| (I - LambdaBar Lambda) - alpha k (x) k ||_2 in the basis coordinates."""
-    n = ops.size
-    defect = np.eye(n, dtype=complex) - ops.lam_bar.entries @ ops.lam.entries
+    ops = frame.ops
+    defect = np.eye(ops.size, dtype=complex) - ops.lam_bar.entries @ ops.lam.entries
     kc = frame.kernel_coeffs
     return float(np.linalg.norm(defect - frame.alpha * np.outer(kc, np.conj(kc)), 2))
 
 
-def _check_frame_matrix(T: OperatorMatrix, ops: CompressionOps):
-    if T.size != ops.size:
+def _check_frame_matrix(T: OperatorMatrix, frame: ConformalFrame):
+    if T.size != frame.basis.size:
         raise ValueError(f"operator is on a {T.size}-vector basis, but the frame "
-                         f"uses {ops.size}; assemble it at window "
-                         f"{ops.lam.window}")
+                         f"uses {frame.basis.size}; assemble it at window "
+                         f"{frame.basis.window}")
 
 
 def _k_project_coeffs(vecs: np.ndarray, frame: ConformalFrame) -> np.ndarray:
@@ -173,53 +179,51 @@ def _k_project_coeffs(vecs: np.ndarray, frame: ConformalFrame) -> np.ndarray:
     return vecs - scale * np.outer(kc, np.conj(kc) @ vecs)
 
 
-def commutator_test(T: OperatorMatrix, frame: ConformalFrame,
-                    ops: CompressionOps, seed: int = 42) -> dict:
+def commutator_test(T: OperatorMatrix, frame: ConformalFrame, seed: int = 42) -> float:
     """Toeplitz characterization: <T f, g> = <T(omega f), omega g> on Ran K.
 
     Eight seeded random coefficient vectors a side are K-projected; for such
-    vectors the lattice omega-multiplication coincides with Lambda, so the
-    right pairing is (Lambda g)^H T (Lambda f).  deviation is the largest
-    normalized mismatch; is_toeplitz flags deviation <= 1e-6.  ops is
-    lambda_ops(frame).
+    vectors the lattice omega-multiplication coincides with the frame's
+    Lambda, so the right pairing is (Lambda g)^H T (Lambda f).  Returns the
+    deviation, the largest normalized mismatch; 0 for the zero operator.
     """
-    _check_frame_matrix(T, ops)
+    _check_frame_matrix(T, frame)
     n = T.size
     tnorm = float(np.linalg.norm(T.entries, 2))
     if tnorm == 0.0:
-        return {"is_toeplitz": True, "deviation": 0.0}
+        return 0.0
     rng = np.random.default_rng(seed)
     fs = _k_project_coeffs(rng.standard_normal((n, 8))
                            + 1j * rng.standard_normal((n, 8)), frame)
     gs = _k_project_coeffs(rng.standard_normal((n, 8))
                            + 1j * rng.standard_normal((n, 8)), frame)
-    lam = ops.lam.entries
+    lam = frame.ops.lam.entries
     plain = np.conj(gs).T @ (T.entries @ fs)
     moved = np.conj(lam @ gs).T @ (T.entries @ (lam @ fs))
     scale = tnorm * np.outer(np.linalg.norm(gs, axis=0), np.linalg.norm(fs, axis=0))
-    deviation = float(np.max(np.abs(plain - moved) / scale))
-    return {"is_toeplitz": deviation <= 1e-6, "deviation": deviation}
+    return float(np.max(np.abs(plain - moved) / scale))
 
 
-def series_reconstruct(T, N: int, ops: CompressionOps) -> OperatorMatrix | list:
-    """Partial sum sum_{n=0}^{N} LambdaBar^n (T - LambdaBar T Lambda) Lambda^n.
+def series_reconstruct(T, N: int, frame: ConformalFrame) -> OperatorMatrix | list:
+    """Partial sum sum_{n=0}^{N} LambdaBar^n (T - LambdaBar T Lambda) Lambda^n
+    for the frame's compressions.
 
     The sum telescopes to T - LambdaBar^(N+1) T Lambda^(N+1): the
     reconstruction error is precisely the operator mass not yet drained
     through the compression.  Compressions to a semi-invariant subspace
     multiply (Sarason, Trans. AMS 127, 1967), so the powers are assembled as
     the compressions of omega^(N+1) and conj(omega)^(N+1), from the (N+1)-th
-    power of the Blaschke column, not by dense matrix products.  T is one
-    OperatorMatrix, giving one partial sum, or a sequence of them, giving
-    theirs in order from powers assembled once.
+    power of the Blaschke column on the frame's basis, not by dense matrix
+    products, so Lambda itself is never assembled.  T is one OperatorMatrix,
+    giving one partial sum, or a sequence of them, giving theirs in order from
+    powers assembled once.
     """
     if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 0:
         raise ValueError(f"series order N must be a non-negative integer, got {N!r}")
     mats = [T] if isinstance(T, OperatorMatrix) else list(T)
     for M in mats:
-        _check_frame_matrix(M, ops)
-    lam = ops.lam
-    powers = _compressions(NyquistBasis(lam.a, lam.window, lam.grid), lam.p, int(N) + 1)
+        _check_frame_matrix(M, frame)
+    powers = _compressions(frame.basis, frame.p, int(N) + 1)
     sums = [OperatorMatrix(M.entries - powers.lam_bar.entries @ M.entries
                            @ powers.lam.entries, M.a, M.p, M.window, M.nodes)
             for M in mats]
@@ -257,12 +261,12 @@ class RecoveredSymbol:
                                self.phi_bar_part.values + self.psi_part.values)
 
 
-def recover_symbol(T: OperatorMatrix, frame: ConformalFrame,
-                   ops: CompressionOps) -> RecoveredSymbol:
+def recover_symbol(T: OperatorMatrix, frame: ConformalFrame) -> RecoveredSymbol:
     """Recover the two-sided symbol of a Toeplitz-certified operator at p = 2.
 
-    With C = T - LambdaBar T Lambda and Q = C^H - alpha conj(<C k, k>) I, the
-    two summands come from the kernel images:
+    With the frame's compressions, C = T - LambdaBar T Lambda and
+    Q = C^H - alpha conj(<C k, k>) I, the two summands come from the kernel
+    images:
 
         phi_bar_part = alpha conj(theta_a) C[k] / eta
         psi_part     = conj(alpha conj(theta_a) Q[k] / eta)
@@ -274,13 +278,13 @@ def recover_symbol(T: OperatorMatrix, frame: ConformalFrame,
     by anything else (say the continuum closed form, which the discretized
     kernel tracks only to a few percent at this window) would leak the kernel
     discretization into the recovered symbol.  A guarded division protects any
-    grid point where the kernel is negligibly small.  ops is lambda_ops(frame).
+    grid point where the kernel is negligibly small.
     """
     if frame.p != 2.0:
         raise ValueError("symbol recovery is supported at p = 2 only "
                          "(fractional branch powers enter otherwise)")
-    _check_frame_matrix(T, ops)
-    lam, lam_bar = ops.lam.entries, ops.lam_bar.entries
+    _check_frame_matrix(T, frame)
+    lam, lam_bar = frame.ops.lam.entries, frame.ops.lam_bar.entries
     kc = frame.kernel_coeffs
     C = T.entries - lam_bar @ T.entries @ lam
     Ck = C @ kc

@@ -127,10 +127,6 @@ class Factorization:
     def q(self) -> float:
         return holder_conjugate(self.p)
 
-    def reconstruct(self) -> SampledFunction:
-        """Sum f_k * conj(g_k) over the pairs."""
-        return SampledFunction(self.f.grid, _product_sum(self.f.values, self.g.values))
-
 
 def _as_banded(h, name: str) -> BandlimitedFunction:
     if not isinstance(h, BandlimitedFunction):
@@ -307,11 +303,8 @@ def toeplitz_test_set(a: float, p: float, seed: int = 42,
 def xpq_sandwich(h: BandlimitedFunction, a: float, p: float,
                  test_set: list) -> dict:
     """Lower bound for the pairing norm, max |pair(T, h-factorization)| over
-    unit-norm test operators, plus the two-sided certificates around the
-    nuclear sum."""
+    unit-norm test operators, with the two quantities the nuclear sum bounds
+    from above: the estimate and ||h||_1."""
     F = weak_factorize(h, a, p)
-    best = max((abs(v) for v in pair(test_set, F)), default=0.0)
-    h_l1 = lp_norm(h.fun, 1.0)
-    return {"estimate": best, "nuclear_sum": F.nuclear_sum, "h_l1": h_l1,
-            "l1_within_nuclear": h_l1 <= F.nuclear_sum * (1.0 + 1e-6),
-            "estimate_within_nuclear": best <= F.nuclear_sum * (1.0 + 1e-6)}
+    return {"estimate": max((abs(v) for v in pair(test_set, F)), default=0.0),
+            "nuclear_sum": F.nuclear_sum, "h_l1": lp_norm(h.fun, 1.0)}

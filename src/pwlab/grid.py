@@ -89,7 +89,7 @@ class SampledFunction:
     """Complex samples attached to a grid: one function, shape (count,), or a
     stack of k functions on the same grid, shape (k, count), with the grid on
     the last axis.  Transforms and filters act row by row; `evaluate_offgrid`
-    and the reductions (`lp_norm`, `inner`, `energy_fraction`) take one
+    and the reductions (`lp_norm`, `energy_fraction`) take one
     function."""
 
     grid: Grid
@@ -174,12 +174,6 @@ def lp_norm(f: SampledFunction, p: float) -> float:
     if p < 1:
         raise ValueError("p must be >= 1 or inf")
     return float((f.grid.step * np.sum(np.abs(f.values) ** p)) ** (1.0 / p))
-
-
-def inner(f: SampledFunction, g: SampledFunction) -> complex:
-    """L2 pairing <f, g> = step * sum f conj(g)."""
-    _require_same_grid(f, g)
-    return complex(f.grid.step * np.sum(f.values * np.conj(g.values)))
 
 
 def lattice_sum(coeffs, xi0: float, dxi: float, x) -> np.ndarray:

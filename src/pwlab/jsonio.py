@@ -1,4 +1,4 @@
-"""Canonical JSON serialization.
+"""Canonical JSON serialization, and the CSV tables written beside it.
 
 All floats are rendered with %.17g so that repeated runs produce
 byte-identical files (17 significant digits round-trips IEEE doubles),
@@ -106,6 +106,16 @@ def dump_canonical(obj, path):
     with open(path, "w") as fh:
         fh.write(text)
         fh.write("\n")
+
+
+def write_csv(path, header, rows) -> None:
+    """A CSV table: floats as in the JSON (%.17g), anything else as str()."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt_float(v) if isinstance(v, float) else str(v)
+                              for v in row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def grid_to_dict(g: Grid) -> dict:

@@ -43,6 +43,9 @@ CIRCLE_OVERSAMPLE = 8
 TAIL_TOL = 1e-8
 AAK_TOL = 5e-2          # nehari_solve warns when sup|psi| > sigma0 * (1 + AAK_TOL)
 LANCZOS_CAP = 256       # most steps of `_top_pairs`, and the rows of its bases
+# the largest truncation M, refused before anything is allocated: nehari_solve's
+# traced peak grows by ~21 kB per unit of M (check 09's symbol), ~0.7 GB here
+MAX_TRUNCATION = 32_768
 
 
 def cayley(x) -> np.ndarray:
@@ -78,6 +81,8 @@ def line_to_disk(b: SymbolSpec, M: int = DEFAULT_TRUNCATION) -> np.ndarray:
     """
     if M < 1:
         raise ValueError(f"truncation must be at least 1, got {M}")
+    if M > MAX_TRUNCATION:
+        raise ValueError(f"truncation must be at most {MAX_TRUNCATION}, got {M}")
     _, x = _circle_nodes(_circle_size(M))
     vals = np.asarray(point_values(b, x), dtype=complex)
     interior = np.abs(x) <= 10.0

@@ -270,8 +270,9 @@ def toeplitz_matrix(sym: SymbolSpec, a: float, p: float, window: float = 32.0,
     kernel = _mod_poly_kernel(sym.params, grid)
     M = assemble_matrix(kernel, a, p, window, grid)
     # an entry sums the taps |d| < m (m band bins) with weights of modulus 1/m;
-    # a basis narrower than its grid cancels taps far larger than the entries
-    m = NyquistBasis(a, window, grid).bins
+    # a basis narrower than its grid cancels taps far larger than the entries.
+    # assemble_matrix accepted the grid: m = count / (grid steps per node)
+    m = grid.count // round(1.0 / (2.0 * a * grid.step))
     taps = np.abs(kernel[np.arange(1 - m, m) % grid.count])
     if np.finfo(float).eps * np.sum(taps) > 1e-8 * np.max(np.abs(M.entries)):
         raise ValueError(f"mod_poly degree {sym.params['degree']}: float64 cannot resolve "

@@ -33,11 +33,11 @@ from .split import (BUMP_NAMES, SUPPORTS, bump_l1_norms,
                     sinc_norm_constant, split_symbol)
 from .nehari import bounded_symbol, nehari_solve
 from .commutator import (build_frame, commutator_test,
-                         defect_identity_residual, lambda_ops,
-                         series_reconstruct, series_residual)
+                         defect_identity_residual, series_reconstruct,
+                         series_residual)
 from .factorize import (pair, regroup_pairs, sinc_atom, toeplitz_test_set,
                         weak_factorize, xpq_sandwich)
-from .jsonio import dump_canonical, _fmt_float
+from .jsonio import dump_canonical, write_csv
 
 
 @dataclass
@@ -137,10 +137,9 @@ def check_05_splitting(a: float, seed: int) -> list:
         denom = float(np.linalg.norm(T.entries, 2))
         worst_sum = max(worst_sum,
                         float(np.linalg.norm(acc - T.entries, 2)) / denom)
-        rep = jensen_certificate(T, m_parts, parts.l1_norms)
-        for part in rep["parts"].values():
-            if part["bound"] > 0.0:
-                worst_jensen = max(worst_jensen, part["norm"] / part["bound"])
+        for norm, bound in jensen_certificate(T, m_parts, parts.l1_norms).values():
+            if bound > 0.0:
+                worst_jensen = max(worst_jensen, norm / bound)
     norms = [bump_l1_norms(aa) for aa in (0.5, 1.0, 2.0, 4.0)]
     spread = max(max(abs(n[k] - norms[0][k]) for n in norms)
                  for k in ("L", "C", "R"))
@@ -243,21 +242,19 @@ def check_10_bounded_symbol(a: float, seed: int) -> list:
 def check_11_commutator(a: float, seed: int) -> list:
     grid = default_grid(a)
     frame = build_frame(a)
-    ops = lambda_ops(frame)
-    defect = defect_identity_residual(ops, frame)
+    defect = defect_identity_residual(frame)
 
     W = -grid.start
     bump = bump_spectrum_symbol(0.05 * a, 1.5 * a, seed=seed + 31, hermitian=True)
-    worst_toe = commutator_test(toeplitz_matrix(bump, a, 2.0, W, grid), frame,
-                                ops)["deviation"]
+    worst_toe = commutator_test(toeplitz_matrix(bump, a, 2.0, W, grid), frame)
     # the gaussian matrix serves the Toeplitz row and then the spoiler
     T = toeplitz_matrix(gaussian_symbol(), a, 2.0, W, grid)
-    worst_toe = max(worst_toe, commutator_test(T, frame, ops)["deviation"])
+    worst_toe = max(worst_toe, commutator_test(T, frame))
 
     e = np.zeros(T.size)
     e[T.size // 2] = e[T.size // 2 + 16] = 1.0 / math.sqrt(2.0)
     spoiled = OperatorMatrix(T.entries + np.outer(e, e), a, 2.0, W, T.nodes)
-    dev = commutator_test(spoiled, frame, ops)["deviation"]
+    dev = commutator_test(spoiled, frame)
     return [
         _row("11-toeplitz-deviation", "toeplitz-commutator-test", worst_toe, 1e-6),
         _row("11-spoiler-floor", "toeplitz-commutator-test", 1e-3, dev),
@@ -268,11 +265,10 @@ def check_11_commutator(a: float, seed: int) -> list:
 def check_12_series(a: float, seed: int) -> list:
     grid = default_grid(a)
     frame = build_frame(a)
-    ops = lambda_ops(frame)
     W = -grid.start
     tests = {"identity": identity_matrix(a, 2.0, W),
              "gaussian": toeplitz_matrix(gaussian_symbol(), a, 2.0, W, grid)}
-    s8, s64 = (series_reconstruct(tests.values(), N, ops) for N in (8, 64))
+    s8, s64 = (series_reconstruct(tests.values(), N, frame) for N in (8, 64))
     rows = []
     for (label, T), S8, S64 in zip(tests.items(), s8, s64):
         r8, r64 = series_residual(T, S8, frame), series_residual(T, S64, frame)
@@ -394,14 +390,8 @@ def run_all(a: float = 1.0, p: float = 2.0, seed: int = 42,
 
 def write_report(report: dict, json_path, csv_path=None) -> None:
     dump_canonical(report, json_path)
-    if csv_path is None:
-        return
-    lines = ["check_id,paper_ref,measured,bound,pass"]
-    for row in report["checks"]:
-        lines.append(",".join([
-            row["check_id"], row["ref"],
-            _fmt_float(row["measured"]), _fmt_float(row["bound"]),
-            "true" if row["passed"] else "false",
-        ]))
-    with open(csv_path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    if csv_path is not None:
+        write_csv(csv_path, ["check_id", "paper_ref", "measured", "bound", "pass"],
+                  [[row["check_id"], row["ref"], row["measured"], row["bound"],
+                    "true" if row["passed"] else "false"]
+                   for row in report["checks"]])

@@ -298,6 +298,15 @@ def test_out_of_range_flag_is_named(files, argv, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command", ["nehari", "bounded-symbol"])
+def test_truncation_past_the_cap_is_refused_before_reading(command, tmp_path, capsys):
+    # the symbol file does not exist: the range check comes first
+    assert run(command, "--symbol", tmp_path / "missing.json",
+               "--truncation", "32769") == 1
+    assert capsys.readouterr().err == ("input error: truncation: must lie in "
+                                       "[1, 32768], got 32769\n")
+
+
 @pytest.mark.parametrize("argv", [["verify"],
                                   ["commutator-test", "--matrix", "missing.json"]])
 def test_negative_seed_is_refused_before_any_work(argv, monkeypatch, capsys):

@@ -1,17 +1,18 @@
 """Conformal frame, compression calculus, Toeplitz test, symbol recovery."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from pytest import approx
 
-from pwlab.commutator import (CompressionOps, _compressions, blaschke_params,
+from pwlab.commutator import (_compressions, blaschke_params,
                               build_frame, commutator_test,
                               defect_identity_residual, lambda_ops,
                               lattice_omega_apply, recover_symbol,
                               recovery_roundtrip, series_reconstruct,
                               series_residual)
-from pwlab.grid import SampledFunction, inner, lp_norm
+from pwlab.grid import SampledFunction, lp_norm
 from pwlab.nehari import cayley
 from pwlab.pwspace import (BandlimitedFunction, band_residual, default_grid,
                            project_band, sinc_kernel)
@@ -19,6 +20,7 @@ from pwlab.symbols import (bump_spectrum_symbol, gaussian_symbol,
                            sampled_symbol)
 from pwlab.toeplitz import (NyquistBasis, OperatorMatrix, identity_matrix,
                             toeplitz_matrix)
+from reference import inner
 
 A = 1.0
 W = 64.0  # frame operators need the basis to span the whole grid window
@@ -68,7 +70,7 @@ def frame(grid):
 
 @pytest.fixture(scope="module")
 def ops(frame):
-    return lambda_ops(frame)
+    return frame.ops
 
 
 @pytest.fixture(scope="module")
@@ -142,21 +144,30 @@ def test_omega_compatibility_flags(frame, grid):
 
 def test_lambda_norm_and_defect_identity(ops, frame):
     assert np.linalg.norm(ops.lam.entries, 2) == approx(1.0, abs=1e-12)
-    assert defect_identity_residual(ops, frame) < 1e-6
+    assert defect_identity_residual(frame) < 1e-6
 
 
-def test_commutator_passes_toeplitz_inputs(frame, ops, grid, T_gauss):
-    assert commutator_test(T_gauss, frame, ops)["deviation"] < 1e-6
+def test_frame_carries_its_compressions(grid):
+    frame = build_frame(A, 2.0, grid)
+    assert "ops" not in vars(frame)          # nothing assembled until read
+    ops = frame.ops
+    assert frame.ops is ops
+    ref = lambda_ops(frame)
+    assert np.array_equal(ops.lam.entries, ref.lam.entries)
+    assert np.array_equal(ops.lam_bar.entries, ref.lam_bar.entries)
+
+
+def test_commutator_passes_toeplitz_inputs(frame, grid, T_gauss):
+    assert commutator_test(T_gauss, frame) < 1e-6
     sym = bump_spectrum_symbol(0.05, 1.5, seed=7, hermitian=True)
     T = toeplitz_matrix(sym, A, 2.0, W, grid)
-    assert commutator_test(T, frame, ops)["deviation"] < 1e-6
+    assert commutator_test(T, frame) < 1e-6
     Z = OperatorMatrix(np.zeros_like(T_gauss.entries), A, 2.0, W,
                        T_gauss.nodes)
-    rep = commutator_test(Z, frame, ops)
-    assert rep["is_toeplitz"] and rep["deviation"] == 0.0
+    assert commutator_test(Z, frame) == 0.0
 
 
-def test_single_node_spoiler_is_invisible(frame, ops, T_gauss):
+def test_single_node_spoiler_is_invisible(frame, T_gauss):
     # rank-one spikes on one basis vector are absorbed by the kernel direction
     # and provably pass the test; detection needs two nodes
     n = T_gauss.size
@@ -164,35 +175,35 @@ def test_single_node_spoiler_is_invisible(frame, ops, T_gauss):
     e[n // 2] = 1.0
     S = OperatorMatrix(T_gauss.entries + np.outer(e, e), A, 2.0, W,
                        T_gauss.nodes)
-    assert commutator_test(S, frame, ops)["deviation"] < 1e-6
+    assert commutator_test(S, frame) < 1e-6
 
 
-def test_two_node_spoiler_is_detected(frame, ops, T_gauss):
+def test_two_node_spoiler_is_detected(frame, T_gauss):
     n = T_gauss.size
     e = np.zeros(n)
     e[n // 2] = e[n // 2 + 16] = 1.0 / np.sqrt(2.0)
     S = OperatorMatrix(T_gauss.entries + np.outer(e, e), A, 2.0, W,
                        T_gauss.nodes)
-    assert commutator_test(S, frame, ops)["deviation"] > 1e-3
+    assert commutator_test(S, frame) > 1e-3
 
 
-def test_series_reconstruction_improves_with_order(frame, ops, T_gauss):
-    r8 = series_residual(T_gauss, series_reconstruct(T_gauss, 8, ops), frame)
-    r64 = series_residual(T_gauss, series_reconstruct(T_gauss, 64, ops), frame)
+def test_series_reconstruction_improves_with_order(frame, T_gauss):
+    r8 = series_residual(T_gauss, series_reconstruct(T_gauss, 8, frame), frame)
+    r64 = series_residual(T_gauss, series_reconstruct(T_gauss, 64, frame), frame)
     assert r64 < 0.05
     assert r64 < r8
 
 
-def test_series_on_identity(frame, ops):
+def test_series_on_identity(frame):
     T1 = identity_matrix(A, 2.0, W)
-    r64 = series_residual(T1, series_reconstruct(T1, 64, ops), frame)
+    r64 = series_residual(T1, series_reconstruct(T1, 64, frame), frame)
     assert r64 < 0.05
 
 
 @pytest.mark.parametrize("N,label", [(N, label) for N in (0, 1, 8)
                                       for label in ("identity", "gaussian")]
                          + [(64, "gaussian")])
-def test_series_closed_form_matches_partial_sum(ops, T_gauss, N, label):
+def test_series_closed_form_matches_partial_sum(frame, ops, T_gauss, N, label):
     # the definition, summed term by term: sum_{n=0}^{N} LBar^n C L^n
     T = identity_matrix(A, 2.0, W) if label == "identity" else T_gauss
     lam, lam_bar = ops.lam.entries, ops.lam_bar.entries
@@ -201,17 +212,17 @@ def test_series_closed_form_matches_partial_sum(ops, T_gauss, N, label):
     for _ in range(N + 1):
         total += term
         term = lam_bar @ term @ lam
-    S = series_reconstruct(T, N, ops).entries
+    S = series_reconstruct(T, N, frame).entries
     assert np.linalg.norm(S - total, 2) <= 1e-12 * np.linalg.norm(total, 2)
 
 
 @pytest.mark.parametrize("N", [0, 8, 64])
-def test_series_over_a_sequence_matches_single_calls(ops, T_gauss, N):
+def test_series_over_a_sequence_matches_single_calls(frame, T_gauss, N):
     mats = [identity_matrix(A, 2.0, W), T_gauss]
-    together = series_reconstruct(mats, N, ops)
+    together = series_reconstruct(mats, N, frame)
     assert len(together) == len(mats)
     for T, S in zip(mats, together):
-        assert np.array_equal(S.entries, series_reconstruct(T, N, ops).entries)
+        assert np.array_equal(S.entries, series_reconstruct(T, N, frame).entries)
 
 
 @pytest.mark.parametrize("k", [1, 2, 9, 65])
@@ -225,53 +236,54 @@ def test_compression_powers_match_matrix_powers(ops, grid, k):
 
 
 @pytest.mark.parametrize("N", [-2, 1.5, True])
-def test_series_order_must_be_a_nonnegative_integer(ops, T_gauss, N):
+def test_series_order_must_be_a_nonnegative_integer(frame, T_gauss, N):
     with pytest.raises(ValueError, match="N must be a non-negative integer"):
-        series_reconstruct(T_gauss, N, ops)
+        series_reconstruct(T_gauss, N, frame)
 
 
-def test_series_needs_a_basis_spanning_the_band(grid):
+def test_series_needs_a_basis_spanning_the_band(frame, grid):
     # a window-32 basis on the window-64 grid holds half the band's bins
     T = toeplitz_matrix(gaussian_symbol(), A, 2.0, 32.0, grid)
+    narrow = dataclasses.replace(frame, basis=NyquistBasis(A, 32.0, grid))
     with pytest.raises(ValueError, match="spans the band"):
-        series_reconstruct(T, 8, CompressionOps(T, T))
+        series_reconstruct(T, 8, narrow)
 
 
-def test_recovery_roundtrip_identity(frame, ops):
+def test_recovery_roundtrip_identity(frame):
     T1 = identity_matrix(A, 2.0, W)
-    assert recovery_roundtrip(T1, recover_symbol(T1, frame, ops)) < 1e-3
+    assert recovery_roundtrip(T1, recover_symbol(T1, frame)) < 1e-3
 
 
-def test_recovery_roundtrip_gaussian(frame, ops, T_gauss):
-    rec = recover_symbol(T_gauss, frame, ops)
+def test_recovery_roundtrip_gaussian(frame, T_gauss):
+    rec = recover_symbol(T_gauss, frame)
     assert recovery_roundtrip(T_gauss, rec) < 1e-3
 
 
-def test_recovery_roundtrip_deep_frequency(frame, ops, grid):
+def test_recovery_roundtrip_deep_frequency(frame, grid):
     # pure frequency with spectrum entirely below the band: the recovered
     # symbol must reproduce content invisible to naive central recovery
     sym = sampled_symbol(
         SampledFunction(grid, np.exp(2j * np.pi * (-1.5) * grid.points)),
         support=(-1.5, -1.5))
     T = toeplitz_matrix(sym, A, 2.0, W, grid)
-    assert recovery_roundtrip(T, recover_symbol(T, frame, ops)) < 1e-3
+    assert recovery_roundtrip(T, recover_symbol(T, frame)) < 1e-3
 
 
-def test_recovery_of_zero_operator(frame, ops, T_gauss):
+def test_recovery_of_zero_operator(frame, T_gauss):
     Z = OperatorMatrix(np.zeros_like(T_gauss.entries), A, 2.0, W,
                        T_gauss.nodes)
-    rec = recover_symbol(Z, frame, ops)
+    rec = recover_symbol(Z, frame)
     assert np.max(np.abs(rec.total.values)) == 0.0
 
 
-def test_recovery_requires_p_two(ops, grid):
+def test_recovery_requires_p_two(grid):
     frame3 = build_frame(A, 3.0, grid)
     T = toeplitz_matrix(gaussian_symbol(), A, 3.0, W, grid)
     with pytest.raises(ValueError, match="p = 2"):
-        recover_symbol(T, frame3, ops)
+        recover_symbol(T, frame3)
 
 
-def test_frame_matrix_size_guard(frame, ops, grid):
+def test_frame_matrix_size_guard(frame, grid):
     T = toeplitz_matrix(gaussian_symbol(), A, 2.0, 32.0, grid)
     with pytest.raises(ValueError, match="window"):
-        commutator_test(T, frame, ops)
+        commutator_test(T, frame)

@@ -6,9 +6,9 @@ import pytest
 from pytest import approx
 
 from pwlab import factorize
-from pwlab.factorize import (FejerAtomPlan, fejer_deconvolve, fejer_triangle,
-                             pair, regroup_pairs, sinc_atom, toeplitz_test_set,
-                             weak_factorize, xpq_sandwich)
+from pwlab.factorize import (FejerAtomPlan, _product_sum, fejer_deconvolve,
+                             fejer_triangle, pair, regroup_pairs, sinc_atom,
+                             toeplitz_test_set, weak_factorize, xpq_sandwich)
 from pwlab.grid import SampledFunction, fft_spectrum, lp_norm
 from pwlab.pwspace import default_grid, project_band, sinc_profile
 from pwlab.symbols import gaussian_symbol
@@ -80,8 +80,8 @@ def test_atom_stack_is_a_view_of_one_atom(target, grid, monkeypatch):
 
 
 def test_reconstruct_matches_target(fact, target):
-    rec = fact.reconstruct()
-    assert np.max(np.abs(rec.values - target.values)) < 1e-12
+    rec = _product_sum(fact.f.values, fact.g.values)
+    assert np.max(np.abs(rec - target.values)) < 1e-12
 
 
 def test_pair_with_identity_is_the_integral(fact, target, grid):
@@ -211,8 +211,8 @@ def test_zero_target():
     F = weak_factorize(h, A, 2.0)
     assert len(F) == 0
     assert F.nuclear_sum == 0.0
-    rec = F.reconstruct()
-    assert rec.grid == grid and not np.any(rec.values)
+    assert F.f.grid == grid and F.g.grid == grid
+    assert not np.any(_product_sum(F.f.values, F.g.values))
 
 
 def test_full_band_target_is_rejected(grid):
@@ -264,7 +264,9 @@ def test_quartic_target_integral(grid):
 def test_xpq_sandwich_certificates(target, fact, grid):
     tests = toeplitz_test_set(A, 2.0, seed=42, grid=grid)
     rep = xpq_sandwich(target, A, 2.0, tests)
-    assert rep["l1_within_nuclear"]
-    assert rep["estimate_within_nuclear"]
+    assert set(rep) == {"estimate", "nuclear_sum", "h_l1"}
+    assert rep["h_l1"] == lp_norm(target.fun, 1.0)
+    assert rep["h_l1"] <= rep["nuclear_sum"] * (1.0 + 1e-6)
+    assert rep["estimate"] <= rep["nuclear_sum"] * (1.0 + 1e-6)
     assert rep["estimate"] == approx(max(abs(pair(T, fact)) for T in tests))
     assert rep["estimate"] > 0.5  # the identity member alone pairs to ~1.8

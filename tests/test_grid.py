@@ -6,9 +6,10 @@ from pytest import approx
 
 from pwlab.factorize import fejer_triangle
 from pwlab.grid import (Grid, SampledFunction, energy_fraction,
-                        evaluate_offgrid, fft_spectrum, filter_spectrum, inner,
+                        evaluate_offgrid, fft_spectrum, filter_spectrum,
                         inverse_spectrum, lp_norm, symmetric_grid)
 from pwlab.pwspace import band_mask, default_grid, project_band, project_halfline
+from reference import inner
 
 
 def test_symmetric_grid_layout():

@@ -1,7 +1,7 @@
 """Static hygiene of the package modules: every imported name is used, every
-private module-level name is referenced, every public function has a caller
-outside the tests, and every annotation resolves.  Standard library only
-(ast, typing)."""
+private module-level name is referenced, every public function, and every
+public method and property of a public class, has a caller outside the tests,
+and every annotation resolves.  Standard library only (ast, typing)."""
 import ast
 import importlib
 import inspect
@@ -48,16 +48,44 @@ def _private_definitions(tree: ast.Module) -> list:
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+
+
+def _local_names(fn) -> set:
+    """Names a function binds itself: its parameters and assignment targets,
+    not those of the functions nested in it."""
+    a = fn.args
+    names = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs
+             + [x for x in (a.vararg, a.kwarg) if x is not None]}
+    todo = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+        elif not isinstance(node, ast.Lambda):
+            names.add(node.name)
+    return names
+
+
 def _references(tree: ast.Module) -> set:
-    """Names a module reads, reads as attributes, or imports."""
+    """Names a module reads, reads as attributes, or imports.  A read of a
+    name the enclosing function binds itself is that local, not a reference."""
     refs = set()
-    for node in ast.walk(tree):
+    todo = [(tree, frozenset())]
+    while todo:
+        node, local = todo.pop()
+        if isinstance(node, _SCOPES):
+            local = local | _local_names(node)
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            refs.add(node.id)
+            if node.id not in local:
+                refs.add(node.id)
         elif isinstance(node, ast.Attribute):
             refs.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             refs.update(alias.name for alias in node.names)
+        todo.extend((child, local) for child in ast.iter_child_nodes(node))
     return refs
 
 
@@ -70,14 +98,27 @@ def test_private_names_are_referenced():
     assert [f"{name}.{n}" for name, n in defined if n not in refs] == []
 
 
-# Public functions that only the tests call.  This list may shrink, not grow:
-# a new public function needs a caller in the package, scripts/ or perfbench/.
+# Public functions, methods and properties that only the tests call.  This
+# list may shrink, not grow: a new public function needs a caller in the
+# package, scripts/ or perfbench/.
 TEST_ONLY = set()
 
 
+def _public(name: str) -> bool:
+    return not name.startswith("_")
+
+
 def _public_functions(tree: ast.Module) -> list:
-    return [node.name for node in tree.body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+    """Public top-level functions, and the public methods and properties of
+    public classes as Class.name."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and _public(node.name):
+            names.append(node.name)
+        elif isinstance(node, ast.ClassDef) and _public(node.name):
+            names += [f"{node.name}.{m.name}" for m in node.body
+                      if isinstance(m, ast.FunctionDef) and _public(m.name)]
+    return names
 
 
 def test_public_functions_have_a_caller():
@@ -91,7 +132,22 @@ def test_public_functions_have_a_caller():
     public = [f"{name}.{n}" for name in MODULES
               for n in _public_functions(ast.parse((SRC / f"{name}.py").read_text()))]
     assert len(public) > 100
-    assert {q for q in public if q.split(".")[1] not in refs} == TEST_ONLY
+    assert {q for q in public if q.rsplit(".", 1)[1] not in refs} == TEST_ONLY
+
+
+def test_caller_detector_skips_a_same_named_local():
+    # a local variable or parameter named like a public function is not a call
+    tree = ast.parse("def inner(f, g):\n    return f\n"
+                     "def lattice_sum(x):\n    inner = x * x\n    return inner\n"
+                     "def pairing(inner):\n    return inner + lattice_sum(inner)\n"
+                     "class Frame:\n    def synthesize(self):\n        return 1\n"
+                     "    @property\n    def size(self):\n        return 2\n"
+                     "    def _cache(self):\n        return self.size\n")
+    assert _public_functions(tree) == ["inner", "lattice_sum", "pairing",
+                                       "Frame.synthesize", "Frame.size"]
+    refs = _references(tree)
+    assert "lattice_sum" in refs and "size" in refs
+    assert {"inner", "pairing", "synthesize"}.isdisjoint(refs)
 
 
 def test_private_name_detector_flags_a_stray_helper():

@@ -142,6 +142,19 @@ def test_truncation_below_one_is_rejected(right_target, M):
         line_to_disk(right_target, M)
 
 
+def test_truncation_above_the_cap_is_refused_before_allocating(right_target):
+    # the cap's own allocation would be 8 * MAX_TRUNCATION circle nodes and
+    # Lanczos bases of hundreds of MB; the refusal comes first
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"at most {nehari.MAX_TRUNCATION}"):
+            line_to_disk(right_target, nehari.MAX_TRUNCATION + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
 def test_matched_variant_absorbs_into_analytic_class(solved, grid):
     # probe with an analytic-class band function (spectrum in [0, a)); a
     # two-sided probe would smear the completion's legal co-analytic content

@@ -3,13 +3,14 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from pwlab.grid import SampledFunction, inner, lp_norm
+from pwlab.grid import SampledFunction, lp_norm
 from pwlab.pwspace import (BandlimitedFunction, band_residual,
                            boyd_lower_bound, default_grid, holder_conjugate,
                            modulate, project_band, project_halfline,
                            projector_two_term, riesz_constant_estimate,
                            sinc_kernel, sinc_profile)
 from pwlab.toeplitz import matrix_pnorm
+from reference import inner
 
 
 def test_sinc_profile_center_and_zeros():

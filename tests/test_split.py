@@ -4,10 +4,11 @@ from pytest import approx
 
 from pwlab.grid import SampledFunction, fft_spectrum
 from pwlab.pwspace import default_grid
-from pwlab.split import (SUPPORTS, bump, bump_l1_norms, central_recover,
+from pwlab.split import (SUPPORTS, bump, bump_l1_norms, central_recover_sweep,
                          jensen_certificate, sinc_norm_constant, split_symbol)
 from pwlab.symbols import bump_spectrum_symbol, gaussian_symbol, samples
-from pwlab.toeplitz import toeplitz_apply, toeplitz_matrix
+from pwlab.toeplitz import (operator_norm_certified, toeplitz_apply,
+                            toeplitz_matrix)
 
 A = 1.0
 
@@ -28,8 +29,15 @@ def parts(grid):
 
 def test_partition_of_unity_on_the_double_band():
     us = np.linspace(-2.0, 2.0, 401)
-    total = np.array([sum(bump(u, w) for w in ("L", "C", "R")) for u in us])
+    total = sum(bump(us, w) for w in ("L", "C", "R"))
     assert np.max(np.abs(total - 1.0)) < 1e-12
+
+
+@pytest.mark.parametrize("which", ["L", "C", "R"])
+def test_bump_over_an_array_matches_pointwise_calls(which):
+    us = np.arange(-4.5, 4.5 + 1e-12, 1.0 / 32.0)
+    pointwise = np.array([bump(u, which) for u in us])
+    assert np.array_equal(bump(us, which), pointwise)
 
 
 def test_bumps_vanish_outside_their_supports():
@@ -89,15 +97,14 @@ def test_jensen_certificate_structure(grid):
     parts = split_symbol(sym, A, grid)
     m_parts = {name: toeplitz_matrix(parts.part_symbol(name), A, 2.0, 32.0, grid)
                for name in ("L", "C", "R")}
-    rep = jensen_certificate(toeplitz_matrix(sym, A, 2.0, 32.0, grid), m_parts,
-                             parts.l1_norms)
-    assert rep["ok"]
-    assert set(rep["parts"]) == {"L", "C", "R"}
-    assert rep["constant"] == approx(sum(p["l1"] for p in rep["parts"].values()))
-    for part in rep["parts"].values():
-        assert part["norm"] <= part["bound"]
-        assert part["bound"] == approx(part["l1"] * rep["norm_full"] * 1.001,
-                                       rel=1e-12)
+    T = toeplitz_matrix(sym, A, 2.0, 32.0, grid)
+    rep = jensen_certificate(T, m_parts, parts.l1_norms)
+    assert set(rep) == {"L", "C", "R"}
+    norm_full = operator_norm_certified(T)["lower"]
+    for name, (norm, bound) in rep.items():
+        assert norm == operator_norm_certified(m_parts[name])["lower"]
+        assert norm <= bound
+        assert bound == approx(parts.l1_norms[name] * norm_full * 1.001, rel=1e-12)
 
 
 def test_central_recovery_at_a_point(grid):
@@ -108,7 +115,7 @@ def test_central_recovery_at_a_point(grid):
     def apply_fn(f):
         return toeplitz_apply(phi_sym, project_band(f, A))
 
-    got = central_recover(apply_fn, A, 0.0, grid)
+    got, = central_recover_sweep(apply_fn, A, [0.0], grid)
     want = parts.part_c.values[grid.index_of(0.0)]
     # window-64 truncation limits the wide test-sinc quadrature to ~1e-4
     assert abs(got - want) < 1e-3

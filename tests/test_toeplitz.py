@@ -6,7 +6,7 @@ import pytest
 from pytest import approx
 
 from pwlab.commutator import build_frame, lambda_ops, lattice_omega_apply
-from pwlab.grid import Grid, SampledFunction, inner
+from pwlab.grid import Grid, SampledFunction
 from pwlab.pwspace import default_grid, project_band, sinc_kernel
 from pwlab.symbols import (bump_spectrum_symbol, gaussian_symbol,
                            mod_poly_symbol, sampled_symbol, samples)
@@ -15,6 +15,7 @@ from pwlab.toeplitz import (NyquistBasis, OperatorMatrix, _mod_poly_kernel,
                             identity_residuals, matrix_from_dict, matrix_pnorm,
                             matrix_to_dict, operator_norm_certified,
                             toeplitz_apply, toeplitz_matrix)
+from reference import inner
 
 A = 1.0
 
