@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import warnings
 
@@ -25,12 +26,13 @@ from .commutator import (build_frame, commutator_test, recover_symbol,
                          recovery_roundtrip)
 from .factorize import sinc_atom, weak_factorize
 from .grid import SampledFunction, lp_norm
-from .nehari import MAX_TRUNCATION, bounded_symbol, nehari_solve
-from .pwspace import band_residual, default_grid, project_band
-from .split import bump, split_symbol
+from .nehari import DEFAULT_TRUNCATION, MAX_TRUNCATION, bounded_symbol, nehari_solve
+from .pwspace import (DEFAULT_BAND, DEFAULT_OVERSAMPLE, DEFAULT_WINDOW,
+                      band_residual, default_grid, project_band)
+from .split import bump, bump_l1_norms, split_symbol
 from .symbols import KINDS as SYMBOL_KINDS, from_dict as symbol_from_dict
-from .toeplitz import (matrix_from_dict, matrix_to_dict, nyquist_indices,
-                       operator_norm_certified, toeplitz_matrix)
+from .toeplitz import (DEFAULT_BASIS_WINDOW, matrix_from_dict, matrix_to_dict,
+                       nyquist_indices, operator_norm_certified, toeplitz_matrix)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -55,10 +57,11 @@ TOLERANCES = {
 
 # the settings shared by several commands; each command adds the ones it reads
 _FLAGS = {
-    "band": dict(type=float, default=1.0, help="band radius a"),
+    "band": dict(type=float, default=DEFAULT_BAND, help="band radius a"),
     "p": dict(type=float, default=2.0, help="Lebesgue exponent"),
-    "oversample": dict(type=int, default=8, help="samples per Nyquist interval"),
-    "window": dict(type=float, default=64.0, help="grid half-width"),
+    "oversample": dict(type=int, default=DEFAULT_OVERSAMPLE,
+                       help="samples per Nyquist interval"),
+    "window": dict(type=float, default=DEFAULT_WINDOW, help="grid half-width"),
     "seed": dict(type=int, default=42),
 }
 
@@ -198,14 +201,11 @@ def _load_matrix(path: str):
         raise InputError(f"{path}: {e}") from None
 
 
-def _write(out_path: str, payload: dict, csv_rows=None, csv_header=None) -> None:
+def _write(out_path: str, payload: dict, csv_rows, csv_header) -> None:
     jsonio.dump_canonical(payload, out_path)
-    wrote = out_path
-    if csv_rows is not None:
-        csv_path = out_path.rsplit(".", 1)[0] + ".csv"
-        jsonio.write_csv(csv_path, csv_header, csv_rows)
-        wrote += f" and {csv_path}"
-    print(f"wrote {wrote}")
+    csv_path = out_path.rsplit(".", 1)[0] + ".csv"
+    jsonio.write_csv(csv_path, csv_header, csv_rows)
+    print(f"wrote {out_path} and {csv_path}")
 
 
 # -- commands ------------------------------------------------------------------
@@ -250,21 +250,24 @@ def cmd_split(args) -> int:
     tols = _tols(args)
     sym = _load_symbol(args.symbol)
     parts = split_symbol(sym, args.band, _grid(args), decay_tol=tols["decay"])
+    l1_norms = bump_l1_norms(args.band)
     payload = {
         "band": args.band,
-        "l1_norms": parts.l1_norms,
+        "l1_norms": l1_norms,
         "band_certificates": parts.band_certificates,
         "parts": {name: jsonio.function_to_dict(parts.part(name))
                   for name in ("L", "C", "R")},
     }
-    rows = [[name, parts.l1_norms[name]] for name in ("L", "C", "R")]
-    _write(args.out or "split.json", payload, rows, ["part", "l1_norm"])
+    rows = [[name, l1_norms[name]] for name in ("L", "C", "R")]
+    out = args.out or "split.json"
+    _write(out, payload, rows, ["part", "l1_norm"])
     if args.emit_bumps:
         us = np.arange(-4.0, 4.0 + 1e-12, 1.0 / 32.0)
         table = np.column_stack([args.band * us]
                                 + [bump(us, w) for w in ("L", "C", "R")])
-        jsonio.write_csv("bumps.csv", ["xi", "bump_L", "bump_C", "bump_R"], table)
-        print("wrote bumps.csv")
+        bumps = os.path.join(os.path.dirname(out), "bumps.csv")
+        jsonio.write_csv(bumps, ["xi", "bump_L", "bump_C", "bump_R"], table)
+        print(f"wrote {bumps}")
     return EXIT_OK
 
 
@@ -472,7 +475,7 @@ def build_parser() -> _Parser:
 
     sp = subs.add_parser("toeplitz", help="assemble a Toeplitz matrix")
     sp.add_argument("--symbol", required=True, help="symbol JSON")
-    sp.add_argument("--basis-window", type=float, default=32.0)
+    sp.add_argument("--basis-window", type=float, default=DEFAULT_BASIS_WINDOW)
     _add_flags(sp, "toeplitz", "band", "p", "oversample", "window")
     # the grid spans the basis window unless --window says otherwise
     sp.set_defaults(func=cmd_toeplitz, window=None)
@@ -480,21 +483,21 @@ def build_parser() -> _Parser:
     sp = subs.add_parser("split", help="three-part symbol splitting")
     sp.add_argument("--symbol", required=True)
     sp.add_argument("--emit-bumps", action="store_true",
-                    help="also write the cutoff profiles as bumps.csv")
+                    help="also write the cutoff profiles to bumps.csv beside --out")
     _add_flags(sp, "split", "band", "oversample", "window")
     sp.set_defaults(func=cmd_split)
 
     sp = subs.add_parser("bounded-symbol",
                          help="bounded symbol with the same operator")
     sp.add_argument("--symbol", required=True)
-    sp.add_argument("--truncation", type=int, default=256)
-    sp.add_argument("--basis-window", type=float, default=32.0)
+    sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
+    sp.add_argument("--basis-window", type=float, default=DEFAULT_BASIS_WINDOW)
     _add_flags(sp, "bounded-symbol", "band", "p", "oversample", "window")
     sp.set_defaults(func=cmd_bounded_symbol)
 
     sp = subs.add_parser("nehari", help="minimal-sup Hankel completion")
     sp.add_argument("--symbol", required=True)
-    sp.add_argument("--truncation", type=int, default=256)
+    sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
     _add_flags(sp, "nehari", "band", "p", "oversample", "window")
     sp.set_defaults(func=cmd_nehari)
 

@@ -80,10 +80,8 @@ def lattice_omega_apply(f: SampledFunction, conjugate: bool = False) -> SampledF
 
 @dataclass
 class ConformalFrame:
-    a: float
     p: float
-    grid: Grid
-    basis: NyquistBasis
+    basis: NyquistBasis          # holds the band a and the grid
     kernel: SampledFunction      # conjugate kernel, defect-exact lattice profile
     kernel_coeffs: np.ndarray
     alpha: float                 # 1 / ||kernel||_2^2
@@ -114,8 +112,7 @@ def build_frame(a: float, p: float = 2.0, grid: Grid | None = None) -> Conformal
     kernel = inverse_spectrum(SampledFunction(fg, profile), start=grid.start)
 
     alpha = 1.0 / lp_norm(kernel, 2.0) ** 2
-    return ConformalFrame(a, p, grid, basis, kernel, basis.coefficients(kernel),
-                          alpha)
+    return ConformalFrame(p, basis, kernel, basis.coefficients(kernel), alpha)
 
 
 @dataclass
@@ -123,16 +120,11 @@ class CompressionOps:
     lam: OperatorMatrix        # compression of multiplication by omega
     lam_bar: OperatorMatrix    # compression of multiplication by conj(omega)
 
-    @property
-    def size(self) -> int:
-        return self.lam.size
-
 
 def _compressions(basis: NyquistBasis, p: float, k: int) -> CompressionOps:
     """Lambda^k and LambdaBar^k from the Blaschke column's k-th power, truncated
     to the m band bins by repeated squaring (see module docstring)."""
-    a, window, grid = basis.a, basis.window, basis.grid
-    m, n = basis.bins, grid.count
+    grid, m, n = basis.grid, basis.bins, basis.grid.count
     if basis.size != m:   # only N = m nodes make the matrix similar to the band block
         raise ValueError(f"compression powers need a basis that spans the band: "
                          f"{basis.size} nodes for {m} bins; use window {-grid.start}")
@@ -143,8 +135,8 @@ def _compressions(basis: NyquistBasis, p: float, k: int) -> CompressionOps:
         base, k = np.convolve(base, base)[:m], k >> 1
     kernel = np.zeros(n)        # indexed by d mod n: no weight on d < 0
     kernel[:m] = power
-    return CompressionOps(assemble_matrix(kernel, a, p, window, grid),
-                          assemble_matrix(kernel[-np.arange(n) % n], a, p, window, grid))
+    return CompressionOps(assemble_matrix(kernel, basis, p),
+                          assemble_matrix(kernel[-np.arange(n) % n], basis, p))
 
 
 def lambda_ops(frame: ConformalFrame) -> CompressionOps:
@@ -161,7 +153,7 @@ def lambda_ops(frame: ConformalFrame) -> CompressionOps:
 def defect_identity_residual(frame: ConformalFrame) -> float:
     """|| (I - LambdaBar Lambda) - alpha k (x) k ||_2 in the basis coordinates."""
     ops = frame.ops
-    defect = np.eye(ops.size, dtype=complex) - ops.lam_bar.entries @ ops.lam.entries
+    defect = np.eye(ops.lam.size, dtype=complex) - ops.lam_bar.entries @ ops.lam.entries
     kc = frame.kernel_coeffs
     return float(np.linalg.norm(defect - frame.alpha * np.outer(kc, np.conj(kc)), 2))
 
@@ -239,7 +231,7 @@ def series_residual(T: OperatorMatrix, S: OperatorMatrix,
     certificate reads the operator restricted to nodes |t_k| <= radius =
     sqrt(64/(2 pi a))/3, the horizon of the reference step count.
     """
-    radius = math.sqrt(64.0 / (2.0 * np.pi * frame.a)) / 3.0
+    radius = math.sqrt(64.0 / (2.0 * np.pi * frame.basis.a)) / 3.0
     sel = np.abs(T.nodes) <= radius
     if not np.any(sel):
         raise ValueError("certification radius excludes every basis vector")
@@ -292,10 +284,9 @@ def recover_symbol(T: OperatorMatrix, frame: ConformalFrame) -> RecoveredSymbol:
     Q = np.conj(C).T - frame.alpha * np.conj(mean) * np.eye(T.size)
     Qk = Q @ kc
 
-    grid = frame.grid
-    x = grid.points
-    theta_bar = np.exp(-2j * np.pi * frame.a * x)
-    numer = 1.0 - np.exp(-4.0 * np.pi * frame.a) * theta_bar ** 2
+    a, grid = frame.basis.a, frame.basis.grid
+    theta_bar = np.exp(-2j * np.pi * a * grid.points)
+    numer = 1.0 - np.exp(-4.0 * np.pi * a) * theta_bar ** 2
     kv = frame.kernel.values
     guard = np.abs(kv) < 1e-12 * float(np.max(np.abs(kv)))
     safe_k = np.where(guard, 1.0, kv)

@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .grid import (Grid, SampledFunction, filter_spectrum, inverse_spectrum,
                    lp_norm)
 from .pwspace import (BandlimitedFunction, band_mask, band_residual,
-                      default_grid, holder_conjugate)
+                      holder_conjugate)
 from .symbols import bump_spectrum_symbol
 from .toeplitz import (NyquistBasis, OperatorMatrix, identity_matrix,
                        matrix_pnorm, toeplitz_matrix)
@@ -282,12 +282,9 @@ def regroup_pairs(F: Factorization) -> Factorization:
                          plan=F.plan)
 
 
-def toeplitz_test_set(a: float, p: float, seed: int = 42,
-                      grid: Grid | None = None) -> list:
+def toeplitz_test_set(a: float, p: float, seed: int, grid: Grid) -> list:
     """Identity plus seeded smooth-symbol Toeplitz matrices at unit norm, on
     the full sampling window of the grid: TEST_SET_SIZE operators."""
-    if grid is None:
-        grid = default_grid(a)
     window = -grid.start
     ops = [identity_matrix(a, p, window)]
     for k in range(TEST_SET_SIZE - 1):

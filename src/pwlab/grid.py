@@ -69,11 +69,11 @@ class Grid:
         """Frequency lattice of the DFT, natural (increasing) order."""
         return Grid(start=-self.nyquist, step=self.freq_step, count=self.count)
 
-    def index_of(self, x: float, tol: float = 1e-9) -> int:
-        """Index of the grid point equal to x, or ValueError if off-lattice."""
+    def index_of(self, x: float) -> int:
+        """Index of the grid point within 1e-9 steps of x; ValueError if none."""
         k = (x - self.start) / self.step
         kr = int(round(k))
-        if abs(k - kr) > tol or not (0 <= kr < self.count):
+        if abs(k - kr) > 1e-9 or not (0 <= kr < self.count):
             raise ValueError(f"{x} is not a point of this grid")
         return kr
 
@@ -102,18 +102,9 @@ class SampledFunction:
         if not np.all(np.isfinite(self.values)):
             raise ValueError("values contain NaN or Inf")
 
-    def __add__(self, other):
-        _require_same_grid(self, other)
-        return SampledFunction(self.grid, self.values + other.values)
-
     def __sub__(self, other):
         _require_same_grid(self, other)
         return SampledFunction(self.grid, self.values - other.values)
-
-    def __mul__(self, scalar):
-        return SampledFunction(self.grid, self.values * scalar)
-
-    __rmul__ = __mul__
 
 
 def _require_same_grid(f: SampledFunction, g: SampledFunction):

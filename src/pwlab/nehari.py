@@ -35,8 +35,8 @@ from .grid import Grid, SampledFunction, energy_fraction, fft_spectrum, lp_norm
 from .pwspace import default_grid, project_halfline
 from .split import SUPPORTS, split_symbol
 from .symbols import SymbolSpec, point_values, sampled_symbol, samples
-from .toeplitz import (OperatorMatrix, _pnorm_upper, _unbounded_mod_poly,
-                       operator_norm_certified, toeplitz_matrix)
+from .toeplitz import (DEFAULT_BASIS_WINDOW, OperatorMatrix, _pnorm_upper,
+                       _unbounded_mod_poly, operator_norm_certified, toeplitz_matrix)
 
 DEFAULT_TRUNCATION = 256
 CIRCLE_OVERSAMPLE = 8
@@ -98,8 +98,6 @@ def _nearest_fill(vals: np.ndarray, bad: np.ndarray) -> np.ndarray:
     """Replace flagged entries by the nearest (index-wise) unflagged value."""
     if not np.any(bad):
         return vals
-    if np.all(bad):
-        return np.zeros_like(vals)
     idx = np.arange(len(vals))
     good_idx = idx[~bad]
     pos = np.searchsorted(good_idx, idx[bad])
@@ -314,6 +312,15 @@ def nehari_solve(b: SymbolSpec, a: float, p: float = 2.0,
 # -- bounded-symbol pipeline ---------------------------------------------------
 
 
+def hankel_symbol(part: SampledFunction, a: float) -> SymbolSpec:
+    """conj(theta)^2 times a right split part, theta = exp(2 pi i a x): the
+    symbol b, with spectrum in [-2a, inf), that `nehari_solve` completes."""
+    lo, hi = SUPPORTS["R"]
+    theta2 = np.exp(4j * np.pi * a * part.grid.points)
+    return sampled_symbol(SampledFunction(part.grid, part.values * np.conj(theta2)),
+                          support=(lo * a - 2.0 * a, hi * a - 2.0 * a))
+
+
 def reflect(f: SampledFunction) -> SampledFunction:
     """R[f](x) = f(-x) on the periodic lattice (the lone un-mirrored left
     endpoint wraps around, consistent with the lattice's periodic extension)."""
@@ -354,7 +361,7 @@ def _stage(name: str, thunk):
 
 def bounded_symbol(sym: SymbolSpec, a: float, M: int = DEFAULT_TRUNCATION,
                    grid: Grid | None = None,
-                   window: float = 32.0) -> BoundedSymbol:
+                   window: float = DEFAULT_BASIS_WINDOW) -> BoundedSymbol:
     """Bounded symbol with the same Toeplitz operator as sym on the band.
 
     Splits the symbol, keeps the central part verbatim, and replaces the two
@@ -386,9 +393,7 @@ def bounded_symbol(sym: SymbolSpec, a: float, M: int = DEFAULT_TRUNCATION,
     def one_side(part: SampledFunction, label: str) -> tuple:
         if lp_norm(part, 2.0) <= 1e-12 * max(norm2, 1.0):
             return zero, 0.0
-        lo, hi = SUPPORTS["R"]
-        b = sampled_symbol(SampledFunction(grid, part.values * np.conj(theta2)),
-                           support=(lo * a - 2.0 * a, hi * a - 2.0 * a))
+        b = hankel_symbol(part, a)
         res = _stage(label, lambda: nehari_solve(b, a, M=M, grid=grid))
         # the matched variant carries b's exact co-analytic lattice content,
         # so the reassembled operator agrees with the original to rounding

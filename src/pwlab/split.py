@@ -22,7 +22,7 @@ import numpy as np
 from .grid import (Grid, SampledFunction, energy_fraction, evaluate_offgrid,
                    fft_spectrum, filter_spectrum, inverse_spectrum, lp_norm,
                    symmetric_grid)
-from .pwspace import default_grid, holder_conjugate, sinc_kernel, sinc_profile
+from .pwspace import holder_conjugate, sinc_kernel, sinc_profile
 from .symbols import SymbolSpec, samples, sampled_symbol
 from .toeplitz import operator_norm_certified
 
@@ -84,7 +84,6 @@ class SplitResult:
     part_l: SampledFunction
     part_c: SampledFunction
     part_r: SampledFunction
-    l1_norms: dict
     band_certificates: dict
     a: float
 
@@ -97,7 +96,7 @@ class SplitResult:
                                                          hi * self.a))
 
 
-def split_symbol(sym: SymbolSpec, a: float, grid: Grid | None = None,
+def split_symbol(sym: SymbolSpec, a: float, grid: Grid,
                  decay_tol: float = 1e-8) -> SplitResult:
     """Split a symbol into spectral parts via the dilated cutoff triple.
 
@@ -108,8 +107,6 @@ def split_symbol(sym: SymbolSpec, a: float, grid: Grid | None = None,
     absorb; for fast-decaying symbols it is negligible and the operator sum
     identity holds to machine precision.
     """
-    if grid is None:
-        grid = default_grid(a)
     f = samples(sym, grid)
     spec = fft_spectrum(f)
     xi = spec.grid.points
@@ -130,8 +127,7 @@ def split_symbol(sym: SymbolSpec, a: float, grid: Grid | None = None,
         part_spec = SampledFunction(spec.grid, spec.values * cut)
         certs[name] = energy_fraction(part_spec, outside)
         parts[name] = filter_spectrum(f, cut)
-    return SplitResult(parts["L"], parts["C"], parts["R"],
-                       bump_l1_norms(a), certs, a)
+    return SplitResult(parts["L"], parts["C"], parts["R"], certs, a)
 
 
 def jensen_certificate(m_full, m_parts: dict, l1_norms: dict) -> dict:
@@ -139,9 +135,9 @@ def jensen_certificate(m_full, m_parts: dict, l1_norms: dict) -> dict:
 
     m_full is the operator matrix of the symbol, m_parts maps each name in
     BUMP_NAMES to the matrix of that split part (same basis), and l1_norms
-    are the split's cutoff L^1 norms.  Norms are certified lower estimates on
-    the edge-excluded interior block (the same estimator on both sides, so
-    the comparison is fair at every p).  Returns {name: (norm, bound)}; each
+    are `bump_l1_norms`.  Norms are certified lower estimates on the
+    edge-excluded interior block (the same estimator on both sides, so the
+    comparison is fair at every p).  Returns {name: (norm, bound)}; each
     bound carries a 1e-3 relative slack, and the caller compares the two.
     """
     norm_full = operator_norm_certified(m_full)["lower"]
@@ -150,8 +146,7 @@ def jensen_certificate(m_full, m_parts: dict, l1_norms: dict) -> dict:
             for name in BUMP_NAMES}
 
 
-def central_recover_sweep(apply_fn, a: float, xs,
-                          grid: Grid | None = None) -> np.ndarray:
+def central_recover_sweep(apply_fn, a: float, xs, grid: Grid) -> np.ndarray:
     """Read the central symbol at each point x of xs off the operator itself.
 
     Feeds the operator a narrow-band sinc centered at x (bandwidth a/8, so
@@ -160,8 +155,6 @@ def central_recover_sweep(apply_fn, a: float, xs,
     center (2*eps) returns phi_C(x).  One point at a time: a stacked probe
     is no faster and holds every test sinc at once.
     """
-    if grid is None:
-        grid = default_grid(a)
     eps = a / 8.0
     values = []
     for x in map(float, xs):

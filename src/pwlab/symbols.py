@@ -123,23 +123,16 @@ def spectrum_on(sym: SymbolSpec, fgrid: Grid) -> np.ndarray:
 
 
 def samples(sym: SymbolSpec, grid: Grid) -> SampledFunction:
-    """Evaluate the symbol on a grid."""
-    x = grid.points
-    P = sym.params
-    if sym.kind == "gaussian":
-        vals = P["amp"] * np.exp(-((x - P["shift"]) / P["width"]) ** 2)
-        vals = vals * np.exp(2j * np.pi * P["mod"] * x)
-    elif sym.kind == "mod_poly":
-        vals = P["amp"] * x ** P["degree"] * np.exp(2j * np.pi * P["mod"] * x)
-    elif sym.kind == "sampled":
-        f = P["fun"]
+    """Evaluate the symbol on a grid; the closed-form kinds by `point_values`."""
+    if sym.kind == "sampled":
+        f = sym.params["fun"]
         if f.grid != grid:
             raise ValueError("sampled symbol lives on a different grid")
-        vals = f.values
-    elif sym.kind == "bump_spectrum":
+        return f
+    if sym.kind == "bump_spectrum":
         spec = SampledFunction(grid.freq_grid(), spectrum_on(sym, grid.freq_grid()))
         return inverse_spectrum(spec, start=grid.start)
-    return SampledFunction(grid, np.asarray(vals, dtype=complex))
+    return SampledFunction(grid, point_values(sym, grid.points))
 
 
 def point_values(sym: SymbolSpec, x) -> np.ndarray:

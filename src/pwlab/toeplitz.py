@@ -57,6 +57,9 @@ from .pwspace import (
 )
 from .symbols import SymbolSpec, bump_spectrum_symbol, sampled_symbol, samples
 
+# the basis half-width of `nehari.bounded_symbol` and the CLI's --basis-window
+DEFAULT_BASIS_WINDOW = 32.0
+
 # 4th-order first-derivative taps K(d), d ascending: trailing from d = 0 (the
 # leading stencil is its negated mirror, ending at d = 0), central from d = -2
 _STENCIL_TRAILING = np.array([25 / 12, -4.0, 3.0, -4 / 3, 1 / 4])
@@ -242,21 +245,19 @@ class OperatorMatrix:
         return self.entries[np.ix_(keep, keep)]
 
 
-def assemble_matrix(kernel: np.ndarray, a: float, p: float, window: float,
-                    grid: Grid) -> OperatorMatrix:
-    """Nyquist-basis matrix of the lattice convolution out_j = sum_l K(j - l) in_l,
+def assemble_matrix(kernel: np.ndarray, basis: NyquistBasis, p: float) -> OperatorMatrix:
+    """Matrix in `basis` of the lattice convolution out_j = sum_l K(j - l) in_l,
     given kernel[d mod n] = K(d): the 2-D m-point FFT of its band block."""
-    basis = NyquistBasis(a, window, grid)
     m = basis.bins
-    kv = kernel[np.arange(1 - m, m) % grid.count]
+    kv = kernel[np.arange(1 - m, m) % basis.grid.count]
     toep = sliding_window_view(kv, m)[:, ::-1]      # toep[j, l] = K(j - l)
     r, d = basis.residues, basis.phase
     block = np.fft.fft(np.fft.ifft(toep, axis=0)[r], axis=1)[:, r]
-    return OperatorMatrix(d[:, None] * block * np.conj(d), a, p, window,
-                          basis.nodes, grid)
+    return OperatorMatrix(d[:, None] * block * np.conj(d), basis.a, p, basis.window,
+                          basis.nodes, basis.grid)
 
 
-def toeplitz_matrix(sym: SymbolSpec, a: float, p: float, window: float = 32.0,
+def toeplitz_matrix(sym: SymbolSpec, a: float, p: float, window: float,
                     grid: Grid | None = None) -> OperatorMatrix:
     """Nyquist-basis matrix of T_phi, assembled from its lattice kernel; a
     mod_poly matrix that float64 cannot resolve is refused, an unbounded one warns."""
@@ -266,13 +267,13 @@ def toeplitz_matrix(sym: SymbolSpec, a: float, p: float, window: float = 32.0,
     if sym.kind != "mod_poly":
         # K(d) = dxi * phi^(xi_d): the symbol's lattice spectrum in FFT order
         kernel = grid.freq_step * np.fft.ifftshift(fft_spectrum(samples(sym, grid)).values)
-        return assemble_matrix(kernel, a, p, window, grid)
+        return assemble_matrix(kernel, NyquistBasis(a, window, grid), p)
     kernel = _mod_poly_kernel(sym.params, grid)
-    M = assemble_matrix(kernel, a, p, window, grid)
+    basis = NyquistBasis(a, window, grid)
+    M = assemble_matrix(kernel, basis, p)
     # an entry sums the taps |d| < m (m band bins) with weights of modulus 1/m;
-    # a basis narrower than its grid cancels taps far larger than the entries.
-    # assemble_matrix accepted the grid: m = count / (grid steps per node)
-    m = grid.count // round(1.0 / (2.0 * a * grid.step))
+    # a basis narrower than its grid cancels taps far larger than the entries
+    m = basis.bins
     taps = np.abs(kernel[np.arange(1 - m, m) % grid.count])
     if np.finfo(float).eps * np.sum(taps) > 1e-8 * np.max(np.abs(M.entries)):
         raise ValueError(f"mod_poly degree {sym.params['degree']}: float64 cannot resolve "
@@ -282,7 +283,7 @@ def toeplitz_matrix(sym: SymbolSpec, a: float, p: float, window: float = 32.0,
     return M
 
 
-def identity_matrix(a: float, p: float, window: float = 32.0) -> OperatorMatrix:
+def identity_matrix(a: float, p: float, window: float) -> OperatorMatrix:
     k = nyquist_indices(a, window)
     return OperatorMatrix(np.eye(len(k), dtype=complex), a, p, window,
                           np.arange(k.start, k.stop) / (2.0 * a))
@@ -328,12 +329,10 @@ def operator_norm_certified(M: OperatorMatrix, p: float | None = None) -> dict:
 # -- identity checks ----------------------------------------------------------
 
 
-def identity_residuals(a: float = 1.0, p: float = 2.0, grid: Grid | None = None,
-                       seed: int = 42, trials: int = 10) -> dict:
+def identity_residuals(a: float, p: float, grid: Grid, seed: int = 42,
+                       trials: int = 10) -> dict:
     """Max relative residuals of the band-projector identities and the
     Hankel/Toeplitz intertwining, over a seeded random test set."""
-    if grid is None:
-        grid = default_grid(a)
     rng = np.random.default_rng(seed)
     r_two = r_sandwich = 0.0
     for _ in range(trials):

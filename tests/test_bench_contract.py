@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from pwlab import commutator, factorize, nehari, pwspace, toeplitz, verify
+from pwlab import commutator, factorize, nehari, pwspace, split, toeplitz, verify
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -47,6 +47,15 @@ CALL_SHAPES = {
                         ("sym", 1.0, 2.0, 64.0, "grid"), {}),
     "project_band": (pwspace.project_band, ("f", 1.0, 2.0), {}),
     "project_band-no-p": (pwspace.project_band, ("f", 1.0), {}),
+    "default_grid": (pwspace.default_grid, (1.0,), {}),
+    "default_grid-window": (pwspace.default_grid, (1.0, 64.0), {}),
+    "identity_matrix": (toeplitz.identity_matrix, (1.0, 2.0, 64.0), {}),
+    # the spectral workload's split, sweep and identity ops
+    "split_symbol": (split.split_symbol, ("sym", 1.0, "grid"), {}),
+    "central_recover_sweep": (split.central_recover_sweep,
+                              ("fn", 1.0, "xs", "grid"), {}),
+    "identity_residuals": (toeplitz.identity_residuals, (1.0, 2.0, "grid"),
+                           {"seed": 1, "trials": 10}),
     # the assembly workload's column route and cli_prepare's spoiled matrix
     "NyquistBasis": (toeplitz.NyquistBasis, (1.0, 64.0, "grid"), {}),
     "NyquistBasis.vector": (toeplitz.NyquistBasis.vector, ("basis", 3), {}),

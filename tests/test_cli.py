@@ -9,6 +9,7 @@ import pytest
 
 from pwlab import jsonio
 from pwlab.cli import TOLERANCES, _tols, build_parser, main
+from pwlab.factorize import sinc_atom
 from pwlab.grid import Grid, SampledFunction
 from pwlab.pwspace import default_grid, sinc_kernel
 from pwlab.symbols import gaussian_symbol, sampled_symbol, to_dict
@@ -89,6 +90,17 @@ def test_split_emits_bump_table(files, tmp_path, monkeypatch):
     lines = (tmp_path / "bumps.csv").read_text().splitlines()
     assert lines[0] == "xi,bump_L,bump_C,bump_R"
     assert len(lines) == 1 + 257  # [-4, 4] at step 1/32
+
+
+def test_split_writes_bump_table_beside_out(files, tmp_path, monkeypatch, capsys):
+    cwd, out_dir = tmp_path / "cwd", tmp_path / "out"
+    cwd.mkdir()
+    out_dir.mkdir()
+    monkeypatch.chdir(cwd)
+    assert run("split", "--symbol", files / "gauss_flat.json", "--emit-bumps",
+               "--out", out_dir / "split.json") == 0
+    assert (out_dir / "bumps.csv").exists() and not (cwd / "bumps.csv").exists()
+    assert f"wrote {out_dir / 'bumps.csv'}" in capsys.readouterr().out.splitlines()
 
 
 def test_missing_input_file_is_exit_one(files, tmp_path, capsys):
@@ -363,6 +375,51 @@ def test_factorize_unreachable_tolerance_is_exit_two(files, tmp_path, capsys):
     assert "certificate failure" in capsys.readouterr().err
 
 
+def test_nehari_writes_completion_and_table(files, tmp_path):
+    out = tmp_path / "neh.json"
+    assert run("nehari", "--symbol", files / "gauss_flat.json", "--out", out) == 0
+    payload = json.loads(out.read_text())
+    assert {"sigma0", "hankel_norm", "moment_residual", "sup_norm",
+            "correction_sup", "tail_ratio", "psi", "psi_matched"} <= set(payload)
+    assert payload["truncation"] == 256
+    assert payload["certificate"] == {"moment_ok": True, "sup_ok": True,
+                                      "passed": True}
+    header = (tmp_path / "neh.csv").read_text().splitlines()[0]
+    assert header == "sigma0,hankel_norm,moment_residual,sup_norm"
+
+
+@pytest.mark.parametrize("command, source, tol", [
+    ("nehari", "symbol", "moment"),
+    # the split parts leave a coefficient tail at the default truncation
+    pytest.param("bounded-symbol", "symbol", "operator_residual",
+                 marks=PRINTS_WARNINGS),
+    ("recover-symbol", "matrix", "roundtrip")])
+def test_unmet_tolerance_is_exit_two_and_still_writes(files, tmp_path, capsys,
+                                                      command, source, tol):
+    given = {"symbol": files / "gauss_flat.json", "matrix": files / "matrix.json"}
+    out = tmp_path / "r.json"
+    assert run(command, "--" + source, given[source], "--tol", f"{tol}=1e-300",
+               "--out", out) == 2
+    assert "certificate failure" in capsys.readouterr().err
+    assert json.loads(out.read_text())
+    assert len((tmp_path / "r.csv").read_text().splitlines()) == 2
+
+
+def test_factorize_single_atom_writes_explicit_pairs(tmp_path):
+    # the product's spectrum ends one bin inside 2a, so margin 0.999 keeps it
+    grid = default_grid(1.0)
+    atom = sinc_atom(1.0, 0.5, grid)
+    target = tmp_path / "atom.json"
+    jsonio.dump_canonical(jsonio.function_to_dict(SampledFunction(
+        grid, 0.3 * atom.values * np.conj(atom.values))), target)
+    out = tmp_path / "fact.json"
+    assert run("factorize", "--input", target, "--margin", 0.999, "--out", out) == 0
+    payload = json.loads(out.read_text())
+    assert payload["pairs_format"] == "explicit" and "plan" not in payload
+    assert payload["n_pairs"] == len(payload["pairs"]) == 1
+    assert {"f", "g"} == set(payload["pairs"][0])
+
+
 def test_commutator_test_accepts_true_toeplitz(files, tmp_path):
     out = tmp_path / "ct.json"
     assert run("commutator-test", "--matrix", files / "matrix.json",
@@ -382,10 +439,14 @@ def test_commutator_test_flags_spoiled_matrix(files, tmp_path):
 
 
 def test_matrix_commands_take_band_from_the_file(files, tmp_path, capsys):
-    # a --band flag may only agree with what the matrix file says
+    # a --band or --p flag may only agree with what the matrix file says
     assert run("commutator-test", "--matrix", files / "matrix.json",
                "--band", 2.0, "--out", tmp_path / "x.json") == 1
     assert "does not match matrix band" in capsys.readouterr().err
+    assert run("commutator-test", "--matrix", files / "matrix.json",
+               "--p", 3, "--out", tmp_path / "x.json") == 1
+    assert capsys.readouterr().err.startswith(
+        "input error: p: 3.0 does not match matrix p 2.0")
 
 
 def test_recover_symbol_roundtrip(files, tmp_path):

@@ -47,7 +47,7 @@ def omega_compatible(f, frame):
     nk = lp_norm(frame.kernel, 2.0)
     defect = abs(inner(fun, frame.kernel)) / (nf * nk) if nf > 0.0 else 0.0
     omega_f = lattice_omega_apply(fun)
-    residual = band_residual(omega_f, frame.a) if nf > 0.0 else 0.0
+    residual = band_residual(omega_f, frame.basis.a) if nf > 0.0 else 0.0
     return {"flag": defect <= 1e-6, "defect": defect, "omega_residual": residual}
 
 

@@ -10,8 +10,8 @@ from pwlab import nehari
 from pwlab.grid import SampledFunction, energy_fraction, fft_spectrum, lp_norm
 from pwlab.nehari import (AAKSolution, NehariResult, _circle_coeffs, _circle_nodes,
                           _circle_size, _section_products, _top_pairs, aak_solve,
-                          bounded_symbol, hankel_norm_estimate, line_to_disk,
-                          nehari_solve)
+                          bounded_symbol, hankel_norm_estimate, hankel_symbol,
+                          line_to_disk, nehari_solve)
 from pwlab.pwspace import default_grid, project_band, sinc_kernel
 from pwlab.split import SUPPORTS, split_symbol
 from pwlab.symbols import (gaussian_symbol, mod_poly_symbol, point_values,
@@ -87,6 +87,28 @@ def solved(right_target, grid):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return nehari_solve(right_target, A, 2.0, grid=grid)
+
+
+def test_hankel_symbol_is_the_right_target(right_target, grid):
+    b = hankel_symbol(split_symbol(gaussian_symbol(), A, grid).part_r, A)
+    assert b.kind == "sampled" and b.params["fun"].grid == grid
+    assert np.array_equal(b.params["fun"].values, right_target.params["fun"].values)
+    assert b.spectral_support == right_target.spectral_support
+
+
+def test_eval_disk_fills_a_zero_of_v_from_its_nearest_neighbour():
+    # v(z) = 1 + z vanishes at z = -1, entries 0 and 3; entry 0 has one good
+    # neighbour, entry 3 two at the same distance, and the left one wins
+    sol = AAKSolution(2.0, np.array([1.0, 1.0], dtype=complex),
+                      np.array([0.5, 0.25j], dtype=complex), 0.0)
+    z = np.array([-1.0, np.exp(0.3j), np.exp(1.0j), -1.0, np.exp(2.0j)])
+    out = sol.eval_disk(z)
+    assert np.all(np.isfinite(out))
+    good = [1, 2, 4]
+    zb = np.conj(z[good])
+    want = 2.0 * (0.5 * zb + 0.25j * zb ** 2) / (1.0 + z[good])
+    assert out[good] == approx(want, rel=1e-14)
+    assert out[0] == out[1] and out[3] == out[2]
 
 
 def test_moments_match(solved):

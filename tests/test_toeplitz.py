@@ -102,7 +102,7 @@ def test_mod_poly_kernel_matches_stencil_loop(degree, mod, window):
     # degree >= 1 with |mod| < 2a is unbounded: assembled with a warning
     with _unbounded_warning(degree >= 1 and abs(mod) < 2.0 * A):
         M = toeplitz_matrix(mod_poly_symbol(degree, mod, 0.7), A, 2.0, window, grid)
-    R = assemble_matrix(ref, A, 2.0, window, grid).entries
+    R = assemble_matrix(ref, NyquistBasis(A, window, grid), 2.0).entries
     # at mod 2a the band block holds no tap: both are exactly zero
     assert np.linalg.norm(M.entries - R, 2) <= 1e-12 * np.linalg.norm(R, 2)
 
@@ -270,8 +270,8 @@ def test_gaussian_matrix_norm_under_sup(grid):
     assert n["lower"] <= 1.0 + 1e-9  # ||T_phi|| <= sup|phi| = 1 at p = 2
 
 
-def test_projector_and_intertwine_identities():
-    res = identity_residuals(A, 2.0, trials=5)
+def test_projector_and_intertwine_identities(grid):
+    res = identity_residuals(A, 2.0, grid, trials=5)
     assert res["projector_two_term"] < 1e-10
     assert res["projector_halfline_sandwich"] < 1e-10
     assert res["hankel_toeplitz_intertwine"] < 1e-10
