@@ -24,12 +24,12 @@ import numpy as np
 from . import jsonio
 from .commutator import (build_frame, commutator_test, recover_symbol,
                          recovery_roundtrip)
-from .factorize import sinc_atom, weak_factorize
+from .factorize import ATOM_TOL, RESIDUAL_SUP_TOL, sinc_atom, weak_factorize
 from .grid import SampledFunction, lp_norm
-from .nehari import DEFAULT_TRUNCATION, MAX_TRUNCATION, bounded_symbol, nehari_solve
+from .nehari import AAK_TOL, DEFAULT_TRUNCATION, MAX_TRUNCATION, bounded_symbol, nehari_solve
 from .pwspace import (DEFAULT_BAND, DEFAULT_OVERSAMPLE, DEFAULT_WINDOW,
                       band_residual, default_grid, project_band)
-from .split import bump, bump_l1_norms, split_symbol
+from .split import DECAY_TOL, bump, bump_l1_norms, split_symbol
 from .symbols import KINDS as SYMBOL_KINDS, from_dict as symbol_from_dict
 from .toeplitz import (DEFAULT_BASIS_WINDOW, matrix_from_dict, matrix_to_dict,
                        nyquist_indices, operator_norm_certified, toeplitz_matrix)
@@ -43,14 +43,14 @@ class InputError(Exception):
     pass
 
 
-# The tolerances each command reads, with their defaults; --tol NAME=VALUE
-# overrides one of them and exists only on these commands.
+# The tolerances each command reads, with their defaults (the library's constant
+# where it applies one too); --tol NAME=VALUE overrides one, on these commands only.
 TOLERANCES = {
-    "split": {"decay": 1e-8},
+    "split": {"decay": DECAY_TOL},
     "bounded-symbol": {"operator_residual": 1e-3},
-    "nehari": {"moment": 1e-6, "sup_slack": 0.05},
-    "factorize": {"band_residual": 1e-8, "atom": 1e-8, "residual_sup": 1e-6,
-                  "residual_l1": 1e-5},
+    "nehari": {"moment": 1e-6, "sup_slack": AAK_TOL},
+    "factorize": {"band_residual": 1e-8, "atom": ATOM_TOL,
+                  "residual_sup": RESIDUAL_SUP_TOL, "residual_l1": 1e-5},
     "commutator-test": {"deviation": 1e-6},
     "recover-symbol": {"roundtrip": 1e-3},
 }
@@ -201,9 +201,36 @@ def _load_matrix(path: str):
         raise InputError(f"{path}: {e}") from None
 
 
-def _write(out_path: str, payload: dict, csv_rows, csv_header) -> None:
+def _out_paths(args) -> list:
+    """The files a command writes: --out, the CSV beside it (its extension
+    replaced) and, for split --emit-bumps, bumps.csv in its directory."""
+    paths = [args.out, os.path.splitext(args.out)[0] + ".csv"]
+    if getattr(args, "emit_bumps", False):
+        paths.append(os.path.join(os.path.dirname(args.out), "bumps.csv"))
+    return paths
+
+
+def _check_out(args) -> None:
+    """Refuse, before any work, outputs that cannot be written (no name, a
+    missing directory, a directory in a file's place) or that would overwrite
+    each other."""
+    if not args.out:
+        raise InputError("out: the path is empty")
+    parent = os.path.dirname(args.out) or "."
+    if not os.path.isdir(parent):
+        raise InputError(f"out: {parent} is not an existing directory")
+    seen = set()
+    for path in _out_paths(args):
+        if os.path.isdir(path):
+            raise InputError(f"out: {path} is a directory")
+        if os.path.abspath(path) in seen:
+            raise InputError(f"out: {args.out} would write two outputs to {path}")
+        seen.add(os.path.abspath(path))
+
+
+def _write(args, payload: dict, csv_rows, csv_header) -> None:
+    out_path, csv_path = _out_paths(args)[:2]
     jsonio.dump_canonical(payload, out_path)
-    csv_path = out_path.rsplit(".", 1)[0] + ".csv"
     jsonio.write_csv(csv_path, csv_header, csv_rows)
     print(f"wrote {out_path} and {csv_path}")
 
@@ -220,7 +247,7 @@ def cmd_project(args) -> int:
         "residual_removed": removed,
         "fun": jsonio.function_to_dict(bl.fun),
     }
-    _write(args.out or "projected.json", payload,
+    _write(args, payload,
            [[ "residual_removed", removed ]], ["quantity", "value"])
     return EXIT_OK
 
@@ -240,7 +267,7 @@ def cmd_toeplitz(args) -> int:
     }
     print(f"operator p-norm in [{jsonio._fmt_float(norms['lower'])}, "
           f"{jsonio._fmt_float(norms['upper'])}]")
-    _write(args.out or "toeplitz.json", payload,
+    _write(args, payload,
            [[args.p, norms["lower"], norms["upper"]]],
            ["p", "norm_lower", "norm_upper"])
     return EXIT_OK
@@ -259,13 +286,12 @@ def cmd_split(args) -> int:
                   for name in ("L", "C", "R")},
     }
     rows = [[name, l1_norms[name]] for name in ("L", "C", "R")]
-    out = args.out or "split.json"
-    _write(out, payload, rows, ["part", "l1_norm"])
+    _write(args, payload, rows, ["part", "l1_norm"])
     if args.emit_bumps:
         us = np.arange(-4.0, 4.0 + 1e-12, 1.0 / 32.0)
         table = np.column_stack([args.band * us]
                                 + [bump(us, w) for w in ("L", "C", "R")])
-        bumps = os.path.join(os.path.dirname(out), "bumps.csv")
+        bumps = _out_paths(args)[2]
         jsonio.write_csv(bumps, ["xi", "bump_L", "bump_C", "bump_R"], table)
         print(f"wrote {bumps}")
     return EXIT_OK
@@ -289,7 +315,7 @@ def cmd_bounded_symbol(args) -> int:
         "certified": ok,
         "psi": jsonio.function_to_dict(res.psi),
     }
-    _write(args.out or "bounded_symbol.json", payload,
+    _write(args, payload,
            [[res.sup_norm, cert["operator_residual"], cert["ratio"], cert["c_meas"]]],
            ["sup_norm", "operator_residual", "ratio", "c_meas"])
     if not ok:
@@ -320,7 +346,7 @@ def cmd_nehari(args) -> int:
         "psi": jsonio.function_to_dict(res.psi),
         "psi_matched": jsonio.function_to_dict(res.psi_matched),
     }
-    _write(args.out or "nehari.json", payload,
+    _write(args, payload,
            [[res.sigma0, res.hankel_norm, res.moment_residual, res.sup_norm]],
            ["sigma0", "hankel_norm", "moment_residual", "sup_norm"])
     if not (moment_ok and sup_ok):
@@ -376,7 +402,7 @@ def cmd_factorize(args) -> int:
                 {"f": jsonio.function_to_dict(SampledFunction(h.grid, fk)),
                  "g": jsonio.function_to_dict(SampledFunction(h.grid, gk))}
                 for fk, gk in zip(F.f.values, F.g.values)]
-    _write(args.out or "factorization.json", payload,
+    _write(args, payload,
            [[len(F), F.nuclear_sum, F.residual_sup, F.residual_l1]],
            ["n_pairs", "nuclear_sum", "residual_sup", "residual_l1"])
     if not ok:
@@ -411,7 +437,7 @@ def cmd_commutator_test(args) -> int:
     verdict = deviation <= tol
     payload = {"is_toeplitz": verdict, "deviation": deviation,
                "threshold": tol, "band": T.a, "p": T.p}
-    _write(args.out or "commutator_test.json", payload,
+    _write(args, payload,
            [[deviation, tol, str(verdict).lower()]],
            ["deviation", "threshold", "is_toeplitz"])
     return EXIT_OK if verdict else EXIT_CERT
@@ -431,7 +457,7 @@ def cmd_recover_symbol(args) -> int:
         "analytic_part": jsonio.function_to_dict(rec.psi_part),
         "total": jsonio.function_to_dict(rec.total),
     }
-    _write(args.out or "recovered_symbol.json", payload,
+    _write(args, payload,
            [[rt, tol]], ["roundtrip_residual", "threshold"])
     if rt > tol:
         print(f"certificate failure: symbol round-trip residual {rt:.3e} "
@@ -445,8 +471,7 @@ def cmd_verify(args) -> int:
     from . import verify as verify_suite
     report = verify_suite.run_all(seed=args.seed,
                                   progress=lambda s: print(s, file=sys.stderr))
-    out = args.out or "report.json"
-    csv_path = out.rsplit(".", 1)[0] + ".csv"
+    out, csv_path = _out_paths(args)
     verify_suite.write_report(report, out, csv_path)
     for row in report["checks"]:
         mark = "pass" if row["passed"] else "FAIL"
@@ -471,21 +496,21 @@ def build_parser() -> _Parser:
     sp = subs.add_parser("project", help="band-project a sampled function")
     sp.add_argument("--input", required=True, help="sampled-function JSON")
     _add_flags(sp, "project", "band", "p")
-    sp.set_defaults(func=cmd_project)
+    sp.set_defaults(func=cmd_project, out="projected.json")
 
     sp = subs.add_parser("toeplitz", help="assemble a Toeplitz matrix")
     sp.add_argument("--symbol", required=True, help="symbol JSON")
     sp.add_argument("--basis-window", type=float, default=DEFAULT_BASIS_WINDOW)
     _add_flags(sp, "toeplitz", "band", "p", "oversample", "window")
     # the grid spans the basis window unless --window says otherwise
-    sp.set_defaults(func=cmd_toeplitz, window=None)
+    sp.set_defaults(func=cmd_toeplitz, out="toeplitz.json", window=None)
 
     sp = subs.add_parser("split", help="three-part symbol splitting")
     sp.add_argument("--symbol", required=True)
     sp.add_argument("--emit-bumps", action="store_true",
                     help="also write the cutoff profiles to bumps.csv beside --out")
     _add_flags(sp, "split", "band", "oversample", "window")
-    sp.set_defaults(func=cmd_split)
+    sp.set_defaults(func=cmd_split, out="split.json")
 
     sp = subs.add_parser("bounded-symbol",
                          help="bounded symbol with the same operator")
@@ -493,13 +518,13 @@ def build_parser() -> _Parser:
     sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
     sp.add_argument("--basis-window", type=float, default=DEFAULT_BASIS_WINDOW)
     _add_flags(sp, "bounded-symbol", "band", "p", "oversample", "window")
-    sp.set_defaults(func=cmd_bounded_symbol)
+    sp.set_defaults(func=cmd_bounded_symbol, out="bounded_symbol.json")
 
     sp = subs.add_parser("nehari", help="minimal-sup Hankel completion")
     sp.add_argument("--symbol", required=True)
     sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
     _add_flags(sp, "nehari", "band", "p", "oversample", "window")
-    sp.set_defaults(func=cmd_nehari)
+    sp.set_defaults(func=cmd_nehari, out="nehari.json")
 
     sp = subs.add_parser("factorize", help="weak factorization of a target")
     sp.add_argument("--input", required=True, help="sampled-function JSON")
@@ -508,23 +533,25 @@ def build_parser() -> _Parser:
     sp.add_argument("--summary", action="store_true",
                     help="omit the pair list from the output")
     _add_flags(sp, "factorize", "band", "p")
-    sp.set_defaults(func=cmd_factorize)
+    sp.set_defaults(func=cmd_factorize, out="factorization.json")
 
     sp = subs.add_parser("commutator-test",
                          help="test a matrix for the Toeplitz property")
     sp.add_argument("--matrix", required=True, help="operator-matrix JSON")
     _add_flags(sp, "commutator-test", "band", "p", "oversample", "seed")
-    sp.set_defaults(func=cmd_commutator_test, band=None, p=None)
+    sp.set_defaults(func=cmd_commutator_test, out="commutator_test.json",
+                    band=None, p=None)
 
     sp = subs.add_parser("recover-symbol",
                          help="recover a symbol from a Toeplitz matrix")
     sp.add_argument("--matrix", required=True)
     _add_flags(sp, "recover-symbol", "band", "p", "oversample")
-    sp.set_defaults(func=cmd_recover_symbol, band=None, p=None)
+    sp.set_defaults(func=cmd_recover_symbol, out="recovered_symbol.json",
+                    band=None, p=None)
 
     sp = subs.add_parser("verify", help="run the full identity suite")
     _add_flags(sp, "verify", "seed")
-    sp.set_defaults(func=cmd_verify)
+    sp.set_defaults(func=cmd_verify, out="report.json")
 
     return parser
 
@@ -547,9 +574,13 @@ def main(argv=None) -> int:
             for name in _RANGES:
                 if getattr(args, name, None) is not None:
                     _check(name, getattr(args, name))
+            _check_out(args)
             return args.func(args)
         except (InputError, ValueError) as e:
             print(f"input error: {e}", file=sys.stderr)
+            return EXIT_INPUT
+        except OSError as e:    # reads raise InputError; this is a write
+            print(f"input error: out: {e.filename}: {e.strerror or e}", file=sys.stderr)
             return EXIT_INPUT
 
 

@@ -36,6 +36,8 @@ from .toeplitz import (NyquistBasis, OperatorMatrix, identity_matrix,
                        matrix_pnorm, toeplitz_matrix)
 
 TEST_SET_SIZE = 4      # `toeplitz_test_set`: identity and three smooth symbols
+ATOM_TOL = 1e-8        # a target this close to one atom product (of its sup) passes through
+RESIDUAL_SUP_TOL = 1e-6  # weak_factorize warns past this sup residual (of the sup)
 
 
 @functools.lru_cache(maxsize=8)
@@ -168,7 +170,7 @@ def _atom_stride(grid: Grid, a: float, b: float) -> int:
 
 
 def weak_factorize(h: BandlimitedFunction, a: float, p: float,
-                   atom_tol: float = 1e-8) -> Factorization:
+                   atom_tol: float = ATOM_TOL) -> Factorization:
     """Factor a band-2b target into sinc-atom pairs f_k conj(g_k).
 
     A target that already equals a (scaled) single atom product is passed
@@ -222,7 +224,7 @@ def weak_factorize(h: BandlimitedFunction, a: float, p: float,
     res = np.abs(_product_sum(f, g) - h.values)
     residual_sup = float(res.max())
     residual_l1 = float(grid.step * res.sum())
-    if residual_sup > 1e-6 * sup_h:
+    if residual_sup > RESIDUAL_SUP_TOL * sup_h:
         warnings.warn(f"atom-sum reconstruction off by {residual_sup:.3e} "
                       f"(sup {sup_h:.3e}); factorization returned as-is",
                       RuntimeWarning)

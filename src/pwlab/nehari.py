@@ -16,11 +16,12 @@ lattice operator P_- M_b P_+ gives `NehariResult.hankel_norm`, computed on
 first read; the bounded-symbol pipeline never reads it.
 
 The bounded-symbol pipeline splits a symbol into spectral parts, replaces
-each one-sided part by its minimal-norm Hankel completion (the left part via
-reflection, which swaps the roles of analytic and anti-analytic), and
-reassembles.  The operator content is untouched: the replaced pieces differ
-from the originals by analytic functions, which the band projection
-annihilates.
+each one-sided part by its minimal-norm Hankel completion, and reassembles.
+The left part is completed through its conjugate, whose spectrum has the
+right part's shape: T_conj(X) = (T_X)* pointwise, so conjugating a completion
+back keeps the operator it reproduces.  The operator content is untouched:
+the replaced pieces differ from the originals by functions whose Toeplitz
+compressions vanish.
 """
 
 from __future__ import annotations
@@ -258,7 +259,6 @@ class NehariResult:
     correction_sup: float         # sup of the matched-variant correction term
     tail_ratio: float
     truncation: int
-    solution: AAKSolution
     symbol_samples: SampledFunction   # b on the grid
 
     @cached_property
@@ -306,7 +306,7 @@ def nehari_solve(b: SymbolSpec, a: float, p: float = 2.0,
         warnings.warn(f"sup norm {sup:.4e} exceeds (1+tol)*sigma0 "
                       f"{(1 + AAK_TOL) * sol.sigma0:.4e}", stacklevel=2)
     return NehariResult(psi, matched, sol.sigma0, sol.moment_residual, sup,
-                        lp_norm(corr, np.inf), tail, M, sol, bs)
+                        lp_norm(corr, np.inf), tail, M, bs)
 
 
 # -- bounded-symbol pipeline ---------------------------------------------------
@@ -319,12 +319,6 @@ def hankel_symbol(part: SampledFunction, a: float) -> SymbolSpec:
     theta2 = np.exp(4j * np.pi * a * part.grid.points)
     return sampled_symbol(SampledFunction(part.grid, part.values * np.conj(theta2)),
                           support=(lo * a - 2.0 * a, hi * a - 2.0 * a))
-
-
-def reflect(f: SampledFunction) -> SampledFunction:
-    """R[f](x) = f(-x) on the periodic lattice (the lone un-mirrored left
-    endpoint wraps around, consistent with the lattice's periodic extension)."""
-    return SampledFunction(f.grid, np.roll(f.values[::-1], 1))
 
 
 @dataclass
@@ -364,10 +358,11 @@ def bounded_symbol(sym: SymbolSpec, a: float, M: int = DEFAULT_TRUNCATION,
                    window: float = DEFAULT_BASIS_WINDOW) -> BoundedSymbol:
     """Bounded symbol with the same Toeplitz operator as sym on the band.
 
-    Splits the symbol, keeps the central part verbatim, and replaces the two
-    one-sided parts by modulated minimal Hankel completions:
+    Splits the symbol, keeps the central part verbatim, and replaces part_R
+    and conj(part_L), whose spectrum lies where part_R's does, by modulated
+    minimal Hankel completions; T_conj(X) = (T_X)* carries the left one back:
 
-        psi = conj(theta)^2 psi_l + phi_C + theta^2 psi_r.
+        psi = theta^2 psi_r + phi_C + conj(theta^2 psi_l).
 
     Nothing here depends on p (the matrices' entries do not): both operators
     are assembled once in the shifted-sinc coordinates and `certificate(p)`
@@ -379,32 +374,29 @@ def bounded_symbol(sym: SymbolSpec, a: float, M: int = DEFAULT_TRUNCATION,
         raise ValueError(unbounded)
     if grid is None:
         grid = default_grid(a)
-    zero = SampledFunction(grid, np.zeros(grid.count, dtype=complex))
 
     m_phi = _stage("assemble", lambda: toeplitz_matrix(sym, a, 2.0, window, grid))
-    scale = float(np.max(np.abs(samples(sym, grid).values)))
-    if operator_norm_certified(m_phi, 2.0)["lower"] <= 1e-8 * max(scale, 1.0):
+    phi = samples(sym, grid)
+    if operator_norm_certified(m_phi, 2.0)["lower"] <= 1e-8 * max(lp_norm(phi, np.inf), 1.0):
+        zero = SampledFunction(grid, np.zeros(grid.count, dtype=complex))
         return BoundedSymbol(zero, 0.0, 0.0, 0.0, m_phi, None)
 
     parts = _stage("split", lambda: split_symbol(sym, a, grid))
     theta2 = np.exp(4j * np.pi * a * grid.points)
-    norm2 = lp_norm(samples(sym, grid), 2.0)
+    norm2 = lp_norm(phi, 2.0)
 
-    def one_side(part: SampledFunction, label: str) -> tuple:
+    def completion(part: np.ndarray, label: str) -> tuple:
+        # theta^2 psi_matched and sigma0; psi_matched carries b's exact co-analytic
+        # lattice content, so the reassembled operator agrees with the original
+        part = SampledFunction(grid, part)
         if lp_norm(part, 2.0) <= 1e-12 * max(norm2, 1.0):
-            return zero, 0.0
-        b = hankel_symbol(part, a)
-        res = _stage(label, lambda: nehari_solve(b, a, M=M, grid=grid))
-        # the matched variant carries b's exact co-analytic lattice content,
-        # so the reassembled operator agrees with the original to rounding
-        return res.psi_matched, res.sigma0
+            return 0.0, 0.0
+        res = _stage(label, lambda: nehari_solve(hankel_symbol(part, a), a, M=M, grid=grid))
+        return theta2 * res.psi_matched.values, res.sigma0
 
-    psi_r, sig_r = one_side(parts.part_r, "nehari(right)")
-    psi_l_ref, sig_l = one_side(reflect(parts.part_l), "nehari(left,reflected)")
-    psi_l = reflect(psi_l_ref)
-
-    psi = SampledFunction(grid, np.conj(theta2) * psi_l.values + parts.part_c.values
-                          + theta2 * psi_r.values)
+    right, sig_r = completion(parts.part_r.values, "nehari(right)")
+    left, sig_l = completion(np.conj(parts.part_l.values), "nehari(left,conjugated)")
+    psi = SampledFunction(grid, right + parts.part_c.values + np.conj(left))
 
     m_psi = _stage("certify",
                    lambda: toeplitz_matrix(sampled_symbol(psi), a, 2.0, window, grid))

@@ -27,6 +27,7 @@ from .symbols import SymbolSpec, samples, sampled_symbol
 from .toeplitz import operator_norm_certified
 
 BUMP_NAMES = ("L", "C", "R")
+DECAY_TOL = 1e-8       # split_symbol warns when its spectral edge exceeds this of the peak
 
 # Spectral supports of the three cutoffs in units of the band radius.
 SUPPORTS = {"L": (-4.0, -0.25), "C": (-0.5, 0.5), "R": (0.25, 4.0)}
@@ -97,7 +98,7 @@ class SplitResult:
 
 
 def split_symbol(sym: SymbolSpec, a: float, grid: Grid,
-                 decay_tol: float = 1e-8) -> SplitResult:
+                 decay_tol: float = DECAY_TOL) -> SplitResult:
     """Split a symbol into spectral parts via the dilated cutoff triple.
 
     The parts are exact lattice truncations: each part's spectrum is the

@@ -1,4 +1,5 @@
 """End-to-end runs of the command-line entry point (exit codes, files, bytes)."""
+import inspect
 import json
 import shlex
 import shutil
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pwlab import jsonio
+from pwlab import factorize, jsonio, nehari, split
 from pwlab.cli import TOLERANCES, _tols, build_parser, main
 from pwlab.factorize import sinc_atom
 from pwlab.grid import Grid, SampledFunction
@@ -269,6 +270,19 @@ def test_every_declared_tolerance_parses(command, name):
         **TOLERANCES[command], name: 0.25}
 
 
+def test_tolerance_defaults_are_the_library_constants():
+    # the library's warning and the CLI's verdict read one object, not two
+    # equal literals
+    assert TOLERANCES["split"]["decay"] is split.DECAY_TOL
+    assert TOLERANCES["nehari"]["sup_slack"] is nehari.AAK_TOL
+    assert TOLERANCES["factorize"]["atom"] is factorize.ATOM_TOL
+    assert TOLERANCES["factorize"]["residual_sup"] is factorize.RESIDUAL_SUP_TOL
+    defaults = {name: p.default for fn in (split.split_symbol, factorize.weak_factorize)
+                for name, p in inspect.signature(fn).parameters.items()}
+    assert defaults["decay_tol"] is split.DECAY_TOL
+    assert defaults["atom_tol"] is factorize.ATOM_TOL
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1e-6"])
 def test_tolerance_must_be_positive_and_finite(files, value, capsys):
     assert run("commutator-test", "--matrix", files / "matrix.json",
@@ -328,6 +342,58 @@ def test_negative_seed_is_refused_before_any_work(argv, monkeypatch, capsys):
     monkeypatch.setattr("pwlab.cli.commutator_test", ran)
     assert run(*argv, "--seed", "-1") == 1
     assert capsys.readouterr().err == "input error: seed: must be non-negative, got -1\n"
+
+
+BAD_OUTS = {"directory": "dir", "missing-parent": "missing/x.json",
+            "file-parent": "g.json/x.json", "csv-is-json": "t.csv",
+            "csv-is-directory": "d.json", "empty": ""}
+
+
+@pytest.mark.parametrize("case", BAD_OUTS)
+@pytest.mark.parametrize("command", REMOVED_FLAGS)      # every command
+def test_bad_out_is_refused_before_any_work(command, case, tmp_path, monkeypatch,
+                                            capsys):
+    # the input files do not exist: reading one would print another error
+    def ran(*args, **kwargs):
+        raise AssertionError("verify ran with a bad --out")
+    monkeypatch.setattr("pwlab.verify.run_all", ran)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "dir").mkdir()
+    (tmp_path / "d.csv").mkdir()
+    (tmp_path / "g.json").write_text("{}")
+    argv = [command, *REQUIRED.get(command, ["--symbol", "s.json"])]
+    assert run(*argv, "--out", BAD_OUTS[case]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: out: ") and len(err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "dir", "g.json"]
+
+
+def test_write_failure_is_exit_one_naming_out(files, tmp_path, capsys):
+    # a name past the file system's limit passes the checks and fails on open
+    out = tmp_path / ("x" * 300 + ".json")
+    assert run("project", "--input", files / "smooth.json", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert err == f"input error: out: {out}: File name too long\n"
+
+
+def test_split_bumps_on_its_own_csv_is_refused(tmp_path, capsys):
+    # bumps.json's CSV would be bumps.csv, the bump table's path
+    assert run("split", "--symbol", tmp_path / "s.json", "--emit-bumps",
+               "--out", tmp_path / "bumps.json") == 1
+    assert capsys.readouterr().err == (f"input error: out: {tmp_path / 'bumps.json'} "
+                                       f"would write two outputs to "
+                                       f"{tmp_path / 'bumps.csv'}\n")
+
+
+def test_csv_lands_beside_out_in_a_dotted_directory(files, tmp_path, monkeypatch,
+                                                    capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "a.b").mkdir()
+    assert run("toeplitz", "--symbol", files / "gauss_flat.json",
+               "--basis-window", 8, "--out", "a.b/toe") == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "wrote a.b/toe and a.b/toe.csv"
+    assert sorted(p.name for p in (tmp_path / "a.b").iterdir()) == ["toe", "toe.csv"]
+    assert not (tmp_path / "a.csv").exists()
 
 
 def test_unknown_flag_is_exit_one_not_abort(files, capsys):

@@ -1,7 +1,8 @@
 """Static hygiene of the package modules: every imported name is used, every
 private module-level name is referenced, every public function, and every
 public method and property of a public class, has a caller outside the tests,
-and every annotation resolves.  Standard library only (ast, typing)."""
+every field of a public dataclass has a reader outside the tests, and every
+annotation resolves.  Standard library only (ast, typing)."""
 import ast
 import importlib
 import inspect
@@ -121,14 +122,20 @@ def _public_functions(tree: ast.Module) -> list:
     return names
 
 
-def test_public_functions_have_a_caller():
-    # a definition is not a reference, and the re-exports in __init__ do not count
+def _callers() -> list:
+    """The trees of the package modules, scripts/ and perfbench/; the
+    re-exports in __init__ do not count."""
     root = SRC.parent.parent
-    callers = ([SRC / f"{name}.py" for name in MODULES if name != "__init__"]
-               + sorted((root / "scripts").glob("*.py"))
-               + sorted((root / "perfbench").glob("*.py")))
-    assert len(callers) > len(MODULES)
-    refs = set().union(*(_references(ast.parse(p.read_text())) for p in callers))
+    paths = ([SRC / f"{name}.py" for name in MODULES if name != "__init__"]
+             + sorted((root / "scripts").glob("*.py"))
+             + sorted((root / "perfbench").glob("*.py")))
+    assert len(paths) > len(MODULES)
+    return [ast.parse(p.read_text()) for p in paths]
+
+
+def test_public_functions_have_a_caller():
+    # a definition is not a reference
+    refs = set().union(*(_references(tree) for tree in _callers()))
     public = [f"{name}.{n}" for name in MODULES
               for n in _public_functions(ast.parse((SRC / f"{name}.py").read_text()))]
     assert len(public) > 100
@@ -148,6 +155,49 @@ def test_caller_detector_skips_a_same_named_local():
     refs = _references(tree)
     assert "lattice_sum" in refs and "size" in refs
     assert {"inner", "pairing", "synthesize"}.isdisjoint(refs)
+
+
+def _dataclass_fields(tree: ast.Module) -> list:
+    """The fields of public dataclasses as Class.field."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and _public(node.name) and any(
+                ast.unparse(d.func if isinstance(d, ast.Call) else d)
+                in ("dataclass", "dataclasses.dataclass") for d in node.decorator_list):
+            names += [f"{node.name}.{f.target.id}" for f in node.body
+                      if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)]
+    return names
+
+
+def _attribute_reads(tree: ast.Module) -> set:
+    """Attribute names a module reads (an assignment to one is not a read)."""
+    return {n.attr for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def test_public_dataclass_fields_have_a_reader():
+    # a field only the tests read is a value the package computes for no one;
+    # a module that calls asdict reads every field of its own dataclasses
+    reads = set().union(*(_attribute_reads(tree) for tree in _callers()))
+    trees = {name: ast.parse((SRC / f"{name}.py").read_text()) for name in MODULES}
+    fields = [f"{name}.{q}" for name, tree in trees.items()
+              if "asdict" not in _references(tree) for q in _dataclass_fields(tree)]
+    assert len(fields) > 30
+    assert [q for q in fields if q.rsplit(".", 1)[1] not in reads] == []
+
+
+def test_dataclass_field_detector_flags_an_unread_field():
+    tree = ast.parse("import dataclasses\nfrom dataclasses import dataclass\n"
+                     "@dataclass\nclass Result:\n    value: float\n    spare: int\n"
+                     "    LIMIT = 3\n    def twice(self):\n        return 2 * self.value\n"
+                     "@dataclasses.dataclass(frozen=True)\nclass Pair:\n    left: int\n"
+                     "@dataclass\nclass _Hidden:\n    inner: int\n"
+                     "class Plain:\n    label: str\n"
+                     "def fill(r):\n    r.spare = 1\n    return r\n")
+    assert _dataclass_fields(tree) == ["Result.value", "Result.spare", "Pair.left"]
+    reads = _attribute_reads(tree)
+    assert "value" in reads
+    assert {"spare", "left"}.isdisjoint(reads)
 
 
 def test_private_name_detector_flags_a_stray_helper():

@@ -14,8 +14,8 @@ from pwlab.nehari import (AAKSolution, NehariResult, _circle_coeffs, _circle_nod
                           line_to_disk, nehari_solve)
 from pwlab.pwspace import default_grid, project_band, sinc_kernel
 from pwlab.split import SUPPORTS, split_symbol
-from pwlab.symbols import (gaussian_symbol, mod_poly_symbol, point_values,
-                           sampled_symbol, samples)
+from pwlab.symbols import (bump_spectrum_symbol, gaussian_symbol, mod_poly_symbol,
+                           point_values, sampled_symbol, samples)
 from pwlab.toeplitz import toeplitz_matrix
 
 A = 1.0
@@ -57,7 +57,10 @@ def hankel_pairing_residual(b, result: NehariResult, orders: int = 64,
     """
     thetas, x = _circle_nodes(nodes)
     vb = point_values(b, x)
-    vp = result.solution.eval_disk(np.exp(1j * thetas))
+    # aak_solve is deterministic (its Lanczos start is seeded): this re-solve is
+    # the completion nehari_solve pulled back to the grid
+    sol = aak_solve(line_to_disk(b, result.truncation))
+    vp = sol.eval_disk(np.exp(1j * thetas))
     return float(np.max(np.abs(_circle_coeffs(vp - vb, -np.arange(1, orders + 1)))))
 
 
@@ -197,11 +200,15 @@ def test_unbounded_mod_poly_is_refused_before_assembly(grid, monkeypatch):
         bounded_symbol(mod_poly_symbol(1, 0.25), A, grid=grid)
 
 
-@pytest.fixture(scope="module")
-def bounded(grid):
+def _bounded(sym, grid):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        return bounded_symbol(gaussian_symbol(), A, grid=grid)
+        return bounded_symbol(sym, A, grid=grid)
+
+
+@pytest.fixture(scope="module")
+def bounded(grid):
+    return _bounded(gaussian_symbol(), grid)
 
 
 def test_bounded_symbol_certifies_gaussian(bounded):
@@ -216,6 +223,31 @@ def test_bounded_symbol_residual_small_across_p(bounded):
     # one p-free construction, certified at each p
     for p in (1.5, 3.0):
         assert bounded.certificate(p)["operator_residual"] < 1e-3
+
+
+@pytest.mark.parametrize("sym", [
+    gaussian_symbol(), gaussian_symbol(amp=0.8, width=2.0),
+    gaussian_symbol(amp=1.2, width=0.7, shift=0.4),
+    bump_spectrum_symbol(0.05, 1.9, seed=11, hermitian=True)],
+    ids=["check10-0", "check10-1", "check10-2", "hermitian-bump"])
+def test_real_symbol_gets_a_real_psi(grid, sym):
+    # part_L = conj(part_R), so psi = 2 Re(theta^2 psi_r) + phi_C, real to
+    # rounding at every grid point, x = -W included
+    out = _bounded(sym, grid)
+    assert np.max(np.abs(out.psi.values.imag)) <= 1e-12 * out.sup_norm
+    assert abs(out.sigma_left - out.sigma_right) <= 1e-12 * out.sigma_right
+
+
+@pytest.mark.parametrize("kw", [dict(mod=0.3), dict(amp=1.0, width=1.5, mod=-0.6)],
+                         ids=["mod0.3", "mod-0.6"])
+def test_conjugate_symbol_gets_the_conjugate_psi(grid, kw):
+    # T_conj(phi) = (T_phi)*: conjugating the symbol swaps and conjugates its
+    # one-sided parts, and psi follows; the operator holds to rounding at each p
+    out = _bounded(gaussian_symbol(**kw), grid)
+    conj = _bounded(gaussian_symbol(**{**kw, "mod": -kw["mod"]}), grid)
+    assert np.max(np.abs(conj.psi.values - np.conj(out.psi.values))) <= 1e-12 * out.sup_norm
+    for p in (1.5, 2.0, 3.0):
+        assert out.certificate(p)["operator_residual"] <= 1e-13
 
 
 def test_construction_stages_do_not_depend_on_p(right_target, grid):
