@@ -213,19 +213,25 @@ def _out_paths(args) -> list:
 def _check_out(args) -> None:
     """Refuse, before any work, outputs that cannot be written (no name, a
     missing directory, a directory in a file's place) or that would overwrite
-    each other."""
+    each other or the command's input file."""
     if not args.out:
         raise InputError("out: the path is empty")
     parent = os.path.dirname(args.out) or "."
     if not os.path.isdir(parent):
         raise InputError(f"out: {parent} is not an existing directory")
+    flag = next((n for n in ("symbol", "input", "matrix") if hasattr(args, n)), None)
+    source = os.path.realpath(getattr(args, flag)) if flag else None
     seen = set()
     for path in _out_paths(args):
+        real = os.path.realpath(path)
         if os.path.isdir(path):
             raise InputError(f"out: {path} is a directory")
-        if os.path.abspath(path) in seen:
+        if real == source:
+            raise InputError(f"out: {path} would overwrite the input "
+                             f"--{flag} {getattr(args, flag)}")
+        if real in seen:
             raise InputError(f"out: {args.out} would write two outputs to {path}")
-        seen.add(os.path.abspath(path))
+        seen.add(real)
 
 
 def _write(args, payload: dict, csv_rows, csv_header) -> None:
@@ -413,12 +419,8 @@ def cmd_factorize(args) -> int:
 
 
 def _frame_for(args, T):
-    # band, p, window and grid come from the matrix file; flags may only
-    # agree.  The frame is built on T's grid.
-    if args.band is not None and args.band != T.a:
-        raise InputError(f"band: {args.band} does not match matrix band {T.a}")
-    if args.p is not None and args.p != T.p:
-        raise InputError(f"p: {args.p} does not match matrix p {T.p}")
+    # band, p, window and grid come from the matrix file; the frame is built
+    # on T's grid, or at --oversample when the file records none
     _check("p", T.p)
     grid = T.grid or default_grid(T.a, T.window, args.oversample)
     if not math.isclose(-grid.start, T.window) or \
@@ -471,8 +473,6 @@ def cmd_verify(args) -> int:
     from . import verify as verify_suite
     report = verify_suite.run_all(seed=args.seed,
                                   progress=lambda s: print(s, file=sys.stderr))
-    out, csv_path = _out_paths(args)
-    verify_suite.write_report(report, out, csv_path)
     for row in report["checks"]:
         mark = "pass" if row["passed"] else "FAIL"
         print(f"{mark}  {row['check_id']}: measured {row['measured']:.6e} "
@@ -482,7 +482,12 @@ def cmd_verify(args) -> int:
     print(f"{meta['n_rows']} checks, "
           f"{'all pass' if meta['all_pass'] else 'FAILURES PRESENT'}, "
           f"{meta['elapsed_s']}s, {n_warn} warnings (meta.warnings)")
-    print(f"wrote {out} and {csv_path}")
+    # the report, and a CSV with the fixed column schema check_id, paper_ref,
+    # measured, bound, pass
+    _write(args, report,
+           [[row["check_id"], row["ref"], row["measured"], row["bound"],
+             "true" if row["passed"] else "false"] for row in report["checks"]],
+           ["check_id", "paper_ref", "measured", "bound", "pass"])
     return EXIT_OK if meta["all_pass"] else EXIT_CERT
 
 
@@ -538,16 +543,14 @@ def build_parser() -> _Parser:
     sp = subs.add_parser("commutator-test",
                          help="test a matrix for the Toeplitz property")
     sp.add_argument("--matrix", required=True, help="operator-matrix JSON")
-    _add_flags(sp, "commutator-test", "band", "p", "oversample", "seed")
-    sp.set_defaults(func=cmd_commutator_test, out="commutator_test.json",
-                    band=None, p=None)
+    _add_flags(sp, "commutator-test", "oversample", "seed")
+    sp.set_defaults(func=cmd_commutator_test, out="commutator_test.json")
 
     sp = subs.add_parser("recover-symbol",
                          help="recover a symbol from a Toeplitz matrix")
     sp.add_argument("--matrix", required=True)
-    _add_flags(sp, "recover-symbol", "band", "p", "oversample")
-    sp.set_defaults(func=cmd_recover_symbol, out="recovered_symbol.json",
-                    band=None, p=None)
+    _add_flags(sp, "recover-symbol", "oversample")
+    sp.set_defaults(func=cmd_recover_symbol, out="recovered_symbol.json")
 
     sp = subs.add_parser("verify", help="run the full identity suite")
     _add_flags(sp, "verify", "seed")

@@ -196,9 +196,9 @@ def commutator_test(T: OperatorMatrix, frame: ConformalFrame, seed: int = 42) ->
     return float(np.max(np.abs(plain - moved) / scale))
 
 
-def series_reconstruct(T, N: int, frame: ConformalFrame) -> OperatorMatrix | list:
-    """Partial sum sum_{n=0}^{N} LambdaBar^n (T - LambdaBar T Lambda) Lambda^n
-    for the frame's compressions.
+def series_reconstruct(mats, N: int, frame: ConformalFrame) -> list:
+    """Partial sums sum_{n=0}^{N} LambdaBar^n (T - LambdaBar T Lambda) Lambda^n
+    for the frame's compressions, one for each T in mats.
 
     The sum telescopes to T - LambdaBar^(N+1) T Lambda^(N+1): the
     reconstruction error is precisely the operator mass not yet drained
@@ -206,20 +206,16 @@ def series_reconstruct(T, N: int, frame: ConformalFrame) -> OperatorMatrix | lis
     multiply (Sarason, Trans. AMS 127, 1967), so the powers are assembled as
     the compressions of omega^(N+1) and conj(omega)^(N+1), from the (N+1)-th
     power of the Blaschke column on the frame's basis, not by dense matrix
-    products, so Lambda itself is never assembled.  T is one OperatorMatrix,
-    giving one partial sum, or a sequence of them, giving theirs in order from
-    powers assembled once.
+    products, so Lambda itself is never assembled, and once for all of mats.
     """
     if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 0:
         raise ValueError(f"series order N must be a non-negative integer, got {N!r}")
-    mats = [T] if isinstance(T, OperatorMatrix) else list(T)
     for M in mats:
         _check_frame_matrix(M, frame)
     powers = _compressions(frame.basis, frame.p, int(N) + 1)
-    sums = [OperatorMatrix(M.entries - powers.lam_bar.entries @ M.entries
+    return [OperatorMatrix(M.entries - powers.lam_bar.entries @ M.entries
                            @ powers.lam.entries, M.a, M.p, M.window, M.nodes)
             for M in mats]
-    return sums[0] if isinstance(T, OperatorMatrix) else sums
 
 
 def series_residual(T: OperatorMatrix, S: OperatorMatrix,

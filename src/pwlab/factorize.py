@@ -20,7 +20,6 @@ deconvolution blows up.  The margin b is read off the target's certified band.
 """
 from __future__ import annotations
 
-import functools
 import warnings
 from dataclasses import dataclass
 
@@ -40,7 +39,6 @@ ATOM_TOL = 1e-8        # a target this close to one atom product (of its sup) pa
 RESIDUAL_SUP_TOL = 1e-6  # weak_factorize warns past this sup residual (of the sup)
 
 
-@functools.lru_cache(maxsize=8)
 def _base_atom(a: float, grid: Grid) -> tuple[np.ndarray, int]:
     """Samples of the atom of band a on grid, and the index of its peak."""
     fg = grid.freq_grid()
@@ -61,8 +59,7 @@ def sinc_atom(a: float, t: float, grid: Grid) -> BandlimitedFunction:
     """
     base, i0 = _base_atom(a, grid)
     i = grid.index_of(t)
-    vals = np.roll(base, i - i0) if i != i0 else base.copy()
-    return BandlimitedFunction(SampledFunction(grid, vals), a)
+    return BandlimitedFunction(SampledFunction(grid, np.roll(base, i - i0)), a)
 
 
 def fejer_triangle(a: float, xi: np.ndarray) -> np.ndarray:
@@ -292,7 +289,7 @@ def toeplitz_test_set(a: float, p: float, seed: int, grid: Grid) -> list:
     for k in range(TEST_SET_SIZE - 1):
         sym = bump_spectrum_symbol(0.05 * a, 1.4 * a, seed=seed + k, hermitian=True)
         T = toeplitz_matrix(sym, a, p, window, grid)
-        norm = matrix_pnorm(T, p)["lower"]
+        norm = matrix_pnorm(T.entries, p)["lower"]
         if norm > 0.0:
             T = OperatorMatrix(T.entries / norm, a, p, window, T.nodes)
         ops.append(T)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .grid import Grid, SampledFunction, energy_fraction, fft_spectrum, lp_norm
 from .pwspace import default_grid, project_halfline
-from .split import SUPPORTS, split_symbol
+from .split import split_symbol
 from .symbols import SymbolSpec, point_values, sampled_symbol, samples
 from .toeplitz import (DEFAULT_BASIS_WINDOW, OperatorMatrix, _pnorm_upper,
                        _unbounded_mod_poly, operator_norm_certified, toeplitz_matrix)
@@ -72,7 +72,7 @@ def _circle_coeffs(vals: np.ndarray, ns: np.ndarray) -> np.ndarray:
     return np.exp(-1j * np.pi * ns / size) * F[ns % size]
 
 
-def line_to_disk(b: SymbolSpec, M: int = DEFAULT_TRUNCATION) -> np.ndarray:
+def line_to_disk(b: SymbolSpec, M: int) -> np.ndarray:
     """Fourier coefficients c(-M..M) of b composed with the inverse Cayley map:
     all that `aak_solve` reads of b.
 
@@ -208,9 +208,10 @@ def aak_solve(coeffs: np.ndarray) -> AAKSolution:
     reproduce (exactly in exact arithmetic: the section holds the whole Hankel
     matrix of that polynomial in 1/z).  `_top_pairs` runs on the section's FFT
     products (`_section_products`); the floor that zeroes the completion also
-    stops it.  A nearly degenerate top singular value makes the completion
-    non-unique; the re-solve at n = M + 1 (a zero row and column, the same
-    operator) returns one valid pair with a warning.
+    stops it.  A nearly degenerate top singular value leaves the top pair
+    non-unique, with a warning, but not the completion: the section has finite
+    rank, and sigma0 w~/v is the same for every top pair (Adamyan, Arov & Krein,
+    Math. USSR Sb. 15, 1971).
     """
     M = len(coeffs) // 2
     floor = 1e-13 * max(1.0, float(np.max(np.abs(coeffs))))
@@ -219,10 +220,9 @@ def aak_solve(coeffs: np.ndarray) -> AAKSolution:
         return AAKSolution(sigma0, np.eye(1, M, dtype=complex)[0],
                            np.zeros(M, dtype=complex), 0.0)
     if sigma1 > sigma0 * (1.0 - 1e-10):
-        warnings.warn("top singular value is (nearly) degenerate; the "
-                      "minimal completion is not unique, returning one "
-                      "valid choice", stacklevel=2)
-        sigma0, _, w, v = _top_pairs(*_section_products(coeffs, M + 1), M + 1, floor)
+        warnings.warn("top singular value is (nearly) degenerate; the top "
+                      "Schmidt pair is not unique, but the minimal completion "
+                      "is (AAK)", stacklevel=2)
 
     thetas, _ = _circle_nodes(_circle_size(M))
     sol = AAKSolution(sigma0, v, w, 0.0)
@@ -315,10 +315,8 @@ def nehari_solve(b: SymbolSpec, a: float, p: float = 2.0,
 def hankel_symbol(part: SampledFunction, a: float) -> SymbolSpec:
     """conj(theta)^2 times a right split part, theta = exp(2 pi i a x): the
     symbol b, with spectrum in [-2a, inf), that `nehari_solve` completes."""
-    lo, hi = SUPPORTS["R"]
     theta2 = np.exp(4j * np.pi * a * part.grid.points)
-    return sampled_symbol(SampledFunction(part.grid, part.values * np.conj(theta2)),
-                          support=(lo * a - 2.0 * a, hi * a - 2.0 * a))
+    return sampled_symbol(SampledFunction(part.grid, part.values * np.conj(theta2)))
 
 
 @dataclass

@@ -30,7 +30,7 @@ DEFAULT_WINDOW = 64.0
 DEFAULT_OVERSAMPLE = 8
 
 
-def default_grid(a: float = DEFAULT_BAND, window: float = DEFAULT_WINDOW,
+def default_grid(a: float, window: float = DEFAULT_WINDOW,
                  oversample: int = DEFAULT_OVERSAMPLE) -> Grid:
     """Symmetric grid sampling a band-a function at `oversample` x Nyquist."""
     if oversample < 4:

@@ -64,7 +64,7 @@ _L1_STEP_DIV = 64.0
 _L1_COUNT = 4096
 
 
-def bump_l1_norms(a: float = 1.0) -> dict:
+def bump_l1_norms(a: float) -> dict:
     """L^1 norms of the inverse transforms of the dilated cutoffs.
 
     Dilation invariance is exact in exact arithmetic (the dilation rescales

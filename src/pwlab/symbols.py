@@ -74,13 +74,13 @@ def sampled_symbol(f: SampledFunction, support: tuple | None = None) -> SymbolSp
     return SymbolSpec("sampled", {"fun": f}, spectral_support=support)
 
 
-def bump_spectrum_symbol(lo: float, hi: float, amp: float = 1.0,
-                         seed: int | None = None, hermitian: bool = False) -> SymbolSpec:
+def bump_spectrum_symbol(lo: float, hi: float, amp: float = 1.0, *,
+                         seed: int | None, hermitian: bool = False) -> SymbolSpec:
     """Symbol whose spectrum is a smooth bump supported exactly in [lo, hi].
 
     With hermitian=True the spectrum is reflected to [-hi, -lo] with conjugate
-    symmetry, producing a real symbol.  A seed adds a smooth random modulation
-    so several distinct symbols can share a support.
+    symmetry, producing a real symbol.  A seed (None for none) adds a smooth
+    random modulation so several distinct symbols can share a support.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")

@@ -292,12 +292,11 @@ def identity_matrix(a: float, p: float, window: float) -> OperatorMatrix:
 # -- matrix p-norms -----------------------------------------------------------
 
 
-def matrix_pnorm(M, p: float) -> dict:
+def matrix_pnorm(A: np.ndarray, p: float) -> dict:
     """{lower, upper} bounds for the l^p -> l^p norm of a dense matrix.  The
-    upper is `_pnorm_upper`; off p in {1, 2, inf} Boyd-Higham runs on M at p and
-    on M* at q (||M||_p = ||M*||_q) give the lower: on a seeded 115x115 complex
-    Gaussian at p = 1.5 the run on M alone reads 0.43% below the pair."""
-    A = M.entries if isinstance(M, OperatorMatrix) else np.asarray(M)
+    upper is `_pnorm_upper`; off p in {1, 2, inf} Boyd-Higham runs on A at p and
+    on A* at q (||A||_p = ||A*||_q) give the lower: on a seeded 115x115 complex
+    Gaussian at p = 1.5 the run on A alone reads 0.43% below the pair."""
     up = _pnorm_upper(A, p)
     if p in (1, 2, math.inf):
         return {"lower": up, "upper": up}
@@ -329,8 +328,8 @@ def operator_norm_certified(M: OperatorMatrix, p: float | None = None) -> dict:
 # -- identity checks ----------------------------------------------------------
 
 
-def identity_residuals(a: float, p: float, grid: Grid, seed: int = 42,
-                       trials: int = 10) -> dict:
+def identity_residuals(a: float, p: float, grid: Grid, seed: int,
+                       trials: int) -> dict:
     """Max relative residuals of the band-projector identities and the
     Hankel/Toeplitz intertwining, over a seeded random test set."""
     rng = np.random.default_rng(seed)

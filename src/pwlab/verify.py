@@ -7,9 +7,7 @@ rows of (check_id, ref, measured, bound, pass).  The convention throughout is
 required floor in `measured` and the achieved quantity in `bound` (the ids
 carry a `-floor` suffix where that reading applies).
 
-`run_all` executes every check in order and assembles a report dict;
-`write_report` emits report.json (canonical float serialization) and a CSV
-with the fixed column schema check_id, paper_ref, measured, bound, pass.
+`run_all` executes every check in order and assembles a report dict.
 """
 from __future__ import annotations
 
@@ -36,7 +34,6 @@ from .commutator import (build_frame, commutator_test,
                          series_residual)
 from .factorize import (pair, regroup_pairs, sinc_atom, toeplitz_test_set,
                         weak_factorize, xpq_sandwich)
-from .jsonio import dump_canonical, write_csv
 
 
 @dataclass
@@ -349,10 +346,10 @@ ALL_CHECKS = [
 ]
 
 
-def run_all(a: float = 1.0, p: float = 2.0, seed: int = 42,
-            progress=None) -> dict:
+def run_all(a: float = 1.0, p: float = 2.0, *, seed: int, progress) -> dict:
     """Run every headline check; returns the report dict.  A warning raised
-    inside a check is recorded in meta["warnings"] instead of printed."""
+    inside a check is recorded in meta["warnings"] instead of printed;
+    `progress`, unless None, gets one status line after each check."""
     t0 = time.time()
     rows = []
     timings = {}
@@ -382,11 +379,3 @@ def run_all(a: float = 1.0, p: float = 2.0, seed: int = 42,
         },
         "checks": [asdict(r) for r in rows],
     }
-
-
-def write_report(report: dict, json_path, csv_path) -> None:
-    dump_canonical(report, json_path)
-    write_csv(csv_path, ["check_id", "paper_ref", "measured", "bound", "pass"],
-              [[row["check_id"], row["ref"], row["measured"], row["bound"],
-                "true" if row["passed"] else "false"]
-               for row in report["checks"]])

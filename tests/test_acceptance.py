@@ -37,7 +37,7 @@ ROW_IDS = [
 
 @pytest.fixture(scope="module")
 def report():
-    return verify.run_all(a=1.0, p=2.0, seed=42)
+    return verify.run_all(a=1.0, p=2.0, seed=42, progress=None)
 
 
 def _criterion(report, prefix, n_rows, label):

@@ -234,8 +234,8 @@ REMOVED_FLAGS = {
     "bounded-symbol": ["--seed"],
     "nehari": ["--seed"],
     "factorize": ["--oversample", "--window", "--seed"],
-    "commutator-test": ["--window"],
-    "recover-symbol": ["--window", "--seed"],
+    "commutator-test": ["--band", "--p", "--window"],
+    "recover-symbol": ["--band", "--p", "--window", "--seed"],
     "verify": ["--band", "--p", "--oversample", "--window", "--tol"],
 }
 REQUIRED = {"project": ["--input", "in.json"], "factorize": ["--input", "in.json"],
@@ -346,7 +346,8 @@ def test_negative_seed_is_refused_before_any_work(argv, monkeypatch, capsys):
 
 BAD_OUTS = {"directory": "dir", "missing-parent": "missing/x.json",
             "file-parent": "g.json/x.json", "csv-is-json": "t.csv",
-            "csv-is-directory": "d.json", "empty": ""}
+            "csv-links-to-json": "l.json", "csv-is-directory": "d.json",
+            "empty": ""}
 
 
 @pytest.mark.parametrize("case", BAD_OUTS)
@@ -361,11 +362,53 @@ def test_bad_out_is_refused_before_any_work(command, case, tmp_path, monkeypatch
     (tmp_path / "dir").mkdir()
     (tmp_path / "d.csv").mkdir()
     (tmp_path / "g.json").write_text("{}")
+    (tmp_path / "l.csv").symlink_to("l.json")      # the CSV would replace the JSON
     argv = [command, *REQUIRED.get(command, ["--symbol", "s.json"])]
     assert run(*argv, "--out", BAD_OUTS[case]) == 1
     err = capsys.readouterr().err
     assert err.startswith("input error: out: ") and len(err.splitlines()) == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "dir", "g.json"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "dir", "g.json", "l.csv"]
+
+
+# the out path and the input it lands on, as (--out, input file name)
+OUT_ON_INPUT = {"out-is-input": ("in.json", "in.json"),
+                "csv-is-input": ("in.json", "in.csv"),
+                "another-spelling": ("{tmp}/./in.json", "in.json"),
+                "symlink": ("link.json", "in.json")}
+INPUT_FILES = {"project": "smooth.json", "factorize": "target.json",
+               "commutator-test": "matrix.json", "recover-symbol": "matrix.json"}
+
+
+@pytest.mark.parametrize("case", OUT_ON_INPUT)
+@pytest.mark.parametrize("command", [c for c in REMOVED_FLAGS if c != "verify"])
+def test_out_on_the_input_is_refused(command, case, files, tmp_path, monkeypatch,
+                                     capsys):
+    # every command with an input file; its bytes and the directory stay as
+    # they were, so nothing was written, and a valid input was not read
+    monkeypatch.chdir(tmp_path)
+    out, name = OUT_ON_INPUT[case]
+    shutil.copy(files / INPUT_FILES.get(command, "gauss_flat.json"), name)
+    before = (tmp_path / name).read_bytes()
+    if case == "symlink":
+        (tmp_path / out).symlink_to(name)
+    listing = sorted(p.name for p in tmp_path.iterdir())
+    flag = REQUIRED.get(command, ["--symbol"])[0]
+    assert run(command, flag, name, "--out", out.format(tmp=tmp_path)) == 1
+    landed = out.format(tmp=tmp_path) if name.endswith(".json") else name
+    assert capsys.readouterr().err == (f"input error: out: {landed} would "
+                                       f"overwrite the input {flag} {name}\n")
+    assert (tmp_path / name).read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == listing
+
+
+def test_split_bumps_on_the_input_is_refused(files, tmp_path, capsys):
+    shutil.copy(files / "gauss_flat.json", tmp_path / "bumps.csv")
+    assert run("split", "--symbol", tmp_path / "bumps.csv", "--emit-bumps",
+               "--out", tmp_path / "split.json") == 1
+    assert capsys.readouterr().err == (f"input error: out: {tmp_path / 'bumps.csv'} "
+                                       f"would overwrite the input --symbol "
+                                       f"{tmp_path / 'bumps.csv'}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bumps.csv"]
 
 
 def test_write_failure_is_exit_one_naming_out(files, tmp_path, capsys):
@@ -505,14 +548,14 @@ def test_commutator_test_flags_spoiled_matrix(files, tmp_path):
 
 
 def test_matrix_commands_take_band_from_the_file(files, tmp_path, capsys):
-    # a --band or --p flag may only agree with what the matrix file says
-    assert run("commutator-test", "--matrix", files / "matrix.json",
-               "--band", 2.0, "--out", tmp_path / "x.json") == 1
-    assert "does not match matrix band" in capsys.readouterr().err
-    assert run("commutator-test", "--matrix", files / "matrix.json",
-               "--p", 3, "--out", tmp_path / "x.json") == 1
-    assert capsys.readouterr().err.startswith(
-        "input error: p: 3.0 does not match matrix p 2.0")
+    # band and p come from the matrix file: the matrix commands have no such flags
+    for command in ("commutator-test", "recover-symbol"):
+        for flag, value in (("--band", 2.0), ("--p", 3)):
+            assert run(command, "--matrix", files / "matrix.json", flag, value,
+                       "--out", tmp_path / "x.json") == 1
+            assert capsys.readouterr().err == (
+                f"input error: unrecognized arguments: {flag} {value}\n")
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_recover_symbol_roundtrip(files, tmp_path):

@@ -1,8 +1,9 @@
 """Static hygiene of the package modules: every imported name is used, every
 private module-level name is referenced, every public function, and every
 public method and property of a public class, has a caller outside the tests,
-every field of a public dataclass has a reader outside the tests, and every
-annotation resolves.  Standard library only (ast, typing)."""
+every default of one is omitted by a caller outside the tests, every field of
+a public dataclass has a reader outside the tests, and every annotation
+resolves.  Standard library only (ast, typing)."""
 import ast
 import importlib
 import inspect
@@ -140,6 +141,73 @@ def test_public_functions_have_a_caller():
               for n in _public_functions(ast.parse((SRC / f"{name}.py").read_text()))]
     assert len(public) > 100
     assert {q for q in public if q.rsplit(".", 1)[1] not in refs} == TEST_ONLY
+
+
+def _defaulted_parameters(tree: ast.Module) -> list:
+    """(function, parameter, position) for each default of a public function,
+    or of a public method of a public class as Class.name; the position is
+    the parameter's index among the positional arguments of a call (a
+    method's self not counted), None for a keyword-only one."""
+    defs = [(n.name, n, 0) for n in tree.body
+            if isinstance(n, ast.FunctionDef) and _public(n.name)]
+    defs += [(f"{c.name}.{m.name}", m, 1) for c in tree.body
+             if isinstance(c, ast.ClassDef) and _public(c.name)
+             for m in c.body if isinstance(m, ast.FunctionDef) and _public(m.name)]
+    out = []
+    for name, fn, skip in defs:
+        a = fn.args
+        pos = (a.posonlyargs + a.args)[skip:]
+        first = len(pos) - len(a.defaults)
+        out += [(name, arg.arg, i) for i, arg in enumerate(pos) if i >= first]
+        out += [(name, arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults)
+                if d is not None]
+    return out
+
+
+def _call_shapes(trees: list) -> dict:
+    """Called name -> [(number of positional arguments, keyword names)] over
+    every call by name or attribute; a call with *args or **kwargs could pass
+    anything and is left out."""
+    shapes = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and all(k.arg for k in node.keywords)
+                    and not any(isinstance(x, ast.Starred) for x in node.args)):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                shapes.setdefault(name, []).append(
+                    (len(node.args), {k.arg for k in node.keywords}))
+    return shapes
+
+
+def _never_omitted(tree: ast.Module, shapes: dict) -> list:
+    """The defaults of tree's public functions that no call in shapes omits."""
+    return [f"{name}({param})" for name, param, at in _defaulted_parameters(tree)
+            if not any(param not in keywords and (at is None or n <= at)
+                       for n, keywords in shapes.get(name.rsplit(".", 1)[-1], []))]
+
+
+def test_every_default_is_omitted_by_a_caller():
+    # a default that every caller outside the tests overrides serves only the
+    # tests: the parameter is required
+    shapes = _call_shapes(_callers())
+    trees = {name: ast.parse((SRC / f"{name}.py").read_text()) for name in MODULES}
+    assert sum(len(_defaulted_parameters(tree)) for tree in trees.values()) > 30
+    assert [f"{name}.{q}" for name, tree in trees.items()
+            for q in _never_omitted(tree, shapes)] == []
+
+
+def test_default_detector_flags_a_default_every_caller_passes():
+    tree = ast.parse("def solve(b, M=256, *, seed=None, tol=1e-8):\n    return b\n"
+                     "class Frame:\n    def apply(self, x, p=2.0):\n        return x\n"
+                     "    def size(self, k=1):\n        return k\n"
+                     "def _helper(n=3):\n    return n\n"
+                     "def run(f):\n    solve(1, 64, seed=3)\n    solve(1, M=8, seed=4)\n"
+                     "    f.apply(1)\n    f.size(2)\n    solve(*f, **f)\n")
+    assert _defaulted_parameters(tree) == [
+        ("solve", "M", 1), ("solve", "seed", None), ("solve", "tol", None),
+        ("Frame.apply", "p", 1), ("Frame.size", "k", 0)]
+    assert _never_omitted(tree, _call_shapes([tree])) == [
+        "solve(M)", "solve(seed)", "Frame.size(k)"]
 
 
 def test_caller_detector_skips_a_same_named_local():

@@ -13,7 +13,7 @@ from pwlab.nehari import (AAKSolution, NehariResult, _circle_coeffs, _circle_nod
                           bounded_symbol, hankel_norm_estimate, hankel_symbol,
                           line_to_disk, nehari_solve)
 from pwlab.pwspace import default_grid, project_band, sinc_kernel
-from pwlab.split import SUPPORTS, split_symbol
+from pwlab.split import split_symbol
 from pwlab.symbols import (bump_spectrum_symbol, gaussian_symbol, mod_poly_symbol,
                            point_values, sampled_symbol, samples)
 from pwlab.toeplitz import toeplitz_matrix
@@ -69,10 +69,7 @@ def _right_target(sym, grid):
     # conj(theta)^2 times the analytic-spectrum right part
     parts = split_symbol(sym, A, grid)
     theta2 = np.exp(4j * np.pi * A * grid.points)
-    lo, hi = SUPPORTS["R"]
-    return sampled_symbol(
-        SampledFunction(grid, parts.part_r.values * np.conj(theta2)),
-        support=(lo * A - 2.0 * A, hi * A - 2.0 * A))
+    return sampled_symbol(SampledFunction(grid, parts.part_r.values * np.conj(theta2)))
 
 
 @pytest.fixture(scope="module")
@@ -96,7 +93,6 @@ def test_hankel_symbol_is_the_right_target(right_target, grid):
     b = hankel_symbol(split_symbol(gaussian_symbol(), A, grid).part_r, A)
     assert b.kind == "sampled" and b.params["fun"].grid == grid
     assert np.array_equal(b.params["fun"].values, right_target.params["fun"].values)
-    assert b.spectral_support == right_target.spectral_support
 
 
 def test_eval_disk_fills_a_zero_of_v_from_its_nearest_neighbour():
@@ -299,8 +295,8 @@ def hard_target(grid):
 @pytest.fixture(scope="module")
 def disks(right_target, hard_target):
     """Check 09's and check 10's disk coefficients at the default truncation."""
-    return {"check09": line_to_disk(right_target),
-            "check10-0.991": line_to_disk(hard_target)}
+    return {"check09": line_to_disk(right_target, nehari.DEFAULT_TRUNCATION),
+            "check10-0.991": line_to_disk(hard_target, nehari.DEFAULT_TRUNCATION)}
 
 
 @pytest.fixture(scope="module")
@@ -388,14 +384,22 @@ def _section(coeffs: dict, M: int = 64) -> np.ndarray:
     return disk
 
 
-@pytest.mark.parametrize("coeffs", [{-2: 1.0}, {-1: 1e-12, -3: 1.0}],
+@pytest.mark.parametrize("coeffs, completion",
+                         [({-2: 1.0}, lambda z: np.conj(z) ** 2),
+                          ({-1: 1e-12, -3: 1.0}, None)],
                          ids=["conj(z)^2", "near-double"])
-def test_degenerate_section_warns(coeffs):
+def test_degenerate_section_warns(coeffs, completion):
     # conj(z)^2: sigma0 = sigma1 = 1 exactly; near-double: the even and odd
-    # index blocks give 1 + 5e-13 and 1
+    # index blocks give 1 + 5e-13 and 1.  The top pair is not unique, but the
+    # completion is: any top pair reproduces the moments, and conj(z)^2 is
+    # its own (a unit-sup function with c(-2) = 1 has no other coefficient)
     with pytest.warns(UserWarning, match="degenerate"):
         sol = aak_solve(_section(coeffs))
     assert sol.sigma0 == approx(1.0, rel=1e-12)
+    assert sol.moment_residual <= 1e-10 * sol.sigma0
+    if completion is not None:
+        z = np.exp(1j * _circle_nodes(_circle_size(64))[0])
+        assert np.max(np.abs(sol.eval_disk(z) - completion(z))) <= 1e-12
 
 
 def _tied_matrix(gap: float, n: int = 256) -> np.ndarray:

@@ -271,7 +271,7 @@ def test_gaussian_matrix_norm_under_sup(grid):
 
 
 def test_projector_and_intertwine_identities(grid):
-    res = identity_residuals(A, 2.0, grid, trials=5)
+    res = identity_residuals(A, 2.0, grid, seed=42, trials=5)
     assert res["projector_two_term"] < 1e-10
     assert res["projector_halfline_sandwich"] < 1e-10
     assert res["hankel_toeplitz_intertwine"] < 1e-10
