@@ -31,8 +31,9 @@ from .pwspace import (DEFAULT_BAND, DEFAULT_OVERSAMPLE, DEFAULT_WINDOW,
                       band_residual, default_grid, project_band)
 from .split import DECAY_TOL, bump, bump_l1_norms, split_symbol
 from .symbols import KINDS as SYMBOL_KINDS, from_dict as symbol_from_dict
-from .toeplitz import (DEFAULT_BASIS_WINDOW, matrix_from_dict, matrix_to_dict,
-                       nyquist_indices, operator_norm_certified, toeplitz_matrix)
+from .toeplitz import (DEFAULT_BASIS_WINDOW, MAX_BASIS_NODES, matrix_from_dict,
+                       matrix_to_dict, nyquist_indices, operator_norm_certified,
+                       toeplitz_matrix)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -138,13 +139,16 @@ def _grid(args, window_flag: str = "window", basis: bool = False):
 
 
 def _check_basis_window(args) -> None:
-    """The Nyquist basis of --basis-window needs at least 8 nodes and a grid
-    (--window) that spans it, and with it every node (see `_grid`); checked
-    before sizing."""
+    """The Nyquist basis of --basis-window needs 8 to MAX_BASIS_NODES nodes and
+    a grid (--window) that spans it, and with it every node (see `_grid`);
+    checked before sizing."""
     k = nyquist_indices(args.band, args.basis_window)
     if k.stop - k.start < 8:          # len() overflows past sys.maxsize
         raise InputError(f"basis-window: {args.basis_window} holds {len(k)} "
                          f"basis nodes at band {args.band}, fewer than 8")
+    if k.stop - k.start > MAX_BASIS_NODES:
+        raise InputError(f"basis-window: {args.basis_window} holds {k.stop - k.start} "
+                         f"basis nodes at band {args.band}, more than {MAX_BASIS_NODES}")
     if args.basis_window > args.window + 1e-9:
         raise InputError(f"window: the grid half-width {args.window} does not "
                          f"hold the basis window {args.basis_window}")
@@ -210,6 +214,16 @@ def _out_paths(args) -> list:
     return paths
 
 
+def _file_key(path: str):
+    """What names one file: device and inode for a path that exists, so a hard
+    link matches, else the path with links, `.` and `..` resolved."""
+    try:
+        st = os.stat(path)
+    except (OSError, ValueError):
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _check_out(args) -> None:
     """Refuse, before any work, outputs that cannot be written (no name, a
     missing directory, a directory in a file's place) or that would overwrite
@@ -220,18 +234,18 @@ def _check_out(args) -> None:
     if not os.path.isdir(parent):
         raise InputError(f"out: {parent} is not an existing directory")
     flag = next((n for n in ("symbol", "input", "matrix") if hasattr(args, n)), None)
-    source = os.path.realpath(getattr(args, flag)) if flag else None
+    source = _file_key(getattr(args, flag)) if flag else None
     seen = set()
     for path in _out_paths(args):
-        real = os.path.realpath(path)
+        key = _file_key(path)
         if os.path.isdir(path):
             raise InputError(f"out: {path} is a directory")
-        if real == source:
+        if key == source:
             raise InputError(f"out: {path} would overwrite the input "
                              f"--{flag} {getattr(args, flag)}")
-        if real in seen:
+        if key in seen:
             raise InputError(f"out: {args.out} would write two outputs to {path}")
-        seen.add(real)
+        seen.add(key)
 
 
 def _write(args, payload: dict, csv_rows, csv_header) -> None:

@@ -74,21 +74,9 @@ class FejerAtomPlan:
     spacing: float
     centers: np.ndarray
     weights: np.ndarray
-    margin: float            # target band radius is 2*margin
-    a: float
-
-    def __post_init__(self):
-        if not self.spacing < 1.0 / (2.0 * (self.a + self.margin)):
-            raise ValueError(
-                f"atom spacing {self.spacing} too coarse for margin {self.margin}: "
-                f"need < 1/(2(a+b)) = {1.0 / (2.0 * (self.a + self.margin)):.6f}")
-        if len(self.centers) != len(self.weights):
-            raise ValueError("centers and weights length mismatch")
 
     def decay_constant(self) -> float:
         """Measured C with |w(t_k)| <= C/(1 + t_k^2) over the plan."""
-        if len(self.centers) == 0:
-            return 0.0
         return float(np.max(np.abs(self.weights) * (1.0 + self.centers ** 2)))
 
 
@@ -206,7 +194,7 @@ def weak_factorize(h: BandlimitedFunction, a: float, p: float,
     idx = np.arange(0, grid.count, stride)
     centers = grid.points[idx]
     weights = w.values[idx]
-    plan = FejerAtomPlan(dt, centers, weights, b, a)
+    plan = FejerAtomPlan(dt, centers, weights)
 
     # the atom centred at idx[j] is the base atom rolled by idx[j] - i0: a
     # window of the atom tiled three times, starting n + i0 - idx[j]

@@ -9,8 +9,8 @@ top singular value a.e. and whose negative moments reproduce the data.  The
 quotient is a closed form, so pulling back to the line is pointwise
 evaluation, not interpolation.
 
-Only sigma0, sigma1 and the top pair of the section are read: `_top_pairs`
-finds them by Lanczos from its FFT products (the section is held as its
+Only sigma0 and the top pair of the section are read: `_top_pairs` finds
+them by Lanczos from its FFT products (the section is held as its
 2M + 1 disk coefficients, never as a matrix), and the same kernel on the
 lattice operator P_- M_b P_+ gives `NehariResult.hankel_norm`, computed on
 first read; the bounded-symbol pipeline never reads it.
@@ -33,7 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import Grid, SampledFunction, energy_fraction, fft_spectrum, lp_norm
-from .pwspace import default_grid, project_halfline
+from .pwspace import default_grid, modulate, project_halfline
 from .split import split_symbol
 from .symbols import SymbolSpec, point_values, sampled_symbol, samples
 from .toeplitz import (DEFAULT_BASIS_WINDOW, OperatorMatrix, _pnorm_upper,
@@ -123,32 +123,27 @@ class AAKSolution:
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         if self.sigma0 == 0.0:
             return np.zeros(len(z), dtype=complex)
-        v = np.zeros(len(z), dtype=complex)
-        for c in self.v_coeffs[::-1]:
-            v = v * z + c
         zb = np.conj(z)
-        wt = np.zeros(len(z), dtype=complex)
-        for c in self.w_coeffs[::-1]:
-            wt = (wt + c) * zb
+        v = np.polyval(self.v_coeffs[::-1], z)
+        wt = np.polyval(self.w_coeffs[::-1], zb) * zb
         bad = np.abs(v) < 1e-8 * float(np.max(np.abs(v)))
         raw = self.sigma0 * wt / np.where(bad, 1.0, v)
         return _nearest_fill(raw, bad)
 
 
 def _top_pairs(apply, adjoint, n: int,
-               floor: float = 0.0) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """sigma0, sigma1 and the top pair (u, v), A v = sigma0 u, of the operator
-    on C^n with products x -> A x (`apply`) and y -> A* y (`adjoint`).
+               floor: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """sigma0 and the top pair (u, v), A v = sigma0 u, of the operator on C^n
+    with products x -> A x (`apply`) and y -> A* y (`adjoint`).
 
     Golub-Kahan-Lanczos bidiagonalization A V_k = U_k B_k (Golub & Kahan 1965;
     Golub & Van Loan ch. 10) from a seeded start, each vector orthogonalized
     twice against all earlier ones.  B_k = P S Q* is decomposed every 4 steps
-    to k = 32, then every k/8 to k/4 steps.  Ritz pair j has residual
-    beta_k |p_j[-1]|; the run stops once pair 0's is <= 1e-15 s_0 and pair
-    1's <= 1e-11 s_0 (a tied value's second vector enters only by rounding;
-    sigma1 waits for it), or once s_0 <= floor (a numerically zero operator's
-    residuals are noise).  Each basis holds min(n, LANCZOS_CAP) + 1 rows; the
-    run is exact at k = n, and one the cap stops warns and returns a lower bound.
+    to k = 32, then every k/8 to k/4 steps.  The top Ritz pair has residual
+    beta_k |p_0[-1]|; the run stops once it is <= 1e-15 s_0, or once
+    s_0 <= floor (a numerically zero operator's residuals are noise).  Each
+    basis holds min(n, LANCZOS_CAP) + 1 rows; the run is exact at k = n, and
+    one the cap stops warns and returns a lower bound.
     """
     rng = np.random.default_rng(0)
     cap = min(n, LANCZOS_CAP)
@@ -173,15 +168,13 @@ def _top_pairs(apply, adjoint, n: int,
             beta[k] = extend(V, k + 1, adjoint(U[k]))
         if (k + 1) % max(4, 2 ** ((k + 1).bit_length() - 3)) == 0 or k + 1 == cap:
             p, s, qh = np.linalg.svd(np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1))
-            res = beta[k] * np.abs(p[k, :2])            # the top two Ritz pairs
-            if res[0] <= 1e-15 * s[0] and res[-1] <= 1e-11 * s[0] or s[0] <= floor:
+            res = beta[k] * abs(p[k, 0])                # the top Ritz pair's residual
+            if res <= 1e-15 * s[0] or s[0] <= floor:
                 break
-    else:                   # the cap, not the residuals, ended the run
-        warnings.warn(f"Lanczos stopped at its cap of {cap} steps with residuals "
-                      f"{res[0] / s[0]:.1e} and {res[-1] / s[0]:.1e} of sigma0; "
-                      f"sigma0 {s[0]:.8e} is a lower bound")
-    return (float(s[0]), float(s[1]) if k else 0.0,
-            p[:, 0] @ U[:k + 1], np.conj(qh[0]) @ V[:k + 1])
+    else:                   # the cap, not the residual, ended the run
+        warnings.warn(f"Lanczos stopped at its cap of {cap} steps with residual "
+                      f"{res / s[0]:.1e} of sigma0; sigma0 {s[0]:.8e} is a lower bound")
+    return float(s[0]), p[:, 0] @ U[:k + 1], np.conj(qh[0]) @ V[:k + 1]
 
 
 def _section_products(coeffs: np.ndarray, n: int) -> tuple:
@@ -208,21 +201,16 @@ def aak_solve(coeffs: np.ndarray) -> AAKSolution:
     reproduce (exactly in exact arithmetic: the section holds the whole Hankel
     matrix of that polynomial in 1/z).  `_top_pairs` runs on the section's FFT
     products (`_section_products`); the floor that zeroes the completion also
-    stops it.  A nearly degenerate top singular value leaves the top pair
-    non-unique, with a warning, but not the completion: the section has finite
-    rank, and sigma0 w~/v is the same for every top pair (Adamyan, Arov & Krein,
-    Math. USSR Sb. 15, 1971).
+    stops it.  A tied top singular value leaves the top pair non-unique, but
+    not the completion: the section has finite rank, and sigma0 w~/v is the
+    same for every top pair (Adamyan, Arov & Krein, Math. USSR Sb. 15, 1971).
     """
     M = len(coeffs) // 2
     floor = 1e-13 * max(1.0, float(np.max(np.abs(coeffs))))
-    sigma0, sigma1, w, v = _top_pairs(*_section_products(coeffs, M), M, floor)
+    sigma0, w, v = _top_pairs(*_section_products(coeffs, M), M, floor)
     if sigma0 <= floor:
         return AAKSolution(sigma0, np.eye(1, M, dtype=complex)[0],
                            np.zeros(M, dtype=complex), 0.0)
-    if sigma1 > sigma0 * (1.0 - 1e-10):
-        warnings.warn("top singular value is (nearly) degenerate; the top "
-                      "Schmidt pair is not unique, but the minimal completion "
-                      "is (AAK)", stacklevel=2)
 
     thetas, _ = _circle_nodes(_circle_size(M))
     sol = AAKSolution(sigma0, v, w, 0.0)
@@ -315,8 +303,7 @@ def nehari_solve(b: SymbolSpec, a: float, p: float = 2.0,
 def hankel_symbol(part: SampledFunction, a: float) -> SymbolSpec:
     """conj(theta)^2 times a right split part, theta = exp(2 pi i a x): the
     symbol b, with spectrum in [-2a, inf), that `nehari_solve` completes."""
-    theta2 = np.exp(4j * np.pi * a * part.grid.points)
-    return sampled_symbol(SampledFunction(part.grid, part.values * np.conj(theta2)))
+    return sampled_symbol(modulate(part, -2.0 * a))
 
 
 @dataclass

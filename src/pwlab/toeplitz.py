@@ -59,6 +59,9 @@ from .symbols import SymbolSpec, bump_spectrum_symbol, sampled_symbol, samples
 
 # the basis half-width of `nehari.bounded_symbol` and the CLI's --basis-window
 DEFAULT_BASIS_WINDOW = 32.0
+# the most Nyquist basis nodes, refused before anything is sized: assembly's
+# traced peak is ~48 B per matrix entry, ~0.8 GB here
+MAX_BASIS_NODES = 4096
 
 # 4th-order first-derivative taps K(d), d ascending: trailing from d = 0 (the
 # leading stencil is its negated mirror, ending at d = 0), central from d = -2
@@ -162,8 +165,10 @@ class NyquistBasis:
 
     def __post_init__(self):
         k = nyquist_indices(self.a, self.window)
-        if len(k) < 8:
+        if k.stop - k.start < 8:
             raise ValueError("window too small: fewer than 8 basis functions")
+        if k.stop - k.start > MAX_BASIS_NODES:
+            raise ValueError(f"window too large: more than {MAX_BASIS_NODES} basis functions")
         self._k = np.arange(k.start, k.stop)
         self.nodes = self._k / (2.0 * self.a)
         ratio = 1.0 / (2.0 * self.a * self.grid.step)
@@ -285,6 +290,8 @@ def toeplitz_matrix(sym: SymbolSpec, a: float, p: float, window: float,
 
 def identity_matrix(a: float, p: float, window: float) -> OperatorMatrix:
     k = nyquist_indices(a, window)
+    if k.stop - k.start > MAX_BASIS_NODES:
+        raise ValueError(f"window too large: more than {MAX_BASIS_NODES} basis functions")
     return OperatorMatrix(np.eye(len(k), dtype=complex), a, p, window,
                           np.arange(k.start, k.stop) / (2.0 * a))
 
@@ -350,9 +357,7 @@ def identity_residuals(a: float, p: float, grid: Grid, seed: int,
     for k in range(3):
         phi = bump_spectrum_symbol(0.3 * a, 1.6 * a, seed=seed + k)
         phi_s = samples(phi, grid)
-        hank_sym = sampled_symbol(
-            SampledFunction(grid, phi_s.values
-                            * np.exp(-4j * np.pi * a * grid.points)))
+        hank_sym = sampled_symbol(modulate(phi_s, -2.0 * a))
         raw = SampledFunction(grid, rng.standard_normal(grid.count)
                               + 1j * rng.standard_normal(grid.count))
         g = project_band(raw, a)

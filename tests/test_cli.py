@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line entry point (exit codes, files, bytes)."""
 import inspect
 import json
+import os
 import shlex
 import shutil
 from pathlib import Path
@@ -316,8 +317,16 @@ def test_tolerance_must_be_positive_and_finite(files, value, capsys):
     ["bounded-symbol", "--basis-window", "32", "--window", "64.0625"],
     ["toeplitz", "--basis-window", "32.0625"],
     ["toeplitz", "--basis-window", "16", "--window", "16.5", "--band", "0.75"],
-    ["bounded-symbol", "--basis-window", "16", "--window", "16.5", "--band", "0.75"]])
-def test_out_of_range_flag_is_named(files, argv, capsys):
+    ["bounded-symbol", "--basis-window", "16", "--window", "16.5", "--band", "0.75"],
+    # a basis past MAX_BASIS_NODES: 40,000 nodes would take ~77 GB to assemble
+    ["toeplitz", "--basis-window", "1e4"],
+    ["bounded-symbol", "--window", "1e4", "--basis-window", "1e4"],
+    ["bounded-symbol", "--basis-window", "1e4"]])
+def test_out_of_range_flag_is_named(files, argv, monkeypatch, capsys):
+    def assembled(*args, **kwargs):
+        raise AssertionError("assembled a refused basis")
+    monkeypatch.setattr("pwlab.cli.toeplitz_matrix", assembled)
+    monkeypatch.setattr("pwlab.cli.bounded_symbol", assembled)
     assert run(*argv, "--symbol", files / "gauss_flat.json") == 1
     err = capsys.readouterr().err
     assert err.startswith(f"input error: {argv[-2][2:]}:")
@@ -346,8 +355,8 @@ def test_negative_seed_is_refused_before_any_work(argv, monkeypatch, capsys):
 
 BAD_OUTS = {"directory": "dir", "missing-parent": "missing/x.json",
             "file-parent": "g.json/x.json", "csv-is-json": "t.csv",
-            "csv-links-to-json": "l.json", "csv-is-directory": "d.json",
-            "empty": ""}
+            "csv-links-to-json": "l.json", "csv-hard-links-to-json": "h.json",
+            "csv-is-directory": "d.json", "empty": ""}
 
 
 @pytest.mark.parametrize("case", BAD_OUTS)
@@ -363,18 +372,23 @@ def test_bad_out_is_refused_before_any_work(command, case, tmp_path, monkeypatch
     (tmp_path / "d.csv").mkdir()
     (tmp_path / "g.json").write_text("{}")
     (tmp_path / "l.csv").symlink_to("l.json")      # the CSV would replace the JSON
+    (tmp_path / "h.json").write_text("{}")
+    os.link(tmp_path / "h.json", tmp_path / "h.csv")    # one file, two names
     argv = [command, *REQUIRED.get(command, ["--symbol", "s.json"])]
     assert run(*argv, "--out", BAD_OUTS[case]) == 1
     err = capsys.readouterr().err
     assert err.startswith("input error: out: ") and len(err.splitlines()) == 1
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "dir", "g.json", "l.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "d.csv", "dir", "g.json", "h.csv", "h.json", "l.csv"]
+    assert (tmp_path / "h.json").read_text() == "{}"
 
 
 # the out path and the input it lands on, as (--out, input file name)
 OUT_ON_INPUT = {"out-is-input": ("in.json", "in.json"),
                 "csv-is-input": ("in.json", "in.csv"),
                 "another-spelling": ("{tmp}/./in.json", "in.json"),
-                "symlink": ("link.json", "in.json")}
+                "symlink": ("link.json", "in.json"),
+                "hard-link": ("link.json", "in.json")}
 INPUT_FILES = {"project": "smooth.json", "factorize": "target.json",
                "commutator-test": "matrix.json", "recover-symbol": "matrix.json"}
 
@@ -391,6 +405,8 @@ def test_out_on_the_input_is_refused(command, case, files, tmp_path, monkeypatch
     before = (tmp_path / name).read_bytes()
     if case == "symlink":
         (tmp_path / out).symlink_to(name)
+    if case == "hard-link":
+        os.link(tmp_path / name, tmp_path / out)
     listing = sorted(p.name for p in tmp_path.iterdir())
     flag = REQUIRED.get(command, ["--symbol"])[0]
     assert run(command, flag, name, "--out", out.format(tmp=tmp_path)) == 1

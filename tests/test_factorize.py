@@ -6,10 +6,10 @@ import pytest
 from pytest import approx
 
 from pwlab import factorize
-from pwlab.factorize import (FejerAtomPlan, _product_sum, fejer_deconvolve,
-                             fejer_triangle, pair, regroup_pairs, sinc_atom,
-                             toeplitz_test_set, weak_factorize, xpq_sandwich)
-from pwlab.grid import SampledFunction, fft_spectrum, lp_norm
+from pwlab.factorize import (_product_sum, fejer_deconvolve, fejer_triangle, pair,
+                             regroup_pairs, sinc_atom, toeplitz_test_set,
+                             weak_factorize, xpq_sandwich)
+from pwlab.grid import SampledFunction, fft_spectrum, lp_norm, symmetric_grid
 from pwlab.pwspace import default_grid, project_band, sinc_profile
 from pwlab.symbols import gaussian_symbol
 from pwlab.toeplitz import NyquistBasis, identity_matrix, toeplitz_matrix
@@ -51,10 +51,13 @@ def test_atom_translation_is_exact(grid):
     assert np.array_equal(moved.values, np.roll(base.values, k))
 
 
-def test_plan_rejects_coarse_spacing():
-    with pytest.raises(ValueError):
-        FejerAtomPlan(spacing=0.3, centers=np.asarray([0.0]),
-                      weights=np.asarray([1.0 + 0j]), margin=B, a=A)
+def test_coarse_grid_is_refused_before_placing_atoms():
+    # target band 2b = 0.9: step 0.35 is past 1/(2(a+b)) = 0.345, so no stride
+    # places the atom centers
+    grid = symmetric_grid(64.0, 0.35)
+    vals = sinc_profile(0.45, grid.points).astype(complex) ** 2
+    with pytest.raises(ValueError, match="grid too coarse"):
+        weak_factorize(project_band(SampledFunction(grid, vals), 0.9), A, 2.0)
 
 
 def test_reconstruction_residuals(fact, target):

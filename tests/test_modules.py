@@ -144,12 +144,12 @@ def test_public_functions_have_a_caller():
 
 
 def _defaulted_parameters(tree: ast.Module) -> list:
-    """(function, parameter, position) for each default of a public function,
-    or of a public method of a public class as Class.name; the position is
-    the parameter's index among the positional arguments of a call (a
-    method's self not counted), None for a keyword-only one."""
-    defs = [(n.name, n, 0) for n in tree.body
-            if isinstance(n, ast.FunctionDef) and _public(n.name)]
+    """(function, parameter, position) for each default of a module-level
+    function, public or private, or of a public method of a public class as
+    Class.name; the position is the parameter's index among the positional
+    arguments of a call (a method's self not counted), None for a keyword-only
+    one."""
+    defs = [(n.name, n, 0) for n in tree.body if isinstance(n, ast.FunctionDef)]
     defs += [(f"{c.name}.{m.name}", m, 1) for c in tree.body
              if isinstance(c, ast.ClassDef) and _public(c.name)
              for m in c.body if isinstance(m, ast.FunctionDef) and _public(m.name)]
@@ -180,10 +180,15 @@ def _call_shapes(trees: list) -> dict:
 
 
 def _never_omitted(tree: ast.Module, shapes: dict) -> list:
-    """The defaults of tree's public functions that no call in shapes omits."""
+    """The defaults of tree's functions that no call in shapes omits."""
     return [f"{name}({param})" for name, param, at in _defaulted_parameters(tree)
             if not any(param not in keywords and (at is None or n <= at)
                        for n, keywords in shapes.get(name.rsplit(".", 1)[-1], []))]
+
+
+# functions whose signature a caller outside pwlab fixes: warnings.showwarning
+# passes file and line only when it has them
+FIXED_SIGNATURES = {"cli._show_warning"}
 
 
 def test_every_default_is_omitted_by_a_caller():
@@ -193,7 +198,8 @@ def test_every_default_is_omitted_by_a_caller():
     trees = {name: ast.parse((SRC / f"{name}.py").read_text()) for name in MODULES}
     assert sum(len(_defaulted_parameters(tree)) for tree in trees.values()) > 30
     assert [f"{name}.{q}" for name, tree in trees.items()
-            for q in _never_omitted(tree, shapes)] == []
+            for q in _never_omitted(tree, shapes)
+            if f"{name}.{q.split('(')[0]}" not in FIXED_SIGNATURES] == []
 
 
 def test_default_detector_flags_a_default_every_caller_passes():
@@ -205,9 +211,9 @@ def test_default_detector_flags_a_default_every_caller_passes():
                      "    f.apply(1)\n    f.size(2)\n    solve(*f, **f)\n")
     assert _defaulted_parameters(tree) == [
         ("solve", "M", 1), ("solve", "seed", None), ("solve", "tol", None),
-        ("Frame.apply", "p", 1), ("Frame.size", "k", 0)]
+        ("_helper", "n", 0), ("Frame.apply", "p", 1), ("Frame.size", "k", 0)]
     assert _never_omitted(tree, _call_shapes([tree])) == [
-        "solve(M)", "solve(seed)", "Frame.size(k)"]
+        "solve(M)", "solve(seed)", "_helper(n)", "Frame.size(k)"]
 
 
 def test_caller_detector_skips_a_same_named_local():

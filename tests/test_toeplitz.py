@@ -10,10 +10,10 @@ from pwlab.grid import Grid, SampledFunction
 from pwlab.pwspace import default_grid, project_band, sinc_kernel
 from pwlab.symbols import (bump_spectrum_symbol, gaussian_symbol,
                            mod_poly_symbol, sampled_symbol, samples)
-from pwlab.toeplitz import (NyquistBasis, OperatorMatrix, _mod_poly_kernel,
-                            assemble_matrix, hankel_apply, identity_matrix,
-                            identity_residuals, matrix_from_dict, matrix_pnorm,
-                            matrix_to_dict, operator_norm_certified,
+from pwlab.toeplitz import (MAX_BASIS_NODES, NyquistBasis, OperatorMatrix,
+                            _mod_poly_kernel, assemble_matrix, hankel_apply,
+                            identity_matrix, identity_residuals, matrix_from_dict,
+                            matrix_pnorm, matrix_to_dict, operator_norm_certified,
                             toeplitz_apply, toeplitz_matrix)
 from reference import inner
 
@@ -235,6 +235,20 @@ def test_basis_refuses_a_grid_that_misses_its_last_node():
     # [-8, 2) holds the first node, -8, but not the last, 7.5
     with pytest.raises(ValueError, match="7.5 is not a point of this grid"):
         NyquistBasis(A, 8.0, Grid(-8.0, 1.0 / 16.0, 160))
+
+
+@pytest.mark.parametrize("window", [1024.25, 1e4, 1e100])
+def test_basis_past_the_node_cap_is_refused_before_sizing(window, monkeypatch):
+    # 4097 nodes and more; the grid is a start, a step and a count, not samples,
+    # and the identity is refused before np.eye would size it
+    def sized(*args, **kwargs):
+        raise AssertionError("sized a refused basis")
+    monkeypatch.setattr(np, "eye", sized)
+    assert 4.0 * A * window > MAX_BASIS_NODES
+    with pytest.raises(ValueError, match=f"more than {MAX_BASIS_NODES} basis"):
+        NyquistBasis(A, window, default_grid(A, 1e4))
+    with pytest.raises(ValueError, match=f"more than {MAX_BASIS_NODES} basis"):
+        identity_matrix(A, 2.0, window)
 
 
 def test_identity_matrix_is_identity(grid):
