@@ -31,9 +31,8 @@ from .pwspace import (DEFAULT_BAND, DEFAULT_OVERSAMPLE, DEFAULT_WINDOW,
                       band_residual, default_grid, project_band)
 from .split import DECAY_TOL, bump, bump_l1_norms, split_symbol
 from .symbols import KINDS as SYMBOL_KINDS, from_dict as symbol_from_dict
-from .toeplitz import (DEFAULT_BASIS_WINDOW, MAX_BASIS_NODES, matrix_from_dict,
-                       matrix_to_dict, nyquist_indices, operator_norm_certified,
-                       toeplitz_matrix)
+from .toeplitz import (DEFAULT_BASIS_WINDOW, matrix_from_dict, matrix_to_dict,
+                       nyquist_indices, operator_norm_certified, toeplitz_matrix)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -139,16 +138,13 @@ def _grid(args, window_flag: str = "window", basis: bool = False):
 
 
 def _check_basis_window(args) -> None:
-    """The Nyquist basis of --basis-window needs 8 to MAX_BASIS_NODES nodes and
-    a grid (--window) that spans it, and with it every node (see `_grid`);
-    checked before sizing."""
-    k = nyquist_indices(args.band, args.basis_window)
-    if k.stop - k.start < 8:          # len() overflows past sys.maxsize
-        raise InputError(f"basis-window: {args.basis_window} holds {len(k)} "
-                         f"basis nodes at band {args.band}, fewer than 8")
-    if k.stop - k.start > MAX_BASIS_NODES:
-        raise InputError(f"basis-window: {args.basis_window} holds {k.stop - k.start} "
-                         f"basis nodes at band {args.band}, more than {MAX_BASIS_NODES}")
+    """The Nyquist basis of --basis-window needs the node count
+    `nyquist_indices` allows and a grid (--window) that spans it, and with it
+    every node (see `_grid`); checked before sizing."""
+    try:
+        nyquist_indices(args.band, args.basis_window)
+    except ValueError as e:
+        raise InputError(f"basis-window: {e}") from None
     if args.basis_window > args.window + 1e-9:
         raise InputError(f"window: the grid half-width {args.window} does not "
                          f"hold the basis window {args.basis_window}")

@@ -123,19 +123,22 @@ def grid_to_dict(g: Grid) -> dict:
 
 
 def number_field(d: dict, name: str, default=None, cast=float, *, owner: str):
-    """d[name] (or the default when absent) converted by cast; a null,
-    non-numeric, non-finite or too large value is a ValueError naming the
-    field."""
+    """d[name] (or the default when absent) converted by cast; a value that is
+    not a JSON number (a null, a boolean, a string), non-finite, too large or,
+    for cast=int, not integral is a ValueError naming the field."""
     value = d[name] if default is None else d.get(name, default)
     try:
-        out = cast(value)
-        ok = math.isfinite(out) and abs(out) <= MAX_MAGNITUDE
-    except (TypeError, ValueError, OverflowError):
+        # math.isfinite refuses strings and null, but takes a boolean
+        ok = (not isinstance(value, bool) and math.isfinite(value)
+              and abs(value) <= MAX_MAGNITUDE)
+    except (TypeError, OverflowError):
         ok = False
     if not ok:
         raise ValueError(f"{owner} field {name!r} must be a finite number of "
                          f"magnitude at most {MAX_MAGNITUDE:g}, got {value!r}")
-    return out
+    if cast is int and value % 1:
+        raise ValueError(f"{owner} field {name!r} must be an integer, got {value!r}")
+    return cast(value)
 
 
 def bounded(arr: np.ndarray) -> np.ndarray:

@@ -121,8 +121,6 @@ class AAKSolution:
     def eval_disk(self, z) -> np.ndarray:
         """sigma0 * w~(z) / v(z) on |z| = 1, with guarded division."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        if self.sigma0 == 0.0:
-            return np.zeros(len(z), dtype=complex)
         zb = np.conj(z)
         v = np.polyval(self.v_coeffs[::-1], z)
         wt = np.polyval(self.w_coeffs[::-1], zb) * zb
@@ -290,7 +288,7 @@ def nehari_solve(b: SymbolSpec, a: float, p: float = 2.0,
     corr = project_halfline(SampledFunction(grid, bs.values - psi.values), -1)
     matched = SampledFunction(grid, psi.values + corr.values)
     sup = lp_norm(psi, np.inf)
-    if sol.sigma0 > 0.0 and sup > (1.0 + AAK_TOL) * sol.sigma0:
+    if sup > (1.0 + AAK_TOL) * sol.sigma0:
         warnings.warn(f"sup norm {sup:.4e} exceeds (1+tol)*sigma0 "
                       f"{(1 + AAK_TOL) * sol.sigma0:.4e}", stacklevel=2)
     return NehariResult(psi, matched, sol.sigma0, sol.moment_residual, sup,

@@ -86,6 +86,8 @@ def bump_spectrum_symbol(lo: float, hi: float, amp: float = 1.0, *,
         raise ValueError("need lo < hi")
     if hermitian and lo < 0:
         raise ValueError("hermitian bump needs lo >= 0 (mirror would overlap)")
+    if seed is not None and seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     return SymbolSpec("bump_spectrum",
                       {"lo": lo, "hi": hi, "amp": amp, "seed": seed,
                        "hermitian": bool(hermitian)},
@@ -191,16 +193,12 @@ def _support(d: dict) -> tuple | None:
     if "support" not in d:
         return None
     sup = d["support"]
-    try:
-        lo, hi = (float(v) for v in sup)
-        ok = (isinstance(sup, list) and math.isfinite(lo) and math.isfinite(hi)
-              and lo <= hi)
-    except (TypeError, ValueError):
-        ok = False
-    if not ok:
-        raise ValueError(f"symbol field 'support' must be two finite numbers "
-                         f"[lo, hi] with lo <= hi, got {sup!r}")
-    return (lo, hi)
+    if isinstance(sup, list) and len(sup) == 2:
+        lo, hi = (_number({"support": v}, "support") for v in sup)
+        if lo <= hi:
+            return (lo, hi)
+    raise ValueError(f"symbol field 'support' must be two finite numbers "
+                     f"[lo, hi] with lo <= hi, got {sup!r}")
 
 
 def from_dict(d: dict) -> SymbolSpec:
@@ -227,12 +225,15 @@ def from_dict(d: dict) -> SymbolSpec:
                 raise ValueError(f"symbol field 'fun': {e}") from None
             return sampled_symbol(fun, _support(d))
         if kind == "bump_spectrum":
-            seed = d.get("seed")
+            seed, hermitian = d.get("seed"), d.get("hermitian", False)
+            if not isinstance(hermitian, bool):
+                raise ValueError(f"symbol field 'hermitian' must be true or "
+                                 f"false, got {hermitian!r}")
             return bump_spectrum_symbol(_number(d, "lo"), _number(d, "hi"),
                                         amp=_number(d, "amp", 1.0),
                                         seed=None if seed is None
                                         else _number(d, "seed", cast=int),
-                                        hermitian=bool(d.get("hermitian", False)))
+                                        hermitian=hermitian)
     except KeyError as e:
         raise ValueError(f"symbol kind {kind!r} missing field {e.args[0]!r}") from None
     raise ValueError(f"unknown symbol kind {kind!r}")

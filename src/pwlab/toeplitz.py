@@ -142,11 +142,17 @@ def hankel_apply(sym: SymbolSpec, f: SampledFunction) -> SampledFunction:
 # -- Nyquist basis and matrix assembly ---------------------------------------
 
 
-def nyquist_indices(a: float, window: float) -> range:
+def nyquist_indices(a: float, window: float) -> np.ndarray:
     """Indices k, from -(count // 2), of the count = round(4 a window) nodes
-    t_k = k/(2a) covering [-window, window); a range, so it sizes nothing."""
-    count = int(round(4.0 * a * window))
-    return range(-(count // 2), count - count // 2)
+    t_k = k/(2a) covering [-window, window): the one rule for which nodes form
+    a basis.  A count outside 8 ... MAX_BASIS_NODES is refused before anything
+    is sized."""
+    count = round(4.0 * a * window)
+    if not 8 <= count <= MAX_BASIS_NODES:
+        bound = "fewer than 8" if count < 8 else f"more than {MAX_BASIS_NODES}"
+        raise ValueError(f"window {window} at band {a} holds {count} nodes: "
+                         f"{bound} basis nodes")
+    return np.arange(count) - count // 2
 
 
 @dataclass
@@ -164,12 +170,7 @@ class NyquistBasis:
     grid: Grid
 
     def __post_init__(self):
-        k = nyquist_indices(self.a, self.window)
-        if k.stop - k.start < 8:
-            raise ValueError("window too small: fewer than 8 basis functions")
-        if k.stop - k.start > MAX_BASIS_NODES:
-            raise ValueError(f"window too large: more than {MAX_BASIS_NODES} basis functions")
-        self._k = np.arange(k.start, k.stop)
+        self._k = nyquist_indices(self.a, self.window)
         self.nodes = self._k / (2.0 * self.a)
         ratio = 1.0 / (2.0 * self.a * self.grid.step)
         if abs(ratio - round(ratio)) > 1e-9:
@@ -235,9 +236,12 @@ class OperatorMatrix:
             raise ValueError("entries shape does not match basis size")
         if not np.all(np.isfinite(self.entries)):
             raise ValueError("matrix entries contain NaN or Inf")
-        spacing = self.nodes[1] - self.nodes[0] if n > 1 else 0.0
-        if abs(spacing - 1.0 / (2.0 * self.a)) > 1e-12:
-            raise ValueError("basis spacing must be exactly 1/(2a)")
+        k = nyquist_indices(self.a, self.window)
+        off = np.max(np.abs(self.nodes - k / (2.0 * self.a))) if n == len(k) else None
+        if off is None or not off <= 1e-12 * self.window:
+            got = n if off is None else f"nodes off them by up to {off:.3g}"
+            raise ValueError(f"band {self.a} on window {self.window} needs {len(k)} "
+                             f"nodes k/(2*band) from k = {k[0]}, got {got}")
 
     @property
     def size(self) -> int:
@@ -289,11 +293,8 @@ def toeplitz_matrix(sym: SymbolSpec, a: float, p: float, window: float,
 
 
 def identity_matrix(a: float, p: float, window: float) -> OperatorMatrix:
-    k = nyquist_indices(a, window)
-    if k.stop - k.start > MAX_BASIS_NODES:
-        raise ValueError(f"window too large: more than {MAX_BASIS_NODES} basis functions")
-    return OperatorMatrix(np.eye(len(k), dtype=complex), a, p, window,
-                          np.arange(k.start, k.stop) / (2.0 * a))
+    nodes = nyquist_indices(a, window) / (2.0 * a)
+    return OperatorMatrix(np.eye(len(nodes), dtype=complex), a, p, window, nodes)
 
 
 # -- matrix p-norms -----------------------------------------------------------
@@ -420,16 +421,13 @@ def matrix_from_dict(d: dict) -> OperatorMatrix:
     nodes = _matrix_array(basis, "nodes", 1)
     raw = _matrix_array(d, "entries", 3)
     n = len(nodes)
-    k = nyquist_indices(band, window)   # no len(): window may be 1e100
-    spacing = nodes[1] - nodes[0] if n > 1 else 0.0
-    if k.stop - k.start != n or abs(spacing - 0.5 / band) > 1e-12:
-        raise ValueError(f"matrix fields 'band', 'window' and 'nodes' disagree: "
-                         f"band {band} on window {window} needs "
-                         f"{k.stop - k.start} nodes spaced 1/(2*band), got {n} "
-                         f"spaced {spacing}")
     if raw.shape != (n, n, 2):
         raise ValueError(f"matrix field 'entries' must hold {n} x {n} [re, im] "
                          f"pairs for the {n} basis nodes, got shape {raw.shape}")
     grid = grid_from_dict(d["grid"]) if "grid" in d else None
-    return OperatorMatrix(raw[..., 0] + 1j * raw[..., 1], band, p, window, nodes,
-                          grid)
+    try:
+        return OperatorMatrix(raw[..., 0] + 1j * raw[..., 1], band, p, window,
+                              nodes, grid)
+    except ValueError as e:
+        raise ValueError(f"matrix fields 'band', 'window' and 'nodes' "
+                         f"disagree: {e}") from None

@@ -630,6 +630,64 @@ def test_matrix_on_a_grid_of_fractional_band_bins_is_refused(tmp_path, capsys):
         assert len(err.strip().splitlines()) == 1
 
 
+def _shifted_nodes(matrix: dict) -> dict:
+    matrix["basis"]["nodes"] = [t + 0.15 for t in matrix["basis"]["nodes"]]
+    return matrix
+
+
+@pytest.mark.parametrize("edit, says", [
+    (_shifted_nodes, "got nodes off them by up to 0.15"),
+    # band 1 on window 1 holds 4 nodes, fewer than a basis needs
+    (lambda m: {"band": 1.0, "p": 2.0,
+                "basis": {"window": 1.0, "nodes": [-1.0, -0.5, 0.0, 0.5]},
+                "entries": np.zeros((4, 4, 2)).tolist()},
+     "window 1.0 at band 1.0 holds 4 nodes: fewer than 8")],
+    ids=["shifted-nodes", "window-1"])
+def test_matrix_off_the_nyquist_nodes_is_refused_on_load(files, tmp_path, capsys,
+                                                         edit, says):
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps(edit(json.loads((files / "matrix.json").read_text()))))
+    for command in ("commutator-test", "recover-symbol"):
+        assert run(command, "--matrix", matrix, "--out", tmp_path / "x.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {matrix}: matrix fields 'band', "
+                              f"'window' and 'nodes' disagree: ")
+        assert says in err and len(err.strip().splitlines()) == 1
+
+
+def _edited(d: dict, path: tuple, value) -> dict:
+    node = d
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return d
+
+
+@pytest.mark.parametrize("command, flag, source, path, value", [
+    ("toeplitz", "--symbol", {"kind": "mod_poly", "mod": 2.0}, ("degree",), 2.5),
+    ("split", "--symbol", {"kind": "bump_spectrum", "lo": 0.05, "hi": 1.9},
+     ("seed",), 3.7),
+    ("split", "--symbol", {"kind": "bump_spectrum", "lo": 0.05, "hi": 1.9},
+     ("hermitian",), "no"),
+    ("split", "--symbol", {"kind": "gaussian"}, ("amp",), True),
+    ("split", "--symbol", {"kind": "gaussian"}, ("amp",), "3"),
+    ("project", "--input", "smooth.json", ("grid", "count"), 2048.9),
+    ("commutator-test", "--matrix", "matrix.json", ("p",), "2")],
+    ids=["degree-2.5", "seed-3.7", "hermitian-no", "amp-true", "amp-string",
+         "count-2048.9", "p-string"])
+def test_file_numbers_must_be_json_numbers(files, tmp_path, capsys, command, flag,
+                                           source, path, value):
+    # a boolean or a string is not a number, nor 2.5 an integer: none is coerced
+    doc = (dict(source) if isinstance(source, dict)
+           else json.loads((files / source).read_text()))
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(_edited(doc, path, value)))
+    assert run(command, flag, src, "--out", tmp_path / "x.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and f"'{path[-1]}'" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_mod_poly_degree_is_bounded_on_load(tmp_path, capsys):
     sym = tmp_path / "poly.json"
     sym.write_text('{"kind": "mod_poly", "degree": 100000, "mod": 0}')

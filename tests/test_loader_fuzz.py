@@ -12,7 +12,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from pwlab import jsonio
 from pwlab.cli import main
 from pwlab.pwspace import default_grid, sinc_kernel
-from pwlab.symbols import gaussian_symbol, sampled_symbol, to_dict
+from pwlab.symbols import (bump_spectrum_symbol, gaussian_symbol, sampled_symbol,
+                           to_dict)
 from pwlab.toeplitz import matrix_to_dict, toeplitz_matrix
 
 _GRID = default_grid(1.0)
@@ -35,6 +36,10 @@ _FILES = {
                            sinc_kernel(0.5, 0.0, _GRID), support=(-0.5, 0.5)))),
                        [("fun",), ("support",), ("fun", "grid"),
                         ("fun", "values", 7)]),
+    "bump-symbol": ("split", "--symbol",
+                    _as_read(to_dict(bump_spectrum_symbol(0.05, 1.9, seed=3,
+                                                          hermitian=True))),
+                    [("lo",), ("hi",), ("seed",), ("hermitian",)]),
     "function": ("project", "--input",
                  _as_read(jsonio.function_to_dict(sinc_kernel(0.5, 0.0, _SMALL))),
                  [("grid",), ("values",), ("grid", "start"), ("grid", "step"),
@@ -62,6 +67,9 @@ _CORRUPT = st.one_of(
     st.lists(st.lists(st.lists(st.integers(min_value=-3, max_value=3),
                                min_size=2, max_size=2), max_size=2), max_size=2),
     st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+    st.booleans(),
+    # numeric strings and a non-integral number: read as numbers by none
+    st.sampled_from(["2", "1e3", 2.5]),
     st.just(float("nan")),
     st.sampled_from([1e308, -1e308, 10**400]),
 )
@@ -71,6 +79,7 @@ def _case(kind):
     return st.tuples(st.just(kind), st.sampled_from(_FILES[kind][3]), _CORRUPT)
 
 
+@pytest.mark.filterwarnings("default::UserWarning")   # split warns; main prints it
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=st.one_of([_case(kind) for kind in _FILES]))

@@ -240,15 +240,30 @@ def test_basis_refuses_a_grid_that_misses_its_last_node():
 @pytest.mark.parametrize("window", [1024.25, 1e4, 1e100])
 def test_basis_past_the_node_cap_is_refused_before_sizing(window, monkeypatch):
     # 4097 nodes and more; the grid is a start, a step and a count, not samples,
-    # and the identity is refused before np.eye would size it
+    # the identity is refused before np.eye would size it, and a matrix file of
+    # 8 nodes before np.arange would list the nodes of its window
+    matrix = {"band": A, "p": 2.0, "entries": np.zeros((8, 8, 2)),
+              "basis": {"window": window, "nodes": np.arange(8.0)}}
+
     def sized(*args, **kwargs):
         raise AssertionError("sized a refused basis")
     monkeypatch.setattr(np, "eye", sized)
+    monkeypatch.setattr(np, "arange", sized)
     assert 4.0 * A * window > MAX_BASIS_NODES
     with pytest.raises(ValueError, match=f"more than {MAX_BASIS_NODES} basis"):
         NyquistBasis(A, window, default_grid(A, 1e4))
     with pytest.raises(ValueError, match=f"more than {MAX_BASIS_NODES} basis"):
         identity_matrix(A, 2.0, window)
+    with pytest.raises(ValueError, match=f"'window'.* more than {MAX_BASIS_NODES} basis"):
+        matrix_from_dict(matrix)
+
+
+@pytest.mark.parametrize("count, shift", [(64, 0.15), (64, 1e-9), (63, 0.0)])
+def test_matrix_off_the_nyquist_nodes_is_refused(count, shift):
+    # band 1 on window 16: the 64 nodes k/2 from k = -32
+    nodes = (np.arange(count) - 32) / 2.0 + shift
+    with pytest.raises(ValueError, match="needs 64 nodes k/"):
+        OperatorMatrix(np.eye(count), 1.0, 2.0, 16.0, nodes)
 
 
 def test_identity_matrix_is_identity(grid):
