@@ -124,17 +124,21 @@ def _grid(args, window_flag: str = "window", basis: bool = False):
     """The flags' grid.  A half-width that is not a whole number of steps is
     refused, and for a Nyquist basis also one that puts a fractional number of
     bins in the band, naming the band if the number would be whole at band 1,
-    else window_flag."""
+    else window_flag.  A grid `grid_count` refuses names all three flags, whose
+    product sets the count."""
     units = [(2.0 * args.oversample * args.window, "is {:g} grid steps")]
     if basis:
         units.append((4.0 * args.window, "puts {:g} bins in the band"))
     for unit, what in units:
         count = args.band * unit
-        if abs(count - round(count)) > 1e-9:
+        if math.isfinite(count) and abs(count - round(count)) > 1e-9:
             name = "band" if abs(unit - round(unit)) <= 1e-9 else window_flag
             raise InputError(f"{name}: the grid half-width {args.window} "
                              f"{what.format(count)}, not a whole number")
-    return default_grid(args.band, args.window, args.oversample)
+    try:
+        return default_grid(args.band, args.window, args.oversample)
+    except ValueError as e:
+        raise InputError(f"band, {window_flag}, oversample: {e}") from None
 
 
 def _check_basis_window(args) -> None:
@@ -432,7 +436,10 @@ def _frame_for(args, T):
     # band, p, window and grid come from the matrix file; the frame is built
     # on T's grid, or at --oversample when the file records none
     _check("p", T.p)
-    grid = T.grid or default_grid(T.a, T.window, args.oversample)
+    try:
+        grid = T.grid or default_grid(T.a, T.window, args.oversample)
+    except ValueError as e:
+        raise InputError(f"oversample: {e}") from None
     if not math.isclose(-grid.start, T.window) or \
             not math.isclose(grid.start + grid.span, T.window):
         raise InputError(f"window: the matrix grid (start {grid.start}, step "

@@ -19,7 +19,8 @@ The bounded-symbol pipeline splits a symbol into spectral parts, replaces
 each one-sided part by its minimal-norm Hankel completion, and reassembles.
 The left part is completed through its conjugate, whose spectrum has the
 right part's shape: T_conj(X) = (T_X)* pointwise, so conjugating a completion
-back keeps the operator it reproduces.  The operator content is untouched:
+back keeps the operator it reproduces.  For a real symbol that conjugate is
+the right part itself, so one solve serves both.  The operator content is untouched:
 the replaced pieces differ from the originals by functions whose Toeplitz
 compressions vanish.
 """
@@ -118,15 +119,28 @@ class AAKSolution:
     w_coeffs: np.ndarray     # anti-analytic side: w~(z) = sum w_j z^(-j-1)
     moment_residual: float
 
+    def _quotient(self, wt: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """sigma0 * wt / v, where |v| < 1e-8 max|v| takes its nearest good value."""
+        bad = np.abs(v) < 1e-8 * float(np.max(np.abs(v)))
+        return _nearest_fill(self.sigma0 * wt / np.where(bad, 1.0, v), bad)
+
     def eval_disk(self, z) -> np.ndarray:
-        """sigma0 * w~(z) / v(z) on |z| = 1, with guarded division."""
+        """sigma0 * w~(z) / v(z) on |z| = 1, by Horner at arbitrary points."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
         zb = np.conj(z)
-        v = np.polyval(self.v_coeffs[::-1], z)
-        wt = np.polyval(self.w_coeffs[::-1], zb) * zb
-        bad = np.abs(v) < 1e-8 * float(np.max(np.abs(v)))
-        raw = self.sigma0 * wt / np.where(bad, 1.0, v)
-        return _nearest_fill(raw, bad)
+        return self._quotient(np.polyval(self.w_coeffs[::-1], zb) * zb,
+                              np.polyval(self.v_coeffs[::-1], z))
+
+    def eval_circle(self, size: int) -> np.ndarray:
+        """`eval_disk` at z_k = exp(i theta_k), theta_k = 2 pi (k + 1/2)/size
+        (`_circle_nodes`), size >= M: shifted roots of unity, so v(z_k) is one
+        zero-padded inverse DFT of v_j e^(i pi j/size), and w~(z_k) is
+        e^(-2 pi i k/size) times one DFT of w_j e^(-i pi (j+1)/size)."""
+        j = np.arange(len(self.v_coeffs))
+        v = np.fft.ifft(self.v_coeffs * np.exp(1j * np.pi * j / size), size,
+                        norm="forward")
+        wt = np.fft.fft(self.w_coeffs * np.exp(-1j * np.pi * (j + 1) / size), size)
+        return self._quotient(wt * np.exp(-2j * np.pi * np.arange(size) / size), v)
 
 
 def _top_pairs(apply, adjoint, n: int,
@@ -199,9 +213,11 @@ def aak_solve(coeffs: np.ndarray) -> AAKSolution:
     reproduce (exactly in exact arithmetic: the section holds the whole Hankel
     matrix of that polynomial in 1/z).  `_top_pairs` runs on the section's FFT
     products (`_section_products`); the floor that zeroes the completion also
-    stops it.  A tied top singular value leaves the top pair non-unique, but
-    not the completion: the section has finite rank, and sigma0 w~/v is the
-    same for every top pair (Adamyan, Arov & Krein, Math. USSR Sb. 15, 1971).
+    stops it.  The moment check reads the quotient at the circle nodes by FFT
+    (`eval_circle`).  A tied top singular value leaves the top pair
+    non-unique, but not the completion: the section has finite rank, and
+    sigma0 w~/v is the same for every top pair (Adamyan, Arov & Krein,
+    Math. USSR Sb. 15, 1971).
     """
     M = len(coeffs) // 2
     floor = 1e-13 * max(1.0, float(np.max(np.abs(coeffs))))
@@ -210,10 +226,8 @@ def aak_solve(coeffs: np.ndarray) -> AAKSolution:
         return AAKSolution(sigma0, np.eye(1, M, dtype=complex)[0],
                            np.zeros(M, dtype=complex), 0.0)
 
-    thetas, _ = _circle_nodes(_circle_size(M))
     sol = AAKSolution(sigma0, v, w, 0.0)
-    psi = sol.eval_disk(np.exp(1j * thetas))
-
+    psi = sol.eval_circle(_circle_size(M))
     back = _circle_coeffs(psi, np.arange(-M, 0))
     sol.moment_residual = float(np.max(np.abs(back - coeffs[:M]))) / sigma0
     return sol
@@ -347,6 +361,11 @@ def bounded_symbol(sym: SymbolSpec, a: float, M: int = DEFAULT_TRUNCATION,
 
         psi = theta^2 psi_r + phi_C + conj(theta^2 psi_l).
 
+    A real symbol (every sample's imaginary part exactly zero) has
+    part_L = conj(part_R), and the minimal completion is unique when sigma0
+    is simple (Adamyan, Arov & Krein 1971): psi_l = psi_r, so its one solve
+    serves both sides and psi is real.
+
     Nothing here depends on p (the matrices' entries do not): both operators
     are assembled once in the shifted-sinc coordinates and `certificate(p)`
     reads their norms.  T_phi vanishes when its 2-norm is below 1e-8 of the
@@ -378,7 +397,10 @@ def bounded_symbol(sym: SymbolSpec, a: float, M: int = DEFAULT_TRUNCATION,
         return theta2 * res.psi_matched.values, res.sigma0
 
     right, sig_r = completion(parts.part_r.values, "nehari(right)")
-    left, sig_l = completion(np.conj(parts.part_l.values), "nehari(left,conjugated)")
+    if np.any(phi.values.imag):
+        left, sig_l = completion(np.conj(parts.part_l.values), "nehari(left,conjugated)")
+    else:                   # part_L = conj(part_R): the same completion
+        left, sig_l = right, sig_r
     psi = SampledFunction(grid, right + parts.part_c.values + np.conj(left))
 
     m_psi = _stage("certify",

@@ -147,7 +147,8 @@ def nyquist_indices(a: float, window: float) -> np.ndarray:
     t_k = k/(2a) covering [-window, window): the one rule for which nodes form
     a basis.  A count outside 8 ... MAX_BASIS_NODES is refused before anything
     is sized."""
-    count = round(4.0 * a * window)
+    count = 4.0 * a * window
+    count = round(count) if math.isfinite(count) else count
     if not 8 <= count <= MAX_BASIS_NODES:
         bound = "fewer than 8" if count < 8 else f"more than {MAX_BASIS_NODES}"
         raise ValueError(f"window {window} at band {a} holds {count} nodes: "

@@ -321,7 +321,9 @@ def test_tolerance_must_be_positive_and_finite(files, value, capsys):
     # a basis past MAX_BASIS_NODES: 40,000 nodes would take ~77 GB to assemble
     ["toeplitz", "--basis-window", "1e4"],
     ["bounded-symbol", "--window", "1e4", "--basis-window", "1e4"],
-    ["bounded-symbol", "--basis-window", "1e4"]])
+    ["bounded-symbol", "--basis-window", "1e4"],
+    # 4 a window overflows to inf nodes
+    ["toeplitz", "--window", "64", "--basis-window", "1e308"]])
 def test_out_of_range_flag_is_named(files, argv, monkeypatch, capsys):
     def assembled(*args, **kwargs):
         raise AssertionError("assembled a refused basis")
@@ -331,6 +333,61 @@ def test_out_of_range_flag_is_named(files, argv, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"input error: {argv[-2][2:]}:")
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, window", [
+    (["split", "--band", "1e200", "--window", "1e200"], "window"),
+    (["split", "--band", "1e308"], "window"),       # the grid step underflows
+    (["nehari", "--band", "1e300"], "window"),
+    (["toeplitz", "--band", "1e200", "--basis-window", "1e200"], "basis-window"),
+    (["bounded-symbol", "--oversample", "100000"], "window")])
+def test_grid_past_the_cap_is_refused_naming_its_flags(files, argv, window,
+                                                       monkeypatch, capsys):
+    def worked(*args, **kwargs):
+        raise AssertionError("worked on a refused grid")
+    for name in ("split_symbol", "nehari_solve", "toeplitz_matrix", "bounded_symbol"):
+        monkeypatch.setattr(f"pwlab.cli.{name}", worked)
+    assert run(*argv, "--symbol", files / "gauss_flat.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: band, {window}, oversample: grid count ")
+    assert "points a grid may hold" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("command", ["commutator-test", "recover-symbol"])
+def test_matrix_grid_past_the_cap_is_refused_on_load(files, tmp_path, capsys, command):
+    doc = json.loads((files / "matrix.json").read_text())
+    doc["grid"] = {"start": -64.0, "step": 128.0 / 2 ** 21, "count": 2 ** 21}
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps(doc))
+    assert run(command, "--matrix", matrix, "--out", tmp_path / "x.json") == 1
+    err = capsys.readouterr().err
+    assert err == (f"input error: {matrix}: grid count 2097152 is more than the "
+                   "1,048,576 points a grid may hold\n")
+
+
+@pytest.mark.parametrize("command", ["commutator-test", "recover-symbol"])
+def test_oversample_past_the_grid_cap_is_named(files, tmp_path, capsys, command):
+    # a matrix file with no grid gets one at --oversample
+    doc = json.loads((files / "matrix.json").read_text())
+    doc.pop("grid", None)
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps(doc))
+    assert run(command, "--matrix", matrix, "--oversample", 10 ** 6,
+               "--out", tmp_path / "x.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error: oversample: grid count ")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_function_grid_past_the_cap_is_refused_on_load(tmp_path, capsys):
+    fun = tmp_path / "f.json"
+    fun.write_text(json.dumps({"grid": {"start": -1.0, "step": 1e-6, "count": 2 ** 21},
+                               "values": [[0.0, 0.0]] * 4}))
+    for command in ("project", "factorize"):
+        assert run(command, "--input", fun, "--out", tmp_path / "x.json") == 1
+        err = capsys.readouterr().err
+        assert "grid count 2097152 is more than" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 @pytest.mark.parametrize("command", ["nehari", "bounded-symbol"])

@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from pwlab.factorize import fejer_triangle
-from pwlab.grid import (Grid, SampledFunction, energy_fraction,
+from pwlab.grid import (MAX_GRID_POINTS, Grid, SampledFunction, energy_fraction,
                         evaluate_offgrid, fft_spectrum, filter_spectrum,
-                        inverse_spectrum, lp_norm, symmetric_grid)
+                        grid_count, inverse_spectrum, lp_norm, symmetric_grid)
 from pwlab.pwspace import band_mask, default_grid, project_band, project_halfline
 from reference import inner
 
@@ -30,6 +30,30 @@ def test_odd_count_is_rejected():
 def test_step_whose_nyquist_overflows_is_rejected():
     with pytest.raises(ValueError, match="step"):
         Grid(-1.0, 5e-324, 4)
+
+
+@pytest.mark.parametrize("count", [MAX_GRID_POINTS + 2, 1e300, float("inf"),
+                                   float("nan")])
+def test_grid_count_past_the_cap_is_refused(count):
+    with pytest.raises(ValueError, match="points a grid may hold"):
+        grid_count(count)
+    if count <= 1e300:
+        with pytest.raises(ValueError, match="points a grid may hold"):
+            Grid(-1.0, 1e-6, int(count))
+
+
+def test_grid_count_at_the_cap_is_kept():
+    assert grid_count(float(MAX_GRID_POINTS)) == MAX_GRID_POINTS
+    assert Grid(-1.0, 1e-6, MAX_GRID_POINTS).count == MAX_GRID_POINTS
+
+
+@pytest.mark.parametrize("a, window", [(1e300, 64.0), (1e200, 1e200), (1e308, 64.0)],
+                         ids=["band-1e300", "both-1e200", "underflowed-step"])
+def test_default_grid_past_the_cap_is_refused_before_sizing(a, window, monkeypatch):
+    # nothing is sized: the refusal comes before any array exists
+    monkeypatch.setattr(np, "arange", None)
+    with pytest.raises(ValueError, match="points a grid may hold"):
+        default_grid(a, window)
 
 
 def test_freq_grid_matches_fft_layout():

@@ -110,6 +110,37 @@ def test_eval_disk_fills_a_zero_of_v_from_its_nearest_neighbour():
     assert out[0] == out[1] and out[3] == out[2]
 
 
+@pytest.mark.parametrize("M", [8, 256, 2048])
+def test_eval_circle_matches_horner(right_target, M):
+    # the FFT route against the definitional one, on a completion of check 09's
+    # target at each truncation
+    sol = aak_solve(line_to_disk(right_target, M))
+    size = _circle_size(M)
+    thetas, _ = _circle_nodes(size)
+    horner = sol.eval_disk(np.exp(1j * thetas))
+    assert np.max(np.abs(sol.eval_circle(size) - horner)) <= 1e-12 * np.max(np.abs(horner))
+
+
+def test_eval_circle_fills_a_zero_of_v_on_a_node():
+    # v(z) = z - z_3 vanishes at node 3 of 16; both routes fill it from node 2
+    size = 16
+    thetas, _ = _circle_nodes(size)
+    z = np.exp(1j * thetas)
+    sol = AAKSolution(2.0, np.array([-z[3], 1.0]), np.array([0.5, 0.25j]), 0.0)
+    fft, horner = sol.eval_circle(size), sol.eval_disk(z)
+    assert np.all(np.isfinite(fft))
+    assert fft[3] == fft[2]
+    assert np.max(np.abs(fft - horner)) <= 1e-12 * np.max(np.abs(horner))
+
+
+def test_aak_solve_evaluates_no_polynomial_by_horner(right_target, monkeypatch):
+    # the circle values come by FFT: Horner there would cost O(M^2)
+    calls = []
+    monkeypatch.setattr(np, "polyval", lambda *args: calls.append(args))
+    sol = aak_solve(line_to_disk(right_target, 256))
+    assert calls == [] and sol.moment_residual < 1e-6
+
+
 def test_moments_match(solved):
     assert solved.moment_residual < 1e-6 * solved.sigma0
 
@@ -451,6 +482,42 @@ def test_bounded_symbol_never_estimates_hankel_norm(grid, monkeypatch):
         warnings.simplefilter("ignore")
         bounded_symbol(gaussian_symbol(), A, grid=grid)
     assert calls == []
+
+
+def _counted_solves(sym, grid, monkeypatch):
+    """bounded_symbol(sym) and the number of nehari_solve calls it made."""
+    calls = []
+    solve = nehari.nehari_solve
+
+    def counted(*args, **kw):
+        calls.append(args)
+        return solve(*args, **kw)
+
+    monkeypatch.setattr(nehari, "nehari_solve", counted)
+    return _bounded(sym, grid), len(calls)
+
+
+@pytest.mark.parametrize("sym", [
+    gaussian_symbol(), gaussian_symbol(amp=0.8, width=2.0),
+    gaussian_symbol(amp=1.2, width=0.7, shift=0.4)],
+    ids=["check10-0", "check10-1", "check10-2"])
+def test_real_symbol_is_solved_once(grid, sym, monkeypatch):
+    out, solves = _counted_solves(sym, grid, monkeypatch)
+    assert solves == 1
+    assert out.sigma_left == out.sigma_right
+    assert np.max(np.abs(out.psi.values.imag)) <= 1e-12 * out.sup_norm
+    for p in (1.5, 2.0, 3.0):       # within check 10's bounds
+        cert = out.certificate(p)
+        assert cert["operator_residual"] <= 1e-3 and cert["c_meas"] <= 20.0
+
+
+@pytest.mark.parametrize("sym", [
+    gaussian_symbol(mod=0.3), bump_spectrum_symbol(0.05, 1.9, seed=11, hermitian=True)],
+    ids=["mod0.3", "hermitian-bump"])
+def test_symbol_with_imaginary_samples_is_solved_twice(grid, sym, monkeypatch):
+    # the hermitian bump's samples carry ~1e-16 imaginary parts: not real
+    assert np.any(samples(sym, grid).values.imag)
+    assert _counted_solves(sym, grid, monkeypatch)[1] == 2
 
 
 def test_hankel_norm_is_the_estimate_on_first_read(right_target, grid):
