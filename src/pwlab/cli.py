@@ -21,18 +21,12 @@ import warnings
 
 import numpy as np
 
+# every command loads these three; a command imports the rest of the library
+# in its own body, so a launch compiles only the modules it runs
 from . import jsonio
-from .commutator import (build_frame, commutator_test, recover_symbol,
-                         recovery_roundtrip)
-from .factorize import ATOM_TOL, RESIDUAL_SUP_TOL, sinc_atom, weak_factorize
 from .grid import SampledFunction, lp_norm
-from .nehari import AAK_TOL, DEFAULT_TRUNCATION, MAX_TRUNCATION, bounded_symbol, nehari_solve
 from .pwspace import (DEFAULT_BAND, DEFAULT_OVERSAMPLE, DEFAULT_WINDOW,
                       band_residual, default_grid, project_band)
-from .split import DECAY_TOL, bump, bump_l1_norms, split_symbol
-from .symbols import KINDS as SYMBOL_KINDS, from_dict as symbol_from_dict
-from .toeplitz import (DEFAULT_BASIS_WINDOW, matrix_from_dict, matrix_to_dict,
-                       nyquist_indices, operator_norm_certified, toeplitz_matrix)
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -43,17 +37,24 @@ class InputError(Exception):
     pass
 
 
-# The tolerances each command reads, with their defaults (the library's constant
-# where it applies one too); --tol NAME=VALUE overrides one, on these commands only.
-TOLERANCES = {
-    "split": {"decay": DECAY_TOL},
-    "bounded-symbol": {"operator_residual": 1e-3},
-    "nehari": {"moment": 1e-6, "sup_slack": AAK_TOL},
-    "factorize": {"band_residual": 1e-8, "atom": ATOM_TOL,
-                  "residual_sup": RESIDUAL_SUP_TOL, "residual_l1": 1e-5},
-    "commutator-test": {"deviation": 1e-6},
-    "recover-symbol": {"roundtrip": 1e-3},
-}
+def tolerances(command: str) -> dict:
+    """The tolerances `command` reads, with their defaults (the library's
+    constant where it applies one too, read from the module that owns it),
+    empty for a command without any; --tol NAME=VALUE overrides one."""
+    if command == "split":
+        from .split import DECAY_TOL
+        return {"decay": DECAY_TOL}
+    if command == "nehari":
+        from .nehari import AAK_TOL
+        return {"moment": 1e-6, "sup_slack": AAK_TOL}
+    if command == "factorize":
+        from .factorize import ATOM_TOL, RESIDUAL_SUP_TOL
+        return {"band_residual": 1e-8, "atom": ATOM_TOL,
+                "residual_sup": RESIDUAL_SUP_TOL, "residual_l1": 1e-5}
+    return {"bounded-symbol": {"operator_residual": 1e-3},
+            "commutator-test": {"deviation": 1e-6},
+            "recover-symbol": {"roundtrip": 1e-3}}.get(command, {})
+
 
 # the settings shared by several commands; each command adds the ones it reads
 _FLAGS = {
@@ -65,20 +66,27 @@ _FLAGS = {
     "seed": dict(type=int, default=42),
 }
 
-# (must hold, requirement) for the numeric flags and a matrix file's p
+
+def _truncation_range() -> tuple:
+    from .nehari import MAX_TRUNCATION    # only the commands that run nehari have the flag
+    return (lambda v: 1 <= v <= MAX_TRUNCATION, f"must lie in [1, {MAX_TRUNCATION}]")
+
+
+# (must hold, requirement), or the function that reads one, for the numeric
+# flags and a matrix file's p
 _POSITIVE = (lambda v: 0.0 < v < math.inf, "must be positive and finite")
 _RANGES = {
     "band": _POSITIVE, "window": _POSITIVE, "basis_window": _POSITIVE,
     "p": (lambda v: 1.0 < v < math.inf, "must lie in (1, inf)"),
     "oversample": (lambda v: v >= 4, "must be at least 4"),
-    "truncation": (lambda v: 1 <= v <= MAX_TRUNCATION,
-                   f"must lie in [1, {MAX_TRUNCATION}]"),
+    "truncation": _truncation_range,
     "seed": (lambda v: v >= 0, "must be non-negative"),
 }
 
 
 def _check(name: str, value) -> None:
-    holds, requirement = _RANGES[name]
+    rule = _RANGES[name]
+    holds, requirement = rule() if callable(rule) else rule
     if not holds(value):
         raise InputError(f"{name.replace('_', '-')}: {requirement}, got {value}")
 
@@ -91,9 +99,9 @@ class _Parser(argparse.ArgumentParser):
 def _add_flags(sub, command: str, *names: str) -> None:
     for name in names:
         sub.add_argument("--" + name, **_FLAGS[name])
-    if command in TOLERANCES:
-        listed = ", ".join(f"{k} (default {v:g})"
-                           for k, v in TOLERANCES[command].items())
+    tols = tolerances(command)
+    if tols:
+        listed = ", ".join(f"{k} (default {v:g})" for k, v in tols.items())
         sub.add_argument("--tol", action="append", default=[],
                          metavar="NAME=VALUE",
                          help=f"override a named tolerance: {listed}")
@@ -102,7 +110,7 @@ def _add_flags(sub, command: str, *names: str) -> None:
 
 def _tols(args) -> dict:
     """The command's tolerance table with the --tol overrides applied."""
-    tols = dict(TOLERANCES[args.command])
+    tols = tolerances(args.command)
     for item in args.tol:
         name, sep, value = item.partition("=")
         if not sep or not name:
@@ -145,6 +153,7 @@ def _check_basis_window(args) -> None:
     """The Nyquist basis of --basis-window needs the node count
     `nyquist_indices` allows and a grid (--window) that spans it, and with it
     every node (see `_grid`); checked before sizing."""
+    from .toeplitz import nyquist_indices
     try:
         nyquist_indices(args.band, args.basis_window)
     except ValueError as e:
@@ -171,15 +180,16 @@ def _load_json(path: str) -> dict:
 
 
 def _load_symbol(path: str):
+    from .symbols import KINDS, from_dict
     d = _load_json(path)
     if "kind" not in d and len(d) == 1:
         kind = next(iter(d))
-        if kind in SYMBOL_KINDS:
+        if kind in KINDS:
             if not isinstance(d[kind], dict):
                 raise InputError(f"{path}: field {kind!r} must hold an object")
             d = {"kind": kind, **d[kind]}
     try:
-        return symbol_from_dict(d)
+        return from_dict(d)
     except ValueError as e:
         raise InputError(f"{path}: {e}") from None
 
@@ -194,6 +204,7 @@ def _load_function(path: str) -> SampledFunction:
 
 def _load_matrix(path: str):
     """A matrix file, or `toeplitz`'s output file through its `matrix` member."""
+    from .toeplitz import matrix_from_dict
     d = _load_json(path)
     if "matrix" in d:
         if not isinstance(d["matrix"], dict):
@@ -273,6 +284,7 @@ def cmd_project(args) -> int:
 
 
 def cmd_toeplitz(args) -> int:
+    from .toeplitz import matrix_to_dict, operator_norm_certified, toeplitz_matrix
     flag = "window"
     if args.window is None:
         args.window, flag = args.basis_window, "basis-window"
@@ -294,6 +306,7 @@ def cmd_toeplitz(args) -> int:
 
 
 def cmd_split(args) -> int:
+    from .split import bump, bump_l1_norms, split_symbol
     tols = _tols(args)
     sym = _load_symbol(args.symbol)
     parts = split_symbol(sym, args.band, _grid(args), decay_tol=tols["decay"])
@@ -318,6 +331,7 @@ def cmd_split(args) -> int:
 
 
 def cmd_bounded_symbol(args) -> int:
+    from .nehari import bounded_symbol
     tol = _tols(args)["operator_residual"]
     grid = _grid(args, basis=True)
     _check_basis_window(args)
@@ -346,6 +360,7 @@ def cmd_bounded_symbol(args) -> int:
 
 
 def cmd_nehari(args) -> int:
+    from .nehari import nehari_solve
     tols = _tols(args)
     sym = _load_symbol(args.symbol)
     res = nehari_solve(sym, args.band, args.p, M=args.truncation,
@@ -377,6 +392,7 @@ def cmd_nehari(args) -> int:
 
 
 def cmd_factorize(args) -> int:
+    from .factorize import sinc_atom, weak_factorize
     tols = _tols(args)
     f = _load_function(args.input)
     margin = args.margin if args.margin is not None else 0.9 * args.band
@@ -435,6 +451,7 @@ def cmd_factorize(args) -> int:
 def _frame_for(args, T):
     # band, p, window and grid come from the matrix file; the frame is built
     # on T's grid, or at --oversample when the file records none
+    from .commutator import build_frame
     _check("p", T.p)
     try:
         grid = T.grid or default_grid(T.a, T.window, args.oversample)
@@ -450,6 +467,7 @@ def _frame_for(args, T):
 
 
 def cmd_commutator_test(args) -> int:
+    from .commutator import commutator_test
     tol = _tols(args)["deviation"]
     T = _load_matrix(args.matrix)
     deviation = commutator_test(T, _frame_for(args, T), seed=args.seed)
@@ -463,6 +481,7 @@ def cmd_commutator_test(args) -> int:
 
 
 def cmd_recover_symbol(args) -> int:
+    from .commutator import recover_symbol, recovery_roundtrip
     tol = _tols(args)["roundtrip"]
     T = _load_matrix(args.matrix)
     if T.p != 2.0:
@@ -486,7 +505,6 @@ def cmd_recover_symbol(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # imported here: no other command needs the suite
     from . import verify as verify_suite
     report = verify_suite.run_all(seed=args.seed,
                                   progress=lambda s: print(s, file=sys.stderr))
@@ -508,7 +526,10 @@ def cmd_verify(args) -> int:
     return EXIT_OK if meta["all_pass"] else EXIT_CERT
 
 
-def build_parser() -> _Parser:
+def build_parser(commands) -> _Parser:
+    """Every command with its help line, and the arguments of those named in
+    `commands`, each default read from the module that owns it; `main` names
+    only the command argv gives."""
     parser = _Parser(prog="pwlab",
                      description="Toeplitz operators on band-limited spaces: "
                                  "projections, symbols, factorization, and a "
@@ -516,62 +537,75 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command")
 
     sp = subs.add_parser("project", help="band-project a sampled function")
-    sp.add_argument("--input", required=True, help="sampled-function JSON")
-    _add_flags(sp, "project", "band", "p")
-    sp.set_defaults(func=cmd_project, out="projected.json")
+    if "project" in commands:
+        sp.add_argument("--input", required=True, help="sampled-function JSON")
+        _add_flags(sp, "project", "band", "p")
+        sp.set_defaults(func=cmd_project, out="projected.json")
 
     sp = subs.add_parser("toeplitz", help="assemble a Toeplitz matrix")
-    sp.add_argument("--symbol", required=True, help="symbol JSON")
-    sp.add_argument("--basis-window", type=float, default=DEFAULT_BASIS_WINDOW)
-    _add_flags(sp, "toeplitz", "band", "p", "oversample", "window")
-    # the grid spans the basis window unless --window says otherwise
-    sp.set_defaults(func=cmd_toeplitz, out="toeplitz.json", window=None)
+    if "toeplitz" in commands:
+        from .toeplitz import DEFAULT_BASIS_WINDOW
+        sp.add_argument("--symbol", required=True, help="symbol JSON")
+        sp.add_argument("--basis-window", type=float, default=DEFAULT_BASIS_WINDOW)
+        _add_flags(sp, "toeplitz", "band", "p", "oversample", "window")
+        # the grid spans the basis window unless --window says otherwise
+        sp.set_defaults(func=cmd_toeplitz, out="toeplitz.json", window=None)
 
     sp = subs.add_parser("split", help="three-part symbol splitting")
-    sp.add_argument("--symbol", required=True)
-    sp.add_argument("--emit-bumps", action="store_true",
-                    help="also write the cutoff profiles to bumps.csv beside --out")
-    _add_flags(sp, "split", "band", "oversample", "window")
-    sp.set_defaults(func=cmd_split, out="split.json")
+    if "split" in commands:
+        sp.add_argument("--symbol", required=True)
+        sp.add_argument("--emit-bumps", action="store_true",
+                        help="also write the cutoff profiles to bumps.csv beside --out")
+        _add_flags(sp, "split", "band", "oversample", "window")
+        sp.set_defaults(func=cmd_split, out="split.json")
 
     sp = subs.add_parser("bounded-symbol",
                          help="bounded symbol with the same operator")
-    sp.add_argument("--symbol", required=True)
-    sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
-    sp.add_argument("--basis-window", type=float, default=DEFAULT_BASIS_WINDOW)
-    _add_flags(sp, "bounded-symbol", "band", "p", "oversample", "window")
-    sp.set_defaults(func=cmd_bounded_symbol, out="bounded_symbol.json")
+    if "bounded-symbol" in commands:
+        from .nehari import DEFAULT_TRUNCATION
+        from .toeplitz import DEFAULT_BASIS_WINDOW
+        sp.add_argument("--symbol", required=True)
+        sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
+        sp.add_argument("--basis-window", type=float, default=DEFAULT_BASIS_WINDOW)
+        _add_flags(sp, "bounded-symbol", "band", "p", "oversample", "window")
+        sp.set_defaults(func=cmd_bounded_symbol, out="bounded_symbol.json")
 
     sp = subs.add_parser("nehari", help="minimal-sup Hankel completion")
-    sp.add_argument("--symbol", required=True)
-    sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
-    _add_flags(sp, "nehari", "band", "p", "oversample", "window")
-    sp.set_defaults(func=cmd_nehari, out="nehari.json")
+    if "nehari" in commands:
+        from .nehari import DEFAULT_TRUNCATION
+        sp.add_argument("--symbol", required=True)
+        sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
+        _add_flags(sp, "nehari", "band", "p", "oversample", "window")
+        sp.set_defaults(func=cmd_nehari, out="nehari.json")
 
     sp = subs.add_parser("factorize", help="weak factorization of a target")
-    sp.add_argument("--input", required=True, help="sampled-function JSON")
-    sp.add_argument("--margin", type=float, default=None,
-                    help="half-band of the target (default 0.9*band)")
-    sp.add_argument("--summary", action="store_true",
-                    help="omit the pair list from the output")
-    _add_flags(sp, "factorize", "band", "p")
-    sp.set_defaults(func=cmd_factorize, out="factorization.json")
+    if "factorize" in commands:
+        sp.add_argument("--input", required=True, help="sampled-function JSON")
+        sp.add_argument("--margin", type=float, default=None,
+                        help="half-band of the target (default 0.9*band)")
+        sp.add_argument("--summary", action="store_true",
+                        help="omit the pair list from the output")
+        _add_flags(sp, "factorize", "band", "p")
+        sp.set_defaults(func=cmd_factorize, out="factorization.json")
 
     sp = subs.add_parser("commutator-test",
                          help="test a matrix for the Toeplitz property")
-    sp.add_argument("--matrix", required=True, help="operator-matrix JSON")
-    _add_flags(sp, "commutator-test", "oversample", "seed")
-    sp.set_defaults(func=cmd_commutator_test, out="commutator_test.json")
+    if "commutator-test" in commands:
+        sp.add_argument("--matrix", required=True, help="operator-matrix JSON")
+        _add_flags(sp, "commutator-test", "oversample", "seed")
+        sp.set_defaults(func=cmd_commutator_test, out="commutator_test.json")
 
     sp = subs.add_parser("recover-symbol",
                          help="recover a symbol from a Toeplitz matrix")
-    sp.add_argument("--matrix", required=True)
-    _add_flags(sp, "recover-symbol", "oversample")
-    sp.set_defaults(func=cmd_recover_symbol, out="recovered_symbol.json")
+    if "recover-symbol" in commands:
+        sp.add_argument("--matrix", required=True)
+        _add_flags(sp, "recover-symbol", "oversample")
+        sp.set_defaults(func=cmd_recover_symbol, out="recovered_symbol.json")
 
     sp = subs.add_parser("verify", help="run the full identity suite")
-    _add_flags(sp, "verify", "seed")
-    sp.set_defaults(func=cmd_verify, out="report.json")
+    if "verify" in commands:
+        _add_flags(sp, "verify", "seed")
+        sp.set_defaults(func=cmd_verify, out="report.json")
 
     return parser
 
@@ -582,7 +616,10 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # the command is argv's first word: the top-level parser has no option
+    # but --help, and argparse reads no abbreviation of a command
+    parser = build_parser(argv[:1])
     # warnings print as one "warning: ..." line, like the input errors
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning

@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import json
 import math
+from functools import reduce
+from itertools import chain
+from operator import getitem
 
 import numpy as np
 
@@ -146,6 +149,25 @@ def bounded(arr: np.ndarray) -> np.ndarray:
     return np.abs(arr) <= MAX_MAGNITUDE
 
 
+def _is_number(t: type) -> bool:
+    return issubclass(t, (int, float, np.number)) and t is not bool
+
+
+def first_non_number(tree, shape: tuple):
+    """(index, value) of the first value in `tree`, nested lists of `shape`
+    that np.asarray read with dtype=float, that is not a number: a boolean,
+    which it reads as 0 or 1, a string, which it reads as the number it
+    spells, or null; None if there is none.  The values' types are gathered
+    at C speed; only a tree holding another type is walked entry by entry."""
+    values = tree
+    for _ in shape[1:]:
+        values = chain.from_iterable(values)
+    if all(map(_is_number, set(map(type, values)))):
+        return None
+    return next((i, v) for i in np.ndindex(shape)
+                if not _is_number(type(v := reduce(getitem, i, tree))))
+
+
 def grid_from_dict(d: dict) -> Grid:
     """Grid from its JSON object; a malformed field is a ValueError naming it."""
     if not isinstance(d, dict):
@@ -176,9 +198,13 @@ def function_from_dict(d: dict) -> SampledFunction:
         pairs = None
     if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ValueError("field 'values' must be a list of [re, im] pairs")
-    bad = np.flatnonzero(~np.all(bounded(pairs), axis=1))
+    rows = ~np.all(bounded(pairs), axis=1)
+    found = first_non_number(d["values"], pairs.shape)
+    if found:
+        rows[found[0][0]] = True
+    bad = np.flatnonzero(rows)
     if len(bad):
-        # a null reads as NaN; name the entry rather than the array
+        # name the entry rather than the array
         raise ValueError(f"field 'values' entry {bad[0]} must be two finite "
                          f"numbers of magnitude at most {MAX_MAGNITUDE:g}, "
                          f"got {d['values'][bad[0]]!r}")

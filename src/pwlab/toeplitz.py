@@ -41,8 +41,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import (Grid, SampledFunction, energy_fraction, fft_spectrum,
                    inverse_spectrum, lattice_phase)
-from .jsonio import (MAX_MAGNITUDE, bounded, grid_from_dict, grid_to_dict,
-                     number_field)
+from .jsonio import (MAX_MAGNITUDE, bounded, first_non_number, grid_from_dict,
+                     grid_to_dict, number_field)
 from .pwspace import (
     BandlimitedFunction,
     band_mask,
@@ -400,6 +400,10 @@ def _matrix_array(obj: dict, name: str, ndim: int) -> np.ndarray:
         raise ValueError(f"matrix field {name!r} must be a {ndim}-dimensional "
                          f"array of finite numbers of magnitude at most "
                          f"{MAX_MAGNITUDE:g}")
+    found = first_non_number(obj[name], arr.shape)
+    if found:
+        raise ValueError(f"matrix field {name!r} entry {list(found[0])} must be "
+                         f"a number, got {found[1]!r}")
     return arr
 
 

@@ -13,5 +13,5 @@ settings.load_profile("pwlab")
 
 @pytest.fixture(scope="session")
 def grid1():
-    from pwlab import default_grid
+    from pwlab.pwspace import default_grid
     return default_grid(1.0)

@@ -4,13 +4,15 @@ import json
 import os
 import shlex
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pwlab import factorize, jsonio, nehari, split
-from pwlab.cli import TOLERANCES, _tols, build_parser, main
+from pwlab.cli import _tols, build_parser, main, tolerances
 from pwlab.factorize import sinc_atom
 from pwlab.grid import Grid, SampledFunction
 from pwlab.pwspace import default_grid, sinc_kernel
@@ -133,6 +135,9 @@ def test_malformed_json_is_exit_one(files, tmp_path, capsys):
               "'count'"),
              (json.dumps({"kind": "sampled",
                           "fun": {**fun, "values": [[0.0, 0.0], [1, None]] * 2}}),
+              "'values' entry 1"),
+             (json.dumps({"kind": "sampled",
+                          "fun": {**fun, "values": [[0.0, 0.0], [1, True]] * 2}}),
               "'values' entry 1")]
     matrix = json.loads((files / "matrix.json").read_text())
     matrix_cases = [(json.dumps({**matrix, "band": None}), "'band'"),
@@ -146,6 +151,13 @@ def test_malformed_json_is_exit_one(files, tmp_path, capsys):
                     (json.dumps({**matrix, "basis": {**matrix["basis"],
                                                      "nodes": "x"}}),
                      "'nodes'"),
+                    (json.dumps({**matrix, "basis": {**matrix["basis"], "nodes": [
+                        False, *matrix["basis"]["nodes"][1:]]}}),
+                     "'nodes' entry [0] must be a number, got False"),
+                    (json.dumps({**matrix, "entries": [
+                        matrix["entries"][0], [[0.0, True]] + matrix["entries"][1][1:],
+                        *matrix["entries"][2:]]}),
+                     "'entries' entry [1, 0, 1] must be a number, got True"),
                     (json.dumps({**matrix, "p": "two"}), "'p'")]
     cases = ([("split", "--symbol", *c) for c in symbol_cases]
              + [("commutator-test", "--matrix", *c) for c in matrix_cases])
@@ -262,22 +274,22 @@ def test_unknown_tolerance_name_lists_the_valid_ones(files, capsys):
     assert "bogus" in err and "moment, sup_slack" in err
 
 
-@pytest.mark.parametrize("command, name", [(c, n) for c, names in
-                                           TOLERANCES.items() for n in names])
+@pytest.mark.parametrize("command, name", [(c, n) for c in REMOVED_FLAGS
+                                           for n in tolerances(c)])
 def test_every_declared_tolerance_parses(command, name):
     argv = [command, *REQUIRED.get(command, ["--symbol", "s.json"]),
             "--tol", f"{name}=0.25"]
-    assert _tols(build_parser().parse_args(argv)) == {
-        **TOLERANCES[command], name: 0.25}
+    assert _tols(build_parser(REMOVED_FLAGS).parse_args(argv)) == {
+        **tolerances(command), name: 0.25}
 
 
 def test_tolerance_defaults_are_the_library_constants():
     # the library's warning and the CLI's verdict read one object, not two
     # equal literals
-    assert TOLERANCES["split"]["decay"] is split.DECAY_TOL
-    assert TOLERANCES["nehari"]["sup_slack"] is nehari.AAK_TOL
-    assert TOLERANCES["factorize"]["atom"] is factorize.ATOM_TOL
-    assert TOLERANCES["factorize"]["residual_sup"] is factorize.RESIDUAL_SUP_TOL
+    assert tolerances("split")["decay"] is split.DECAY_TOL
+    assert tolerances("nehari")["sup_slack"] is nehari.AAK_TOL
+    assert tolerances("factorize")["atom"] is factorize.ATOM_TOL
+    assert tolerances("factorize")["residual_sup"] is factorize.RESIDUAL_SUP_TOL
     defaults = {name: p.default for fn in (split.split_symbol, factorize.weak_factorize)
                 for name, p in inspect.signature(fn).parameters.items()}
     assert defaults["decay_tol"] is split.DECAY_TOL
@@ -327,8 +339,8 @@ def test_tolerance_must_be_positive_and_finite(files, value, capsys):
 def test_out_of_range_flag_is_named(files, argv, monkeypatch, capsys):
     def assembled(*args, **kwargs):
         raise AssertionError("assembled a refused basis")
-    monkeypatch.setattr("pwlab.cli.toeplitz_matrix", assembled)
-    monkeypatch.setattr("pwlab.cli.bounded_symbol", assembled)
+    monkeypatch.setattr("pwlab.toeplitz.toeplitz_matrix", assembled)
+    monkeypatch.setattr("pwlab.nehari.bounded_symbol", assembled)
     assert run(*argv, "--symbol", files / "gauss_flat.json") == 1
     err = capsys.readouterr().err
     assert err.startswith(f"input error: {argv[-2][2:]}:")
@@ -345,8 +357,9 @@ def test_grid_past_the_cap_is_refused_naming_its_flags(files, argv, window,
                                                        monkeypatch, capsys):
     def worked(*args, **kwargs):
         raise AssertionError("worked on a refused grid")
-    for name in ("split_symbol", "nehari_solve", "toeplitz_matrix", "bounded_symbol"):
-        monkeypatch.setattr(f"pwlab.cli.{name}", worked)
+    for name in ("split.split_symbol", "nehari.nehari_solve",
+                 "toeplitz.toeplitz_matrix", "nehari.bounded_symbol"):
+        monkeypatch.setattr(f"pwlab.{name}", worked)
     assert run(*argv, "--symbol", files / "gauss_flat.json") == 1
     err = capsys.readouterr().err
     assert err.startswith(f"input error: band, {window}, oversample: grid count ")
@@ -405,7 +418,7 @@ def test_negative_seed_is_refused_before_any_work(argv, monkeypatch, capsys):
     def ran(*args, **kwargs):
         raise AssertionError("ran with a negative seed")
     monkeypatch.setattr("pwlab.verify.run_all", ran)
-    monkeypatch.setattr("pwlab.cli.commutator_test", ran)
+    monkeypatch.setattr("pwlab.commutator.commutator_test", ran)
     assert run(*argv, "--seed", "-1") == 1
     assert capsys.readouterr().err == "input error: seed: must be non-negative, got -1\n"
 
@@ -640,10 +653,16 @@ def test_recover_symbol_roundtrip(files, tmp_path):
     assert set(payload) >= {"anti_analytic_part", "analytic_part", "total"}
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_blocks(language: str) -> list:
+    return [b.split("```", 1)[0] for b in README.read_text().split(f"```{language}\n")[1:]]
+
+
 def _readme_commands():
     """The README's `pwlab` command lines, each as the argv after `pwlab`."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    blocks = [b.split("```", 1)[0] for b in text.split("```sh\n")[1:]]
+    blocks = _readme_blocks("sh")
     return [shlex.split(line)[1:] for b in blocks for line in b.splitlines()
             if line.startswith("pwlab ")]
 
@@ -659,6 +678,15 @@ def test_readme_pipeline_runs_as_written(files, tmp_path, monkeypatch):
         assert main(argv) == 0, argv
     matrix = json.loads((tmp_path / "T.json").read_text())["matrix"]
     assert matrix["grid"]["start"] == -32.0
+
+
+def test_readme_python_runs_as_written(capsys):
+    # the quick start imports from the modules that own each name
+    blocks = _readme_blocks("python")
+    assert blocks
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), {})
+    assert "'lower'" in capsys.readouterr().out
 
 
 def test_matrix_on_a_wider_grid_names_window(files, tmp_path, capsys):
@@ -820,3 +848,48 @@ def test_verify_runs_clean_and_reports(files, tmp_path, monkeypatch, capsys):
     lines = (tmp_path / "report.csv").read_text().splitlines()
     assert lines[0] == "check_id,paper_ref,measured,bound,pass"
     assert all(line.endswith(",true") for line in lines[1:])
+
+
+@pytest.mark.parametrize("argv", [["--help"], *([c, "--help"] for c in REMOVED_FLAGS)],
+                         ids=lambda argv: argv[0])
+def test_help_matches_the_parser_of_every_command(argv, capsys):
+    # main adds the arguments of the command argv names only; REMOVED_FLAGS
+    # names every command
+    with pytest.raises(SystemExit):
+        main(argv)
+    printed = capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        build_parser(REMOVED_FLAGS).parse_args(argv)
+    assert capsys.readouterr().out == printed != ""
+
+
+SRC = str(Path(jsonio.__file__).resolve().parents[1])
+
+
+def _pwlab_modules(code: str) -> set:
+    """The pwlab modules a fresh interpreter holds after running code."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    listing = "\nimport sys\nprint(*(m for m in sys.modules if m.startswith('pwlab')))"
+    proc = subprocess.run([sys.executable, "-c", code + listing], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_importing_the_cli_loads_only_what_every_command_uses():
+    assert _pwlab_modules("import pwlab.cli") == {
+        "pwlab", "pwlab.cli", "pwlab.grid", "pwlab.jsonio", "pwlab.pwspace"}
+
+
+@pytest.mark.parametrize("argv, unused", [
+    (["project", "--input", "smooth.json"],
+     ["toeplitz", "split", "nehari", "commutator", "factorize", "verify"]),
+    (["toeplitz", "--symbol", "gauss_flat.json", "--basis-window", "8"],
+     ["split", "nehari", "commutator", "factorize", "verify"])],
+    ids=["project", "toeplitz"])
+def test_a_command_loads_only_the_modules_it_runs(files, tmp_path, argv, unused):
+    argv = [str(files / a) if a.endswith(".json") else a for a in argv]
+    argv += ["--out", str(tmp_path / "o.json")]
+    code = f"from pwlab.cli import main\nassert main({argv!r}) == 0"
+    assert _pwlab_modules(code).isdisjoint(f"pwlab.{m}" for m in unused)

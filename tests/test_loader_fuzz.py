@@ -1,13 +1,14 @@
 """Fuzzed input files: corrupt one field of a valid symbol, sampled-function
 or matrix file and run the command that reads it in-process.  Whatever the
 corruption, the command exits 0, 1 or 2 without an escaping exception, and an
-exit 1 prints one `input error:` line naming the corrupted field."""
+exit 1 prints one `input error:` line naming the corrupted field; a number
+turned into a boolean or a string always exits 1."""
 import copy
 import json
 import re
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from pwlab import jsonio
 from pwlab.cli import main
@@ -48,7 +49,8 @@ _FILES = {
                _as_read(matrix_to_dict(toeplitz_matrix(
                    gaussian_symbol(), 1.0, 2.0, 8.0, _SMALL))),
                [("band",), ("p",), ("basis",), ("entries",),
-                ("basis", "window"), ("basis", "nodes"), ("entries", 2),
+                ("basis", "window"), ("basis", "nodes"), ("basis", "nodes", 3),
+                ("entries", 2),
                 ("entries", 2, 5), ("entries", 2, 5, 0), ("grid",),
                 ("grid", "start"), ("grid", "step"), ("grid", "count")]),
 }
@@ -83,6 +85,10 @@ def _case(kind):
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(case=st.one_of([_case(kind) for kind in _FILES]))
+# a boolean or a string in an array field, which np.asarray would read as a number
+@example(case=("function", ("values", 3, 0), True))
+@example(case=("matrix", ("basis", "nodes", 3), False))
+@example(case=("matrix", ("entries", 2, 5, 0), "1"))
 def test_corrupted_field_exits_cleanly(case, tmp_path, capsys):
     kind, path, value = case
     command, flag, valid, _ = _FILES[kind]
@@ -90,6 +96,7 @@ def test_corrupted_field_exits_cleanly(case, tmp_path, capsys):
     node = doc
     for key in path[:-1]:
         node = node[key]
+    number = type(node[path[-1]]) in (int, float)
     node[path[-1]] = value
     src, out = tmp_path / "in.json", tmp_path / "out.json"
     src.write_text(json.dumps(doc))
@@ -98,6 +105,8 @@ def test_corrupted_field_exits_cleanly(case, tmp_path, capsys):
 
     err = capsys.readouterr().err
     assert code in (0, 1, 2)
+    # a number, alone or in an array, is never read from a boolean or a string
+    assert code == 1 or not (number and isinstance(value, (bool, str))), (path, value)
     if code == 1:
         lines = err.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("input error:"), err
