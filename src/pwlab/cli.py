@@ -198,8 +198,8 @@ def _load_function(path: str) -> SampledFunction:
     d = _load_json(path)
     try:
         return jsonio.function_from_dict(d)
-    except (KeyError, ValueError, TypeError) as e:
-        raise InputError(f"{path}: malformed sampled-function object: {e}") from None
+    except ValueError as e:
+        raise InputError(f"{path}: {e}") from None
 
 
 def _load_matrix(path: str):

@@ -59,22 +59,17 @@ def _omega_kernel(n: int, freq_step: float) -> np.ndarray:
     return col
 
 
-def lattice_omega_apply(f: SampledFunction, conjugate: bool = False) -> SampledFunction:
-    """Apply the lattice surrogate of multiplication by omega (or conj(omega)).
+def lattice_omega_apply(f: SampledFunction) -> SampledFunction:
+    """Apply the lattice surrogate of multiplication by omega.
 
     The spectrum (in ascending frequency order) is convolved with the
-    Blaschke column; the conjugate variant is the exact adjoint, a correlation
-    against the same column.  The column decays geometrically, so the lattice
-    top never feeds back around: the action agrees with the semi-infinite
+    Blaschke column.  The column decays geometrically, so the lattice top
+    never feeds back around: the action agrees with the semi-infinite
     operator to underflow.
     """
     spec = fft_spectrum(f)
     n = f.grid.count
-    col = _omega_kernel(n, f.grid.freq_step)
-    if conjugate:
-        out = np.convolve(spec.values, col[::-1])[n - 1:]
-    else:
-        out = np.convolve(spec.values, col)[:n]
+    out = np.convolve(spec.values, _omega_kernel(n, f.grid.freq_step))[:n]
     return inverse_spectrum(SampledFunction(spec.grid, out), start=f.grid.start)
 
 

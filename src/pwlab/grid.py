@@ -192,7 +192,7 @@ def lattice_sum(coeffs, xi0: float, dxi: float, x) -> np.ndarray:
     as a (Q, B) array, and a row sum.  Exact up to rounding; no parameters.
     """
     c = np.asarray(coeffs, dtype=complex)
-    x = np.asarray(x, dtype=complex).ravel()
+    x = np.asarray(x, dtype=float).ravel()
     n = len(c)
     lo = next(d for d in range(math.isqrt(n), 0, -1) if n % d == 0)
     B = lo if math.sqrt(n) - lo <= n // lo - math.sqrt(n) else n // lo
@@ -203,7 +203,7 @@ def lattice_sum(coeffs, xi0: float, dxi: float, x) -> np.ndarray:
 
 
 def evaluate_offgrid(f: SampledFunction, x) -> np.ndarray:
-    """Evaluate the trigonometric interpolant of f at arbitrary (complex) x.
+    """Evaluate the trigonometric interpolant of f at arbitrary real x.
 
     The interpolant is the band-limited extension determined by the DFT
     lattice: f(x) = dxi * sum_j S_j exp(2 pi i xi_j x).  Grid points return
@@ -213,11 +213,11 @@ def evaluate_offgrid(f: SampledFunction, x) -> np.ndarray:
     matrix product (zgemm) for an n-point grid, instead of m*n exponentials.
     """
     g = f.grid
-    x = np.asarray(x, dtype=complex)
+    x = np.asarray(x, dtype=float)
     xv = np.atleast_1d(x)
-    k = (xv.real - g.start) / g.step
+    k = (xv - g.start) / g.step
     kr = np.rint(k)
-    on = (xv.imag == 0) & (np.abs(k - kr) < 1e-9) & (kr >= 0) & (kr < g.count)
+    on = (np.abs(k - kr) < 1e-9) & (kr >= 0) & (kr < g.count)
     out = np.empty(len(xv), dtype=complex)
     out[on] = f.values[kr[on].astype(int)]
     if not on.all():

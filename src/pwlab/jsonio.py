@@ -16,10 +16,8 @@ written as their tolist().
 from __future__ import annotations
 
 import json
-import math
-from functools import reduce
+import reprlib
 from itertools import chain
-from operator import getitem
 
 import numpy as np
 
@@ -125,59 +123,78 @@ def grid_to_dict(g: Grid) -> dict:
     return {"start": g.start, "step": g.step, "count": g.count}
 
 
-def number_field(d: dict, name: str, default=None, cast=float, *, owner: str):
-    """d[name] (or the default when absent) converted by cast; a value that is
-    not a JSON number (a null, a boolean, a string), non-finite, too large or,
-    for cast=int, not integral is a ValueError naming the field."""
-    value = d[name] if default is None else d.get(name, default)
-    try:
-        # math.isfinite refuses strings and null, but takes a boolean
-        ok = (not isinstance(value, bool) and math.isfinite(value)
-              and abs(value) <= MAX_MAGNITUDE)
-    except (TypeError, OverflowError):
-        ok = False
-    if not ok:
-        raise ValueError(f"{owner} field {name!r} must be a finite number of "
-                         f"magnitude at most {MAX_MAGNITUDE:g}, got {value!r}")
-    if cast is int and value % 1:
-        raise ValueError(f"{owner} field {name!r} must be an integer, got {value!r}")
-    return cast(value)
-
-
-def bounded(arr: np.ndarray) -> np.ndarray:
-    """Elementwise: finite and of magnitude at most MAX_MAGNITUDE."""
-    return np.abs(arr) <= MAX_MAGNITUDE
-
-
 def _is_number(t: type) -> bool:
     return issubclass(t, (int, float, np.number)) and t is not bool
 
 
-def first_non_number(tree, shape: tuple):
-    """(index, value) of the first value in `tree`, nested lists of `shape`
-    that np.asarray read with dtype=float, that is not a number: a boolean,
-    which it reads as 0 or 1, a string, which it reads as the number it
-    spells, or null; None if there is none.  The values' types are gathered
-    at C speed; only a tree holding another type is walked entry by entry."""
-    values = tree
-    for _ in shape[1:]:
-        values = chain.from_iterable(values)
-    if all(map(_is_number, set(map(type, values)))):
-        return None
-    return next((i, v) for i in np.ndindex(shape)
-                if not _is_number(type(v := reduce(getitem, i, tree))))
+def _fits(value, cast) -> bool:
+    """The rule for one number of a file: a JSON number (not a boolean, a
+    string or null) of magnitude at most MAX_MAGNITUDE, so finite, and
+    integral for cast=int."""
+    return (_is_number(type(value)) and abs(value) <= MAX_MAGNITUDE
+            and not (cast is int and value % 1))
+
+
+def _first_bad(tree, cast, ndim: int, shape: list, at: tuple = ()):
+    """(index, value, what it must be) of the first entry, depth first, of
+    `tree`, nested lists with ndim axes, that breaks the rule: a leaf `_fits`
+    refuses, or a list that is empty or not as long as the first list at its
+    depth; None if there is none."""
+    depth = len(at)
+    if depth == ndim:
+        return None if _fits(tree, cast) else (
+            at, tree, f"{'an integer' if cast is int else 'a number'} of "
+                      f"magnitude at most {MAX_MAGNITUDE:g}")
+    known = depth < len(shape)
+    if not isinstance(tree, list) or not tree or known and len(tree) != shape[depth]:
+        return at, tree, f"a list of {shape[depth]} entries" if known else "a nonempty list"
+    if not known:
+        shape.append(len(tree))
+    for i, t in enumerate(tree):
+        if found := _first_bad(t, cast, ndim, shape, (*at, i)):
+            return found
+    return None
+
+
+def number(obj: dict, name: str, default=None, cast=float, *, owner: str,
+           ndim: int = 0):
+    """obj[name], or the default when it is absent, read by `_fits`' rule and
+    converted by cast; with ndim > 0, nested lists with ndim axes read as a
+    float array.  The first problem, a missing field, a wrong shape or a bad
+    value, is a ValueError "{owner} field 'name'[ entry [i, ...]] must be ...,
+    got v".  A valid array is not walked entry by entry: np.asarray reads it,
+    and its values' types, which np.asarray would read from a boolean or a
+    string, are gathered at C speed."""
+    if name not in obj:
+        if default is None:
+            raise ValueError(f"{owner} field {name!r} is missing")
+        return default
+    value = obj[name]
+    if ndim == 0 and _fits(value, cast):
+        return cast(value)
+    if ndim:
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            arr = None
+        if arr is not None and arr.ndim == ndim and np.all(np.abs(arr) <= MAX_MAGNITUDE):
+            values = value
+            for _ in range(ndim - 1):
+                values = chain.from_iterable(values)
+            if all(map(_is_number, set(map(type, values)))):
+                return arr
+    at, bad, wanted = _first_bad(value, cast, ndim, [])
+    entry = f" entry {list(at)}" if at else ""
+    raise ValueError(f"{owner} field {name!r}{entry} must be {wanted}, "
+                     f"got {reprlib.repr(bad)}")
 
 
 def grid_from_dict(d: dict) -> Grid:
     """Grid from its JSON object; a malformed field is a ValueError naming it."""
     if not isinstance(d, dict):
         raise ValueError(f"field 'grid' must be an object, got {d!r}")
-    for name in ("start", "step", "count"):
-        if name not in d:
-            raise ValueError(f"grid object missing field {name!r}")
-    return Grid(number_field(d, "start", owner="grid"),
-                number_field(d, "step", owner="grid"),
-                number_field(d, "count", cast=int, owner="grid"))
+    return Grid(number(d, "start", owner="grid"), number(d, "step", owner="grid"),
+                number(d, "count", cast=int, owner="grid"))
 
 
 def function_to_dict(f: SampledFunction) -> dict:
@@ -188,24 +205,9 @@ def function_to_dict(f: SampledFunction) -> dict:
 
 
 def function_from_dict(d: dict) -> SampledFunction:
-    for field in ("grid", "values"):
-        if field not in d:
-            raise ValueError(f"sampled function object missing field {field!r}")
-    g = grid_from_dict(d["grid"])
-    try:
-        pairs = np.asarray(d["values"], dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        pairs = None
-    if pairs is None or pairs.ndim != 2 or pairs.shape[1] != 2:
-        raise ValueError("field 'values' must be a list of [re, im] pairs")
-    rows = ~np.all(bounded(pairs), axis=1)
-    found = first_non_number(d["values"], pairs.shape)
-    if found:
-        rows[found[0][0]] = True
-    bad = np.flatnonzero(rows)
-    if len(bad):
-        # name the entry rather than the array
-        raise ValueError(f"field 'values' entry {bad[0]} must be two finite "
-                         f"numbers of magnitude at most {MAX_MAGNITUDE:g}, "
-                         f"got {d['values'][bad[0]]!r}")
+    g = grid_from_dict(d.get("grid"))
+    pairs = number(d, "values", owner="sampled function", ndim=2)
+    if pairs.shape[1] != 2:
+        raise ValueError(f"sampled function field 'values' must be a list of "
+                         f"[re, im] pairs, got shape {pairs.shape}")
     return SampledFunction(g, pairs[:, 0] + 1j * pairs[:, 1])

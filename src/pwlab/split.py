@@ -24,7 +24,6 @@ from .grid import (Grid, SampledFunction, energy_fraction, evaluate_offgrid,
                    symmetric_grid)
 from .pwspace import holder_conjugate, sinc_kernel, sinc_profile
 from .symbols import SymbolSpec, samples, sampled_symbol
-from .toeplitz import operator_norm_certified
 
 BUMP_NAMES = ("L", "C", "R")
 DECAY_TOL = 1e-8       # split_symbol warns when its spectral edge exceeds this of the peak
@@ -141,6 +140,7 @@ def jensen_certificate(m_full, m_parts: dict, l1_norms: dict) -> dict:
     comparison is fair at every p).  Returns {name: (norm, bound)}; each
     bound carries a 1e-3 relative slack, and the caller compares the two.
     """
+    from .toeplitz import operator_norm_certified   # `pwlab split` needs no matrices
     norm_full = operator_norm_certified(m_full)["lower"]
     return {name: (operator_norm_certified(m_parts[name])["lower"],
                    l1_norms[name] * norm_full * (1.0 + 1e-3))

@@ -161,7 +161,7 @@ def point_values(sym: SymbolSpec, x) -> np.ndarray:
         inside = (x >= g.start) & (x <= g.start + (g.count - 1) * g.step)
         out = np.zeros(x.shape, dtype=complex)
         if np.any(inside):
-            out[inside] = evaluate_offgrid(f, x[inside].astype(complex))
+            out[inside] = evaluate_offgrid(f, x[inside])
         return out
     lo, hi = sym.spectral_support
     n = 4096
@@ -185,55 +185,51 @@ def to_dict(sym: SymbolSpec) -> dict:
     return d
 
 
-_number = functools.partial(jsonio.number_field, owner="symbol")
+_number = functools.partial(jsonio.number, owner="symbol")
 
 
 def _support(d: dict) -> tuple | None:
-    """The optional 'support' field: two finite numbers lo <= hi."""
+    """The optional 'support' field: two numbers lo <= hi."""
     if "support" not in d:
         return None
-    sup = d["support"]
-    if isinstance(sup, list) and len(sup) == 2:
-        lo, hi = (_number({"support": v}, "support") for v in sup)
-        if lo <= hi:
-            return (lo, hi)
-    raise ValueError(f"symbol field 'support' must be two finite numbers "
-                     f"[lo, hi] with lo <= hi, got {sup!r}")
+    sup = _number(d, "support", ndim=1).tolist()
+    if len(sup) != 2 or sup[0] > sup[1]:
+        raise ValueError(f"symbol field 'support' must be two numbers [lo, hi] "
+                         f"with lo <= hi, got {sup!r}")
+    return tuple(sup)
 
 
 def from_dict(d: dict) -> SymbolSpec:
     if "kind" not in d:
-        raise ValueError("symbol object missing field 'kind'")
+        raise ValueError("symbol field 'kind' is missing")
     kind = d["kind"]
-    try:
-        if kind == "gaussian":
-            return gaussian_symbol(amp=_number(d, "amp", 1.0),
-                                   width=_number(d, "width", 1.0),
-                                   shift=_number(d, "shift", 0.0),
-                                   mod=_number(d, "mod", 0.0))
-        if kind == "mod_poly":
-            return mod_poly_symbol(degree=_number(d, "degree", cast=int),
-                                   mod=_number(d, "mod"),
-                                   amp=_number(d, "amp", 1.0))
-        if kind == "sampled":
-            if not isinstance(d["fun"], dict):
-                raise ValueError(f"symbol field 'fun' must be a sampled-function "
-                                 f"object, got {d['fun']!r}")
-            try:
-                fun = jsonio.function_from_dict(d["fun"])
-            except ValueError as e:
-                raise ValueError(f"symbol field 'fun': {e}") from None
-            return sampled_symbol(fun, _support(d))
-        if kind == "bump_spectrum":
-            seed, hermitian = d.get("seed"), d.get("hermitian", False)
-            if not isinstance(hermitian, bool):
-                raise ValueError(f"symbol field 'hermitian' must be true or "
-                                 f"false, got {hermitian!r}")
-            return bump_spectrum_symbol(_number(d, "lo"), _number(d, "hi"),
-                                        amp=_number(d, "amp", 1.0),
-                                        seed=None if seed is None
-                                        else _number(d, "seed", cast=int),
-                                        hermitian=hermitian)
-    except KeyError as e:
-        raise ValueError(f"symbol kind {kind!r} missing field {e.args[0]!r}") from None
+    if kind == "gaussian":
+        return gaussian_symbol(amp=_number(d, "amp", 1.0),
+                               width=_number(d, "width", 1.0),
+                               shift=_number(d, "shift", 0.0),
+                               mod=_number(d, "mod", 0.0))
+    if kind == "mod_poly":
+        return mod_poly_symbol(degree=_number(d, "degree", cast=int),
+                               mod=_number(d, "mod"),
+                               amp=_number(d, "amp", 1.0))
+    if kind == "sampled":
+        fun = d.get("fun")
+        if not isinstance(fun, dict):
+            raise ValueError(f"symbol field 'fun' must be a sampled-function "
+                             f"object, got {fun!r}")
+        try:
+            fun = jsonio.function_from_dict(fun)
+        except ValueError as e:
+            raise ValueError(f"symbol field 'fun': {e}") from None
+        return sampled_symbol(fun, _support(d))
+    if kind == "bump_spectrum":
+        seed, hermitian = d.get("seed"), d.get("hermitian", False)
+        if not isinstance(hermitian, bool):
+            raise ValueError(f"symbol field 'hermitian' must be true or "
+                             f"false, got {hermitian!r}")
+        return bump_spectrum_symbol(_number(d, "lo"), _number(d, "hi"),
+                                    amp=_number(d, "amp", 1.0),
+                                    seed=None if seed is None
+                                    else _number(d, "seed", cast=int),
+                                    hermitian=hermitian)
     raise ValueError(f"unknown symbol kind {kind!r}")

@@ -41,8 +41,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import (Grid, SampledFunction, energy_fraction, fft_spectrum,
                    inverse_spectrum, lattice_phase)
-from .jsonio import (MAX_MAGNITUDE, bounded, first_non_number, grid_from_dict,
-                     grid_to_dict, number_field)
+from .jsonio import grid_from_dict, grid_to_dict, number
 from .pwspace import (
     BandlimitedFunction,
     band_mask,
@@ -391,40 +390,17 @@ def matrix_to_dict(M: OperatorMatrix) -> dict:
     return d
 
 
-def _matrix_array(obj: dict, name: str, ndim: int) -> np.ndarray:
-    try:
-        arr = np.asarray(obj[name], dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        arr = None
-    if arr is None or arr.ndim != ndim or not np.all(bounded(arr)):
-        raise ValueError(f"matrix field {name!r} must be a {ndim}-dimensional "
-                         f"array of finite numbers of magnitude at most "
-                         f"{MAX_MAGNITUDE:g}")
-    found = first_non_number(obj[name], arr.shape)
-    if found:
-        raise ValueError(f"matrix field {name!r} entry {list(found[0])} must be "
-                         f"a number, got {found[1]!r}")
-    return arr
-
-
 def matrix_from_dict(d: dict) -> OperatorMatrix:
     """Matrix from its JSON object; a malformed field is a ValueError naming it."""
-    for name in ("band", "p", "basis", "entries"):
-        if name not in d:
-            raise ValueError(f"matrix object missing field {name!r}")
-    basis = d["basis"]
-    if not isinstance(basis, dict):
-        raise ValueError(f"matrix field 'basis' must be an object, got {basis!r}")
-    for name in ("window", "nodes"):
-        if name not in basis:
-            raise ValueError(f"matrix basis missing field {name!r}")
-    band = number_field(d, "band", owner="matrix")
-    p = number_field(d, "p", owner="matrix")
-    window = number_field(basis, "window", owner="matrix")
+    band, p = (number(d, name, owner="matrix") for name in ("band", "p"))
     if band <= 0.0:
         raise ValueError(f"matrix field 'band' must be positive, got {band}")
-    nodes = _matrix_array(basis, "nodes", 1)
-    raw = _matrix_array(d, "entries", 3)
+    basis = d.get("basis")
+    if not isinstance(basis, dict):
+        raise ValueError(f"matrix field 'basis' must be an object, got {basis!r}")
+    window = number(basis, "window", owner="matrix basis")
+    nodes = number(basis, "nodes", owner="matrix basis", ndim=1)
+    raw = number(d, "entries", owner="matrix", ndim=3)
     n = len(nodes)
     if raw.shape != (n, n, 2):
         raise ValueError(f"matrix field 'entries' must hold {n} x {n} [re, im] "

@@ -20,7 +20,7 @@ from pwlab.symbols import (bump_spectrum_symbol, gaussian_symbol,
                            sampled_symbol)
 from pwlab.toeplitz import (NyquistBasis, OperatorMatrix, identity_matrix,
                             toeplitz_matrix)
-from reference import inner
+from reference import inner, lattice_omega_adjoint
 
 A = 1.0
 W = 64.0  # frame operators need the basis to span the whole grid window
@@ -95,7 +95,7 @@ def test_lattice_omega_adjointness(grid):
     g = SampledFunction(grid, rng.standard_normal(grid.count)
                         + 1j * rng.standard_normal(grid.count))
     lhs = inner(lattice_omega_apply(f), g)
-    rhs = inner(f, lattice_omega_apply(g, conjugate=True))
+    rhs = inner(f, lattice_omega_adjoint(g))
     assert lhs == approx(rhs, rel=1e-12)
 
 

@@ -2,7 +2,8 @@
 or matrix file and run the command that reads it in-process.  Whatever the
 corruption, the command exits 0, 1 or 2 without an escaping exception, and an
 exit 1 prints one `input error:` line naming the corrupted field; a number
-turned into a boolean or a string always exits 1."""
+turned into a boolean or a string always exits 1.  A deterministic sweep puts
+every kind of bad number on every number path."""
 import copy
 import json
 import re
@@ -13,8 +14,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from pwlab import jsonio
 from pwlab.cli import main
 from pwlab.pwspace import default_grid, sinc_kernel
-from pwlab.symbols import (bump_spectrum_symbol, gaussian_symbol, sampled_symbol,
-                           to_dict)
+from pwlab.symbols import (bump_spectrum_symbol, gaussian_symbol, mod_poly_symbol,
+                           sampled_symbol, to_dict)
 from pwlab.toeplitz import matrix_to_dict, toeplitz_matrix
 
 _GRID = default_grid(1.0)
@@ -77,6 +78,29 @@ _CORRUPT = st.one_of(
 )
 
 
+# the files of the sweep, with a mod_poly symbol for its integer degree
+_SWEEP_FILES = {**_FILES, "mod-poly-symbol": (
+    "split", "--symbol", _as_read(to_dict(mod_poly_symbol(2, 0.5, amp=0.5))), [])}
+# (file, path) of every number a loader reads: each scalar field, and one
+# entry of each array field
+_NUMBER_PATHS = [
+    *(("symbol", (name,)) for name in ("amp", "width", "shift", "mod")),
+    *(("mod-poly-symbol", (name,)) for name in ("degree", "mod", "amp")),
+    *(("bump-symbol", (name,)) for name in ("lo", "hi", "amp", "seed")),
+    ("sampled-symbol", ("support", 1)), ("sampled-symbol", ("fun", "values", 7, 0)),
+    *(("sampled-symbol", ("fun", "grid", name)) for name in ("start", "step", "count")),
+    ("function", ("values", 3, 1)),
+    *(("function", ("grid", name)) for name in ("start", "step", "count")),
+    ("matrix", ("band",)), ("matrix", ("p",)), ("matrix", ("basis", "window")),
+    ("matrix", ("basis", "nodes", 3)), ("matrix", ("entries", 2, 5, 0)),
+    *(("matrix", ("grid", name)) for name in ("start", "step", "count")),
+]
+_INTEGER_FIELDS = {"degree", "seed", "count"}
+# a boolean, a numeric string, null, NaN, past MAX_MAGNITUDE as a float and as
+# an integer float() cannot take, and a nested list
+_BAD_NUMBERS = [True, "2", None, float("nan"), 1e308, 10**400, [1, 2]]
+
+
 def _case(kind):
     return st.tuples(st.just(kind), st.sampled_from(_FILES[kind][3]), _CORRUPT)
 
@@ -116,9 +140,34 @@ def test_corrupted_field_exits_cleanly(case, tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("default::UserWarning")   # split warns; main prints it
+@pytest.mark.parametrize("kind, path", _NUMBER_PATHS,
+                         ids=["-".join(map(str, (k, *p))) for k, p in _NUMBER_PATHS])
+def test_every_bad_number_on_every_path_exits_one(kind, path, tmp_path, capsys):
+    command, flag, valid, _ = _SWEEP_FILES[kind]
+    field = max(i for i, key in enumerate(path) if isinstance(key, str))
+    entry = f" entry {list(path[field + 1:])}" if path[field + 1:] else ""
+    named = f"'{path[field]}'{entry} must be "
+    values = _BAD_NUMBERS + [2.5] * (path[field] in _INTEGER_FIELDS)
+    if path == ("seed",):
+        values.remove(None)       # a null seed is no seed
+    for value in values:
+        doc = copy.deepcopy(valid)
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(doc))
+        code = main([command, flag, str(src), "--out", str(tmp_path / "out.json")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert code == 1 and len(lines) == 1, (value, lines)
+        assert lines[0].startswith("input error:") and named in lines[0], (value, lines)
+
+
+@pytest.mark.filterwarnings("default::UserWarning")   # split warns; main prints it
 def test_uncorrupted_files_exit_zero(tmp_path):
-    # so that every exit 1 in the fuzz test comes from the corruption
-    for kind, (command, flag, valid, _) in _FILES.items():
+    # so that every exit 1 in the fuzz test and the sweep comes from the corruption
+    for kind, (command, flag, valid, _) in _SWEEP_FILES.items():
         src = tmp_path / f"{kind}.json"
         src.write_text(json.dumps(valid))
         assert main([command, flag, str(src),

@@ -164,18 +164,33 @@ def _defaulted_parameters(tree: ast.Module) -> list:
     return out
 
 
+def _called(func: ast.expr):
+    return getattr(func, "id", getattr(func, "attr", None))
+
+
 def _call_shapes(trees: list) -> dict:
     """Called name -> [(number of positional arguments, keyword names)] over
-    every call by name or attribute; a call with *args or **kwargs could pass
-    anything and is left out."""
+    every call by name or attribute.  A call of an `alias = functools.partial(
+    f, ...)` is a call of f with the partial's arguments in front; a call with
+    *args or **kwargs could pass anything and is left out."""
+    aliases = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                    and _called(node.value.func) == "partial"):
+                fn, *args = node.value.args
+                for target in node.targets:
+                    aliases[target.id] = (_called(fn), len(args),
+                                          {k.arg for k in node.value.keywords})
     shapes = {}
     for tree in trees:
         for node in ast.walk(tree):
             if (isinstance(node, ast.Call) and all(k.arg for k in node.keywords)
                     and not any(isinstance(x, ast.Starred) for x in node.args)):
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                name, n, keywords = aliases.get(_called(node.func),
+                                                (_called(node.func), 0, set()))
                 shapes.setdefault(name, []).append(
-                    (len(node.args), {k.arg for k in node.keywords}))
+                    (n + len(node.args), keywords | {k.arg for k in node.keywords}))
     return shapes
 
 
@@ -186,20 +201,38 @@ def _never_omitted(tree: ast.Module, shapes: dict) -> list:
                        for n, keywords in shapes.get(name.rsplit(".", 1)[-1], []))]
 
 
+def _never_set(tree: ast.Module, shapes: dict) -> list:
+    """The defaults of tree's functions that no call in shapes sets."""
+    return [f"{name}({param})" for name, param, at in _defaulted_parameters(tree)
+            if not any(param in keywords or (at is not None and n > at)
+                       for n, keywords in shapes.get(name.rsplit(".", 1)[-1], []))]
+
+
 # functions whose signature a caller outside pwlab fixes: warnings.showwarning
 # passes file and line only when it has them
 FIXED_SIGNATURES = {"cli._show_warning"}
 
 
-def test_every_default_is_omitted_by_a_caller():
-    # a default that every caller outside the tests overrides serves only the
-    # tests: the parameter is required
+def _unserved_defaults(unserved) -> list:
+    """unserved(tree, shapes) over the package modules, against the calls
+    outside the tests."""
     shapes = _call_shapes(_callers())
     trees = {name: ast.parse((SRC / f"{name}.py").read_text()) for name in MODULES}
     assert sum(len(_defaulted_parameters(tree)) for tree in trees.values()) > 30
-    assert [f"{name}.{q}" for name, tree in trees.items()
-            for q in _never_omitted(tree, shapes)
-            if f"{name}.{q.split('(')[0]}" not in FIXED_SIGNATURES] == []
+    return [f"{name}.{q}" for name, tree in trees.items() for q in unserved(tree, shapes)
+            if f"{name}.{q.split('(')[0]}" not in FIXED_SIGNATURES]
+
+
+def test_every_default_is_omitted_by_a_caller():
+    # a default that every caller outside the tests overrides serves only the
+    # tests: the parameter is required
+    assert _unserved_defaults(_never_omitted) == []
+
+
+def test_every_default_is_set_by_a_caller():
+    # a default that no caller outside the tests overrides is a constant: the
+    # parameter, and any branch it selects, serve only the tests
+    assert _unserved_defaults(_never_set) == []
 
 
 def test_default_detector_flags_a_default_every_caller_passes():
@@ -214,6 +247,19 @@ def test_default_detector_flags_a_default_every_caller_passes():
         ("_helper", "n", 0), ("Frame.apply", "p", 1), ("Frame.size", "k", 0)]
     assert _never_omitted(tree, _call_shapes([tree])) == [
         "solve(M)", "solve(seed)", "_helper(n)", "Frame.size(k)"]
+    assert _never_set(tree, _call_shapes([tree])) == [
+        "solve(tol)", "_helper(n)", "Frame.apply(p)"]
+
+
+def test_default_detector_reads_a_call_through_a_partial():
+    tree = ast.parse("import functools\n"
+                     "def read(d, name, default=None, *, owner, ndim=0):\n    return d\n"
+                     "_read = functools.partial(read, owner='x')\n"
+                     "_first = functools.partial(read, {}, 'a')\n"
+                     "def run(d):\n    _read(d, 'b', 1.0)\n    _first(ndim=1)\n")
+    shapes = _call_shapes([tree])
+    assert sorted(shapes["read"]) == [(2, {"ndim"}), (3, {"owner"})]
+    assert _never_set(tree, shapes) == _never_omitted(tree, shapes) == []
 
 
 def test_caller_detector_skips_a_same_named_local():

@@ -131,6 +131,12 @@ def test_riesz_constant_is_one_at_two():
     assert riesz_constant_estimate(2.0) == 1.0
 
 
+@pytest.mark.parametrize("p", [1.0, np.inf, np.nan])
+def test_riesz_constant_rejects_p_outside_open_range(p):
+    with pytest.raises(ValueError, match="p must be in"):
+        riesz_constant_estimate(p)
+
+
 def test_riesz_constant_grows_away_from_two():
     a2 = riesz_constant_estimate(2.0)
     assert riesz_constant_estimate(1.5) > a2

@@ -15,7 +15,7 @@ from pwlab.toeplitz import (MAX_BASIS_NODES, NyquistBasis, OperatorMatrix,
                             identity_matrix, identity_residuals, matrix_from_dict,
                             matrix_pnorm, matrix_to_dict, operator_norm_certified,
                             toeplitz_apply, toeplitz_matrix)
-from reference import inner
+from reference import inner, lattice_omega_adjoint
 
 A = 1.0
 
@@ -149,7 +149,8 @@ def _omega_case(conjugate):
         frame = build_frame(A, 2.0, default_grid(A, 8.0))
         ops = lambda_ops(frame)
         return (ops.lam_bar if conjugate else ops.lam, frame.basis,
-                lambda v: project_band(lattice_omega_apply(v.fun, conjugate), A))
+                lambda v: project_band((lattice_omega_adjoint if conjugate else
+                                        lattice_omega_apply)(v.fun), A))
     return build
 
 
