@@ -13,6 +13,7 @@ still written).
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
@@ -56,56 +57,56 @@ def tolerances(command: str) -> dict:
             "recover-symbol": {"roundtrip": 1e-3}}.get(command, {})
 
 
-# the settings shared by several commands; each command adds the ones it reads
-_FLAGS = {
-    "band": dict(type=float, default=DEFAULT_BAND, help="band radius a"),
-    "p": dict(type=float, default=2.0, help="Lebesgue exponent"),
-    "oversample": dict(type=int, default=DEFAULT_OVERSAMPLE,
-                       help="samples per Nyquist interval"),
-    "window": dict(type=float, default=DEFAULT_WINDOW, help="grid half-width"),
-    "seed": dict(type=int, default=42),
-}
+def _lib(module: str):
+    """pwlab.<module>, imported when a command whose flags read it is parsed."""
+    return importlib.import_module(f"{__package__}.{module}")
 
 
-def _truncation_range() -> tuple:
-    from .nehari import MAX_TRUNCATION    # only the commands that run nehari have the flag
-    return (lambda v: 1 <= v <= MAX_TRUNCATION, f"must lie in [1, {MAX_TRUNCATION}]")
-
-
-# (must hold, requirement), or the function that reads one, for the numeric
-# flags and a matrix file's p
+# (must hold, requirement)
 _POSITIVE = (lambda v: 0.0 < v < math.inf, "must be positive and finite")
-_RANGES = {
-    "band": _POSITIVE, "window": _POSITIVE, "basis_window": _POSITIVE,
-    "p": (lambda v: 1.0 < v < math.inf, "must lie in (1, inf)"),
-    "oversample": (lambda v: v >= 4, "must be at least 4"),
-    "truncation": _truncation_range,
-    "seed": (lambda v: v >= 0, "must be non-negative"),
+
+# every flag but --tol and --out: its argparse settings, a default the library
+# owns as a function that reads it, and a range rule (must hold, requirement),
+# checked in this order (p's also checks a matrix file's p); a requirement
+# naming a library bound is a function
+_FLAGS = {
+    "input": dict(required=True, help="sampled-function JSON"),
+    "symbol": dict(required=True, help="symbol JSON"),
+    "matrix": dict(required=True, help="operator-matrix JSON"),
+    "band": dict(type=float, default=DEFAULT_BAND, help="band radius a",
+                 rule=_POSITIVE),
+    "window": dict(type=float, default=DEFAULT_WINDOW, help="grid half-width",
+                   rule=_POSITIVE),
+    "basis-window": dict(type=float, rule=_POSITIVE,
+                         default=lambda: _lib("toeplitz").DEFAULT_BASIS_WINDOW),
+    "p": dict(type=float, default=2.0, help="Lebesgue exponent",
+              rule=(lambda v: 1.0 < v < math.inf, "must lie in (1, inf)")),
+    "oversample": dict(type=int, default=DEFAULT_OVERSAMPLE,
+                       help="samples per Nyquist interval",
+                       rule=(lambda v: v >= 4, "must be at least 4")),
+    "truncation": dict(type=int, default=lambda: _lib("nehari").DEFAULT_TRUNCATION,
+                       rule=(lambda v: 1 <= v <= _lib("nehari").MAX_TRUNCATION,
+                             lambda: f"must lie in [1, {_lib('nehari').MAX_TRUNCATION}]")),
+    "seed": dict(type=int, default=42,
+                 rule=(lambda v: v >= 0, "must be non-negative")),
+    "margin": dict(type=float, help="half-band of the target (default 0.9*band)"),
+    "summary": dict(action="store_true", help="omit the pair list from the output"),
+    "emit-bumps": dict(action="store_true",
+                       help="also write the cutoff profiles to bumps.csv beside --out"),
 }
 
 
 def _check(name: str, value) -> None:
-    rule = _RANGES[name]
-    holds, requirement = rule() if callable(rule) else rule
+    holds, requirement = _FLAGS[name]["rule"]
     if not holds(value):
-        raise InputError(f"{name.replace('_', '-')}: {requirement}, got {value}")
+        if callable(requirement):
+            requirement = requirement()
+        raise InputError(f"{name}: {requirement}, got {value}")
 
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise InputError(message)
-
-
-def _add_flags(sub, command: str, *names: str) -> None:
-    for name in names:
-        sub.add_argument("--" + name, **_FLAGS[name])
-    tols = tolerances(command)
-    if tols:
-        listed = ", ".join(f"{k} (default {v:g})" for k, v in tols.items())
-        sub.add_argument("--tol", action="append", default=[],
-                         metavar="NAME=VALUE",
-                         help=f"override a named tolerance: {listed}")
-    sub.add_argument("--out", default=None, help="output JSON path")
 
 
 def _tols(args) -> dict:
@@ -133,7 +134,9 @@ def _grid(args, window_flag: str = "window", basis: bool = False):
     refused, and for a Nyquist basis also one that puts a fractional number of
     bins in the band, naming the band if the number would be whole at band 1,
     else window_flag.  A grid `grid_count` refuses names all three flags, whose
-    product sets the count."""
+    product sets the count.  The Nyquist basis of --basis-window then needs the
+    node count `nyquist_indices` allows and a grid (--window) that spans it,
+    and with it every node; all checked before sizing."""
     units = [(2.0 * args.oversample * args.window, "is {:g} grid steps")]
     if basis:
         units.append((4.0 * args.window, "puts {:g} bins in the band"))
@@ -144,76 +147,56 @@ def _grid(args, window_flag: str = "window", basis: bool = False):
             raise InputError(f"{name}: the grid half-width {args.window} "
                              f"{what.format(count)}, not a whole number")
     try:
-        return default_grid(args.band, args.window, args.oversample)
+        grid = default_grid(args.band, args.window, args.oversample)
     except ValueError as e:
         raise InputError(f"band, {window_flag}, oversample: {e}") from None
-
-
-def _check_basis_window(args) -> None:
-    """The Nyquist basis of --basis-window needs the node count
-    `nyquist_indices` allows and a grid (--window) that spans it, and with it
-    every node (see `_grid`); checked before sizing."""
-    from .toeplitz import nyquist_indices
-    try:
-        nyquist_indices(args.band, args.basis_window)
-    except ValueError as e:
-        raise InputError(f"basis-window: {e}") from None
-    if args.basis_window > args.window + 1e-9:
-        raise InputError(f"window: the grid half-width {args.window} does not "
-                         f"hold the basis window {args.basis_window}")
+    if basis:
+        from .toeplitz import nyquist_indices
+        try:
+            nyquist_indices(args.band, args.basis_window)
+        except ValueError as e:
+            raise InputError(f"basis-window: {e}") from None
+        if args.basis_window > args.window + 1e-9:
+            raise InputError(f"window: the grid half-width {args.window} does not "
+                             f"hold the basis window {args.basis_window}")
+    return grid
 
 
 # -- I/O helpers ---------------------------------------------------------------
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, read, unwrap=None):
+    """read() of the JSON object in the file at path, passed through unwrap
+    first when one is given; every refusal names the file."""
     try:
         with open(path) as fh:
             d = json.load(fh)
     except OSError as e:
         raise InputError(f"{path}: {e.strerror or e}") from None
-    except json.JSONDecodeError as e:
+    # bad JSON, bytes that are not UTF-8, an integer past Python's digit limit
+    # or arrays nested past the recursion limit
+    except (ValueError, RecursionError) as e:
         raise InputError(f"{path}: invalid JSON: {e}") from None
     if not isinstance(d, dict):
         raise InputError(f"{path}: top-level value must be a JSON object")
-    return d
-
-
-def _load_symbol(path: str):
-    from .symbols import KINDS, from_dict
-    d = _load_json(path)
-    if "kind" not in d and len(d) == 1:
-        kind = next(iter(d))
-        if kind in KINDS:
-            if not isinstance(d[kind], dict):
-                raise InputError(f"{path}: field {kind!r} must hold an object")
-            d = {"kind": kind, **d[kind]}
     try:
-        return from_dict(d)
+        return read(unwrap(d) if unwrap else d)
     except ValueError as e:
         raise InputError(f"{path}: {e}") from None
 
 
-def _load_function(path: str) -> SampledFunction:
-    d = _load_json(path)
-    try:
-        return jsonio.function_from_dict(d)
-    except ValueError as e:
-        raise InputError(f"{path}: {e}") from None
+def _flat_symbol(d: dict) -> dict:
+    """A wrapped symbol {kind: {...}} as the flat {"kind": kind, ...}."""
+    from .symbols import KINDS
+    if "kind" in d or len(d) != 1 or next(iter(d)) not in KINDS:
+        return d
+    kind = next(iter(d))
+    return {"kind": kind, **jsonio.member(d, kind, owner="symbol")}
 
 
-def _load_matrix(path: str):
-    """A matrix file, or `toeplitz`'s output file through its `matrix` member."""
-    from .toeplitz import matrix_from_dict
-    d = _load_json(path)
-    if "matrix" in d:
-        if not isinstance(d["matrix"], dict):
-            raise InputError(f"{path}: field 'matrix' must hold an object")
-        d = d["matrix"]
-    try:
-        return matrix_from_dict(d)
-    except ValueError as e:
-        raise InputError(f"{path}: {e}") from None
+def _matrix_member(d: dict) -> dict:
+    """The matrix of `toeplitz`'s output file, or a matrix file as it is."""
+    return jsonio.member(d, "matrix", owner="toeplitz output") if "matrix" in d else d
 
 
 def _out_paths(args) -> list:
@@ -266,11 +249,19 @@ def _write(args, payload: dict, csv_rows, csv_header) -> None:
     print(f"wrote {out_path} and {csv_path}")
 
 
+def _verdict(ok: bool, why: str) -> int:
+    """EXIT_OK, or EXIT_CERT after a `certificate failure: why` line."""
+    if ok:
+        return EXIT_OK
+    print(f"certificate failure: {why}", file=sys.stderr)
+    return EXIT_CERT
+
+
 # -- commands ------------------------------------------------------------------
 
 
 def cmd_project(args) -> int:
-    f = _load_function(args.input)
+    f = _load(args.input, jsonio.function_from_dict)
     removed = band_residual(f, args.band)
     bl = project_band(f, args.band, args.p)
     payload = {
@@ -284,13 +275,13 @@ def cmd_project(args) -> int:
 
 
 def cmd_toeplitz(args) -> int:
+    from .symbols import from_dict
     from .toeplitz import matrix_to_dict, operator_norm_certified, toeplitz_matrix
     flag = "window"
     if args.window is None:
         args.window, flag = args.basis_window, "basis-window"
     grid = _grid(args, flag, basis=True)
-    _check_basis_window(args)
-    sym = _load_symbol(args.symbol)
+    sym = _load(args.symbol, from_dict, _flat_symbol)
     T = toeplitz_matrix(sym, args.band, args.p, args.basis_window, grid)
     norms = operator_norm_certified(T)
     payload = {
@@ -307,8 +298,9 @@ def cmd_toeplitz(args) -> int:
 
 def cmd_split(args) -> int:
     from .split import bump, bump_l1_norms, split_symbol
+    from .symbols import from_dict
     tols = _tols(args)
-    sym = _load_symbol(args.symbol)
+    sym = _load(args.symbol, from_dict, _flat_symbol)
     parts = split_symbol(sym, args.band, _grid(args), decay_tol=tols["decay"])
     l1_norms = bump_l1_norms(args.band)
     payload = {
@@ -332,10 +324,10 @@ def cmd_split(args) -> int:
 
 def cmd_bounded_symbol(args) -> int:
     from .nehari import bounded_symbol
+    from .symbols import from_dict
     tol = _tols(args)["operator_residual"]
     grid = _grid(args, basis=True)
-    _check_basis_window(args)
-    sym = _load_symbol(args.symbol)
+    sym = _load(args.symbol, from_dict, _flat_symbol)
     res = bounded_symbol(sym, args.band, M=args.truncation, grid=grid,
                          window=args.basis_window)
     cert = res.certificate(args.p)
@@ -352,17 +344,15 @@ def cmd_bounded_symbol(args) -> int:
     _write(args, payload,
            [[res.sup_norm, cert["operator_residual"], cert["ratio"], cert["c_meas"]]],
            ["sup_norm", "operator_residual", "ratio", "c_meas"])
-    if not ok:
-        print(f"certificate failure: operator residual "
-              f"{cert['operator_residual']:.3e} > {tol:.1e}", file=sys.stderr)
-        return EXIT_CERT
-    return EXIT_OK
+    return _verdict(ok, f"operator residual {cert['operator_residual']:.3e} "
+                        f"> {tol:.1e}")
 
 
 def cmd_nehari(args) -> int:
     from .nehari import nehari_solve
+    from .symbols import from_dict
     tols = _tols(args)
-    sym = _load_symbol(args.symbol)
+    sym = _load(args.symbol, from_dict, _flat_symbol)
     res = nehari_solve(sym, args.band, args.p, M=args.truncation,
                        grid=_grid(args))
     moment_ok = res.moment_residual <= tols["moment"] * res.sigma0
@@ -384,17 +374,14 @@ def cmd_nehari(args) -> int:
     _write(args, payload,
            [[res.sigma0, res.hankel_norm, res.moment_residual, res.sup_norm]],
            ["sigma0", "hankel_norm", "moment_residual", "sup_norm"])
-    if not (moment_ok and sup_ok):
-        print("certificate failure: minimal completion did not meet "
-              "moment/sup bounds", file=sys.stderr)
-        return EXIT_CERT
-    return EXIT_OK
+    return _verdict(moment_ok and sup_ok,
+                    "minimal completion did not meet moment/sup bounds")
 
 
 def cmd_factorize(args) -> int:
     from .factorize import sinc_atom, weak_factorize
     tols = _tols(args)
-    f = _load_function(args.input)
+    f = _load(args.input, jsonio.function_from_dict)
     margin = args.margin if args.margin is not None else 0.9 * args.band
     if not 0.0 < margin < args.band:
         raise InputError(f"margin: must lie in (0, band), got {margin}")
@@ -441,11 +428,7 @@ def cmd_factorize(args) -> int:
     _write(args, payload,
            [[len(F), F.nuclear_sum, F.residual_sup, F.residual_l1]],
            ["n_pairs", "nuclear_sum", "residual_sup", "residual_l1"])
-    if not ok:
-        print("certificate failure: reconstruction residual exceeded the "
-              "requested bound", file=sys.stderr)
-        return EXIT_CERT
-    return EXIT_OK
+    return _verdict(ok, "reconstruction residual exceeded the requested bound")
 
 
 def _frame_for(args, T):
@@ -468,8 +451,9 @@ def _frame_for(args, T):
 
 def cmd_commutator_test(args) -> int:
     from .commutator import commutator_test
+    from .toeplitz import matrix_from_dict
     tol = _tols(args)["deviation"]
-    T = _load_matrix(args.matrix)
+    T = _load(args.matrix, matrix_from_dict, _matrix_member)
     deviation = commutator_test(T, _frame_for(args, T), seed=args.seed)
     verdict = deviation <= tol
     payload = {"is_toeplitz": verdict, "deviation": deviation,
@@ -482,8 +466,9 @@ def cmd_commutator_test(args) -> int:
 
 def cmd_recover_symbol(args) -> int:
     from .commutator import recover_symbol, recovery_roundtrip
+    from .toeplitz import matrix_from_dict
     tol = _tols(args)["roundtrip"]
-    T = _load_matrix(args.matrix)
+    T = _load(args.matrix, matrix_from_dict, _matrix_member)
     if T.p != 2.0:
         raise InputError(f"matrix p: symbol recovery needs p = 2, got {T.p}")
     rec = recover_symbol(T, _frame_for(args, T))
@@ -497,11 +482,7 @@ def cmd_recover_symbol(args) -> int:
     }
     _write(args, payload,
            [[rt, tol]], ["roundtrip_residual", "threshold"])
-    if rt > tol:
-        print(f"certificate failure: symbol round-trip residual {rt:.3e} "
-              f"> {tol:.1e}", file=sys.stderr)
-        return EXIT_CERT
-    return EXIT_OK
+    return _verdict(rt <= tol, f"symbol round-trip residual {rt:.3e} > {tol:.1e}")
 
 
 def cmd_verify(args) -> int:
@@ -526,87 +507,60 @@ def cmd_verify(args) -> int:
     return EXIT_OK if meta["all_pass"] else EXIT_CERT
 
 
+# name: (function, help line, parser defaults with the default --out, flags in
+# --help order, each a key of _FLAGS); --tol follows them when the command has
+# tolerances, then --out
+COMMANDS = {
+    "project": (cmd_project, "band-project a sampled function",
+                {"out": "projected.json"}, ("input", "band", "p")),
+    # the grid spans the basis window unless --window says otherwise
+    "toeplitz": (cmd_toeplitz, "assemble a Toeplitz matrix",
+                 {"out": "toeplitz.json", "window": None},
+                 ("symbol", "basis-window", "band", "p", "oversample", "window")),
+    "split": (cmd_split, "three-part symbol splitting", {"out": "split.json"},
+              ("symbol", "emit-bumps", "band", "oversample", "window")),
+    "bounded-symbol": (cmd_bounded_symbol, "bounded symbol with the same operator",
+                       {"out": "bounded_symbol.json"},
+                       ("symbol", "truncation", "basis-window", "band", "p",
+                        "oversample", "window")),
+    "nehari": (cmd_nehari, "minimal-sup Hankel completion", {"out": "nehari.json"},
+               ("symbol", "truncation", "band", "p", "oversample", "window")),
+    "factorize": (cmd_factorize, "weak factorization of a target",
+                  {"out": "factorization.json"},
+                  ("input", "margin", "summary", "band", "p")),
+    "commutator-test": (cmd_commutator_test, "test a matrix for the Toeplitz property",
+                        {"out": "commutator_test.json"}, ("matrix", "oversample", "seed")),
+    "recover-symbol": (cmd_recover_symbol, "recover a symbol from a Toeplitz matrix",
+                       {"out": "recovered_symbol.json"}, ("matrix", "oversample")),
+    "verify": (cmd_verify, "run the full identity suite", {"out": "report.json"},
+               ("seed",)),
+}
+
+
 def build_parser(commands) -> _Parser:
     """Every command with its help line, and the arguments of those named in
-    `commands`, each default read from the module that owns it; `main` names
-    only the command argv gives."""
+    `commands`, each default the library owns read from its module; `main`
+    names only the command argv gives."""
     parser = _Parser(prog="pwlab",
                      description="Toeplitz operators on band-limited spaces: "
                                  "projections, symbols, factorization, and a "
                                  "self-verification suite.")
     subs = parser.add_subparsers(dest="command")
-
-    sp = subs.add_parser("project", help="band-project a sampled function")
-    if "project" in commands:
-        sp.add_argument("--input", required=True, help="sampled-function JSON")
-        _add_flags(sp, "project", "band", "p")
-        sp.set_defaults(func=cmd_project, out="projected.json")
-
-    sp = subs.add_parser("toeplitz", help="assemble a Toeplitz matrix")
-    if "toeplitz" in commands:
-        from .toeplitz import DEFAULT_BASIS_WINDOW
-        sp.add_argument("--symbol", required=True, help="symbol JSON")
-        sp.add_argument("--basis-window", type=float, default=DEFAULT_BASIS_WINDOW)
-        _add_flags(sp, "toeplitz", "band", "p", "oversample", "window")
-        # the grid spans the basis window unless --window says otherwise
-        sp.set_defaults(func=cmd_toeplitz, out="toeplitz.json", window=None)
-
-    sp = subs.add_parser("split", help="three-part symbol splitting")
-    if "split" in commands:
-        sp.add_argument("--symbol", required=True)
-        sp.add_argument("--emit-bumps", action="store_true",
-                        help="also write the cutoff profiles to bumps.csv beside --out")
-        _add_flags(sp, "split", "band", "oversample", "window")
-        sp.set_defaults(func=cmd_split, out="split.json")
-
-    sp = subs.add_parser("bounded-symbol",
-                         help="bounded symbol with the same operator")
-    if "bounded-symbol" in commands:
-        from .nehari import DEFAULT_TRUNCATION
-        from .toeplitz import DEFAULT_BASIS_WINDOW
-        sp.add_argument("--symbol", required=True)
-        sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
-        sp.add_argument("--basis-window", type=float, default=DEFAULT_BASIS_WINDOW)
-        _add_flags(sp, "bounded-symbol", "band", "p", "oversample", "window")
-        sp.set_defaults(func=cmd_bounded_symbol, out="bounded_symbol.json")
-
-    sp = subs.add_parser("nehari", help="minimal-sup Hankel completion")
-    if "nehari" in commands:
-        from .nehari import DEFAULT_TRUNCATION
-        sp.add_argument("--symbol", required=True)
-        sp.add_argument("--truncation", type=int, default=DEFAULT_TRUNCATION)
-        _add_flags(sp, "nehari", "band", "p", "oversample", "window")
-        sp.set_defaults(func=cmd_nehari, out="nehari.json")
-
-    sp = subs.add_parser("factorize", help="weak factorization of a target")
-    if "factorize" in commands:
-        sp.add_argument("--input", required=True, help="sampled-function JSON")
-        sp.add_argument("--margin", type=float, default=None,
-                        help="half-band of the target (default 0.9*band)")
-        sp.add_argument("--summary", action="store_true",
-                        help="omit the pair list from the output")
-        _add_flags(sp, "factorize", "band", "p")
-        sp.set_defaults(func=cmd_factorize, out="factorization.json")
-
-    sp = subs.add_parser("commutator-test",
-                         help="test a matrix for the Toeplitz property")
-    if "commutator-test" in commands:
-        sp.add_argument("--matrix", required=True, help="operator-matrix JSON")
-        _add_flags(sp, "commutator-test", "oversample", "seed")
-        sp.set_defaults(func=cmd_commutator_test, out="commutator_test.json")
-
-    sp = subs.add_parser("recover-symbol",
-                         help="recover a symbol from a Toeplitz matrix")
-    if "recover-symbol" in commands:
-        sp.add_argument("--matrix", required=True)
-        _add_flags(sp, "recover-symbol", "oversample")
-        sp.set_defaults(func=cmd_recover_symbol, out="recovered_symbol.json")
-
-    sp = subs.add_parser("verify", help="run the full identity suite")
-    if "verify" in commands:
-        _add_flags(sp, "verify", "seed")
-        sp.set_defaults(func=cmd_verify, out="report.json")
-
+    for command, (func, summary, defaults, flags) in COMMANDS.items():
+        sub = subs.add_parser(command, help=summary)
+        if command not in commands:
+            continue
+        for name in flags:
+            sub.add_argument("--" + name, **{
+                k: v() if k == "default" and callable(v) else v
+                for k, v in _FLAGS[name].items() if k != "rule"})
+        if tols := tolerances(command):
+            listed = ", ".join(f"{k} (default {v:g})" for k, v in tols.items())
+            sub.add_argument("--tol", action="append", default=[],
+                             metavar="NAME=VALUE",
+                             help=f"override a named tolerance: {listed}")
+        sub.add_argument("--out", default=None, help="output JSON path")
+        sub.set_defaults(func=func, **defaults)
     return parser
 
 
@@ -628,9 +582,10 @@ def main(argv=None) -> int:
             if not hasattr(args, "func"):
                 parser.print_help()
                 return EXIT_INPUT
-            for name in _RANGES:
-                if getattr(args, name, None) is not None:
-                    _check(name, getattr(args, name))
+            for name, flag in _FLAGS.items():
+                value = getattr(args, name.replace("-", "_"), None)
+                if "rule" in flag and value is not None:
+                    _check(name, value)
             _check_out(args)
             return args.func(args)
         except (InputError, ValueError) as e:

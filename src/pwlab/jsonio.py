@@ -189,10 +189,18 @@ def number(obj: dict, name: str, default=None, cast=float, *, owner: str,
                      f"got {reprlib.repr(bad)}")
 
 
+def member(obj: dict, name: str, *, owner: str) -> dict:
+    """obj[name], which must be a JSON object; else a ValueError "{owner} field
+    'name' must be an object, got v", v shortened as in `number`."""
+    value = obj.get(name)
+    if not isinstance(value, dict):
+        raise ValueError(f"{owner} field {name!r} must be an object, "
+                         f"got {reprlib.repr(value)}")
+    return value
+
+
 def grid_from_dict(d: dict) -> Grid:
     """Grid from its JSON object; a malformed field is a ValueError naming it."""
-    if not isinstance(d, dict):
-        raise ValueError(f"field 'grid' must be an object, got {d!r}")
     return Grid(number(d, "start", owner="grid"), number(d, "step", owner="grid"),
                 number(d, "count", cast=int, owner="grid"))
 
@@ -205,7 +213,7 @@ def function_to_dict(f: SampledFunction) -> dict:
 
 
 def function_from_dict(d: dict) -> SampledFunction:
-    g = grid_from_dict(d.get("grid"))
+    g = grid_from_dict(member(d, "grid", owner="sampled function"))
     pairs = number(d, "values", owner="sampled function", ndim=2)
     if pairs.shape[1] != 2:
         raise ValueError(f"sampled function field 'values' must be a list of "

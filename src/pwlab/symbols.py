@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -133,7 +134,9 @@ def samples(sym: SymbolSpec, grid: Grid) -> SampledFunction:
         return f
     if sym.kind == "bump_spectrum":
         spec = SampledFunction(grid.freq_grid(), spectrum_on(sym, grid.freq_grid()))
-        return inverse_spectrum(spec, start=grid.start)
+        f = inverse_spectrum(spec, start=grid.start)
+        # a hermitian spectrum's samples are real: drop the rounding in Im
+        return SampledFunction(grid, f.values.real) if sym.params["hermitian"] else f
     return SampledFunction(grid, point_values(sym, grid.points))
 
 
@@ -195,7 +198,7 @@ def _support(d: dict) -> tuple | None:
     sup = _number(d, "support", ndim=1).tolist()
     if len(sup) != 2 or sup[0] > sup[1]:
         raise ValueError(f"symbol field 'support' must be two numbers [lo, hi] "
-                         f"with lo <= hi, got {sup!r}")
+                         f"with lo <= hi, got {reprlib.repr(sup)}")
     return tuple(sup)
 
 
@@ -213,10 +216,7 @@ def from_dict(d: dict) -> SymbolSpec:
                                mod=_number(d, "mod"),
                                amp=_number(d, "amp", 1.0))
     if kind == "sampled":
-        fun = d.get("fun")
-        if not isinstance(fun, dict):
-            raise ValueError(f"symbol field 'fun' must be a sampled-function "
-                             f"object, got {fun!r}")
+        fun = jsonio.member(d, "fun", owner="symbol")
         try:
             fun = jsonio.function_from_dict(fun)
         except ValueError as e:
@@ -226,10 +226,10 @@ def from_dict(d: dict) -> SymbolSpec:
         seed, hermitian = d.get("seed"), d.get("hermitian", False)
         if not isinstance(hermitian, bool):
             raise ValueError(f"symbol field 'hermitian' must be true or "
-                             f"false, got {hermitian!r}")
+                             f"false, got {reprlib.repr(hermitian)}")
         return bump_spectrum_symbol(_number(d, "lo"), _number(d, "hi"),
                                     amp=_number(d, "amp", 1.0),
                                     seed=None if seed is None
                                     else _number(d, "seed", cast=int),
                                     hermitian=hermitian)
-    raise ValueError(f"unknown symbol kind {kind!r}")
+    raise ValueError(f"unknown symbol kind {reprlib.repr(kind)}")

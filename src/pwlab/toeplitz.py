@@ -41,7 +41,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .grid import (Grid, SampledFunction, energy_fraction, fft_spectrum,
                    inverse_spectrum, lattice_phase)
-from .jsonio import grid_from_dict, grid_to_dict, number
+from .jsonio import grid_from_dict, grid_to_dict, member, number
 from .pwspace import (
     BandlimitedFunction,
     band_mask,
@@ -395,9 +395,7 @@ def matrix_from_dict(d: dict) -> OperatorMatrix:
     band, p = (number(d, name, owner="matrix") for name in ("band", "p"))
     if band <= 0.0:
         raise ValueError(f"matrix field 'band' must be positive, got {band}")
-    basis = d.get("basis")
-    if not isinstance(basis, dict):
-        raise ValueError(f"matrix field 'basis' must be an object, got {basis!r}")
+    basis = member(d, "basis", owner="matrix")
     window = number(basis, "window", owner="matrix basis")
     nodes = number(basis, "nodes", owner="matrix basis", ndim=1)
     raw = number(d, "entries", owner="matrix", ndim=3)
@@ -405,7 +403,7 @@ def matrix_from_dict(d: dict) -> OperatorMatrix:
     if raw.shape != (n, n, 2):
         raise ValueError(f"matrix field 'entries' must hold {n} x {n} [re, im] "
                          f"pairs for the {n} basis nodes, got shape {raw.shape}")
-    grid = grid_from_dict(d["grid"]) if "grid" in d else None
+    grid = grid_from_dict(member(d, "grid", owner="matrix")) if "grid" in d else None
     try:
         return OperatorMatrix(raw[..., 0] + 1j * raw[..., 1], band, p, window,
                               nodes, grid)

@@ -2,6 +2,7 @@
 import inspect
 import json
 import os
+import re
 import shlex
 import shutil
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from pwlab import factorize, jsonio, nehari, split
-from pwlab.cli import _tols, build_parser, main, tolerances
+from pwlab.cli import COMMANDS, _tols, build_parser, main, tolerances
 from pwlab.factorize import sinc_atom
 from pwlab.grid import Grid, SampledFunction
 from pwlab.pwspace import default_grid, sinc_kernel
@@ -169,6 +170,58 @@ def test_malformed_json_is_exit_one(files, tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("input error:") and names in err
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+# files json.load cannot read: bytes that are not UTF-8, an integer past
+# Python's 4,300-digit limit, and arrays nested past the recursion limit
+UNREADABLE = {"not-utf8": b"\xff{}", "long-integer": b'{"amp": 1' + b"0" * 4999 + b"}",
+              "nested-5000": b"[" * 5000 + b"]" * 5000,
+              "nested-100000": b"[" * 100000 + b"]" * 100000}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+@pytest.mark.parametrize("command, flag", [("split", "--symbol"), ("project", "--input"),
+                                           ("commutator-test", "--matrix")])
+def test_unreadable_json_is_exit_one_naming_the_file(command, flag, case, tmp_path,
+                                                     capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(UNREADABLE[case])
+    assert run(command, flag, bad, "--out", tmp_path / "out.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {bad}: invalid JSON: ")
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+_FUN = {"grid": {"start": -1.0, "step": 0.5, "count": 4}, "values": [[0.0, 0.0]] * 4}
+
+
+# every field that must hold an object, and the values printed back
+@pytest.mark.parametrize("command, flag, source, path", [
+    ("project", "--input", "smooth.json", ("grid",)),
+    ("split", "--symbol", {"kind": "sampled"}, ("fun",)),
+    ("split", "--symbol", {"kind": "sampled", "fun": dict(_FUN)}, ("fun", "grid")),
+    ("split", "--symbol", {"gaussian": {}}, ("gaussian",)),
+    ("split", "--symbol", {}, ("kind",)),
+    ("split", "--symbol", {"kind": "sampled", "fun": _FUN}, ("support",)),
+    ("split", "--symbol", {"kind": "bump_spectrum", "lo": 0.05, "hi": 1.9},
+     ("hermitian",)),
+    ("commutator-test", "--matrix", "matrix.json", ("basis",)),
+    ("commutator-test", "--matrix", "matrix.json", ("grid",)),
+    ("commutator-test", "--matrix", {"matrix": {}}, ("matrix",))],
+    ids=["function-grid", "symbol-fun", "symbol-fun-grid", "wrapped-symbol",
+         "symbol-kind", "symbol-support", "symbol-hermitian", "matrix-basis",
+         "matrix-grid", "toeplitz-output-matrix"])
+def test_a_long_value_is_printed_shortened(files, tmp_path, capsys, command, flag,
+                                          source, path):
+    # a list of 20,000 numbers where an object or a short value belongs
+    doc = (json.loads(json.dumps(source)) if isinstance(source, dict)
+           else json.loads((files / source).read_text()))
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(_edited(doc, path, list(range(20000)))))
+    assert run(command, flag, src, "--out", tmp_path / "x.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and path[-1] in err
+    assert len(err.strip().splitlines()) == 1 and len(err.encode()) < 300
 
 
 def test_bounded_symbol_stage_failure_is_exit_one(tmp_path, capsys):
@@ -688,6 +741,23 @@ def test_readme_python_runs_as_written(capsys):
     for block in blocks:
         exec(compile(block, str(README), "exec"), {})
     assert "'lower'" in capsys.readouterr().out
+
+
+def test_readme_command_table_matches_the_cli():
+    # each row names the command's flags in --help order, and its tolerances
+    # with their defaults
+    lines = README.read_text().splitlines()
+    start = lines.index("| command | flags | `--tol` names (default) |") + 2
+    documented = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        command, flags, tols = (cell.strip() for cell in line.strip("|").split("|"))
+        documented[command.strip("`")] = (
+            re.findall(r"`(--[\w-]+)`", flags),
+            {name: float(v) for name, v in re.findall(r"`(\w+)` \(([^)]+)\)", tols)})
+    assert documented == {command: (["--" + f for f in flags], tolerances(command))
+                          for command, (_, _, _, flags) in COMMANDS.items()}
 
 
 def test_matrix_on_a_wider_grid_names_window(files, tmp_path, capsys):

@@ -499,8 +499,9 @@ def _counted_solves(sym, grid, monkeypatch):
 
 @pytest.mark.parametrize("sym", [
     gaussian_symbol(), gaussian_symbol(amp=0.8, width=2.0),
-    gaussian_symbol(amp=1.2, width=0.7, shift=0.4)],
-    ids=["check10-0", "check10-1", "check10-2"])
+    gaussian_symbol(amp=1.2, width=0.7, shift=0.4),
+    bump_spectrum_symbol(0.05, 1.9, seed=11, hermitian=True)],
+    ids=["check10-0", "check10-1", "check10-2", "hermitian-bump"])
 def test_real_symbol_is_solved_once(grid, sym, monkeypatch):
     out, solves = _counted_solves(sym, grid, monkeypatch)
     assert solves == 1
@@ -511,11 +512,8 @@ def test_real_symbol_is_solved_once(grid, sym, monkeypatch):
         assert cert["operator_residual"] <= 1e-3 and cert["c_meas"] <= 20.0
 
 
-@pytest.mark.parametrize("sym", [
-    gaussian_symbol(mod=0.3), bump_spectrum_symbol(0.05, 1.9, seed=11, hermitian=True)],
-    ids=["mod0.3", "hermitian-bump"])
+@pytest.mark.parametrize("sym", [gaussian_symbol(mod=0.3)], ids=["mod0.3"])
 def test_symbol_with_imaginary_samples_is_solved_twice(grid, sym, monkeypatch):
-    # the hermitian bump's samples carry ~1e-16 imaginary parts: not real
     assert np.any(samples(sym, grid).values.imag)
     assert _counted_solves(sym, grid, monkeypatch)[1] == 2
 
