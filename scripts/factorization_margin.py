@@ -29,8 +29,7 @@ def main() -> None:
           f"{'sup resid':>10} {'L1 resid':>10}")
     for b in (a * s for s in B_SWEEP):
         k = sinc_kernel(b, 0.0, grid)
-        h = project_band(SampledFunction(grid, k.values ** 2), 2.0 * b,
-                         args.p)
+        h = project_band(SampledFunction(grid, k.values ** 2), 2.0 * b)
         F = weak_factorize(h, a, args.p)
         print(f"{b:6.3f} {len(F):6d} {F.nuclear_sum:10.4f} "
               f"{lp_norm(h.fun, 1.0):8.4f} {F.residual_sup:10.2e} "

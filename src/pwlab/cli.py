@@ -17,6 +17,7 @@ import importlib
 import json
 import math
 import os
+import reprlib
 import sys
 import warnings
 
@@ -186,12 +187,17 @@ def _load(path: str, read, unwrap=None):
 
 
 def _flat_symbol(d: dict) -> dict:
-    """A wrapped symbol {kind: {...}} as the flat {"kind": kind, ...}."""
+    """A wrapped symbol {kind: {...}} as the flat {"kind": kind, ...}; a body
+    that names another kind is refused."""
     from .symbols import KINDS
     if "kind" in d or len(d) != 1 or next(iter(d)) not in KINDS:
         return d
     kind = next(iter(d))
-    return {"kind": kind, **jsonio.member(d, kind, owner="symbol")}
+    body = jsonio.member(d, kind, owner="symbol")
+    if body.get("kind", kind) != kind:
+        raise ValueError(f"symbol field {kind!r} holds kind "
+                         f"{reprlib.repr(body['kind'])}, not {kind!r}")
+    return {"kind": kind, **body}
 
 
 def _matrix_member(d: dict) -> dict:
@@ -263,9 +269,9 @@ def _verdict(ok: bool, why: str) -> int:
 def cmd_project(args) -> int:
     f = _load(args.input, jsonio.function_from_dict)
     removed = band_residual(f, args.band)
-    bl = project_band(f, args.band, args.p)
+    bl = project_band(f, args.band)
     payload = {
-        "band": args.band, "p": args.p,
+        "band": args.band,
         "residual_removed": removed,
         "fun": jsonio.function_to_dict(bl.fun),
     }
@@ -353,12 +359,11 @@ def cmd_nehari(args) -> int:
     from .symbols import from_dict
     tols = _tols(args)
     sym = _load(args.symbol, from_dict, _flat_symbol)
-    res = nehari_solve(sym, args.band, args.p, M=args.truncation,
-                       grid=_grid(args))
+    res = nehari_solve(sym, args.band, M=args.truncation, grid=_grid(args))
     moment_ok = res.moment_residual <= tols["moment"] * res.sigma0
     sup_ok = res.sup_norm <= (1.0 + tols["sup_slack"]) * res.sigma0
     payload = {
-        "band": args.band, "p": args.p,
+        "band": args.band,
         "sigma0": res.sigma0,
         "hankel_norm": res.hankel_norm,
         "moment_residual": res.moment_residual,
@@ -390,7 +395,7 @@ def cmd_factorize(args) -> int:
         raise InputError(f"input {args.input}: band residual {removed:.3e} at "
                          f"band {2.0 * margin} exceeds tolerance; widen "
                          "--margin")
-    h = project_band(f, 2.0 * margin, args.p)
+    h = project_band(f, 2.0 * margin)
     F = weak_factorize(h, args.band, args.p, atom_tol=tols["atom"])
     sup_h = float(np.max(np.abs(h.values))) or 1.0
     l1_h = lp_norm(h.fun, 1.0) or 1.0
@@ -461,7 +466,7 @@ def cmd_commutator_test(args) -> int:
     _write(args, payload,
            [[deviation, tol, str(verdict).lower()]],
            ["deviation", "threshold", "is_toeplitz"])
-    return EXIT_OK if verdict else EXIT_CERT
+    return _verdict(verdict, f"commutator deviation {deviation:.3e} > {tol:.1e}")
 
 
 def cmd_recover_symbol(args) -> int:
@@ -512,7 +517,7 @@ def cmd_verify(args) -> int:
 # tolerances, then --out
 COMMANDS = {
     "project": (cmd_project, "band-project a sampled function",
-                {"out": "projected.json"}, ("input", "band", "p")),
+                {"out": "projected.json"}, ("input", "band")),
     # the grid spans the basis window unless --window says otherwise
     "toeplitz": (cmd_toeplitz, "assemble a Toeplitz matrix",
                  {"out": "toeplitz.json", "window": None},
@@ -524,7 +529,7 @@ COMMANDS = {
                        ("symbol", "truncation", "basis-window", "band", "p",
                         "oversample", "window")),
     "nehari": (cmd_nehari, "minimal-sup Hankel completion", {"out": "nehari.json"},
-               ("symbol", "truncation", "band", "p", "oversample", "window")),
+               ("symbol", "truncation", "band", "oversample", "window")),
     "factorize": (cmd_factorize, "weak factorization of a target",
                   {"out": "factorization.json"},
                   ("input", "margin", "summary", "band", "p")),

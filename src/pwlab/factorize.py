@@ -39,13 +39,15 @@ ATOM_TOL = 1e-8        # a target this close to one atom product (of its sup) pa
 RESIDUAL_SUP_TOL = 1e-6  # weak_factorize warns past this sup residual (of the sup)
 
 
-def _base_atom(a: float, grid: Grid) -> tuple[np.ndarray, int]:
-    """Samples of the atom of band a on grid, and the index of its peak."""
+def _atom_windows(a: float, grid: Grid) -> tuple[np.ndarray, int]:
+    """Read-only windows of the atom of band a tiled three times, and the index
+    i0 of its peak: the atom centred at grid index i is window n + i0 - i."""
     fg = grid.freq_grid()
     mask = band_mask(fg.points, a)
     base = inverse_spectrum(SampledFunction(fg, np.where(mask, 1.0 + 0j, 0.0)),
-                            start=grid.start)
-    return base.values, int(np.argmax(np.abs(base.values)))
+                            start=grid.start).values
+    return (sliding_window_view(np.tile(base, 3), grid.count),
+            int(np.argmax(np.abs(base))))
 
 
 def sinc_atom(a: float, t: float, grid: Grid) -> BandlimitedFunction:
@@ -57,9 +59,9 @@ def sinc_atom(a: float, t: float, grid: Grid) -> BandlimitedFunction:
     leaves a small imaginary ripple (one spectral bin's worth); the
     conjugate-product |A|^2 used by the factorization is exactly real.
     """
-    base, i0 = _base_atom(a, grid)
-    i = grid.index_of(t)
-    return BandlimitedFunction(SampledFunction(grid, np.roll(base, i - i0)), a)
+    windows, i0 = _atom_windows(a, grid)
+    window = windows[grid.count + i0 - grid.index_of(t)]
+    return BandlimitedFunction(SampledFunction(grid, window), a)
 
 
 def fejer_triangle(a: float, xi: np.ndarray) -> np.ndarray:
@@ -168,39 +170,24 @@ def weak_factorize(h: BandlimitedFunction, a: float, p: float,
     grid = h.grid
     q = holder_conjugate(p)
     sup_h = float(np.max(np.abs(h.values)))
-    if sup_h == 0.0:
-        empty = SampledFunction(grid, np.zeros((0, grid.count)))
-        return Factorization(empty, empty, 0.0, 0.0, 0.0, a, p, plan=None)
-
-    # single-atom passthrough: h = s * A(.-t) conj(A(.-t)) for a grid center t
-    i_star = int(np.argmax(np.abs(h.values)))
-    atom = sinc_atom(a, grid.points[i_star], grid)
-    peak = float(np.max(np.abs(atom.values) ** 2))
-    s = h.values[i_star] / peak
-    cand = s * atom.values * np.conj(atom.values)
-    if float(np.max(np.abs(h.values - cand))) <= atom_tol * sup_h:
-        f = s * atom.values
-        nuclear = lp_norm(SampledFunction(grid, f), p) * lp_norm(atom.fun, q)
-        res = np.abs(h.values - cand)
-        return Factorization(SampledFunction(grid, f[None]),
-                             SampledFunction(grid, atom.values[None]), nuclear,
-                             float(res.max()), float(grid.step * res.sum()),
-                             a, p, plan=None)
-
-    b = h.a / 2.0
-    w = fejer_deconvolve(h, a)
-    stride = _atom_stride(grid, a, b)
-    dt = stride * grid.step
-    idx = np.arange(0, grid.count, stride)
-    centers = grid.points[idx]
-    weights = w.values[idx]
-    plan = FejerAtomPlan(dt, centers, weights)
-
-    # the atom centred at idx[j] is the base atom rolled by idx[j] - i0: a
-    # window of the atom tiled three times, starting n + i0 - idx[j]
-    base, i0 = _base_atom(a, grid)
+    # single-atom passthrough: h = s * A(.-t) conj(A(.-t)) for a grid center t;
+    # a zero target passes with s = 0, which `keep` drops: no pairs
+    windows, i0 = _atom_windows(a, grid)
     n = grid.count
-    g = sliding_window_view(np.tile(base, 3), n)[n + i0:i0:-stride]
+    i = int(np.argmax(np.abs(h.values)))
+    atom = windows[n + i0 - i]
+    s = h.values[i] / float(np.max(np.abs(atom) ** 2))
+    if float(np.max(np.abs(h.values - s * atom * np.conj(atom)))) <= atom_tol * sup_h:
+        dt, weights, plan = 1.0, np.array([s]), None
+        g = windows[n + i0 - i:n + i0 - i + 1]
+    else:
+        w = fejer_deconvolve(h, a)
+        stride = _atom_stride(grid, a, h.a / 2.0)
+        dt = stride * grid.step
+        idx = np.arange(0, n, stride)
+        weights = w.values[idx]
+        plan = FejerAtomPlan(dt, grid.points[idx], weights)
+        g = windows[n + i0:i0:-stride]
     keep = weights != 0.0
     if not keep.all():
         g = g[keep]

@@ -34,11 +34,12 @@ from functools import cached_property
 import numpy as np
 
 from .grid import Grid, SampledFunction, energy_fraction, fft_spectrum, lp_norm
-from .pwspace import default_grid, modulate, project_halfline
+from .pwspace import default_grid, project_halfline
 from .split import split_symbol
 from .symbols import SymbolSpec, point_values, sampled_symbol, samples
 from .toeplitz import (DEFAULT_BASIS_WINDOW, OperatorMatrix, _pnorm_upper,
-                       _unbounded_mod_poly, operator_norm_certified, toeplitz_matrix)
+                       _unbounded_mod_poly, hankel_symbol, operator_norm_certified,
+                       toeplitz_matrix)
 
 DEFAULT_TRUNCATION = 256
 CIRCLE_OVERSAMPLE = 8
@@ -310,12 +311,6 @@ def nehari_solve(b: SymbolSpec, a: float, p: float = 2.0,
 
 
 # -- bounded-symbol pipeline ---------------------------------------------------
-
-
-def hankel_symbol(part: SampledFunction, a: float) -> SymbolSpec:
-    """conj(theta)^2 times a right split part, theta = exp(2 pi i a x): the
-    symbol b, with spectrum in [-2a, inf), that `nehari_solve` completes."""
-    return sampled_symbol(modulate(part, -2.0 * a))
 
 
 @dataclass

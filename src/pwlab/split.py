@@ -160,8 +160,7 @@ def central_recover_sweep(apply_fn, a: float, xs, grid: Grid) -> np.ndarray:
     values = []
     for x in map(float, xs):
         out = apply_fn(sinc_kernel(eps, x, grid))
-        fun = out if isinstance(out, SampledFunction) else out.fun
-        values.append(complex(evaluate_offgrid(fun, x)) / (2.0 * eps))
+        values.append(complex(evaluate_offgrid(out.fun, x)) / (2.0 * eps))
     return np.asarray(values)
 
 

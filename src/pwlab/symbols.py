@@ -173,10 +173,6 @@ def point_values(sym: SymbolSpec, x) -> np.ndarray:
     return dxi * lattice_sum(spectrum_on(sym, fg), fg.start, dxi, x)
 
 
-def sup_norm(sym: SymbolSpec, grid: Grid) -> float:
-    return float(np.max(np.abs(samples(sym, grid).values)))
-
-
 def to_dict(sym: SymbolSpec) -> dict:
     d = {"kind": sym.kind}
     if sym.kind == "sampled":

@@ -138,6 +138,12 @@ def hankel_apply(sym: SymbolSpec, f: SampledFunction) -> SampledFunction:
     return project_halfline(SampledFunction(f.grid, phi.values * f.values), -1)
 
 
+def hankel_symbol(part: SampledFunction, a: float) -> SymbolSpec:
+    """conj(theta)^2 * part as a symbol, theta = exp(2 pi i a x): for a part with
+    spectrum in [0, inf), the b with spectrum in [-2a, inf) `nehari_solve` completes."""
+    return sampled_symbol(modulate(part, -2.0 * a))
+
+
 # -- Nyquist basis and matrix assembly ---------------------------------------
 
 
@@ -273,13 +279,15 @@ def toeplitz_matrix(sym: SymbolSpec, a: float, p: float, window: float,
     if grid is None:
         grid = default_grid(a)
     _resolution_check(sym, a, grid)
-    if sym.kind != "mod_poly":
+    if sym.kind == "mod_poly":
+        kernel = _mod_poly_kernel(sym.params, grid)
+    else:
         # K(d) = dxi * phi^(xi_d): the symbol's lattice spectrum in FFT order
         kernel = grid.freq_step * np.fft.ifftshift(fft_spectrum(samples(sym, grid)).values)
-        return assemble_matrix(kernel, NyquistBasis(a, window, grid), p)
-    kernel = _mod_poly_kernel(sym.params, grid)
     basis = NyquistBasis(a, window, grid)
     M = assemble_matrix(kernel, basis, p)
+    if sym.kind != "mod_poly":
+        return M
     # an entry sums the taps |d| < m (m band bins) with weights of modulus 1/m;
     # a basis narrower than its grid cancels taps far larger than the entries
     m = basis.bins
@@ -358,11 +366,10 @@ def identity_residuals(a: float, p: float, grid: Grid, seed: int,
     for k in range(3):
         phi = bump_spectrum_symbol(0.3 * a, 1.6 * a, seed=seed + k)
         phi_s = samples(phi, grid)
-        hank_sym = sampled_symbol(modulate(phi_s, -2.0 * a))
         raw = SampledFunction(grid, rng.standard_normal(grid.count)
                               + 1j * rng.standard_normal(grid.count))
         g = project_band(raw, a)
-        lhs = hankel_apply(hank_sym, modulate(g.fun, a))
+        lhs = hankel_apply(hankel_symbol(phi_s, a), modulate(g.fun, a))
         rhs = modulate(toeplitz_apply(sampled_symbol(phi_s), g).fun, -a)
         scale = float(np.max(np.abs(rhs.values))) or 1.0
         r_hankel = max(r_hankel, float(np.max(np.abs(lhs.values - rhs.values))) / scale)

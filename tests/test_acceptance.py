@@ -134,6 +134,14 @@ def test_row_ids_and_order_are_pinned(report):
     assert [r["check_id"] for r in report["checks"]] == ROW_IDS
 
 
+def test_rows_have_the_report_keys_and_types(report):
+    # perfbench's verify check and the CSV writer read these keys
+    want = [("check_id", str), ("ref", str), ("measured", float), ("bound", float),
+            ("passed", bool), ("note", str)]
+    for row in report["checks"]:
+        assert [(k, type(v)) for k, v in row.items()] == want, row["check_id"]
+
+
 def test_04_conjugate_exponents_share_one_estimate(report):
     by_id = {r["check_id"]: r for r in report["checks"]}
     p15, p3 = by_id["04-projector-norm-p1.5"], by_id["04-projector-norm-p3"]
@@ -159,8 +167,8 @@ def test_04_shared_estimate_is_at_least_a_separate_p15_run(seed):
     def apply(v):
         return project_band(SampledFunction(grid, v), 1.0).values
 
-    shared = next(r.measured for r in verify.check_04_projector(1.0, seed)
-                  if r.check_id == "04-projector-norm-p1.5")
+    shared = next(r["measured"] for r in verify.check_04_projector(1.0, seed)
+                  if r["check_id"] == "04-projector-norm-p1.5")
     alone = boyd_lower_bound(apply, apply, grid.count, 1.5, weight=grid.step,
                              seed=seed)
     assert shared >= alone

@@ -88,6 +88,23 @@ def test_wrapped_and_flat_symbol_files_agree(files, tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("command", ["toeplitz", "split", "nehari"])
+def test_wrapped_body_naming_another_kind_is_exit_one(files, tmp_path, capsys,
+                                                      command):
+    bad, same = tmp_path / "bad.json", tmp_path / "same.json"
+    bad.write_text(json.dumps({"gaussian": {"kind": "mod_poly", "degree": 1,
+                                            "mod": 2.0}}))
+    assert run(command, "--symbol", bad, "--out", tmp_path / "x.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {bad}: symbol field 'gaussian'")
+    assert "mod_poly" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "x.json").exists()
+    # a body that repeats its own key is the flat file
+    same.write_text(json.dumps({"gaussian": json.loads(
+        (files / "gauss_flat.json").read_text())}))
+    assert run(command, "--symbol", same, "--out", tmp_path / "y.json") == 0
+
+
 def test_split_emits_bump_table(files, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert run("split", "--symbol", files / "gauss_flat.json",
@@ -295,11 +312,11 @@ def test_bad_tol_syntax_is_exit_one(files, capsys):
 
 # the common flags each command no longer accepts, because it never read them
 REMOVED_FLAGS = {
-    "project": ["--oversample", "--window", "--seed", "--tol"],
+    "project": ["--p", "--oversample", "--window", "--seed", "--tol"],
     "toeplitz": ["--seed", "--tol"],
     "split": ["--p", "--seed"],
     "bounded-symbol": ["--seed"],
-    "nehari": ["--seed"],
+    "nehari": ["--p", "--seed"],
     "factorize": ["--oversample", "--window", "--seed"],
     "commutator-test": ["--band", "--p", "--window"],
     "recover-symbol": ["--band", "--p", "--window", "--seed"],
@@ -642,7 +659,8 @@ def test_nehari_writes_completion_and_table(files, tmp_path):
     # the split parts leave a coefficient tail at the default truncation
     pytest.param("bounded-symbol", "symbol", "operator_residual",
                  marks=PRINTS_WARNINGS),
-    ("recover-symbol", "matrix", "roundtrip")])
+    ("recover-symbol", "matrix", "roundtrip"),
+    ("commutator-test", "matrix", "deviation")])
 def test_unmet_tolerance_is_exit_two_and_still_writes(files, tmp_path, capsys,
                                                       command, source, tol):
     given = {"symbol": files / "gauss_flat.json", "matrix": files / "matrix.json"}

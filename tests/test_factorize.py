@@ -45,10 +45,11 @@ def test_atom_spectrum_is_the_exact_triangle(grid):
 
 def test_atom_translation_is_exact(grid):
     base = sinc_atom(A, 0.0, grid)
-    t = 3.25  # on-grid shift
-    moved = sinc_atom(A, t, grid)
-    k = round(t / grid.step)
-    assert np.array_equal(moved.values, np.roll(base.values, k))
+    # an on-grid shift, and centres at and next to each end of the grid
+    for t in (3.25, *grid.points[:2], *grid.points[-2:]):
+        moved = sinc_atom(A, t, grid)
+        k = round(t / grid.step)
+        assert np.array_equal(moved.values, np.roll(base.values, k))
 
 
 def test_coarse_grid_is_refused_before_placing_atoms():

@@ -1,9 +1,9 @@
 """Static hygiene of the package modules: every imported name is used, every
 private module-level name is referenced, every public function, and every
 public method and property of a public class, has a caller outside the tests,
-every default of one is omitted by a caller outside the tests, every field of
-a public dataclass has a reader outside the tests, and every annotation
-resolves.  Standard library only (ast, typing)."""
+every default of one is omitted by a caller outside the tests, every
+parameter is read, every field of a public dataclass has a reader outside the
+tests, and every annotation resolves.  Standard library only (ast, typing)."""
 import ast
 import importlib
 import inspect
@@ -275,6 +275,63 @@ def test_caller_detector_skips_a_same_named_local():
     refs = _references(tree)
     assert "lattice_sum" in refs and "size" in refs
     assert {"inner", "pairing", "synthesize"}.isdisjoint(refs)
+
+
+def _unread_parameters(tree: ast.Module) -> list:
+    """function(parameter), Class.method(parameter) or outer.inner(parameter),
+    sorted, for each parameter of a function, method or lambda that its body
+    never names; a method's first parameter is not counted."""
+    unread = []
+    todo = [(tree, "", False)]
+    while todo:
+        node, prefix, method = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                todo.append((child, f"{prefix}{child.name}.", True))
+            elif isinstance(child, _SCOPES):
+                name = prefix + getattr(child, "name", "<lambda>")
+                a = child.args
+                params = [x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
+                          + [x for x in (a.vararg, a.kwarg) if x is not None]]
+                body = child.body if isinstance(child.body, list) else [child.body]
+                named = {n.id for part in body for n in ast.walk(part)
+                         if isinstance(n, ast.Name)}
+                unread += [f"{name}({p})" for p in params[method:] if p not in named]
+                todo.append((child, f"{name}.", False))
+            else:
+                todo.append((child, prefix, method))
+    return sorted(unread)
+
+
+# parameters a caller outside the function fixes: warnings.showwarning passes
+# all five, and perfbench passes the p that these two do not read
+UNREAD = {"cli._show_warning": {"category", "filename", "lineno", "file", "line"},
+          "nehari.nehari_solve": {"p"}, "toeplitz.identity_residuals": {"p"}}
+
+
+def _excused(unread: str) -> bool:
+    function, param = unread[:-1].split("(")
+    if function.startswith("verify.check_"):    # run_all calls each as check(a, seed)
+        return param in ("a", "seed")
+    return param in UNREAD.get(function, ())
+
+
+def test_every_parameter_is_read():
+    # a parameter its function never reads only echoes what a caller passed
+    unread = [f"{name}.{q}" for name in MODULES
+              for q in _unread_parameters(ast.parse((SRC / f"{name}.py").read_text()))]
+    assert [q for q in unread if not _excused(q)] == []
+
+
+def test_parameter_detector_flags_an_unread_parameter():
+    tree = ast.parse("def solve(b, a, p=2.0, *rest, **kw):\n    return kw\n"
+                     "class Frame:\n    def apply(self, x, y):\n"
+                     "        return [lambda z: x for _ in y]\n"
+                     "def outer(n):\n    def inner(m):\n        return n\n"
+                     "    return inner\n")
+    assert _unread_parameters(tree) == [
+        "Frame.apply.<lambda>(z)", "outer.inner(m)", "solve(a)", "solve(b)",
+        "solve(p)", "solve(rest)"]
 
 
 def _dataclass_fields(tree: ast.Module) -> list:

@@ -4,12 +4,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 from pytest import approx
 
-from pwlab.grid import Grid, SampledFunction, inverse_spectrum, symmetric_grid
+from pwlab.grid import Grid, SampledFunction, inverse_spectrum, lp_norm, symmetric_grid
 from pwlab.pwspace import default_grid
 from pwlab.symbols import (MAX_MOD_POLY_DEGREE, bump_spectrum_symbol, from_dict,
                            gaussian_symbol, mod_poly_symbol, point_values,
-                           sampled_symbol, samples, spectrum_on, sup_norm,
-                           to_dict)
+                           sampled_symbol, samples, spectrum_on, to_dict)
 
 
 def test_gaussian_samples_match_closed_form(grid1):
@@ -121,6 +120,6 @@ def test_sup_norm_brackets_amplitude_for_gaussians(width, shift):
     # the peak may fall between samples: bounded by the half-step falloff
     g = symmetric_grid(32.0, 1.0 / 16.0)
     sym = gaussian_symbol(amp=1.25, width=width, shift=shift)
-    s = sup_norm(sym, g)
+    s = lp_norm(samples(sym, g), np.inf)
     assert s <= 1.25 + 1e-12
     assert s >= 1.25 * np.exp(-(g.step / (2.0 * width)) ** 2)
