@@ -451,7 +451,12 @@ def _frame_for(args, T):
                          f"{grid.step}, count {grid.count}) does not span its "
                          f"basis window {T.window}; assemble it with --window "
                          f"{T.window}")
-    return build_frame(T.a, T.p, grid)
+    try:
+        return build_frame(T.a, T.p, grid)
+    except ValueError as e:
+        if T.grid is None:
+            raise
+        raise InputError(f"{args.matrix}: matrix field 'grid': {e}") from None
 
 
 def cmd_commutator_test(args) -> int:

@@ -69,7 +69,7 @@ _STENCIL_CENTRAL = np.array([-1 / 12, 2 / 3, 0.0, -2 / 3, 1 / 12])
 
 
 def _mod_poly_kernel(params: dict, grid: Grid) -> np.ndarray:
-    """Lattice kernel K(d), indexed by d mod n, of A x^degree exp(2 pi i c x)
+    """Lattice kernel K(d), at index d + n/2, of A x^degree exp(2 pi i c x)
     (see Application routes)."""
     dxi = grid.freq_step
     shift = params["mod"] / dxi
@@ -85,8 +85,8 @@ def _mod_poly_kernel(params: dict, grid: Grid) -> np.ndarray:
         np.convolve, [(1j / (2 * np.pi * dxi)) * taps] * degree, np.ones(1))
     kernel = np.zeros(grid.count, dtype=complex)
     # a power wider than the lattice wraps around it
-    np.add.at(kernel, (round(shift) + first * degree + np.arange(len(coeffs)))
-              % grid.count, coeffs)
+    np.add.at(kernel, (round(shift) + first * degree + np.arange(len(coeffs))
+                       + grid.count // 2) % grid.count, coeffs)
     return kernel
 
 
@@ -104,7 +104,7 @@ def _multiplier(sym: SymbolSpec, grid: Grid) -> SampledFunction:
     """phi's samples; for mod_poly, the function whose lattice kernel is K."""
     if sym.kind != "mod_poly":
         return samples(sym, grid)
-    spec = np.fft.fftshift(_mod_poly_kernel(sym.params, grid)) / grid.freq_step
+    spec = _mod_poly_kernel(sym.params, grid) / grid.freq_step
     return inverse_spectrum(SampledFunction(grid.freq_grid(), spec), start=grid.start)
 
 
@@ -166,10 +166,10 @@ class NyquistBasis:
     """Shifted-sinc coordinate system e_k = sinc_a(. - t_k)/sqrt(2a) for the
     band [-a, a), nodes t_k = k/(2a) covering [-window, window).  Its band
     phases are the m-point DFT (see Matrix assembly) on a grid that holds every
-    node and puts m = count/stride whole bins in the band (stride grid steps per
-    node): `bins` = m from `first_bin` = b0, at `band` in natural order, and
-    node k at `residues` k mod m with `phase` d_k.  The basis refuses any
-    other grid."""
+    node, resolves the band (stride >= 2 grid steps per node, so m <= n/2) and
+    puts m = count/stride whole bins in the band: `bins` = m at `band` in
+    natural order, and node k at `residues` k mod m with `phase` d_k.  The
+    basis refuses any other grid."""
 
     a: float
     window: float
@@ -181,27 +181,26 @@ class NyquistBasis:
         ratio = 1.0 / (2.0 * self.a * self.grid.step)
         if abs(ratio - round(ratio)) > 1e-9:
             raise ValueError("grid step does not subdivide the Nyquist spacing")
-        self._stride = int(round(ratio))
+        stride = int(round(ratio))
+        if stride < 2:
+            raise ValueError(f"grid nyquist {self.grid.nyquist} does not exceed band "
+                             f"{self.a}: the basis needs 2 grid steps per node")
         band = np.flatnonzero(band_mask(self.grid.freq_grid().points, self.a))
-        if len(band) * self._stride != self.grid.count:
+        if len(band) * stride != self.grid.count:
             raise ValueError(f"grid count {self.grid.count} is not a multiple of "
-                             f"the {self._stride} grid steps per basis node: the "
+                             f"the {stride} grid steps per basis node: the "
                              f"band holds a fractional number of bins")
         self.bins, self.band = len(band), slice(int(band[0]), int(band[-1]) + 1)
-        self.first_bin = self.band.start - self.grid.count // 2
         self.residues = self._k % self.bins
-        self.phase = lattice_phase(self.first_bin, self._k, self.bins)
+        self.phase = lattice_phase(band[0] - self.grid.count // 2, self._k, self.bins)
         # every node must sit on the sampling grid so coefficients are exact
         # reads; the first and last on it give size <= bins: distinct k mod m
-        self._base = self.grid.index_of(self.nodes[0])
-        self.grid.index_of(self.nodes[-1])
+        self._reads = slice(self.grid.index_of(self.nodes[0]),
+                            self.grid.index_of(self.nodes[-1]) + 1, stride)
 
     @property
     def size(self) -> int:
         return len(self.nodes)
-
-    def node_indices(self) -> np.ndarray:
-        return self._base + self._stride * np.arange(self.size)
 
     def vector(self, k: int) -> BandlimitedFunction:
         """Basis vector synthesized exactly on the lattice (periodized sinc),
@@ -213,7 +212,7 @@ class NyquistBasis:
     def coefficients(self, f: SampledFunction) -> np.ndarray:
         """Expansion coefficients of a band-a function, c_k = f(t_k)/sqrt(2a);
         of a (k, count) stack, one row of coefficients per function."""
-        return f.values[..., self.node_indices()] / math.sqrt(2.0 * self.a)
+        return f.values[..., self._reads] / math.sqrt(2.0 * self.a)
 
     def synthesize(self, coeffs: np.ndarray) -> SampledFunction:
         """sum_k c_k e_k: the band is the m-point fft of c_k conj(d_k) at k mod m."""
@@ -260,12 +259,11 @@ class OperatorMatrix:
         return self.entries[np.ix_(keep, keep)]
 
 
-def assemble_matrix(kernel: np.ndarray, basis: NyquistBasis, p: float) -> OperatorMatrix:
+def assemble_matrix(taps: np.ndarray, basis: NyquistBasis, p: float) -> OperatorMatrix:
     """Matrix in `basis` of the lattice convolution out_j = sum_l K(j - l) in_l,
-    given kernel[d mod n] = K(d): the 2-D m-point FFT of its band block."""
-    m = basis.bins
-    kv = kernel[np.arange(1 - m, m) % basis.grid.count]
-    toep = sliding_window_view(kv, m)[:, ::-1]      # toep[j, l] = K(j - l)
+    given the taps K(1 - m), ..., K(m - 1) that its m band bins read: the 2-D
+    m-point FFT of its band block."""
+    toep = sliding_window_view(taps, basis.bins)[:, ::-1]   # toep[j, l] = K(j - l)
     r, d = basis.residues, basis.phase
     block = np.fft.fft(np.fft.ifft(toep, axis=0)[r], axis=1)[:, r]
     return OperatorMatrix(d[:, None] * block * np.conj(d), basis.a, p, basis.window,
@@ -282,17 +280,17 @@ def toeplitz_matrix(sym: SymbolSpec, a: float, p: float, window: float,
     if sym.kind == "mod_poly":
         kernel = _mod_poly_kernel(sym.params, grid)
     else:
-        # K(d) = dxi * phi^(xi_d): the symbol's lattice spectrum in FFT order
-        kernel = grid.freq_step * np.fft.ifftshift(fft_spectrum(samples(sym, grid)).values)
+        # K(d) = dxi * phi^(xi_d): the symbol's lattice spectrum
+        kernel = grid.freq_step * fft_spectrum(samples(sym, grid)).values
     basis = NyquistBasis(a, window, grid)
-    M = assemble_matrix(kernel, basis, p)
+    h, m = grid.count // 2, basis.bins
+    taps = kernel[h - m + 1:h + m]      # K(1 - m), ..., K(m - 1); m <= n/2
+    M = assemble_matrix(taps, basis, p)
     if sym.kind != "mod_poly":
         return M
     # an entry sums the taps |d| < m (m band bins) with weights of modulus 1/m;
     # a basis narrower than its grid cancels taps far larger than the entries
-    m = basis.bins
-    taps = np.abs(kernel[np.arange(1 - m, m) % grid.count])
-    if np.finfo(float).eps * np.sum(taps) > 1e-8 * np.max(np.abs(M.entries)):
+    if np.finfo(float).eps * np.sum(np.abs(taps)) > 1e-8 * np.max(np.abs(M.entries)):
         raise ValueError(f"mod_poly degree {sym.params['degree']}: float64 cannot resolve "
                          f"this matrix; lower the degree or widen the basis to the grid")
     if unbounded := _unbounded_mod_poly(sym, a):

@@ -791,17 +791,23 @@ def test_matrix_on_a_wider_grid_names_window(files, tmp_path, capsys):
 
 
 def test_matrix_on_a_grid_of_fractional_band_bins_is_refused(tmp_path, capsys):
-    # window 16.0625 puts 64.25 bins in the band, so the frame has no basis
-    grid = Grid(-16.0625, 0.0625, 514)
     nodes = np.arange(-32, 32) / 2.0
-    matrix = tmp_path / "m.json"
-    jsonio.dump_canonical(matrix_to_dict(OperatorMatrix(
-        np.eye(64), 1.0, 2.0, 16.0625, nodes, grid)), matrix)
-    for command in ("commutator-test", "recover-symbol"):
-        assert run(command, "--matrix", matrix, "--out", tmp_path / "x.json") == 1
-        err = capsys.readouterr().err
-        assert err.startswith("input error: grid count 514") and "fractional" in err
-        assert len(err.strip().splitlines()) == 1
+    for window, grid, says, cause in [
+            # window 16.0625 puts 64.25 bins in the band, so the frame has no basis
+            (16.0625, Grid(-16.0625, 0.0625, 514), "grid count 514", "fractional"),
+            # 2.5 grid steps per node, and one: neither carries a Nyquist basis
+            (16.0, Grid(-16.0, 0.2, 160), "grid step", "does not subdivide the Nyquist"),
+            (16.0, Grid(-16.0, 0.5, 64), "grid nyquist 1.0 does not exceed band 1.0",
+             "2 grid steps per node")]:
+        matrix = tmp_path / "m.json"
+        jsonio.dump_canonical(matrix_to_dict(OperatorMatrix(
+            np.eye(64), 1.0, 2.0, window, nodes, grid)), matrix)
+        for command in ("commutator-test", "recover-symbol"):
+            assert run(command, "--matrix", matrix, "--out", tmp_path / "x.json") == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"input error: {matrix}: matrix field 'grid': {says}")
+            assert cause in err
+            assert len(err.strip().splitlines()) == 1
 
 
 def _shifted_nodes(matrix: dict) -> dict:

@@ -3,7 +3,8 @@ private module-level name is referenced, every public function, and every
 public method and property of a public class, has a caller outside the tests,
 every default of one is omitted by a caller outside the tests, every
 parameter is read, every field of a public dataclass has a reader outside the
-tests, and every annotation resolves.  Standard library only (ast, typing)."""
+tests, every annotation resolves, and only `grid` reorders spectra for np.fft.
+Standard library only (ast, typing)."""
 import ast
 import importlib
 import inspect
@@ -410,6 +411,20 @@ def test_annotations_resolve(name):
         typing.get_type_hints(obj)
         checked += 1
     assert checked > 0 or name == "__init__"
+
+
+def _shift_calls(name: str) -> list:
+    tree = ast.parse((SRC / f"{name}.py").read_text())
+    return [f"{name}.py:{node.lineno}" for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and _called(node.func) in ("fftshift", "ifftshift")]
+
+
+def test_fft_order_lives_in_grid():
+    # every lattice array is in natural order, bin j at (j - n/2) dxi; only
+    # grid's transforms move between it and np.fft's order
+    assert _shift_calls("grid")
+    assert [c for name in MODULES if name != "grid" for c in _shift_calls(name)] == []
 
 
 def test_unused_import_detector_flags_a_stray_name():

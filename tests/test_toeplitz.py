@@ -6,7 +6,7 @@ import pytest
 from pytest import approx
 
 from pwlab.commutator import build_frame, lambda_ops, lattice_omega_apply
-from pwlab.grid import Grid, SampledFunction
+from pwlab.grid import Grid, SampledFunction, symmetric_grid
 from pwlab.pwspace import default_grid, project_band, sinc_kernel
 from pwlab.symbols import (bump_spectrum_symbol, gaussian_symbol,
                            mod_poly_symbol, sampled_symbol, samples)
@@ -67,7 +67,7 @@ def _matrix_route(sym, grid):
 
 
 # the stencil loop the lattice kernel replaced: the shift, then the 5-point
-# (i/2 pi) d/dxi once per degree, each as a sum of rolls
+# (i/2 pi) d/dxi once per degree, each as a sum of rolls, in natural order
 _LOOP_STENCILS = {1: ((25 / 12, -4.0, 3.0, -4 / 3, 1 / 4), (0, -1, -2, -3, -4)),
                   -1: ((-25 / 12, 4.0, -3.0, 4 / 3, -1 / 4), (0, 1, 2, 3, 4)),
                   0: ((1 / 12, -2 / 3, 2 / 3, -1 / 12), (-2, -1, 1, 2))}
@@ -81,7 +81,7 @@ def _stencil_loop_kernel(params, grid):
     for _ in range(params["degree"]):
         vals = (1j / (2 * np.pi)) * sum(c * np.roll(vals, -o)
                                         for c, o in zip(coefs, offs)) / dxi
-    return params["amp"] * vals
+    return np.fft.fftshift(params["amp"] * vals)
 
 
 def _unbounded_warning(expected):
@@ -102,7 +102,9 @@ def test_mod_poly_kernel_matches_stencil_loop(degree, mod, window):
     # degree >= 1 with |mod| < 2a is unbounded: assembled with a warning
     with _unbounded_warning(degree >= 1 and abs(mod) < 2.0 * A):
         M = toeplitz_matrix(mod_poly_symbol(degree, mod, 0.7), A, 2.0, window, grid)
-    R = assemble_matrix(ref, NyquistBasis(A, window, grid), 2.0).entries
+    basis = NyquistBasis(A, window, grid)
+    h, m = grid.count // 2, basis.bins
+    R = assemble_matrix(ref[h - m + 1:h + m], basis, 2.0).entries
     # at mod 2a the band block holds no tap: both are exactly zero
     assert np.linalg.norm(M.entries - R, 2) <= 1e-12 * np.linalg.norm(R, 2)
 
@@ -119,11 +121,11 @@ def test_resolution_guard_names_the_problem(grid):
             route(bump_spectrum_symbol(6.0, 7.5, seed=1), grid)
 
 
-def _symbol_case(make, window=8.0, a=A, grid_args=None):
-    """On the window-64 grid, or on default_grid(a, *grid_args) when given."""
+def _symbol_case(make, window=8.0, a=A, case_grid=None):
+    """On case_grid when given, else on the window-64 grid."""
     def build(grid):
-        if grid_args is not None:
-            grid = default_grid(a, *grid_args)
+        if case_grid is not None:
+            grid = case_grid
         elif window != 8.0:
             grid = default_grid(A, window)
         sym = make(grid)
@@ -137,16 +139,20 @@ def _symbol_case(make, window=8.0, a=A, grid_args=None):
 # at oversample 8, m = 51 is odd, b0 = -25, and d_k^2 = exp(4 pi i b0 k/m) != 1
 NARROW_BAND, NARROW_WINDOW, NARROW_GRID = 0.75, 6.0, (16.0, 5)
 ODD_GRID = (17.0, 8)
+# band 1 at stride 2, the coarsest the basis takes: m = 32 = n/2 band bins, so
+# the taps K(1 - m) ... K(m - 1) reach lattice indices 1 and n - 1
+STRIDE2_GRID = symmetric_grid(8.0, 0.25)
 
 
 def _narrow_case(make, grid_args=NARROW_GRID):
-    return _symbol_case(make, NARROW_WINDOW, NARROW_BAND, grid_args)
+    return _symbol_case(make, NARROW_WINDOW, NARROW_BAND,
+                        default_grid(NARROW_BAND, *grid_args))
 
 
-def _omega_case(conjugate):
+def _omega_case(conjugate, frame_grid=None):
     def build(grid):
         # the frame's basis spans its grid, so a window-8 grid gives basis window 8
-        frame = build_frame(A, 2.0, default_grid(A, 8.0))
+        frame = build_frame(A, 2.0, frame_grid or default_grid(A, 8.0))
         ops = lambda_ops(frame)
         return (ops.lam_bar if conjugate else ops.lam, frame.basis,
                 lambda v: project_band((lattice_omega_adjoint if conjugate else
@@ -176,6 +182,13 @@ BLOCK_CASES = {
     "gaussian-a0.75-odd-bins": _narrow_case(lambda g: gaussian_symbol(), ODD_GRID),
     "omega": _omega_case(False),
     "omega-bar": _omega_case(True),
+    "gaussian-stride2": _symbol_case(lambda g: gaussian_symbol(width=4.0),
+                                     case_grid=STRIDE2_GRID),
+    "mod_poly-0-stride2": _symbol_case(lambda g: mod_poly_symbol(0, 0.5, amp=0.7),
+                                       case_grid=STRIDE2_GRID),
+    "mod_poly-2-negative-mod-stride2": _symbol_case(
+        lambda g: mod_poly_symbol(2, -0.25, amp=0.3), case_grid=STRIDE2_GRID),
+    "omega-stride2": _omega_case(False, STRIDE2_GRID),
 }
 
 
@@ -220,6 +233,16 @@ def test_basis_coefficients_invert_synthesis(grid):
         c = rng.standard_normal(basis.size) + 1j * rng.standard_normal(basis.size)
         f = basis.synthesize(c)
         assert np.max(np.abs(basis.coefficients(f) - c)) < 1e-12
+
+
+def test_basis_refuses_a_grid_that_cannot_hold_its_band():
+    # step 1/(2a): one grid step per node, m = n band bins; the taps would wrap
+    grid = Grid(-8.0, 0.5, 32)
+    with pytest.raises(ValueError, match=r"grid nyquist 1\.0 does not exceed band 1\.0"):
+        NyquistBasis(A, 8.0, grid)
+    sym = sampled_symbol(samples(gaussian_symbol(), grid))
+    with pytest.raises(ValueError, match="2 grid steps per node"):
+        toeplitz_matrix(sym, A, 2.0, 8.0, grid)
 
 
 @pytest.mark.parametrize("a, window", [(A, 64.0625), (0.75, 16.5)])
