@@ -303,7 +303,7 @@ def cmd_toeplitz(args) -> int:
 
 
 def cmd_split(args) -> int:
-    from .split import bump, bump_l1_norms, split_symbol
+    from .split import BUMP_NAMES, bump, bump_l1_norms, split_symbol
     from .symbols import from_dict
     tols = _tols(args)
     sym = _load(args.symbol, from_dict, _flat_symbol)
@@ -314,14 +314,14 @@ def cmd_split(args) -> int:
         "l1_norms": l1_norms,
         "band_certificates": parts.band_certificates,
         "parts": {name: jsonio.function_to_dict(parts.part(name))
-                  for name in ("L", "C", "R")},
+                  for name in BUMP_NAMES},
     }
-    rows = [[name, l1_norms[name]] for name in ("L", "C", "R")]
+    rows = [[name, l1_norms[name]] for name in BUMP_NAMES]
     _write(args, payload, rows, ["part", "l1_norm"])
     if args.emit_bumps:
         us = np.arange(-4.0, 4.0 + 1e-12, 1.0 / 32.0)
         table = np.column_stack([args.band * us]
-                                + [bump(us, w) for w in ("L", "C", "R")])
+                                + [bump(us, w) for w in BUMP_NAMES])
         bumps = _out_paths(args)[2]
         jsonio.write_csv(bumps, ["xi", "bump_L", "bump_C", "bump_R"], table)
         print(f"wrote {bumps}")
@@ -436,27 +436,24 @@ def cmd_factorize(args) -> int:
     return _verdict(ok, "reconstruction residual exceeded the requested bound")
 
 
-def _frame_for(args, T):
-    # band, p, window and grid come from the matrix file; the frame is built
-    # on T's grid, or at --oversample when the file records none
+def _frame_for(args, T, p_rule=_FLAGS["p"]["rule"]):
+    # band, p, window and grid come from the matrix file, p meeting p_rule; a
+    # file that records no grid is read on the default grid of its window
     from .commutator import build_frame
-    _check("p", T.p)
+    holds, requirement = p_rule
+    field = "p" if not holds(T.p) else "grid" if T.grid else "window"
     try:
-        grid = T.grid or default_grid(T.a, T.window, args.oversample)
-    except ValueError as e:
-        raise InputError(f"oversample: {e}") from None
-    if not math.isclose(-grid.start, T.window) or \
-            not math.isclose(grid.start + grid.span, T.window):
-        raise InputError(f"window: the matrix grid (start {grid.start}, step "
-                         f"{grid.step}, count {grid.count}) does not span its "
-                         f"basis window {T.window}; assemble it with --window "
-                         f"{T.window}")
-    try:
+        if field == "p":
+            raise ValueError(f"{requirement}, got {T.p}")
+        grid = T.grid or default_grid(T.a, T.window)
+        if not math.isclose(-grid.start, T.window) or \
+                not math.isclose(grid.start + grid.span, T.window):
+            raise ValueError(f"the grid (start {grid.start}, step {grid.step}, "
+                             f"count {grid.count}) does not span the basis "
+                             f"window {T.window}")
         return build_frame(T.a, T.p, grid)
     except ValueError as e:
-        if T.grid is None:
-            raise
-        raise InputError(f"{args.matrix}: matrix field 'grid': {e}") from None
+        raise InputError(f"{args.matrix}: matrix field '{field}': {e}") from None
 
 
 def cmd_commutator_test(args) -> int:
@@ -479,9 +476,8 @@ def cmd_recover_symbol(args) -> int:
     from .toeplitz import matrix_from_dict
     tol = _tols(args)["roundtrip"]
     T = _load(args.matrix, matrix_from_dict, _matrix_member)
-    if T.p != 2.0:
-        raise InputError(f"matrix p: symbol recovery needs p = 2, got {T.p}")
-    rec = recover_symbol(T, _frame_for(args, T))
+    rec = recover_symbol(T, _frame_for(
+        args, T, (lambda p: p == 2.0, "symbol recovery needs p = 2")))
     rt = recovery_roundtrip(T, rec)
     payload = {
         "band": T.a, "p": T.p,
@@ -539,9 +535,9 @@ COMMANDS = {
                   {"out": "factorization.json"},
                   ("input", "margin", "summary", "band", "p")),
     "commutator-test": (cmd_commutator_test, "test a matrix for the Toeplitz property",
-                        {"out": "commutator_test.json"}, ("matrix", "oversample", "seed")),
+                        {"out": "commutator_test.json"}, ("matrix", "seed")),
     "recover-symbol": (cmd_recover_symbol, "recover a symbol from a Toeplitz matrix",
-                       {"out": "recovered_symbol.json"}, ("matrix", "oversample")),
+                       {"out": "recovered_symbol.json"}, ("matrix",)),
     "verify": (cmd_verify, "run the full identity suite", {"out": "report.json"},
                ("seed",)),
 }

@@ -86,8 +86,6 @@ def _emit(obj, out, indent):
         out.append(str(int(obj)))
     elif isinstance(obj, (float, np.floating)):
         out.append(_fmt_float(float(obj)))
-    elif isinstance(obj, (complex, np.complexfloating)):
-        out.append("[%s, %s]" % (_fmt_float(obj.real), _fmt_float(obj.imag)))
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     else:

@@ -104,8 +104,6 @@ def _bump_profile(u: np.ndarray) -> np.ndarray:
 
 def spectrum_on(sym: SymbolSpec, fgrid: Grid) -> np.ndarray:
     """Spectrum values of a bump_spectrum symbol on a frequency lattice."""
-    if sym.kind != "bump_spectrum":
-        raise ValueError("spectrum_on applies to bump_spectrum symbols")
     P = sym.params
     width = P["hi"] - P["lo"]
 

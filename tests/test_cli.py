@@ -318,8 +318,8 @@ REMOVED_FLAGS = {
     "bounded-symbol": ["--seed"],
     "nehari": ["--p", "--seed"],
     "factorize": ["--oversample", "--window", "--seed"],
-    "commutator-test": ["--band", "--p", "--window"],
-    "recover-symbol": ["--band", "--p", "--window", "--seed"],
+    "commutator-test": ["--band", "--p", "--oversample", "--window"],
+    "recover-symbol": ["--band", "--p", "--oversample", "--window", "--seed"],
     "verify": ["--band", "--p", "--oversample", "--window", "--tol"],
 }
 REQUIRED = {"project": ["--input", "in.json"], "factorize": ["--input", "in.json"],
@@ -447,20 +447,6 @@ def test_matrix_grid_past_the_cap_is_refused_on_load(files, tmp_path, capsys, co
     err = capsys.readouterr().err
     assert err == (f"input error: {matrix}: grid count 2097152 is more than the "
                    "1,048,576 points a grid may hold\n")
-
-
-@pytest.mark.parametrize("command", ["commutator-test", "recover-symbol"])
-def test_oversample_past_the_grid_cap_is_named(files, tmp_path, capsys, command):
-    # a matrix file with no grid gets one at --oversample
-    doc = json.loads((files / "matrix.json").read_text())
-    doc.pop("grid", None)
-    matrix = tmp_path / "m.json"
-    matrix.write_text(json.dumps(doc))
-    assert run(command, "--matrix", matrix, "--oversample", 10 ** 6,
-               "--out", tmp_path / "x.json") == 1
-    err = capsys.readouterr().err
-    assert err.startswith("input error: oversample: grid count ")
-    assert len(err.strip().splitlines()) == 1
 
 
 def test_function_grid_past_the_cap_is_refused_on_load(tmp_path, capsys):
@@ -786,7 +772,8 @@ def test_matrix_on_a_wider_grid_names_window(files, tmp_path, capsys):
     for command in ("commutator-test", "recover-symbol"):
         assert run(command, "--matrix", matrix, "--out", tmp_path / "x.json") == 1
         err = capsys.readouterr().err
-        assert err.startswith("input error: window:")
+        assert err.startswith(f"input error: {matrix}: matrix field 'grid': ")
+        assert "does not span" in err
         assert len(err.strip().splitlines()) == 1
 
 
@@ -794,18 +781,25 @@ def test_matrix_on_a_grid_of_fractional_band_bins_is_refused(tmp_path, capsys):
     nodes = np.arange(-32, 32) / 2.0
     for window, grid, says, cause in [
             # window 16.0625 puts 64.25 bins in the band, so the frame has no basis
-            (16.0625, Grid(-16.0625, 0.0625, 514), "grid count 514", "fractional"),
+            (16.0625, Grid(-16.0625, 0.0625, 514), "'grid': grid count 514", "fractional"),
             # 2.5 grid steps per node, and one: neither carries a Nyquist basis
-            (16.0, Grid(-16.0, 0.2, 160), "grid step", "does not subdivide the Nyquist"),
-            (16.0, Grid(-16.0, 0.5, 64), "grid nyquist 1.0 does not exceed band 1.0",
-             "2 grid steps per node")]:
+            (16.0, Grid(-16.0, 0.2, 160), "'grid': grid step",
+             "does not subdivide the Nyquist"),
+            (16.0, Grid(-16.0, 0.5, 64), "'grid': grid nyquist 1.0 does not exceed "
+             "band 1.0", "2 grid steps per node"),
+            # a file with no grid is read on the default grid of its window: 514
+            # steps of 1/16 (64.25 bins), 512.96 rounded to 513, and 512.32
+            # rounded to 512, which stops short of the window
+            (16.0625, None, "'window': grid count 514", "fractional"),
+            (16.03, None, "'window': grid count", "must be even"),
+            (16.01, None, "'window': the grid", "does not span")]:
         matrix = tmp_path / "m.json"
         jsonio.dump_canonical(matrix_to_dict(OperatorMatrix(
             np.eye(64), 1.0, 2.0, window, nodes, grid)), matrix)
         for command in ("commutator-test", "recover-symbol"):
             assert run(command, "--matrix", matrix, "--out", tmp_path / "x.json") == 1
             err = capsys.readouterr().err
-            assert err.startswith(f"input error: {matrix}: matrix field 'grid': {says}")
+            assert err.startswith(f"input error: {matrix}: matrix field {says}")
             assert cause in err
             assert len(err.strip().splitlines()) == 1
 
@@ -931,7 +925,16 @@ def test_unbounded_mod_poly_is_refused_by_bounded_symbol(tmp_path, capsys,
 def test_recover_symbol_needs_p_two(files, tmp_path, capsys):
     assert run("recover-symbol", "--matrix", files / "matrix_p3.json",
                "--out", tmp_path / "x.json") == 1
-    assert "p = 2" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"input error: {files / 'matrix_p3.json'}: matrix field 'p': symbol "
+        "recovery needs p = 2, got 3.0\n")
+    # commutator-test holds a file's p to the range of --p
+    matrix = tmp_path / "p1.json"
+    matrix.write_text(json.dumps({**json.loads((files / "matrix.json").read_text()),
+                                  "p": 1.0}))
+    assert run("commutator-test", "--matrix", matrix, "--out", tmp_path / "x.json") == 1
+    assert capsys.readouterr().err == (
+        f"input error: {matrix}: matrix field 'p': must lie in (1, inf), got 1.0\n")
 
 
 def test_verify_runs_clean_and_reports(files, tmp_path, monkeypatch, capsys):

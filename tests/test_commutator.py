@@ -287,3 +287,27 @@ def test_frame_matrix_size_guard(frame, grid):
     T = toeplitz_matrix(gaussian_symbol(), A, 2.0, 32.0, grid)
     with pytest.raises(ValueError, match="window"):
         commutator_test(T, frame)
+
+
+def test_the_frame_depends_only_on_band_and_window():
+    # a matrix file without a grid is read on default_grid(a, W): the grid's
+    # oversampling moves neither the commutator test nor the recovery
+    # round-trip past rounding, since the frame follows from the band a and
+    # the window W (frequency step 1/(2W), 4aW band bins, alpha by Parseval)
+    T = dataclasses.replace(
+        toeplitz_matrix(gaussian_symbol(), A, 2.0, 32.0, default_grid(A, 32.0)),
+        grid=None)
+    n = T.size
+    e = np.zeros(n)
+    e[n // 2] = e[n // 2 + 12] = 1.0 / np.sqrt(2.0)
+    S = dataclasses.replace(T, entries=T.entries + np.outer(e, e))
+    clean, spoiled, roundtrip = [], [], []
+    for oversample in (4, 8, 16):
+        frame = build_frame(A, 2.0, default_grid(A, 32.0, oversample))
+        clean.append(commutator_test(T, frame))
+        spoiled.append(commutator_test(S, frame))
+        roundtrip.append(recovery_roundtrip(T, recover_symbol(T, frame)))
+    assert n == 128 and spoiled[0] > 1e-3
+    assert np.ptp(clean) <= 1e-15
+    assert np.ptp(spoiled) <= 1e-12 * spoiled[0]
+    assert np.ptp(roundtrip) <= 1e-15
