@@ -26,7 +26,7 @@ import numpy as np
 # every command loads these three; a command imports the rest of the library
 # in its own body, so a launch compiles only the modules it runs
 from . import jsonio
-from .grid import SampledFunction, lp_norm
+from .grid import lp_norm
 from .pwspace import (DEFAULT_BAND, DEFAULT_OVERSAMPLE, DEFAULT_WINDOW,
                       band_residual, default_grid, project_band)
 
@@ -289,7 +289,7 @@ def cmd_toeplitz(args) -> int:
     grid = _grid(args, flag, basis=True)
     sym = _load(args.symbol, from_dict, _flat_symbol)
     T = toeplitz_matrix(sym, args.band, args.p, args.basis_window, grid)
-    norms = operator_norm_certified(T)
+    norms = operator_norm_certified(T, args.p)
     payload = {
         "norm_lower": norms["lower"], "norm_upper": norms["upper"],
         "matrix": matrix_to_dict(T),
@@ -409,27 +409,18 @@ def cmd_factorize(args) -> int:
         "residual_sup": F.residual_sup,
         "residual_l1": F.residual_l1,
         "certified": ok,
+        "plan": {"spacing": F.plan.spacing,
+                 "decay_constant": F.plan.decay_constant()},
     }
-    if F.plan is not None:
-        payload["plan"] = {"spacing": F.plan.spacing,
-                           "decay_constant": F.plan.decay_constant()}
     if not args.summary:
         # pairs in closed form: f_k = spacing * weight_k * atom(. - center_k),
-        # g_k = atom(. - center_k); explicit sampled pairs when no plan exists
-        if F.plan is not None:
-            payload["pairs_format"] = "atoms"
-            payload["atom"] = jsonio.function_to_dict(
-                sinc_atom(args.band, 0.0, h.grid).fun)
-            payload["pairs"] = [
-                {"center": float(t), "weight": [float(w.real), float(w.imag)]}
-                for t, w in zip(F.plan.centers, F.plan.weights)
-                if w != 0.0]
-        else:
-            payload["pairs_format"] = "explicit"
-            payload["pairs"] = [
-                {"f": jsonio.function_to_dict(SampledFunction(h.grid, fk)),
-                 "g": jsonio.function_to_dict(SampledFunction(h.grid, gk))}
-                for fk, gk in zip(F.f.values, F.g.values)]
+        # g_k = atom(. - center_k)
+        payload["pairs_format"] = "atoms"
+        payload["atom"] = jsonio.function_to_dict(
+            sinc_atom(args.band, 0.0, h.grid).fun)
+        payload["pairs"] = [
+            {"center": float(t), "weight": [float(w.real), float(w.imag)]}
+            for t, w in zip(F.plan.centers, F.plan.weights)]
     _write(args, payload,
            [[len(F), F.nuclear_sum, F.residual_sup, F.residual_l1]],
            ["n_pairs", "nuclear_sum", "residual_sup", "residual_l1"])

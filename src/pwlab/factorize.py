@@ -71,15 +71,17 @@ def fejer_triangle(a: float, xi: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FejerAtomPlan:
-    """Sampling plan for the atom sum: centers t_k, spacing, and weights."""
+    """Sampling plan for the atom sum: centers t_k, spacing, and weights, so
+    f_k = spacing * w_k * A(. - t_k) and g_k = A(. - t_k)."""
 
     spacing: float
     centers: np.ndarray
     weights: np.ndarray
 
     def decay_constant(self) -> float:
-        """Measured C with |w(t_k)| <= C/(1 + t_k^2) over the plan."""
-        return float(np.max(np.abs(self.weights) * (1.0 + self.centers ** 2)))
+        """Measured C with |w(t_k)| <= C/(1 + t_k^2) over the plan; 0 when empty."""
+        return float(np.max(np.abs(self.weights) * (1.0 + self.centers ** 2),
+                            initial=0.0))
 
 
 def _product_sum(f: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -107,7 +109,7 @@ class Factorization:
     residual_l1: float
     a: float
     p: float
-    plan: FejerAtomPlan | None = None
+    plan: FejerAtomPlan               # regroup_pairs keeps the plan of the one it regroups
 
     def __len__(self) -> int:
         return len(self.f.values)
@@ -161,7 +163,7 @@ def weak_factorize(h: BandlimitedFunction, a: float, p: float,
     """Factor a band-2b target into sinc-atom pairs f_k conj(g_k).
 
     A target that already equals a (scaled) single atom product is passed
-    through as a one-pair factorization at any band up to 2a; otherwise the
+    through as a one-atom plan at any band up to 2a; otherwise the
     strict margin b < a applies and the Fejer deconvolution supplies the
     weights.  Truncation/reconstruction residuals are measured on the grid
     and flagged (not fatal) when above tolerance.
@@ -171,14 +173,14 @@ def weak_factorize(h: BandlimitedFunction, a: float, p: float,
     q = holder_conjugate(p)
     sup_h = float(np.max(np.abs(h.values)))
     # single-atom passthrough: h = s * A(.-t) conj(A(.-t)) for a grid center t;
-    # a zero target passes with s = 0, which `keep` drops: no pairs
+    # a zero target passes with s = 0, which `keep` drops: an empty plan
     windows, i0 = _atom_windows(a, grid)
     n = grid.count
     i = int(np.argmax(np.abs(h.values)))
     atom = windows[n + i0 - i]
     s = h.values[i] / float(np.max(np.abs(atom) ** 2))
     if float(np.max(np.abs(h.values - s * atom * np.conj(atom)))) <= atom_tol * sup_h:
-        dt, weights, plan = 1.0, np.array([s]), None
+        dt, idx, weights = 1.0, np.array([i]), np.array([s])
         g = windows[n + i0 - i:n + i0 - i + 1]
     else:
         w = fejer_deconvolve(h, a)
@@ -186,12 +188,12 @@ def weak_factorize(h: BandlimitedFunction, a: float, p: float,
         dt = stride * grid.step
         idx = np.arange(0, n, stride)
         weights = w.values[idx]
-        plan = FejerAtomPlan(dt, grid.points[idx], weights)
         g = windows[n + i0:i0:-stride]
     keep = weights != 0.0
     if not keep.all():
-        g = g[keep]
-    f = (dt * weights[keep])[:, None] * g
+        g, idx, weights = g[keep], idx[keep], weights[keep]
+    plan = FejerAtomPlan(dt, grid.points[idx], weights)
+    f = (dt * weights)[:, None] * g
 
     res = np.abs(_product_sum(f, g) - h.values)
     residual_sup = float(res.max())
@@ -204,7 +206,7 @@ def weak_factorize(h: BandlimitedFunction, a: float, p: float,
     atom_q = lp_norm(SampledFunction(grid, g[0]), q) if len(g) else 0.0
     nuclear = float(dt * np.sum(np.abs(weights)) * atom_p * atom_q)
     return Factorization(SampledFunction(grid, f), SampledFunction(grid, g),
-                         nuclear, residual_sup, residual_l1, a, p, plan=plan)
+                         nuclear, residual_sup, residual_l1, a, p, plan)
 
 
 def pair(T, F: Factorization) -> complex | list:
@@ -252,8 +254,7 @@ def regroup_pairs(F: Factorization) -> Factorization:
     nuclear = float(sum(nf * ng for nf, ng in zip(_row_norms(f, grid.step, F.p),
                                                   _row_norms(g, grid.step, F.q))))
     return Factorization(SampledFunction(grid, f), SampledFunction(grid, g),
-                         nuclear, F.residual_sup, F.residual_l1, F.a, F.p,
-                         plan=F.plan)
+                         nuclear, F.residual_sup, F.residual_l1, F.a, F.p, F.plan)
 
 
 def toeplitz_test_set(a: float, p: float, seed: int, grid: Grid) -> list:

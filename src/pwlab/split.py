@@ -130,19 +130,19 @@ def split_symbol(sym: SymbolSpec, a: float, grid: Grid,
     return SplitResult(parts["L"], parts["C"], parts["R"], certs, a)
 
 
-def jensen_certificate(m_full, m_parts: dict, l1_norms: dict) -> dict:
+def jensen_certificate(m_full, m_parts: dict, l1_norms: dict, p: float) -> dict:
     """Both sides of ||T_X|| <= ||inverse-transform of cutoff||_1 * ||T|| per part.
 
     m_full is the operator matrix of the symbol, m_parts maps each name in
     BUMP_NAMES to the matrix of that split part (same basis), and l1_norms
-    are `bump_l1_norms`.  Norms are certified lower estimates on the
+    are `bump_l1_norms`.  Norms are certified lower p-norm estimates on the
     edge-excluded interior block (the same estimator on both sides, so the
     comparison is fair at every p).  Returns {name: (norm, bound)}; each
     bound carries a 1e-3 relative slack, and the caller compares the two.
     """
     from .toeplitz import operator_norm_certified   # `pwlab split` needs no matrices
-    norm_full = operator_norm_certified(m_full)["lower"]
-    return {name: (operator_norm_certified(m_parts[name])["lower"],
+    norm_full = operator_norm_certified(m_full, p)["lower"]
+    return {name: (operator_norm_certified(m_parts[name], p)["lower"],
                    l1_norms[name] * norm_full * (1.0 + 1e-3))
             for name in BUMP_NAMES}
 

@@ -334,9 +334,9 @@ def _pnorm_upper(A: np.ndarray, p: float) -> float:
     return n1 ** (1.0 / p) * ninf ** (1.0 / holder_conjugate(p))
 
 
-def operator_norm_certified(M: OperatorMatrix, p: float | None = None) -> dict:
+def operator_norm_certified(M: OperatorMatrix, p: float) -> dict:
     """p-norm bounds on the edge-excluded interior block."""
-    return matrix_pnorm(M.interior(), M.p if p is None else p)
+    return matrix_pnorm(M.interior(), p)
 
 
 # -- identity checks ----------------------------------------------------------

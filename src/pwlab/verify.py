@@ -124,7 +124,7 @@ def check_05_splitting(a: float, seed: int) -> list:
         denom = float(np.linalg.norm(T.entries, 2))
         worst_sum = max(worst_sum,
                         float(np.linalg.norm(acc - T.entries, 2)) / denom)
-        for norm, bound in jensen_certificate(T, m_parts, l1_norms).values():
+        for norm, bound in jensen_certificate(T, m_parts, l1_norms, 2.0).values():
             if bound > 0.0:
                 worst_jensen = max(worst_jensen, norm / bound)
     norms = [bump_l1_norms(aa) for aa in (0.5, 1.0, 2.0, 4.0)]
@@ -151,7 +151,7 @@ def check_06_central_recovery(a: float, seed: int) -> list:
     sweep = float(np.max(np.abs(rec - true)))
 
     T_c = toeplitz_matrix(phi_sym, a, 2.0, 32.0, grid)
-    tnorm = operator_norm_certified(T_c)["lower"]
+    tnorm = operator_norm_certified(T_c, 2.0)["lower"]
     prod = sinc_norm_constant(2.0)["product"]
     return [
         _row("06-recovery-sweep", "central-symbol-recovery", sweep, 1e-5 * sup),
@@ -179,7 +179,7 @@ def check_08_norm_sandwich(a: float, seed: int) -> list:
         sym = bump_spectrum_symbol(0.05 * a, 1.9 * a, seed=seed + 20 + k,
                                    hermitian=True)
         T = toeplitz_matrix(sym, a, 2.0, 32.0, grid)
-        n = operator_norm_certified(T)["lower"]
+        n = operator_norm_certified(T, 2.0)["lower"]
         sup = lp_norm(samples(sym, grid), np.inf)
         rows.append(_row(f"08-upper-{k}", "norm-equivalence-sandwich",
                          n, sup * 1.001))

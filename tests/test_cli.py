@@ -16,7 +16,7 @@ from pwlab import factorize, jsonio, nehari, split
 from pwlab.cli import COMMANDS, _tols, build_parser, main, tolerances
 from pwlab.factorize import sinc_atom
 from pwlab.grid import Grid, SampledFunction
-from pwlab.pwspace import default_grid, sinc_kernel
+from pwlab.pwspace import default_grid, project_band, sinc_kernel
 from pwlab.symbols import gaussian_symbol, sampled_symbol, to_dict
 from pwlab.toeplitz import OperatorMatrix, matrix_to_dict, toeplitz_matrix
 
@@ -658,19 +658,40 @@ def test_unmet_tolerance_is_exit_two_and_still_writes(files, tmp_path, capsys,
     assert len((tmp_path / "r.csv").read_text().splitlines()) == 2
 
 
-def test_factorize_single_atom_writes_explicit_pairs(tmp_path):
+@pytest.mark.parametrize("target, margin", [
+    ("sinc-sq", None),
     # the product's spectrum ends one bin inside 2a, so margin 0.999 keeps it
+    ("single-atom", 0.999),
+    ("zero", None)])
+def test_factorize_atom_pairs_rebuild_the_target(tmp_path, target, margin):
+    # f_k conj(g_k) = spacing * weight_k * |atom(. - center_k)|^2, where the
+    # written atom is centred at 0 and translates are cyclic rolls on the grid
     grid = default_grid(1.0)
-    atom = sinc_atom(1.0, 0.5, grid)
-    target = tmp_path / "atom.json"
-    jsonio.dump_canonical(jsonio.function_to_dict(SampledFunction(
-        grid, 0.3 * atom.values * np.conj(atom.values))), target)
+    atom = sinc_atom(1.0, 0.5, grid).values
+    values = {"sinc-sq": sinc_kernel(0.9, 0.0, grid).values ** 2,
+              "single-atom": 0.3 * atom * np.conj(atom),
+              "zero": np.zeros(grid.count, complex)}[target]
+    source = tmp_path / "target.json"
+    jsonio.dump_canonical(jsonio.function_to_dict(SampledFunction(grid, values)),
+                          source)
     out = tmp_path / "fact.json"
-    assert run("factorize", "--input", target, "--margin", 0.999, "--out", out) == 0
+    margin_flag = () if margin is None else ("--margin", margin)
+    assert run("factorize", "--input", source, *margin_flag, "--out", out) == 0
     payload = json.loads(out.read_text())
-    assert payload["pairs_format"] == "explicit" and "plan" not in payload
-    assert payload["n_pairs"] == len(payload["pairs"]) == 1
-    assert {"f", "g"} == set(payload["pairs"][0])
+    assert payload["pairs_format"] == "atoms"
+    assert payload["n_pairs"] == len(payload["pairs"])
+    written = jsonio.function_from_dict(payload["atom"])
+    # the target factorized is the input projected to band 2 * margin
+    h = project_band(jsonio.function_from_dict(json.loads(source.read_text())),
+                     2.0 * payload["margin"])
+    assert written.grid == h.grid
+    zero = written.grid.index_of(0.0)
+    rebuilt = np.zeros(written.grid.count, complex)
+    for entry in payload["pairs"]:
+        shifted = np.roll(written.values, written.grid.index_of(entry["center"]) - zero)
+        rebuilt += (payload["plan"]["spacing"] * complex(*entry["weight"])
+                    * np.abs(shifted) ** 2)
+    assert np.max(np.abs(rebuilt - h.values)) <= 1e-12 * np.max(np.abs(h.values))
 
 
 def test_commutator_test_accepts_true_toeplitz(files, tmp_path):

@@ -248,7 +248,7 @@ def test_holder_per_term(fact, grid):
     q = fact.q
     for k in range(0, len(fact), 64):
         fk, gk = (SampledFunction(grid, s.values[k:k + 1]) for s in (fact.f, fact.g))
-        term = abs(pair(T1, type(fact)(fk, gk, 0.0, 0.0, 0.0, A, 2.0)))
+        term = abs(pair(T1, type(fact)(fk, gk, 0.0, 0.0, 0.0, A, 2.0, fact.plan)))
         bound = (lp_norm(SampledFunction(grid, fk.values[0]), 2.0)
                  * lp_norm(SampledFunction(grid, gk.values[0]), q))
         assert term <= bound * (1 + 1e-3)

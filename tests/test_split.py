@@ -99,11 +99,11 @@ def test_jensen_certificate_structure(grid):
                for name in ("L", "C", "R")}
     T = toeplitz_matrix(sym, A, 2.0, 32.0, grid)
     l1_norms = bump_l1_norms(A)
-    rep = jensen_certificate(T, m_parts, l1_norms)
+    rep = jensen_certificate(T, m_parts, l1_norms, 2.0)
     assert set(rep) == {"L", "C", "R"}
-    norm_full = operator_norm_certified(T)["lower"]
+    norm_full = operator_norm_certified(T, 2.0)["lower"]
     for name, (norm, bound) in rep.items():
-        assert norm == operator_norm_certified(m_parts[name])["lower"]
+        assert norm == operator_norm_certified(m_parts[name], 2.0)["lower"]
         assert norm <= bound
         assert bound == approx(l1_norms[name] * norm_full * 1.001, rel=1e-12)
 

@@ -319,7 +319,7 @@ def test_matrix_pnorm_bracket_for_intermediate_p():
 def test_gaussian_matrix_norm_under_sup(grid):
     sym = gaussian_symbol()
     T = toeplitz_matrix(sym, A, 2.0, 32.0, grid)
-    n = operator_norm_certified(T)
+    n = operator_norm_certified(T, 2.0)
     assert n["lower"] <= 1.0 + 1e-9  # ||T_phi|| <= sup|phi| = 1 at p = 2
 
 
