@@ -37,7 +37,8 @@ import numpy as np
 from .grid import Grid, SampledFunction, fft_spectrum, inverse_spectrum, lp_norm
 from .pwspace import default_grid
 from .symbols import sampled_symbol
-from .toeplitz import NyquistBasis, OperatorMatrix, assemble_matrix, toeplitz_matrix
+from .toeplitz import (NyquistBasis, OperatorMatrix, assemble_matrix, norm2,
+                       toeplitz_matrix)
 
 
 def blaschke_params(freq_step: float) -> tuple[float, float]:
@@ -149,7 +150,7 @@ def defect_identity_residual(frame: ConformalFrame) -> float:
     ops = frame.ops
     defect = np.eye(ops.lam.size, dtype=complex) - ops.lam_bar.entries @ ops.lam.entries
     kc = frame.kernel_coeffs
-    return float(np.linalg.norm(defect - frame.alpha * np.outer(kc, np.conj(kc)), 2))
+    return norm2(defect - frame.alpha * np.outer(kc, np.conj(kc)))
 
 
 def _check_frame_matrix(T: OperatorMatrix, frame: ConformalFrame):
@@ -175,7 +176,7 @@ def commutator_test(T: OperatorMatrix, frame: ConformalFrame, seed: int = 42) ->
     """
     _check_frame_matrix(T, frame)
     n = T.size
-    tnorm = float(np.linalg.norm(T.entries, 2))
+    tnorm = norm2(T.entries)
     if tnorm == 0.0:
         return 0.0
     rng = np.random.default_rng(seed)
@@ -224,10 +225,10 @@ def series_residual(T: OperatorMatrix, S: OperatorMatrix,
     radius = math.sqrt(64.0 / (2.0 * np.pi * frame.basis.a)) / 3.0
     sel = np.abs(T.nodes) <= radius
     block = np.ix_(sel, sel)
-    denom = float(np.linalg.norm(T.entries[block], 2))
+    denom = norm2(T.entries[block])
     if denom == 0.0:
-        return float(np.linalg.norm(S.entries[block], 2))
-    return float(np.linalg.norm(S.entries[block] - T.entries[block], 2)) / denom
+        return norm2(S.entries[block])
+    return norm2(S.entries[block] - T.entries[block]) / denom
 
 
 @dataclass
@@ -292,6 +293,6 @@ def recovery_roundtrip(T: OperatorMatrix, rec: RecoveredSymbol) -> float:
     """Relative norm error of reassembling T from its recovered symbol."""
     T_rec = toeplitz_matrix(sampled_symbol(rec.total), T.a, T.p, T.window,
                             rec.total.grid)
-    tnorm = float(np.linalg.norm(T.entries, 2))
-    err = float(np.linalg.norm(T_rec.entries - T.entries, 2))
+    tnorm = norm2(T.entries)
+    err = norm2(T_rec.entries - T.entries)
     return err / tnorm if tnorm > 0.0 else err

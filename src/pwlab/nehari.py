@@ -9,8 +9,8 @@ top singular value a.e. and whose negative moments reproduce the data.  The
 quotient is a closed form, so pulling back to the line is pointwise
 evaluation, not interpolation.
 
-Only sigma0 and the top pair of the section are read: `_top_pairs` finds
-them by Lanczos from its FFT products (the section is held as its
+Only sigma0 and the top pair of the section are read: `pwspace._top_pairs`
+finds them by Lanczos from its FFT products (the section is held as its
 2M + 1 disk coefficients, never as a matrix), and the same kernel on the
 lattice operator P_- M_b P_+ gives `NehariResult.hankel_norm`, computed on
 first read; the bounded-symbol pipeline never reads it.
@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import Grid, SampledFunction, energy_fraction, fft_spectrum, lp_norm
-from .pwspace import default_grid, project_halfline
+from .pwspace import _top_pairs, default_grid, project_halfline
 from .split import split_symbol
 from .symbols import SymbolSpec, point_values, sampled_symbol, samples
 from .toeplitz import (DEFAULT_BASIS_WINDOW, OperatorMatrix, _pnorm_upper,
@@ -45,7 +45,7 @@ DEFAULT_TRUNCATION = 256
 CIRCLE_OVERSAMPLE = 8
 TAIL_TOL = 1e-8
 AAK_TOL = 5e-2          # nehari_solve warns when sup|psi| > sigma0 * (1 + AAK_TOL)
-LANCZOS_CAP = 256       # most steps of `_top_pairs`, and the rows of its bases
+LANCZOS_CAP = 256       # most steps of a Nehari `_top_pairs` run
 # the largest truncation M, refused before anything is allocated: nehari_solve's
 # traced peak grows by ~21 kB per unit of M (check 09's symbol), ~0.7 GB here
 MAX_TRUNCATION = 32_768
@@ -144,52 +144,6 @@ class AAKSolution:
         return self._quotient(wt * np.exp(-2j * np.pi * np.arange(size) / size), v)
 
 
-def _top_pairs(apply, adjoint, n: int,
-               floor: float) -> tuple[float, np.ndarray, np.ndarray]:
-    """sigma0 and the top pair (u, v), A v = sigma0 u, of the operator on C^n
-    with products x -> A x (`apply`) and y -> A* y (`adjoint`).
-
-    Golub-Kahan-Lanczos bidiagonalization A V_k = U_k B_k (Golub & Kahan 1965;
-    Golub & Van Loan ch. 10) from a seeded start, each vector orthogonalized
-    twice against all earlier ones.  B_k = P S Q* is decomposed every 4 steps
-    to k = 32, then every k/8 to k/4 steps.  The top Ritz pair has residual
-    beta_k |p_0[-1]|; the run stops once it is <= 1e-15 s_0, or once
-    s_0 <= floor (a numerically zero operator's residuals are noise).  Each
-    basis holds min(n, LANCZOS_CAP) + 1 rows; the run is exact at k = n, and
-    one the cap stops warns and returns a lower bound.
-    """
-    rng = np.random.default_rng(0)
-    cap = min(n, LANCZOS_CAP)
-    U, V = np.zeros((2, cap + 1, n), dtype=complex)  # basis vectors as rows
-    alpha, beta = np.zeros((2, cap))
-
-    def extend(Q: np.ndarray, k: int, x: np.ndarray) -> float:
-        """Store x, orthogonalized against Q[:k] and normalized, as Q[k]."""
-        for _ in range(2):
-            x = x - np.conj(Q[:k] @ np.conj(x)) @ Q[:k]
-        norm = float(np.linalg.norm(x))
-        if norm == 0.0:        # an invariant subspace: go on from a fresh direction
-            extend(Q, k, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-        else:
-            Q[k] = x / norm
-        return norm
-
-    extend(V, 0, rng.standard_normal(n) + 1j * rng.standard_normal(n))
-    for k in range(cap):    # orthogonalizing removes beta u_(k-1), alpha v_k below
-        alpha[k] = extend(U, k, apply(V[k]))
-        if k + 1 < n:
-            beta[k] = extend(V, k + 1, adjoint(U[k]))
-        if (k + 1) % max(4, 2 ** ((k + 1).bit_length() - 3)) == 0 or k + 1 == cap:
-            p, s, qh = np.linalg.svd(np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1))
-            res = beta[k] * abs(p[k, 0])                # the top Ritz pair's residual
-            if res <= 1e-15 * s[0] or s[0] <= floor:
-                break
-    else:                   # the cap, not the residual, ended the run
-        warnings.warn(f"Lanczos stopped at its cap of {cap} steps with residual "
-                      f"{res / s[0]:.1e} of sigma0; sigma0 {s[0]:.8e} is a lower bound")
-    return float(s[0]), p[:, 0] @ U[:k + 1], np.conj(qh[0]) @ V[:k + 1]
-
-
 def _section_products(coeffs: np.ndarray, n: int) -> tuple:
     """x -> G x and y -> G* y for the n x n section G[j, k] = c(-(j+k+1)), n >= M,
     of the coefficients c(-M..M), zero past -M.  (G x)[j] = sum_k h[j+k] x[k],
@@ -222,7 +176,7 @@ def aak_solve(coeffs: np.ndarray) -> AAKSolution:
     """
     M = len(coeffs) // 2
     floor = 1e-13 * max(1.0, float(np.max(np.abs(coeffs))))
-    sigma0, w, v = _top_pairs(*_section_products(coeffs, M), M, floor)
+    sigma0, w, v = _top_pairs(*_section_products(coeffs, M), M, LANCZOS_CAP, floor)
     if sigma0 <= floor:
         return AAKSolution(sigma0, np.eye(1, M, dtype=complex)[0],
                            np.zeros(M, dtype=complex), 0.0)
@@ -240,14 +194,16 @@ def hankel_norm_estimate(b: SampledFunction) -> float:
     The lattice realizes the analytic class as nonnegative-frequency content;
     the kernel runs on A = P_- M_b P_+ and A* = P_+ M_conj(b) P_- and stops at
     the floor sigma0 <= 1e-13 max|b| (b = 1 leaves rounding noise) or at
-    LANCZOS_CAP steps with a warning and a lower bound, never an n x n basis.
+    LANCZOS_CAP steps with a warning and a lower bound; its bases hold at most
+    twice the steps taken, never an n x n basis.
     """
     def half(vals: np.ndarray, sign: int) -> np.ndarray:
         return project_halfline(SampledFunction(b.grid, vals), sign).values
 
     return _top_pairs(lambda x: half(b.values * half(x, +1), -1),
                       lambda y: half(np.conj(b.values) * half(y, -1), +1),
-                      b.grid.count, 1e-13 * float(np.max(np.abs(b.values))))[0]
+                      b.grid.count, LANCZOS_CAP,
+                      1e-13 * float(np.max(np.abs(b.values))))[0]
 
 
 @dataclass

@@ -12,6 +12,7 @@ up O(1/step) edge defects.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,6 +181,59 @@ def boyd_lower_bound(apply_fn, adjoint_fn, n: int, p: float, weight: float = 1.0
         est_prev[rows] = ny
         rows, x = rows[running], x[running]
     return float(np.max(est_prev))
+
+
+def _top_pairs(apply, adjoint, n: int, cap: int,
+               floor: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """sigma0 and the top pair (u, v), A v = sigma0 u, of the operator on C^n
+    with products x -> A x (`apply`) and y -> A* y (`adjoint`).
+
+    Golub-Kahan-Lanczos bidiagonalization A V_k = U_k B_k (Golub & Kahan 1965;
+    Golub & Van Loan ch. 10) from a seeded start, each vector orthogonalized
+    twice against all earlier ones.  B_k = P S Q* is decomposed every 4 steps
+    to k = 32, then every k/8 to k/4 steps.  The top Ritz pair has residual
+    beta_k |p_0[-1]|; the run stops once it is <= 1e-15 s_0, or once
+    s_0 <= floor (a numerically zero operator's residuals are noise).  The
+    run takes at most min(n, cap) steps, and each basis grows by doubling with
+    the steps taken, to at most min(n, cap) + 1 rows.  It is exact at k = n;
+    a run the cap stops warns and returns a lower bound.
+    """
+    rng = np.random.default_rng(0)
+    cap = min(n, cap)
+    bases = [np.zeros((0, n), dtype=complex)] * 2   # U and V, basis vectors as rows
+    alpha, beta = np.zeros((2, cap))
+
+    def extend(side: int, k: int, x: np.ndarray) -> float:
+        """Store x, orthogonalized against rows :k of bases[side] and
+        normalized, as its row k."""
+        Q = bases[side]
+        if k == len(Q):      # full: double the rows
+            Q = bases[side] = np.concatenate(
+                (Q, np.zeros((min(max(k, 8), cap + 1 - k), n), dtype=complex)))
+        for _ in range(2):
+            x = x - np.conj(Q[:k] @ np.conj(x)) @ Q[:k]
+        norm = float(np.linalg.norm(x))
+        if norm == 0.0:        # an invariant subspace: go on from a fresh direction
+            extend(side, k, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        else:
+            Q[k] = x / norm
+        return norm
+
+    extend(1, 0, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    for k in range(cap):    # orthogonalizing removes beta u_(k-1), alpha v_k below
+        alpha[k] = extend(0, k, apply(bases[1][k]))
+        if k + 1 < n:
+            beta[k] = extend(1, k + 1, adjoint(bases[0][k]))
+        if (k + 1) % max(4, 2 ** ((k + 1).bit_length() - 3)) == 0 or k + 1 == cap:
+            p, s, qh = np.linalg.svd(np.diag(alpha[:k + 1]) + np.diag(beta[:k], 1))
+            res = beta[k] * abs(p[k, 0])                # the top Ritz pair's residual
+            if res <= 1e-15 * s[0] or s[0] <= floor:
+                break
+    else:                   # the cap, not the residual, ended the run
+        warnings.warn(f"Lanczos stopped at its cap of {cap} steps with residual "
+                      f"{res / s[0]:.1e} of sigma0; sigma0 {s[0]:.8e} is a lower bound")
+    U, V = bases
+    return float(s[0]), p[:, 0] @ U[:k + 1], np.conj(qh[0]) @ V[:k + 1]
 
 
 def riesz_constant_estimate(p: float) -> float:

@@ -44,6 +44,7 @@ from .grid import (Grid, SampledFunction, energy_fraction, fft_spectrum,
 from .jsonio import grid_from_dict, grid_to_dict, member, number
 from .pwspace import (
     BandlimitedFunction,
+    _top_pairs,
     band_mask,
     boyd_lower_bound,
     default_grid,
@@ -306,11 +307,27 @@ def identity_matrix(a: float, p: float, window: float) -> OperatorMatrix:
 # -- matrix p-norms -----------------------------------------------------------
 
 
+def norm2(X: np.ndarray) -> float:
+    """The 2-norm (largest singular value) of a square matrix: `_top_pairs`'s
+    sigma0 on x -> X x and y -> X* y with cap n and floor 0.
+
+    The Ritz value is a lower bound that converges to sigma_max from the
+    kernel's seeded start (so two calls on one matrix agree bit for bit) and
+    meets the SVD's to rounding; the run is exact at k = n, so the cap never
+    warns.  It can only miss when the start is orthogonal to the top right
+    singular vector."""
+    if X.ndim != 2 or X.shape[0] != X.shape[1]:
+        raise ValueError(f"norm2 needs a square matrix, got shape {X.shape}")
+    n = len(X)
+    return _top_pairs(lambda x: X @ x, lambda y: np.conj(np.conj(y) @ X), n, n, 0.0)[0]
+
+
 def matrix_pnorm(A: np.ndarray, p: float) -> dict:
     """{lower, upper} bounds for the l^p -> l^p norm of a dense matrix.  The
-    upper is `_pnorm_upper`; off p in {1, 2, inf} Boyd-Higham runs on A at p and
-    on A* at q (||A||_p = ||A*||_q) give the lower: on a seeded 115x115 complex
-    Gaussian at p = 1.5 the run on A alone reads 0.43% below the pair."""
+    upper is `_pnorm_upper`, the norm itself at p in {1, 2, inf} (`norm2` at
+    p = 2); off those, Boyd-Higham runs on A at p and on A* at q
+    (||A||_p = ||A*||_q) give the lower: on a seeded 115x115 complex Gaussian
+    at p = 1.5 the run on A alone reads 0.43% below the pair."""
     up = _pnorm_upper(A, p)
     if p in (1, 2, math.inf):
         return {"lower": up, "upper": up}
@@ -323,12 +340,13 @@ def matrix_pnorm(A: np.ndarray, p: float) -> dict:
 
 
 def _pnorm_upper(A: np.ndarray, p: float) -> float:
-    """The l^p -> l^p norm of A exactly at p in {1, 2, inf}, otherwise the
-    Riesz-Thorin bound ||A||_1^(1/p) ||A||_inf^(1/q)."""
+    """The l^p -> l^p norm of A at p in {1, 2, inf} (at p = 2 `norm2`, which
+    meets the SVD to rounding), otherwise the Riesz-Thorin bound
+    ||A||_1^(1/p) ||A||_inf^(1/q)."""
     if not p >= 1:
         raise ValueError(f"p must be >= 1, got {p}")
     if p == 2:
-        return float(np.linalg.norm(A, 2))
+        return norm2(A)
     # exact at p = 1 and p = inf, where one of the two exponents is 0
     n1, ninf = (float(np.max(np.sum(np.abs(A), axis=ax))) for ax in (0, 1))
     return n1 ** (1.0 / p) * ninf ** (1.0 / holder_conjugate(p))

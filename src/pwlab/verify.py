@@ -24,8 +24,8 @@ from .pwspace import (boyd_lower_bound, default_grid, project_band,
                       riesz_constant_estimate, sinc_kernel, sinc_profile)
 from .symbols import bump_spectrum_symbol, gaussian_symbol, mod_poly_symbol, samples
 from .toeplitz import (OperatorMatrix, hankel_symbol, identity_matrix,
-                       identity_residuals, operator_norm_certified, toeplitz_apply,
-                       toeplitz_matrix)
+                       identity_residuals, norm2, operator_norm_certified,
+                       toeplitz_apply, toeplitz_matrix)
 from .split import (BUMP_NAMES, bump_l1_norms, central_recover_sweep,
                     jensen_certificate, sinc_norm_constant, split_symbol)
 from .nehari import AAK_TOL, bounded_symbol, nehari_solve
@@ -65,7 +65,7 @@ def check_01_reproducing_identity(a: float, seed: int) -> list:
 def check_02_zero_symbol(a: float, seed: int) -> list:
     T = toeplitz_matrix(mod_poly_symbol(1, 2.0 * a), a, 2.0, 32.0)
     return [_row("02-zero-symbol", "zero-symbol-operator",
-                 float(np.linalg.norm(T.entries, 2)), 1e-8)]
+                 norm2(T.entries), 1e-8)]
 
 
 def check_03_vanishing_spectrum(a: float, seed: int) -> list:
@@ -75,7 +75,7 @@ def check_03_vanishing_spectrum(a: float, seed: int) -> list:
     worst = 0.0
     for sym in syms:
         T = toeplitz_matrix(sym, a, 2.0, 32.0)
-        worst = max(worst, float(np.linalg.norm(T.entries, 2)))
+        worst = max(worst, norm2(T.entries))
     return [_row("03-vanishing-spectrum", "vanishing-spectrum-symbols",
                  worst, 1e-8, note=f"{len(syms)} seeded symbols")]
 
@@ -121,9 +121,8 @@ def check_05_splitting(a: float, seed: int) -> list:
         acc = np.zeros_like(T.entries)
         for name in BUMP_NAMES:
             acc += m_parts[name].entries
-        denom = float(np.linalg.norm(T.entries, 2))
-        worst_sum = max(worst_sum,
-                        float(np.linalg.norm(acc - T.entries, 2)) / denom)
+        denom = norm2(T.entries)
+        worst_sum = max(worst_sum, norm2(acc - T.entries) / denom)
         for norm, bound in jensen_certificate(T, m_parts, l1_norms, 2.0).values():
             if bound > 0.0:
                 worst_jensen = max(worst_jensen, norm / bound)

@@ -21,3 +21,9 @@ def lattice_omega_adjoint(f: SampledFunction) -> SampledFunction:
     n = f.grid.count
     out = np.convolve(spec.values, _omega_kernel(n, f.grid.freq_step)[::-1])[n - 1:]
     return inverse_spectrum(SampledFunction(spec.grid, out), start=f.grid.start)
+
+
+def svd_norm(X: np.ndarray) -> float:
+    """The 2-norm of a dense matrix by its full SVD, the definitional route
+    that `toeplitz.norm2` replaces."""
+    return float(np.linalg.svd(X, compute_uv=False)[0])

@@ -3,7 +3,8 @@ private module-level name is referenced, every public function, and every
 public method and property of a public class, has a caller outside the tests,
 every default of one is omitted by a caller outside the tests, every
 parameter is read, every field of a public dataclass has a reader outside the
-tests, every annotation resolves, and only `grid` reorders spectra for np.fft.
+tests, every annotation resolves, only `grid` reorders spectra for np.fft, and
+every dense 2-norm is `toeplitz.norm2`.
 Standard library only (ast, typing)."""
 import ast
 import importlib
@@ -425,6 +426,45 @@ def test_fft_order_lives_in_grid():
     # grid's transforms move between it and np.fft's order
     assert _shift_calls("grid")
     assert [c for name in MODULES if name != "grid" for c in _shift_calls(name)] == []
+
+
+def _dense_norm_calls(source: str) -> tuple[list, list]:
+    """The lines of the `norm(..., 2)` and `norm(..., ord=2)` calls in source,
+    and (line, enclosing function) of its `svd` calls."""
+    ord2, svd = [], []
+
+    def walk(node: ast.AST, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and _called(child.func) == "norm":
+                ords = child.args[1:2] + [k.value for k in child.keywords if k.arg == "ord"]
+                if any(isinstance(o, ast.Constant) and o.value == 2 for o in ords):
+                    ord2.append(child.lineno)
+            elif isinstance(child, ast.Call) and _called(child.func) == "svd":
+                svd.append((child.lineno, fn))
+            walk(child, child.name if isinstance(child, ast.FunctionDef) else fn)
+
+    walk(ast.parse(source), None)
+    return ord2, svd
+
+
+def test_dense_two_norms_have_one_owner():
+    # every matrix 2-norm is `toeplitz.norm2`, the Lanczos kernel's sigma0;
+    # a full SVD runs only on the kernel's k x k bidiagonal
+    calls = {name: _dense_norm_calls((SRC / f"{name}.py").read_text())
+             for name in MODULES}
+    assert {name: ord2 for name, (ord2, _) in calls.items() if ord2} == {}
+    assert {name: [fn for _, fn in svd] for name, (_, svd) in calls.items()
+            if svd} == {"pwspace": ["_top_pairs"]}
+
+
+def test_dense_norm_detector_flags_a_stray_norm():
+    source = ("import numpy as np\n"
+              "def f(X):\n"
+              "    return np.linalg.norm(X, 2) + np.linalg.norm(X, ord=2.0)\n"
+              "def g(X):\n"
+              "    return np.linalg.svd(X), np.linalg.norm(X), np.linalg.norm(X, 1)\n"
+              "s = np.linalg.svd(np.eye(2))\n")
+    assert _dense_norm_calls(source) == ([3, 3], [(5, "g"), (6, None)])
 
 
 def test_unused_import_detector_flags_a_stray_name():

@@ -9,10 +9,10 @@ from pytest import approx
 from pwlab import nehari
 from pwlab.grid import SampledFunction, energy_fraction, fft_spectrum, lp_norm
 from pwlab.nehari import (AAKSolution, NehariResult, _circle_coeffs, _circle_nodes,
-                          _circle_size, _section_products, _top_pairs, aak_solve,
+                          _circle_size, _section_products, aak_solve,
                           bounded_symbol, hankel_norm_estimate, hankel_symbol,
                           line_to_disk, nehari_solve)
-from pwlab.pwspace import default_grid, project_band, sinc_kernel
+from pwlab.pwspace import _top_pairs, default_grid, project_band, sinc_kernel
 from pwlab.split import split_symbol
 from pwlab.symbols import (bump_spectrum_symbol, gaussian_symbol, mod_poly_symbol,
                            point_values, sampled_symbol, samples)
@@ -300,13 +300,24 @@ def _svd_reference(gamma):
 
 
 def _products(A):
-    """`_top_pairs`'s arguments for a dense square A, with no floor."""
-    return lambda x: A @ x, lambda y: np.conj(np.conj(y) @ A), len(A), 0.0
+    """`_top_pairs`'s arguments for a dense square A, with Nehari's cap and no
+    floor."""
+    return (lambda x: A @ x, lambda y: np.conj(np.conj(y) @ A), len(A),
+            nehari.LANCZOS_CAP, 0.0)
 
 
 def _counted(apply, adjoint, calls: list):
     """apply and adjoint, each appending to calls when it runs."""
     return lambda x: calls.append(1) or apply(x), lambda y: calls.append(1) or adjoint(y)
+
+
+def _count_kernel_products(monkeypatch) -> list:
+    """Route `nehari`'s `_top_pairs` through `_counted`; returns the list its
+    products append to."""
+    calls, kernel = [], nehari._top_pairs
+    monkeypatch.setattr(nehari, "_top_pairs", lambda apply, adjoint, n, cap, floor:
+                        kernel(*_counted(apply, adjoint, calls), n, cap, floor))
+    return calls
 
 
 def _dense_section(coeffs: np.ndarray, n: int | None = None) -> np.ndarray:
@@ -377,15 +388,16 @@ def test_top_pairs_match_svd(sections, name, gap):
 @pytest.mark.parametrize("name, gap", [("check09", 0.959), ("check10-0.991", 0.991)])
 def test_top_pairs_on_section_products_match_svd(sections, disks, name, gap):
     n = len(sections[name])
-    _assert_top_pairs(sections[name], (*_section_products(disks[name], n), n, 0.0), gap)
+    _assert_top_pairs(sections[name], (*_section_products(disks[name], n), n,
+                                       nehari.LANCZOS_CAP, 0.0), gap)
 
 
 def test_top_pairs_stops_on_the_residual(sections):
     # two products per Lanczos step; 24 steps leave a 3e-6 relative residual
     # on the 0.991 section, and the factorization is exact only at 256
-    apply, adjoint, n, floor = _products(sections["check10-0.991"])
+    apply, adjoint, n, cap, floor = _products(sections["check10-0.991"])
     calls = []
-    _top_pairs(*_counted(apply, adjoint, calls), n, floor)
+    _top_pairs(*_counted(apply, adjoint, calls), n, cap, floor)
     assert 2 * 24 < len(calls) <= 2 * 40
 
 
@@ -452,9 +464,9 @@ def test_high_rank_tie_is_resolved(gap, steps):
     # at 96
     gamma = _tied_matrix(gap)
     s0 = _svd_reference(gamma)[0]
-    apply, adjoint, n, floor = _products(gamma)
+    apply, adjoint, n, cap, floor = _products(gamma)
     calls = []
-    got0, u, v = _top_pairs(*_counted(apply, adjoint, calls), n, floor)
+    got0, u, v = _top_pairs(*_counted(apply, adjoint, calls), n, cap, floor)
     assert abs(got0 - s0) <= 1e-12 * s0
     assert np.linalg.norm(gamma @ v - got0 * u) <= 1e-12 * s0
     assert len(calls) <= 2 * steps
@@ -555,9 +567,7 @@ def test_hankel_norm_matches_lattice_svd(grid32, sym):
 def test_hankel_norm_of_a_constant_stops_at_the_floor(grid, monkeypatch, value):
     # P_- M_1 P_+ = 0, on the lattice rounding noise near 4e-16 that no
     # relative residual test passes; the floor ends the run at the first check
-    calls, kernel = [], nehari._top_pairs
-    monkeypatch.setattr(nehari, "_top_pairs", lambda apply, adjoint, n, floor:
-                        kernel(*_counted(apply, adjoint, calls), n, floor))
+    calls = _count_kernel_products(monkeypatch)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         est = hankel_norm_estimate(SampledFunction(grid, np.full(grid.count, value, complex)))
@@ -586,6 +596,25 @@ def test_hankel_norm_memory_is_bounded_by_the_cap(right_target, grid):
     finally:
         tracemalloc.stop()
     assert peak < 2 * (nehari.LANCZOS_CAP + 1) * n * 16 + 32 * n * 16
+
+
+def test_lanczos_bases_track_the_steps_taken(right_target, grid, monkeypatch):
+    # bases of LANCZOS_CAP + 1 rows allocated up front would be 2 x 257 x 2048
+    # complex, 16.8 MB; grown by doubling they hold at most twice the steps
+    n = grid.count
+    b = samples(right_target, grid)
+    hankel_norm_estimate(b)                   # warm the FFT plans
+    calls = _count_kernel_products(monkeypatch)
+    tracemalloc.start()
+    try:
+        hankel_norm_estimate(b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    steps = len(calls) // 2
+    assert steps < 64
+    assert peak < 2 * 2 * (steps + 1) * n * 16 + 64 * n * 16
+    assert peak < (2 * (nehari.LANCZOS_CAP + 1) * n * 16) / 3
 
 
 def test_completion_memory_is_bounded_by_the_cap():
