@@ -11,17 +11,19 @@ lattice the identity is exact rather than approximate: the atoms are
 synthesized spectrally (so translation is a cyclic roll), |A|^2 has exactly
 the triangle spectrum, and the atom spacing delta_t < 1/(2(a+b)) pushes every
 spectral alias of w clear of the triangle's support.  The pairs
-(f_k, g_k) = (delta_t w(t_k) A(. - t_k), A(. - t_k)), held as two (k, count)
-sample stacks, then realize the factorization with an explicit nuclear sum
-sum_k ||f_k||_p ||g_k||_q.
+(f_k, g_k) = (delta_t w(t_k) A(. - t_k), A(. - t_k)) then realize the
+factorization with an explicit nuclear sum sum_k ||f_k||_p ||g_k||_q.  They
+are held as the plan (t_k, w_k, delta_t) and the windows of one atom; each
+reader forms only the samples it needs, never a (k, count) stack.
 
 Full-band targets (b = a) are excluded: the triangle vanishes at +-2a and the
 deconvolution blows up.  The margin b is read off the target's certified band.
 """
 from __future__ import annotations
 
+import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -37,6 +39,7 @@ from .toeplitz import (NyquistBasis, OperatorMatrix, identity_matrix,
 TEST_SET_SIZE = 4      # `toeplitz_test_set`: identity and three smooth symbols
 ATOM_TOL = 1e-8        # a target this close to one atom product (of its sup) passes through
 RESIDUAL_SUP_TOL = 1e-6  # weak_factorize warns past this sup residual (of the sup)
+REGROUP_BLOCK = 64     # regroup_pairs forms this many (even) pairs' samples at a time
 
 
 def _atom_windows(a: float, grid: Grid) -> tuple[np.ndarray, int]:
@@ -84,39 +87,58 @@ class FejerAtomPlan:
                             initial=0.0))
 
 
-def _product_sum(f: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """sum_k f_k conj(g_k), accumulated row by row: no (k, count) temporary."""
-    acc = np.zeros(f.shape[-1], dtype=complex)
-    for fk, gk in zip(f, g):
-        acc += fk * np.conj(gk)
-    return acc
-
-
 def _row_norms(values: np.ndarray, step: float, p: float) -> list:
-    """lp_norm of each row of a (k, count) stack, without wrapping (and
-    re-checking) each row; row by row, so no (k, count) temporary."""
+    """lp_norm of each row of a block, with lp_norm's arithmetic: the row sums
+    of one blocked np.sum equal the per-row sums bit for bit."""
     if p == np.inf:
-        return [float(np.max(np.abs(row))) for row in values]
-    return [float((step * np.sum(np.abs(row) ** p)) ** (1.0 / p)) for row in values]
+        return [float(m) for m in np.max(np.abs(values), axis=1)]
+    return [float((step * s) ** (1.0 / p)) for s in np.sum(np.abs(values) ** p, axis=1)]
 
 
 @dataclass
 class Factorization:
-    f: SampledFunction                # (k, count) stack of the f_k
-    g: SampledFunction                # (k, count) stack of the g_k, same grid
+    """h = sum_k f_k conj(g_k), with f_k = spacing * w_k * A(. - t_k) and
+    g_k = A(. - t_k) from the plan, and A(. - t_k) the window rows[k] of
+    `atoms`; then the two-by-two merge of regroup_pairs, `regroups` times."""
+
+    plan: FejerAtomPlan
+    atoms: np.ndarray                 # read-only windows of one tiled atom
+    rows: np.ndarray                  # the window of atoms holding each g_k
+    grid: Grid
     nuclear_sum: float                # sum ||f_k||_p ||g_k||_q
     residual_sup: float
     residual_l1: float
     a: float
     p: float
-    plan: FejerAtomPlan               # regroup_pairs keeps the plan of the one it regroups
+    regroups: int = 0
+
+    def __post_init__(self):
+        # O(k): the atom is finite, so every sample of every pair is finite
+        # when every pair scale is
+        with np.errstate(invalid="ignore", over="ignore"):
+            scales = self.plan.spacing * self.plan.weights
+        if not np.all(np.isfinite(scales)):
+            raise ValueError("pair scales spacing * weight contain NaN or Inf")
 
     def __len__(self) -> int:
-        return len(self.f.values)
+        return len(self.rows)
 
     @property
     def q(self) -> float:
         return holder_conjugate(self.p)
+
+    def pair_samples(self, lo: int = 0, hi: int | None = None,
+                     cols=slice(None)) -> tuple[np.ndarray, np.ndarray]:
+        """The samples of f_k and g_k, k = lo..hi-1, at the grid indices cols:
+        two fresh (hi - lo, len(cols)) arrays.  lo is even, so a block holds
+        whole merged pairs and an odd last pair stays unmerged."""
+        g = self.atoms[:, cols][self.rows[lo:hi]]
+        f = (self.plan.spacing * self.plan.weights[lo:hi])[:, None] * g
+        for _ in range(self.regroups):
+            m = len(g) - len(g) % 2
+            np.add(f[0:m:2], f[1:m:2], out=f[0:m:2])
+            np.subtract(g[1:m:2], g[0:m:2], out=g[1:m:2])
+        return f, g
 
 
 def _as_banded(h, name: str) -> BandlimitedFunction:
@@ -181,32 +203,34 @@ def weak_factorize(h: BandlimitedFunction, a: float, p: float,
     s = h.values[i] / float(np.max(np.abs(atom) ** 2))
     if float(np.max(np.abs(h.values - s * atom * np.conj(atom)))) <= atom_tol * sup_h:
         dt, idx, weights = 1.0, np.array([i]), np.array([s])
-        g = windows[n + i0 - i:n + i0 - i + 1]
     else:
         w = fejer_deconvolve(h, a)
         stride = _atom_stride(grid, a, h.a / 2.0)
         dt = stride * grid.step
         idx = np.arange(0, n, stride)
         weights = w.values[idx]
-        g = windows[n + i0:i0:-stride]
     keep = weights != 0.0
-    if not keep.all():
-        g, idx, weights = g[keep], idx[keep], weights[keep]
+    idx, weights = idx[keep], weights[keep]
+    rows = n + i0 - idx
     plan = FejerAtomPlan(dt, grid.points[idx], weights)
-    f = (dt * weights)[:, None] * g
 
-    res = np.abs(_product_sum(f, g) - h.values)
+    # sum_k f_k conj(g_k), f_k formed row by row: no (k, count) temporary
+    acc = np.zeros(n, dtype=complex)
+    for r, scale in zip(rows, dt * weights):
+        acc += scale * windows[r] * np.conj(windows[r])
+    res = np.abs(acc - h.values)
     residual_sup = float(res.max())
     residual_l1 = float(grid.step * res.sum())
     if residual_sup > RESIDUAL_SUP_TOL * sup_h:
         warnings.warn(f"atom-sum reconstruction off by {residual_sup:.3e} "
                       f"(sup {sup_h:.3e}); factorization returned as-is",
                       RuntimeWarning)
-    atom_p = lp_norm(SampledFunction(grid, g[0]), p) if len(g) else 0.0
-    atom_q = lp_norm(SampledFunction(grid, g[0]), q) if len(g) else 0.0
-    nuclear = float(dt * np.sum(np.abs(weights)) * atom_p * atom_q)
-    return Factorization(SampledFunction(grid, f), SampledFunction(grid, g),
-                         nuclear, residual_sup, residual_l1, a, p, plan)
+    nuclear = 0.0
+    if len(rows):
+        atom = SampledFunction(grid, windows[rows[0]])
+        nuclear = float(dt * np.sum(np.abs(weights)) * lp_norm(atom, p) * lp_norm(atom, q))
+    return Factorization(plan, windows, rows, grid, nuclear, residual_sup,
+                         residual_l1, a, p)
 
 
 def pair(T, F: Factorization) -> complex | list:
@@ -214,8 +238,10 @@ def pair(T, F: Factorization) -> complex | list:
 
     T is one OperatorMatrix, giving a complex, or a sequence of them on one
     Nyquist window (same a and window), giving their pairings in order.  Each
-    reads one N x N matrix, built once from the stacks' Nyquist coefficients as
+    reads one N x N matrix, built once from the pairs' Nyquist coefficients as
     C = cf^T conj(cg), in O(N^2) as sum_ij T_ij C_ji (the trace duality tr(T C)).
+    The coefficients are formed from the atom's samples at the N nodes alone:
+    k x N work, never k x count.
     Coefficients are read on the operators' own Nyquist window, so atoms
     centred outside it are truncated honestly; with the full sampling window
     the basis is a square Parseval frame and the pairing matches grid
@@ -232,9 +258,12 @@ def pair(T, F: Factorization) -> complex | list:
     if len(F) == 0 or not ops:
         values = [0.0 + 0.0j] * len(ops)
     else:
-        basis = NyquistBasis(ops[0].a, ops[0].window, F.f.grid)
-        cg = basis.coefficients(F.g)
-        C = basis.coefficients(F.f).T @ np.conj(cg, out=cg)
+        basis = NyquistBasis(ops[0].a, ops[0].window, F.grid)
+        # basis.coefficients' c_k = f(t_k)/sqrt(2a), on the node columns alone
+        f, g = F.pair_samples(cols=basis.reads)
+        f /= math.sqrt(2.0 * basis.a)
+        g /= math.sqrt(2.0 * basis.a)
+        C = f.T @ np.conj(g, out=g)
         values = [complex(np.sum(op.entries * C.T)) for op in ops]
     return values[0] if isinstance(T, OperatorMatrix) else values
 
@@ -245,16 +274,18 @@ def regroup_pairs(F: Factorization) -> Factorization:
     (f1, g1), (f2, g2) -> (f1 + f2, g1), (f2, g2 - g1): the pairwise products
     sum to the same function, so the pairing must agree with the original —
     this is the representation-independence probe.  An odd last pair stays.
+    The merge is recorded, not applied; the nuclear sum takes each merged
+    row's Lp norm REGROUP_BLOCK pairs at a time.
     """
-    f, g = F.f.values.copy(), F.g.values.copy()
-    k = len(F) - len(F) % 2
-    np.add(f[0:k:2], f[1:k:2], out=f[0:k:2])
-    np.subtract(g[1:k:2], g[0:k:2], out=g[1:k:2])
-    grid = F.f.grid
-    nuclear = float(sum(nf * ng for nf, ng in zip(_row_norms(f, grid.step, F.p),
-                                                  _row_norms(g, grid.step, F.q))))
-    return Factorization(SampledFunction(grid, f), SampledFunction(grid, g),
-                         nuclear, F.residual_sup, F.residual_l1, F.a, F.p, F.plan)
+    R = replace(F, regroups=F.regroups + 1)
+    nuclear = 0.0
+    for lo in range(0, len(R), REGROUP_BLOCK):
+        f, g = R.pair_samples(lo, lo + REGROUP_BLOCK)
+        for nf, ng in zip(_row_norms(f, R.grid.step, R.p),
+                          _row_norms(g, R.grid.step, R.q)):
+            nuclear += nf * ng
+    R.nuclear_sum = nuclear
+    return R
 
 
 def toeplitz_test_set(a: float, p: float, seed: int, grid: Grid) -> list:

@@ -196,7 +196,7 @@ class NyquistBasis:
         self.phase = lattice_phase(band[0] - self.grid.count // 2, self._k, self.bins)
         # every node must sit on the sampling grid so coefficients are exact
         # reads; the first and last on it give size <= bins: distinct k mod m
-        self._reads = slice(self.grid.index_of(self.nodes[0]),
+        self.reads = slice(self.grid.index_of(self.nodes[0]),
                             self.grid.index_of(self.nodes[-1]) + 1, stride)
 
     @property
@@ -213,7 +213,7 @@ class NyquistBasis:
     def coefficients(self, f: SampledFunction) -> np.ndarray:
         """Expansion coefficients of a band-a function, c_k = f(t_k)/sqrt(2a);
         of a (k, count) stack, one row of coefficients per function."""
-        return f.values[..., self._reads] / math.sqrt(2.0 * self.a)
+        return f.values[..., self.reads] / math.sqrt(2.0 * self.a)
 
     def synthesize(self, coeffs: np.ndarray) -> SampledFunction:
         """sum_k c_k e_k: the band is the m-point fft of c_k conj(d_k) at k mod m."""

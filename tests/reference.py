@@ -27,3 +27,25 @@ def svd_norm(X: np.ndarray) -> float:
     """The 2-norm of a dense matrix by its full SVD, the definitional route
     that `toeplitz.norm2` replaces."""
     return float(np.linalg.svd(X, compute_uv=False)[0])
+
+
+def materialize(F) -> tuple:
+    """The (k, count) sample stacks of a `factorize.Factorization`, built the
+    way it once held them: f = (spacing * w)[:, None] * atoms, and each
+    regrouping a copy of both stacks with the two-by-two add and subtract."""
+    g = F.atoms[F.rows]
+    f = (F.plan.spacing * F.plan.weights)[:, None] * g
+    for _ in range(F.regroups):
+        f, g = f.copy(), g.copy()
+        k = len(f) - len(f) % 2
+        np.add(f[0:k:2], f[1:k:2], out=f[0:k:2])
+        np.subtract(g[1:k:2], g[0:k:2], out=g[1:k:2])
+    return f, g
+
+
+def product_sum(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """sum_k f_k conj(g_k) over the rows of two stacks."""
+    acc = np.zeros(f.shape[-1], dtype=complex)
+    for fk, gk in zip(f, g):
+        acc += fk * np.conj(gk)
+    return acc

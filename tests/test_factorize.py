@@ -1,14 +1,16 @@
 """Constructive weak factorization and the operator pairing."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 from pytest import approx
+from reference import materialize, product_sum
 
 from pwlab import factorize
-from pwlab.factorize import (_product_sum, fejer_deconvolve, fejer_triangle, pair,
-                             regroup_pairs, sinc_atom, toeplitz_test_set,
-                             weak_factorize, xpq_sandwich)
+from pwlab.factorize import (FejerAtomPlan, Factorization, fejer_deconvolve,
+                             fejer_triangle, pair, regroup_pairs, sinc_atom,
+                             toeplitz_test_set, weak_factorize, xpq_sandwich)
 from pwlab.grid import SampledFunction, fft_spectrum, lp_norm, symmetric_grid
 from pwlab.pwspace import default_grid, project_band, sinc_profile
 from pwlab.symbols import gaussian_symbol
@@ -75,16 +77,18 @@ def test_atom_stack_is_a_view_of_one_atom(target, grid, monkeypatch):
                         lambda *args: calls.append(args) or sinc_atom(*args))
     F = weak_factorize(target, A, 2.0)
     assert len(calls) <= 1                    # the passthrough candidate only
-    assert F.f.values.shape == F.g.values.shape == (512, grid.count)
-    assert not F.g.values.flags.writeable and not F.g.values.flags.owndata
+    assert len(F) == len(F.plan.centers) == 512
+    assert F.atoms.shape[-1] == grid.count
+    assert not F.atoms.flags.writeable and not F.atoms.flags.owndata
     stride = round(F.plan.spacing / grid.step)
     for k in (0, 1, 255, 511):
+        assert F.plan.centers[k] == grid.points[k * stride]
         atom = sinc_atom(A, grid.points[k * stride], grid)
-        assert np.array_equal(F.g.values[k], atom.values)
+        assert np.array_equal(F.atoms[F.rows[k]], atom.values)
 
 
 def test_reconstruct_matches_target(fact, target):
-    rec = _product_sum(fact.f.values, fact.g.values)
+    rec = product_sum(*materialize(fact))
     assert np.max(np.abs(rec - target.values)) < 1e-12
 
 
@@ -108,10 +112,15 @@ def test_pair_is_representation_independent(fact, grid):
 def test_regroup_nuclear_sum_is_the_per_row_sum(target, grid, p):
     # the reference wraps each row and takes lp_norm; same arithmetic, so equal
     R = regroup_pairs(weak_factorize(target, A, p))
-    want = float(sum(lp_norm(SampledFunction(grid, fk), R.p)
-                     * lp_norm(SampledFunction(grid, gk), R.q)
-                     for fk, gk in zip(R.f.values, R.g.values)))
-    assert R.nuclear_sum == want
+    assert R.nuclear_sum == _per_row_nuclear_sum(R)
+
+
+def _per_row_nuclear_sum(F):
+    """Reference: sum_k ||f_k||_p ||g_k||_q over the materialized stacks, one
+    lp_norm per row."""
+    return float(sum(lp_norm(SampledFunction(F.grid, fk), F.p)
+                     * lp_norm(SampledFunction(F.grid, gk), F.q)
+                     for fk, gk in zip(*materialize(F))))
 
 
 def test_pair_respects_symbol_bound(fact, target, grid):
@@ -127,18 +136,19 @@ def test_pair_with_zero_operator(fact, grid):
 
 
 def _rows(F, rows):
-    """F restricted to the given rows of its stacks."""
-    return dataclasses.replace(F, f=SampledFunction(F.f.grid, F.f.values[rows]),
-                               g=SampledFunction(F.g.grid, F.g.values[rows]))
+    """F restricted to the given pairs of its plan."""
+    plan = FejerAtomPlan(F.plan.spacing, F.plan.centers[rows], F.plan.weights[rows])
+    return dataclasses.replace(F, plan=plan, rows=F.rows[rows])
 
 
 def _pair_per_pair(T, F):
-    """Reference: one coefficient read and one matrix-vector product per pair."""
-    basis = NyquistBasis(T.a, T.window, F.f.grid)
+    """Reference: one coefficient read and one matrix-vector product per pair
+    of the materialized stacks."""
+    basis = NyquistBasis(T.a, T.window, F.grid)
     total = 0.0 + 0.0j
-    for fk, gk in zip(F.f.values, F.g.values):
-        cf = basis.coefficients(SampledFunction(F.f.grid, fk))
-        cg = basis.coefficients(SampledFunction(F.g.grid, gk))
+    for fk, gk in zip(*materialize(F)):
+        cf = basis.coefficients(SampledFunction(F.grid, fk))
+        cg = basis.coefficients(SampledFunction(F.grid, gk))
         total += np.conj(cg) @ (T.entries @ cf)
     return complex(total)
 
@@ -148,7 +158,8 @@ def test_stack_pair_matches_per_pair(fact, grid):
     single = weak_factorize(project_band(SampledFunction(
         grid, 0.3 * atom.values * np.conj(atom.values)), 2.0 * A), A, 2.0)
     forms = {"full": fact, "first-100": _rows(fact, slice(0, 100)),
-             "regrouped": regroup_pairs(fact), "one-pair": single,
+             "regrouped": regroup_pairs(fact),
+             "regrouped-twice": regroup_pairs(regroup_pairs(fact)), "one-pair": single,
              "empty": _rows(fact, slice(0, 0))}
     assert len(single) == 1 and len(forms["empty"]) == 0
     W = -grid.start
@@ -167,12 +178,57 @@ def test_stack_pair_matches_per_pair(fact, grid):
     assert pair([], fact) == []
 
 
+@pytest.mark.parametrize("k", [1, 63, 64, 65, 101, 512])
+@pytest.mark.parametrize("times", [1, 2])
+def test_regroup_matches_the_materialized_stacks(fact, grid, k, times):
+    # pair counts on and around regroup_pairs' block boundaries; an odd last
+    # pair stays unmerged, and a regrouping is regrouped again
+    R = _rows(fact, slice(0, k))
+    for _ in range(times):
+        R = regroup_pairs(R)
+    f, g = materialize(R)
+    assert all(np.array_equal(x, y) for x, y in zip(R.pair_samples(), (f, g)))
+    if k % 2:
+        assert np.array_equal(g[-1], R.atoms[R.rows[-1]])
+    assert R.nuclear_sum == _per_row_nuclear_sum(R)
+    T = toeplitz_matrix(gaussian_symbol(), A, 2.0, -grid.start, grid)
+    want = _pair_per_pair(T, R)
+    assert abs(pair(T, R) - want) <= 1e-12 * abs(want)
+
+
+def test_a_non_finite_pair_scale_is_refused(fact):
+    plan = FejerAtomPlan(fact.plan.spacing, fact.plan.centers[:3],
+                         np.array([0.5, np.inf, 0.25], dtype=complex))
+    with pytest.raises(ValueError, match="NaN or Inf"):
+        Factorization(plan, fact.atoms, fact.rows[:3], fact.grid, 1.0, 0.0, 0.0,
+                      A, 2.0)
+
+
+def test_factorization_holds_no_sample_stack(target, grid):
+    # the check-13 sequence stays below one (k, count) complex stack, 16.8 MB
+    W = -grid.start
+    ops = [identity_matrix(A, 2.0, W),
+           toeplitz_matrix(gaussian_symbol(), A, 2.0, W, grid)]
+    tracemalloc.start()
+    try:
+        F = weak_factorize(target, A, 2.0)
+        v1 = pair(ops, F)
+        v2 = pair(ops, regroup_pairs(F))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(F) == 512
+    assert abs(v1[1] - v2[1]) < 1e-6 * abs(v1[1])
+    assert peak < len(F) * grid.count * 16
+
+
 def test_coefficients_of_a_stack_are_its_rows(fact, grid):
     basis = NyquistBasis(A, 32.0, grid)
-    stack = basis.coefficients(fact.f)
+    f = materialize(fact)[0]
+    stack = basis.coefficients(SampledFunction(grid, f))
     assert stack.shape == (len(fact), basis.size)
     for k in (0, 7, 300, 511):
-        row = basis.coefficients(SampledFunction(grid, fact.f.values[k]))
+        row = basis.coefficients(SampledFunction(grid, f[k]))
         assert np.array_equal(stack[k], row)
 
 
@@ -215,8 +271,10 @@ def test_zero_target():
     F = weak_factorize(h, A, 2.0)
     assert len(F) == 0
     assert F.nuclear_sum == 0.0
-    assert F.f.grid == grid and F.g.grid == grid
-    assert not np.any(_product_sum(F.f.values, F.g.values))
+    assert F.grid == grid and len(F.plan.centers) == len(F.plan.weights) == 0
+    f, g = materialize(F)
+    assert f.shape == g.shape == (0, grid.count)
+    assert not np.any(product_sum(f, g))
 
 
 def test_full_band_target_is_rejected(grid):
@@ -247,10 +305,11 @@ def test_holder_per_term(fact, grid):
     T1 = identity_matrix(A, 2.0, -grid.start)
     q = fact.q
     for k in range(0, len(fact), 64):
-        fk, gk = (SampledFunction(grid, s.values[k:k + 1]) for s in (fact.f, fact.g))
-        term = abs(pair(T1, type(fact)(fk, gk, 0.0, 0.0, 0.0, A, 2.0, fact.plan)))
-        bound = (lp_norm(SampledFunction(grid, fk.values[0]), 2.0)
-                 * lp_norm(SampledFunction(grid, gk.values[0]), q))
+        one = _rows(fact, slice(k, k + 1))
+        fk, gk = materialize(one)
+        term = abs(pair(T1, one))
+        bound = (lp_norm(SampledFunction(grid, fk[0]), 2.0)
+                 * lp_norm(SampledFunction(grid, gk[0]), q))
         assert term <= bound * (1 + 1e-3)
 
 
