@@ -26,7 +26,20 @@ the column route (synthesize e_k, apply, read the nodes) up to rounding.  As
 m = 2a/dxi, the bins xi_j = (b0 + j) dxi and nodes t_k = k/(2a) give
 E[j, k] = d_k exp(2 pi i j (k mod m)/m) with d_k = exp(2 pi i b0 k/m): E is a
 block of the m-point DFT, dxi/2a = 1/m, and the matrix is d_k conj(d_k') times
-the (k mod m, k' mod m) entries of fft(ifft(Toep(K), axis=0), axis=1).
+the (k mod m, k' mod m) entries of Y = fft(ifft(Toep(K), axis=0), axis=1).
+
+That 2-D DFT of a Toeplitz block has a closed form, from its displacement
+structure (Kailath & Sayed, SIAM Review 37, 1995).  With w = exp(2 pi i/m) and
+g(u) = (1/m) (sum_{d >= 0} - sum_{d < 0}) K(d) w^(ud),
+
+    Y[u, v] = (g(u) - g(v)) / (1 - w^(u - v))            for u != v,
+    Y[u, u] = (1/m) sum_d (m - |d|) K(d) w^(ud),
+
+both m-point FFTs of the taps read at the node residues.  As u - v = k - k'
+mod m, the divisor and the phases d_k conj(d_k') form one factor of k - k'
+alone, (i/2) exp(2 pi i (2 b0 - 1)(k - k')/2m) / sin(pi (k - k')/m), which
+is conj-symmetric in k - k': the matrix costs O(m log m + N^2) and holds no
+m x m or N x m array.
 """
 
 from __future__ import annotations
@@ -60,7 +73,8 @@ from .symbols import SymbolSpec, bump_spectrum_symbol, sampled_symbol, samples
 # the basis half-width of `nehari.bounded_symbol` and the CLI's --basis-window
 DEFAULT_BASIS_WINDOW = 32.0
 # the most Nyquist basis nodes, refused before anything is sized: assembly's
-# traced peak is ~48 B per matrix entry, ~0.8 GB here
+# traced peak is ~17 B per matrix entry (the result and its finiteness mask),
+# 24 B with a mod_poly's refusal check, ~0.4 GB here
 MAX_BASIS_NODES = 4096
 
 # 4th-order first-derivative taps K(d), d ascending: trailing from d = 0 (the
@@ -169,8 +183,8 @@ class NyquistBasis:
     phases are the m-point DFT (see Matrix assembly) on a grid that holds every
     node, resolves the band (stride >= 2 grid steps per node, so m <= n/2) and
     puts m = count/stride whole bins in the band: `bins` = m at `band` in
-    natural order, and node k at `residues` k mod m with `phase` d_k.  The
-    basis refuses any other grid."""
+    natural order from the lattice bin `first_bin` b0, and node k at
+    `residues` k mod m with `phase` d_k.  The basis refuses any other grid."""
 
     a: float
     window: float
@@ -193,7 +207,8 @@ class NyquistBasis:
                              f"band holds a fractional number of bins")
         self.bins, self.band = len(band), slice(int(band[0]), int(band[-1]) + 1)
         self.residues = self._k % self.bins
-        self.phase = lattice_phase(band[0] - self.grid.count // 2, self._k, self.bins)
+        self.first_bin = int(band[0]) - self.grid.count // 2
+        self.phase = lattice_phase(self.first_bin, self._k, self.bins)
         # every node must sit on the sampling grid so coefficients are exact
         # reads; the first and last on it give size <= bins: distinct k mod m
         self.reads = slice(self.grid.index_of(self.nodes[0]),
@@ -263,12 +278,22 @@ class OperatorMatrix:
 def assemble_matrix(taps: np.ndarray, basis: NyquistBasis, p: float) -> OperatorMatrix:
     """Matrix in `basis` of the lattice convolution out_j = sum_l K(j - l) in_l,
     given the taps K(1 - m), ..., K(m - 1) that its m band bins read: the 2-D
-    m-point FFT of its band block."""
-    toep = sliding_window_view(taps, basis.bins)[:, ::-1]   # toep[j, l] = K(j - l)
-    r, d = basis.residues, basis.phase
-    block = np.fft.fft(np.fft.ifft(toep, axis=0)[r], axis=1)[:, r]
-    return OperatorMatrix(d[:, None] * block * np.conj(d), basis.a, p, basis.window,
-                          basis.nodes, basis.grid)
+    m-point DFT of its band block, in closed form (see Matrix assembly)."""
+    m, n, d = basis.bins, basis.size, np.arange(basis.bins)
+    # pos[d] = K(d) and neg[d] = K(d - m), the taps d >= 0 and d < 0 at d mod m;
+    # the diagonal weights them by m - |d|, which is m - d and d
+    pos, neg = taps[m - 1:], np.concatenate(([0.0], taps[:m - 1]))
+    g, diag = np.fft.ifft([pos - neg, (m - d) * pos + d * neg])[:, basis.residues]
+    # the factor at k - k' = 1 ... n - 1 <= m - 1, and its conjugate below; the
+    # sine's argument is folded to [0, pi/2] to keep its relative precision
+    delta = np.arange(1, n)
+    upper = 0.5j * lattice_phase(2 * basis.first_bin - 1, delta, 2 * m) / np.sin(
+        np.pi * np.minimum(delta, m - delta) / m)
+    factor = np.concatenate([np.conj(upper[::-1]), [0.0], upper])
+    entries = np.subtract.outer(g, g)
+    entries *= sliding_window_view(factor, n)[:, ::-1]     # [k, k'] = factor(k - k')
+    np.fill_diagonal(entries, diag)
+    return OperatorMatrix(entries, basis.a, p, basis.window, basis.nodes, basis.grid)
 
 
 def toeplitz_matrix(sym: SymbolSpec, a: float, p: float, window: float,
@@ -289,8 +314,11 @@ def toeplitz_matrix(sym: SymbolSpec, a: float, p: float, window: float,
     M = assemble_matrix(taps, basis, p)
     if sym.kind != "mod_poly":
         return M
-    # an entry sums the taps |d| < m (m band bins) with weights of modulus 1/m;
-    # a basis narrower than its grid cancels taps far larger than the entries
+    # an entry off the diagonal is a difference of two unit-weight sums of the
+    # taps |d| < m (m band bins) divided by m |1 - w^(k - k')| >= 2m sin(pi/m),
+    # one on it weights them by (m - |d|)/m <= 1: its rounding is of order
+    # eps * sum |taps|, and a basis narrower than its grid cancels taps far
+    # larger than the entries
     if np.finfo(float).eps * np.sum(np.abs(taps)) > 1e-8 * np.max(np.abs(M.entries)):
         raise ValueError(f"mod_poly degree {sym.params['degree']}: float64 cannot resolve "
                          f"this matrix; lower the degree or widen the basis to the grid")

@@ -2,6 +2,7 @@
 directory on sys.path, so a test module imports them as `from reference
 import ...`."""
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from pwlab.commutator import _omega_kernel
 from pwlab.grid import (SampledFunction, _require_same_grid, fft_spectrum,
@@ -27,6 +28,17 @@ def svd_norm(X: np.ndarray) -> float:
     """The 2-norm of a dense matrix by its full SVD, the definitional route
     that `toeplitz.norm2` replaces."""
     return float(np.linalg.svd(X, compute_uv=False)[0])
+
+
+def block_fft_matrix(taps: np.ndarray, basis) -> np.ndarray:
+    """The entries of `toeplitz.assemble_matrix(taps, basis, p)` by the
+    definitional route its closed form replaces: the 2-D m-point FFT of the
+    whole m x m band block K(j - l), read at the node residues and phased by
+    d_k conj(d_k')."""
+    toep = sliding_window_view(taps, basis.bins)[:, ::-1]   # toep[j, l] = K(j - l)
+    r, d = basis.residues, basis.phase
+    block = np.fft.fft(np.fft.ifft(toep, axis=0)[r], axis=1)[:, r]
+    return d[:, None] * block * np.conj(d)
 
 
 def materialize(F) -> tuple:
