@@ -271,18 +271,22 @@ def nehari_solve(b: SymbolSpec, a: float, p: float = 2.0,
 
 @dataclass
 class BoundedSymbol:
-    """psi and the matrices of T_phi and T_psi (None when T_phi vanishes)."""
+    """psi, the matrices of T_phi and T_psi (None when T_phi vanishes) and
+    the 2-norm of T_phi that the zero test measured."""
     psi: SampledFunction
     sup_norm: float
     sigma_left: float
     sigma_right: float
     m_phi: OperatorMatrix
     m_psi: OperatorMatrix | None
+    t_norm2: float
 
     def certificate(self, p: float) -> dict:
         """|T_phi|, |T_phi - T_psi| / |T_phi|, |psi|_inf / |T_phi| and the
-        implied constant ratio / (p + 1/(p-1)), in the p-norm."""
-        t_norm = operator_norm_certified(self.m_phi, p)["lower"]
+        implied constant ratio / (p + 1/(p-1)), in the p-norm; at p = 2 |T_phi|
+        is the zero test's `t_norm2`, the same seeded Lanczos run."""
+        t_norm = (self.t_norm2 if p == 2
+                  else operator_norm_certified(self.m_phi, p)["lower"])
         if self.m_psi is None:     # psi = 0; the residual is absolute
             return {"t_norm": t_norm, "operator_residual": t_norm,
                     "ratio": 0.0, "c_meas": 0.0}
@@ -330,9 +334,10 @@ def bounded_symbol(sym: SymbolSpec, a: float, M: int = DEFAULT_TRUNCATION,
 
     m_phi = _stage("assemble", lambda: toeplitz_matrix(sym, a, 2.0, window, grid))
     phi = samples(sym, grid)
-    if operator_norm_certified(m_phi, 2.0)["lower"] <= 1e-8 * max(lp_norm(phi, np.inf), 1.0):
+    t_norm2 = operator_norm_certified(m_phi, 2.0)["lower"]
+    if t_norm2 <= 1e-8 * max(lp_norm(phi, np.inf), 1.0):
         zero = SampledFunction(grid, np.zeros(grid.count, dtype=complex))
-        return BoundedSymbol(zero, 0.0, 0.0, 0.0, m_phi, None)
+        return BoundedSymbol(zero, 0.0, 0.0, 0.0, m_phi, None, t_norm2)
 
     parts = _stage("split", lambda: split_symbol(sym, a, grid))
     theta2 = np.exp(4j * np.pi * a * grid.points)
@@ -356,4 +361,5 @@ def bounded_symbol(sym: SymbolSpec, a: float, M: int = DEFAULT_TRUNCATION,
 
     m_psi = _stage("certify",
                    lambda: toeplitz_matrix(sampled_symbol(psi), a, 2.0, window, grid))
-    return BoundedSymbol(psi, lp_norm(psi, np.inf), sig_l, sig_r, m_phi, m_psi)
+    return BoundedSymbol(psi, lp_norm(psi, np.inf), sig_l, sig_r, m_phi, m_psi,
+                         t_norm2)

@@ -74,7 +74,7 @@ from .symbols import SymbolSpec, bump_spectrum_symbol, sampled_symbol, samples
 DEFAULT_BASIS_WINDOW = 32.0
 # the most Nyquist basis nodes, refused before anything is sized: assembly's
 # traced peak is ~17 B per matrix entry (the result and its finiteness mask),
-# 24 B with a mod_poly's refusal check, ~0.4 GB here
+# a mod_poly's refusal check included, ~0.4 GB here
 MAX_BASIS_NODES = 4096
 
 # 4th-order first-derivative taps K(d), d ascending: trailing from d = 0 (the
@@ -318,8 +318,10 @@ def toeplitz_matrix(sym: SymbolSpec, a: float, p: float, window: float,
     # taps |d| < m (m band bins) divided by m |1 - w^(k - k')| >= 2m sin(pi/m),
     # one on it weights them by (m - |d|)/m <= 1: its rounding is of order
     # eps * sum |taps|, and a basis narrower than its grid cancels taps far
-    # larger than the entries
-    if np.finfo(float).eps * np.sum(np.abs(taps)) > 1e-8 * np.max(np.abs(M.entries)):
+    # larger than the entries; the largest entry is taken 64 rows at a time,
+    # so the check holds no N x N array of moduli
+    top = max(float(np.max(np.abs(M.entries[i:i + 64]))) for i in range(0, M.size, 64))
+    if np.finfo(float).eps * np.sum(np.abs(taps)) > 1e-8 * top:
         raise ValueError(f"mod_poly degree {sym.params['degree']}: float64 cannot resolve "
                          f"this matrix; lower the degree or widen the basis to the grid")
     if unbounded := _unbounded_mod_poly(sym, a):

@@ -211,7 +211,8 @@ def check_10_bounded_symbol(a: float, seed: int) -> list:
     worst_c = 0.0
     for sym in syms:
         out = bounded_symbol(sym, a)
-        for p in (1.5, 2.0, 3.0):
+        # a real symbol's T_phi is self-adjoint: the p = 3 certificate serves p = 1.5
+        for p in (2.0, 3.0):
             cert = out.certificate(p)
             worst_res = max(worst_res, cert["operator_residual"])
             worst_c = max(worst_c, cert["c_meas"])

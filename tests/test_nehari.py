@@ -1,12 +1,13 @@
 """Minimal Hankel completions and the bounded-symbol pipeline."""
 import tracemalloc
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
 from pytest import approx
 
-from pwlab import nehari
+from pwlab import nehari, toeplitz
 from pwlab.grid import SampledFunction, energy_fraction, fft_spectrum, lp_norm
 from pwlab.nehari import (AAKSolution, NehariResult, _circle_coeffs, _circle_nodes,
                           _circle_size, _section_products, aak_solve,
@@ -16,7 +17,8 @@ from pwlab.pwspace import _top_pairs, default_grid, project_band, sinc_kernel
 from pwlab.split import split_symbol
 from pwlab.symbols import (bump_spectrum_symbol, gaussian_symbol, mod_poly_symbol,
                            point_values, sampled_symbol, samples)
-from pwlab.toeplitz import toeplitz_matrix
+from pwlab.toeplitz import operator_norm_certified, toeplitz_matrix
+from pwlab.verify import check_10_bounded_symbol
 
 A = 1.0
 
@@ -252,11 +254,15 @@ def test_bounded_symbol_residual_small_across_p(bounded):
         assert bounded.certificate(p)["operator_residual"] < 1e-3
 
 
-@pytest.mark.parametrize("sym", [
+# check 10's three Gaussians and a hermitian bump: real samples, self-adjoint T_phi
+REAL_SYMBOLS = pytest.mark.parametrize("sym", [
     gaussian_symbol(), gaussian_symbol(amp=0.8, width=2.0),
     gaussian_symbol(amp=1.2, width=0.7, shift=0.4),
     bump_spectrum_symbol(0.05, 1.9, seed=11, hermitian=True)],
     ids=["check10-0", "check10-1", "check10-2", "hermitian-bump"])
+
+
+@REAL_SYMBOLS
 def test_real_symbol_gets_a_real_psi(grid, sym):
     # part_L = conj(part_R), so psi = 2 Re(theta^2 psi_r) + phi_C, real to
     # rounding at every grid point, x = -W included
@@ -509,11 +515,7 @@ def _counted_solves(sym, grid, monkeypatch):
     return _bounded(sym, grid), len(calls)
 
 
-@pytest.mark.parametrize("sym", [
-    gaussian_symbol(), gaussian_symbol(amp=0.8, width=2.0),
-    gaussian_symbol(amp=1.2, width=0.7, shift=0.4),
-    bump_spectrum_symbol(0.05, 1.9, seed=11, hermitian=True)],
-    ids=["check10-0", "check10-1", "check10-2", "hermitian-bump"])
+@REAL_SYMBOLS
 def test_real_symbol_is_solved_once(grid, sym, monkeypatch):
     out, solves = _counted_solves(sym, grid, monkeypatch)
     assert solves == 1
@@ -522,6 +524,52 @@ def test_real_symbol_is_solved_once(grid, sym, monkeypatch):
     for p in (1.5, 2.0, 3.0):       # within check 10's bounds
         cert = out.certificate(p)
         assert cert["operator_residual"] <= 1e-3 and cert["c_meas"] <= 20.0
+
+
+@REAL_SYMBOLS
+def test_a_real_symbols_p_and_q_certificates_agree(grid, sym):
+    # T_phi = T_phi*, so ||T_phi||_p = ||T_phi*||_q = ||T_phi||_q, and
+    # p + 1/(p - 1) is 3.5 at both: check 10's p = 3 certificate serves p = 1.5
+    out = _bounded(sym, grid)
+    lo, hi = out.certificate(1.5), out.certificate(3.0)
+    for key in ("t_norm", "ratio", "c_meas"):
+        assert lo[key] == approx(hi[key], rel=1e-12, abs=0.0)
+    # the operator residual is rounding (at most 2.1e-14 measured)
+    assert max(lo["operator_residual"], hi["operator_residual"]) <= 1e-12
+    assert lo["operator_residual"] == approx(hi["operator_residual"], rel=1e-3)
+
+
+@REAL_SYMBOLS
+def test_the_p2_certificate_reads_the_zero_tests_norm(grid, sym):
+    out = _bounded(sym, grid)
+    assert out.certificate(2.0)["t_norm"] == out.t_norm2
+    assert out.t_norm2 == operator_norm_certified(out.m_phi, 2.0)["lower"]
+
+
+def test_a_vanishing_t_phi_keeps_the_zero_tests_norm(grid):
+    # mod = 2a gives the zero operator: bounded_symbol returns psi = 0
+    out = _bounded(mod_poly_symbol(1, 2.0 * A), grid)
+    assert out.m_psi is None and out.sup_norm == 0.0
+    assert out.certificate(2.0)["t_norm"] == out.t_norm2
+    assert out.t_norm2 == operator_norm_certified(out.m_phi, 2.0)["lower"]
+
+
+def test_check_10_runs_six_boyd_and_six_dense_lanczos_runs(monkeypatch):
+    # per symbol: Boyd on A at p = 3 and on A* at q = 1.5 (p = 1.5 made 4
+    # runs), and the 2-norms of T_phi, by the zero test, and of T_phi - T_psi
+    # (certificate(2.0) measured T_phi again); the Nehari solve's own Lanczos
+    # run is nehari's binding
+    counts = Counter()
+    for name in ("boyd_lower_bound", "_top_pairs"):
+        def counted(*args, _fn=getattr(toeplitz, name), _name=name, **kw):
+            counts[_name] += 1
+            return _fn(*args, **kw)
+        monkeypatch.setattr(toeplitz, name, counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = check_10_bounded_symbol(A, 1)
+    assert rows[0]["note"] == "3 symbols x p in {1.5, 2, 3}"
+    assert counts == {"boyd_lower_bound": 6, "_top_pairs": 6}
 
 
 @pytest.mark.parametrize("sym", [gaussian_symbol(mod=0.3)], ids=["mod0.3"])

@@ -294,6 +294,22 @@ def test_check06_assembly_holds_no_band_block():
     assert peaks[1] < 4e6
 
 
+def test_mod_poly_refusal_check_holds_no_matrix_of_moduli():
+    # at N = m = 1,024 the gaussian peaks near 17.4 B per entry; the mod_poly's
+    # float64 check took 24.2, one N x N float array of |entries| more
+    grid, window = ASSEMBLY_SHAPES["n1024"]
+    peaks = []
+    for sym in (gaussian_symbol(), mod_poly_symbol(1, 2.0 * A)):
+        tracemalloc.start()
+        try:
+            M = toeplitz_matrix(sym, A, 2.0, window, grid)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert M.size == 1024
+    assert peaks[1] <= peaks[0] + 0.5 * M.size ** 2
+
+
 # the accepted cases nearest the float64 refusal on the window-64 grid, with
 # the degree past each that is refused: both routes cancel taps far larger
 # than the entries (so does the column route), and they meet to a multiple of
