@@ -2,7 +2,8 @@
 
 Every command reads/writes the shared JSON schemas (sampled functions,
 symbols, operator matrices) with canonical 17-significant-digit float
-serialization, so identical inputs and seed produce byte-identical outputs.
+serialization, so identical inputs and seed produce byte-identical outputs at
+one OpenBLAS thread count (a 2-norm's last digit follows its summation order).
 Alongside each JSON result a small CSV table of the headline numbers is
 written (same basename).
 
@@ -427,11 +428,11 @@ def cmd_factorize(args) -> int:
     return _verdict(ok, "reconstruction residual exceeded the requested bound")
 
 
-def _frame_for(args, T, p_rule=_FLAGS["p"]["rule"]):
-    # band, p, window and grid come from the matrix file, p meeting p_rule; a
-    # file that records no grid is read on the default grid of its window
+def _frame_for(args, T):
+    # band, p, window and grid come from the matrix file, p meeting the rule of
+    # --p; a file that records no grid is read on the default grid of its window
     from .commutator import build_frame
-    holds, requirement = p_rule
+    holds, requirement = _FLAGS["p"]["rule"]
     field = "p" if not holds(T.p) else "grid" if T.grid else "window"
     try:
         if field == "p":
@@ -467,8 +468,7 @@ def cmd_recover_symbol(args) -> int:
     from .toeplitz import matrix_from_dict
     tol = _tols(args)["roundtrip"]
     T = _load(args.matrix, matrix_from_dict, _matrix_member)
-    rec = recover_symbol(T, _frame_for(
-        args, T, (lambda p: p == 2.0, "symbol recovery needs p = 2")))
+    rec = recover_symbol(T, _frame_for(args, T))
     rt = recovery_roundtrip(T, rec)
     payload = {
         "band": T.a, "p": T.p,

@@ -37,8 +37,8 @@ import numpy as np
 from .grid import Grid, SampledFunction, fft_spectrum, inverse_spectrum, lp_norm
 from .pwspace import default_grid
 from .symbols import sampled_symbol
-from .toeplitz import (NyquistBasis, OperatorMatrix, assemble_matrix, norm2,
-                       toeplitz_matrix)
+from .toeplitz import (NyquistBasis, OperatorMatrix, _pnorm_upper,
+                       assemble_matrix, matrix_pnorm, norm2, toeplitz_matrix)
 
 
 def blaschke_params(freq_step: float) -> tuple[float, float]:
@@ -243,7 +243,7 @@ class RecoveredSymbol:
 
 
 def recover_symbol(T: OperatorMatrix, frame: ConformalFrame) -> RecoveredSymbol:
-    """Recover the two-sided symbol of a Toeplitz-certified operator at p = 2.
+    """Recover the two-sided symbol of a Toeplitz-certified operator.
 
     With the frame's compressions, C = T - LambdaBar T Lambda and
     Q = C^H - alpha conj(<C k, k>) I, the two summands come from the kernel
@@ -260,10 +260,15 @@ def recover_symbol(T: OperatorMatrix, frame: ConformalFrame) -> RecoveredSymbol:
     kernel tracks only to a few percent at this window) would leak the kernel
     discretization into the recovered symbol.  A guarded division protects any
     grid point where the kernel is negligibly small.
+
+    The recovery is the same at every 1 < p < inf: the entries <T e_k', e_k>,
+    the frame's kernel, coefficients, alpha, Lambda and LambdaBar follow from
+    band, window and grid alone, and C^H is the adjoint under the pairing
+    int f conj(g), the PW^p x PW^q duality at every p.  The branch weights
+    (x + i)^(-2/p) belong to the continuous proof, which maps PW^p into a
+    Hardy space, not to this lattice algebra; p enters only the round trip's
+    norm.
     """
-    if frame.p != 2.0:
-        raise ValueError("symbol recovery is supported at p = 2 only "
-                         "(fractional branch powers enter otherwise)")
     _check_frame_matrix(T, frame)
     lam, lam_bar = frame.ops.lam.entries, frame.ops.lam_bar.entries
     kc = frame.kernel_coeffs
@@ -290,9 +295,10 @@ def recover_symbol(T: OperatorMatrix, frame: ConformalFrame) -> RecoveredSymbol:
 
 
 def recovery_roundtrip(T: OperatorMatrix, rec: RecoveredSymbol) -> float:
-    """Relative norm error of reassembling T from its recovered symbol."""
+    """Relative error of reassembling T from its recovered symbol, in T's p:
+    the error's upper p-norm bound over T's lower one (`norm2` at p = 2)."""
     T_rec = toeplitz_matrix(sampled_symbol(rec.total), T.a, T.p, T.window,
                             rec.total.grid)
-    tnorm = norm2(T.entries)
-    err = norm2(T_rec.entries - T.entries)
+    tnorm = matrix_pnorm(T.entries, T.p)["lower"]
+    err = _pnorm_upper(T_rec.entries - T.entries, T.p)
     return err / tnorm if tnorm > 0.0 else err

@@ -943,19 +943,25 @@ def test_unbounded_mod_poly_is_refused_by_bounded_symbol(tmp_path, capsys,
         assert len(err.strip().splitlines()) == 1
 
 
-def test_recover_symbol_needs_p_two(files, tmp_path, capsys):
-    assert run("recover-symbol", "--matrix", files / "matrix_p3.json",
-               "--out", tmp_path / "x.json") == 1
-    assert capsys.readouterr().err == (
-        f"input error: {files / 'matrix_p3.json'}: matrix field 'p': symbol "
-        "recovery needs p = 2, got 3.0\n")
-    # commutator-test holds a file's p to the range of --p
+def test_matrix_commands_take_a_files_p_in_the_range_of_p(files, tmp_path, capsys):
+    # recover-symbol reads the p = 3 file as it reads the p = 2 one: every
+    # byte but its p and the round trip certified in that p
+    outputs = {}
+    for name in ("matrix.json", "matrix_p3.json"):
+        out = tmp_path / f"rec_{name}"
+        assert run("recover-symbol", "--matrix", files / name, "--out", out) == 0
+        outputs[name] = [line for line in out.read_text().splitlines()
+                         if not line.startswith((' "p":', ' "roundtrip_residual":'))]
+    assert outputs["matrix.json"] == outputs["matrix_p3.json"]
+    capsys.readouterr()
+    # both matrix commands hold a file's p to the range of --p
     matrix = tmp_path / "p1.json"
     matrix.write_text(json.dumps({**json.loads((files / "matrix.json").read_text()),
                                   "p": 1.0}))
-    assert run("commutator-test", "--matrix", matrix, "--out", tmp_path / "x.json") == 1
-    assert capsys.readouterr().err == (
-        f"input error: {matrix}: matrix field 'p': must lie in (1, inf), got 1.0\n")
+    for command in ("commutator-test", "recover-symbol"):
+        assert run(command, "--matrix", matrix, "--out", tmp_path / "x.json") == 1
+        assert capsys.readouterr().err == (
+            f"input error: {matrix}: matrix field 'p': must lie in (1, inf), got 1.0\n")
 
 
 def test_verify_runs_clean_and_reports(files, tmp_path, monkeypatch, capsys):

@@ -19,7 +19,7 @@ from pwlab.pwspace import (BandlimitedFunction, band_residual, default_grid,
 from pwlab.symbols import (bump_spectrum_symbol, gaussian_symbol,
                            sampled_symbol)
 from pwlab.toeplitz import (NyquistBasis, OperatorMatrix, identity_matrix,
-                            toeplitz_matrix)
+                            matrix_pnorm, toeplitz_matrix)
 from reference import inner, lattice_omega_adjoint
 
 A = 1.0
@@ -276,11 +276,20 @@ def test_recovery_of_zero_operator(frame, T_gauss):
     assert np.max(np.abs(rec.total.values)) == 0.0
 
 
-def test_recovery_requires_p_two(grid):
-    frame3 = build_frame(A, 3.0, grid)
-    T = toeplitz_matrix(gaussian_symbol(), A, 3.0, W, grid)
-    with pytest.raises(ValueError, match="p = 2"):
-        recover_symbol(T, frame3)
+def test_recovery_is_the_same_at_every_p(grid, frame, T_gauss):
+    # neither the entries nor the frame read p: the parts are those of p = 2,
+    # bit for bit; the round trip is the error's upper p-norm bound over T's
+    # lower one, and stays within 1e-3
+    rec2 = recover_symbol(T_gauss, frame)
+    for p in (1.5, 3.0):
+        T = toeplitz_matrix(gaussian_symbol(), A, p, W, grid)
+        rec = recover_symbol(T, build_frame(A, p, grid))
+        for part in ("phi_bar_part", "psi_part"):
+            assert np.array_equal(getattr(rec, part).values,
+                                  getattr(rec2, part).values)
+        T_rec = toeplitz_matrix(sampled_symbol(rec.total), A, p, W, rec.total.grid)
+        err, tnorm = (matrix_pnorm(X, p) for X in (T_rec.entries - T.entries, T.entries))
+        assert recovery_roundtrip(T, rec) == err["upper"] / tnorm["lower"] < 1e-3
 
 
 def test_frame_matrix_size_guard(frame, grid):
@@ -293,7 +302,8 @@ def test_the_frame_depends_only_on_band_and_window():
     # a matrix file without a grid is read on default_grid(a, W): the grid's
     # oversampling moves neither the commutator test nor the recovery
     # round-trip past rounding, since the frame follows from the band a and
-    # the window W (frequency step 1/(2W), 4aW band bins, alpha by Parseval)
+    # the window W (frequency step 1/(2W), 4aW band bins, alpha by Parseval);
+    # nor does p move the frame or the recovered parts by one bit
     T = dataclasses.replace(
         toeplitz_matrix(gaussian_symbol(), A, 2.0, 32.0, default_grid(A, 32.0)),
         grid=None)
@@ -303,10 +313,23 @@ def test_the_frame_depends_only_on_band_and_window():
     S = dataclasses.replace(T, entries=T.entries + np.outer(e, e))
     clean, spoiled, roundtrip = [], [], []
     for oversample in (4, 8, 16):
-        frame = build_frame(A, 2.0, default_grid(A, 32.0, oversample))
+        grid = default_grid(A, 32.0, oversample)
+        frame = build_frame(A, 2.0, grid)
         clean.append(commutator_test(T, frame))
         spoiled.append(commutator_test(S, frame))
-        roundtrip.append(recovery_roundtrip(T, recover_symbol(T, frame)))
+        rec = recover_symbol(T, frame)
+        roundtrip.append(recovery_roundtrip(T, rec))
+        for p in (1.5, 3.0):
+            other = build_frame(A, p, grid)
+            assert np.array_equal(other.kernel.values, frame.kernel.values)
+            assert np.array_equal(other.kernel_coeffs, frame.kernel_coeffs)
+            assert other.alpha == frame.alpha
+            for op in ("lam", "lam_bar"):
+                assert np.array_equal(getattr(other.ops, op).entries,
+                                      getattr(frame.ops, op).entries)
+            rec_p = recover_symbol(dataclasses.replace(T, p=p), other)
+            assert np.array_equal(rec_p.phi_bar_part.values, rec.phi_bar_part.values)
+            assert np.array_equal(rec_p.psi_part.values, rec.psi_part.values)
     assert n == 128 and spoiled[0] > 1e-3
     assert np.ptp(clean) <= 1e-15
     assert np.ptp(spoiled) <= 1e-12 * spoiled[0]
