@@ -154,10 +154,13 @@ def defect_identity_residual(frame: ConformalFrame) -> float:
 
 
 def _check_frame_matrix(T: OperatorMatrix, frame: ConformalFrame):
-    if T.size != frame.basis.size:
-        raise ValueError(f"operator is on a {T.size}-vector basis, but the frame "
-                         f"uses {frame.basis.size}; assemble it at window "
-                         f"{frame.basis.window}")
+    # equal node counts are not enough: band 2 on window 32 and band 1 on
+    # window 64 both hold 256 nodes
+    b = frame.basis
+    if T.a != b.a or not abs(T.window - b.window) <= 1e-12 * b.window:
+        raise ValueError(f"operator is on band {T.a}, window {T.window}, but the "
+                         f"frame on band {b.a}, window {b.window}; assemble it on "
+                         f"the frame's band and window")
 
 
 def _k_project_coeffs(vecs: np.ndarray, frame: ConformalFrame) -> np.ndarray:
@@ -242,6 +245,16 @@ class RecoveredSymbol:
                                self.phi_bar_part.values + self.psi_part.values)
 
 
+def _kernel_images(T: OperatorMatrix, frame: ConformalFrame) -> tuple:
+    """(C k, Q k) of `recover_symbol`, by matrix-vector products alone."""
+    _check_frame_matrix(T, frame)
+    t, lam, lam_bar = T.entries, frame.ops.lam.entries, frame.ops.lam_bar.entries
+    kc, kh = frame.kernel_coeffs, np.conj(frame.kernel_coeffs)
+    Ck = t @ kc - lam_bar @ (t @ (lam @ kc))
+    CHk = np.conj(kh @ t - ((kh @ lam_bar) @ t) @ lam)
+    return Ck, CHk - frame.alpha * np.conj(kh @ Ck) * kc
+
+
 def recover_symbol(T: OperatorMatrix, frame: ConformalFrame) -> RecoveredSymbol:
     """Recover the two-sided symbol of a Toeplitz-certified operator.
 
@@ -261,6 +274,9 @@ def recover_symbol(T: OperatorMatrix, frame: ConformalFrame) -> RecoveredSymbol:
     discretization into the recovered symbol.  A guarded division protects any
     grid point where the kernel is negligibly small.
 
+    Only these images of k are read, so C and Q are never formed: C k and
+    C^H k = conj(k^H C) are matrix-vector products (`_kernel_images`).
+
     The recovery is the same at every 1 < p < inf: the entries <T e_k', e_k>,
     the frame's kernel, coefficients, alpha, Lambda and LambdaBar follow from
     band, window and grid alone, and C^H is the adjoint under the pairing
@@ -269,29 +285,16 @@ def recover_symbol(T: OperatorMatrix, frame: ConformalFrame) -> RecoveredSymbol:
     Hardy space, not to this lattice algebra; p enters only the round trip's
     norm.
     """
-    _check_frame_matrix(T, frame)
-    lam, lam_bar = frame.ops.lam.entries, frame.ops.lam_bar.entries
-    kc = frame.kernel_coeffs
-    C = T.entries - lam_bar @ T.entries @ lam
-    Ck = C @ kc
-    mean = np.conj(kc) @ Ck   # <C k, k> in basis coordinates
-    Q = np.conj(C).T - frame.alpha * np.conj(mean) * np.eye(T.size)
-    Qk = Q @ kc
-
     a, grid = frame.basis.a, frame.basis.grid
     theta_bar = np.exp(-2j * np.pi * a * grid.points)
     numer = 1.0 - np.exp(-4.0 * np.pi * a) * theta_bar ** 2
     kv = frame.kernel.values
     guard = np.abs(kv) < 1e-12 * float(np.max(np.abs(kv)))
     safe_k = np.where(guard, 1.0, kv)
-
-    def pull(vec: np.ndarray, conj_out: bool) -> SampledFunction:
-        fun = frame.basis.synthesize(vec)
-        vals = fun.values * numer / safe_k
-        vals = np.where(guard, 0.0, vals)
-        return SampledFunction(grid, np.conj(vals) if conj_out else vals)
-
-    return RecoveredSymbol(pull(Ck, conj_out=False), pull(Qk, conj_out=True))
+    phi_bar, psi_bar = (np.where(guard, 0.0, frame.basis.synthesize(v).values
+                                 * numer / safe_k) for v in _kernel_images(T, frame))
+    return RecoveredSymbol(SampledFunction(grid, phi_bar),
+                           SampledFunction(grid, np.conj(psi_bar)))
 
 
 def recovery_roundtrip(T: OperatorMatrix, rec: RecoveredSymbol) -> float:

@@ -72,9 +72,9 @@ from .symbols import SymbolSpec, bump_spectrum_symbol, sampled_symbol, samples
 
 # the basis half-width of `nehari.bounded_symbol` and the CLI's --basis-window
 DEFAULT_BASIS_WINDOW = 32.0
-# the most Nyquist basis nodes, refused before anything is sized: assembly's
-# traced peak is ~17 B per matrix entry (the result and its finiteness mask),
-# a mod_poly's refusal check included, ~0.4 GB here
+# the most Nyquist basis nodes, refused before anything is sized: assembly traces
+# ~17 B per matrix entry (~0.4 GB here), the frame's compressions and the round
+# trip ~33, recover_symbol 1.1 at 1,024 nodes and 0.5 at 2,048 (64 when it formed C)
 MAX_BASIS_NODES = 4096
 
 # 4th-order first-derivative taps K(d), d ascending: trailing from d = 0 (the

@@ -41,6 +41,18 @@ def block_fft_matrix(taps: np.ndarray, basis) -> np.ndarray:
     return d[:, None] * block * np.conj(d)
 
 
+def dense_kernel_images(T, frame) -> tuple:
+    """(C k, Q k) of `commutator.recover_symbol` by the definitional route
+    its matrix-vector products replace: C = T - LambdaBar T Lambda and
+    Q = C^H - alpha conj(<C k, k>) I formed as N x N arrays."""
+    lam, lam_bar = frame.ops.lam.entries, frame.ops.lam_bar.entries
+    kc = frame.kernel_coeffs
+    C = T.entries - lam_bar @ T.entries @ lam
+    Ck = C @ kc
+    Q = np.conj(C).T - frame.alpha * np.conj(np.conj(kc) @ Ck) * np.eye(T.size)
+    return Ck, Q @ kc
+
+
 def materialize(F) -> tuple:
     """The (k, count) sample stacks of a `factorize.Factorization`, built the
     way it once held them: f = (spacing * w)[:, None] * atoms, and each

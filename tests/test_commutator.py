@@ -1,12 +1,13 @@
 """Conformal frame, compression calculus, Toeplitz test, symbol recovery."""
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from pytest import approx
 
-from pwlab.commutator import (_compressions, blaschke_params,
+from pwlab.commutator import (_compressions, _kernel_images, blaschke_params,
                               build_frame, commutator_test,
                               defect_identity_residual, lambda_ops,
                               lattice_omega_apply, recover_symbol,
@@ -20,7 +21,7 @@ from pwlab.symbols import (bump_spectrum_symbol, gaussian_symbol,
                            sampled_symbol)
 from pwlab.toeplitz import (NyquistBasis, OperatorMatrix, identity_matrix,
                             matrix_pnorm, toeplitz_matrix)
-from reference import inner, lattice_omega_adjoint
+from reference import dense_kernel_images, inner, lattice_omega_adjoint
 
 A = 1.0
 W = 64.0  # frame operators need the basis to span the whole grid window
@@ -249,6 +250,50 @@ def test_series_needs_a_basis_spanning_the_band(frame, grid):
         series_reconstruct([T], 8, narrow)
 
 
+def test_kernel_images_match_the_dense_commutator(grid, frame, T_gauss):
+    # C k and Q k against C and Q formed as N x N arrays, to 1e-12 of
+    # ||T||_2 ||k||_2: the identity's Q k is rounding noise (~1e-16), so a
+    # comparison relative to the images themselves would read 0.43 there
+    n = T_gauss.size
+    e = np.zeros(n)
+    e[n // 2] = e[n // 2 + 16] = 1.0 / np.sqrt(2.0)
+    frame3 = build_frame(A, 3.0, grid)
+    cases = [(T_gauss, frame),
+             (toeplitz_matrix(bump_spectrum_symbol(0.05, 1.5, seed=7, hermitian=True),
+                              A, 2.0, W, grid), frame),
+             (toeplitz_matrix(gaussian_symbol(width=2.0, shift=3.0, mod=0.4),
+                              A, 2.0, W, grid), frame),
+             (identity_matrix(A, 2.0, W), frame),
+             (OperatorMatrix(np.zeros((n, n)), A, 2.0, W, T_gauss.nodes), frame),
+             (dataclasses.replace(T_gauss, entries=T_gauss.entries + np.outer(e, e)),
+              frame),
+             (toeplitz_matrix(gaussian_symbol(), A, 3.0, W, grid), frame3)]
+    knorm = np.linalg.norm(frame.kernel_coeffs)
+    for T, fr in cases:
+        assert T.size == 256
+        scale = 1e-12 * np.linalg.norm(T.entries, 2) * knorm
+        for got, ref in zip(_kernel_images(T, fr), dense_kernel_images(T, fr)):
+            assert np.linalg.norm(got - ref) <= scale
+
+
+def test_recovery_forms_no_n_by_n_array():
+    # N = m = 1,024: beyond T, Lambda and LambdaBar (16 B per entry each) the
+    # recovery holds vectors and grid samples, ~1 B per entry; forming C, its
+    # products, Q and the identity peaked at 64
+    grid = default_grid(A, 256.0)
+    T = toeplitz_matrix(gaussian_symbol(), A, 2.0, 256.0, grid)
+    frame = build_frame(A, 2.0, grid)
+    frame.ops
+    tracemalloc.start()
+    try:
+        recover_symbol(T, frame)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert T.size == frame.basis.bins == 1024
+    assert peak <= 4 * T.size ** 2
+
+
 def test_recovery_roundtrip_identity(frame):
     T1 = identity_matrix(A, 2.0, W)
     assert recovery_roundtrip(T1, recover_symbol(T1, frame)) < 1e-3
@@ -296,6 +341,24 @@ def test_frame_matrix_size_guard(frame, grid):
     T = toeplitz_matrix(gaussian_symbol(), A, 2.0, 32.0, grid)
     with pytest.raises(ValueError, match="window"):
         commutator_test(T, frame)
+
+
+@pytest.mark.parametrize("call", [commutator_test, recover_symbol,
+                                  lambda T, frame: series_reconstruct([T], 8, frame)],
+                         ids=["commutator_test", "recover_symbol", "series_reconstruct"])
+def test_frame_refuses_another_band_or_window(frame, T_gauss, call):
+    # band 2 on window 32 holds the frame's 256 nodes, and window 64.1 the
+    # very nodes of window 64: node counts alone let both through, to a
+    # deviation of 5e-17 and a round trip of 0.47 on the first; a window
+    # within 1e-12 of the frame's is the frame's, as OperatorMatrix reads nodes
+    band2 = toeplitz_matrix(gaussian_symbol(), 2.0, 2.0, 32.0, default_grid(2.0, 32.0))
+    wide = dataclasses.replace(T_gauss, window=W + 0.1)
+    for T, got in ((band2, "band 2.0, window 32.0"), (wide, "band 1.0, window 64.1")):
+        assert T.size == frame.basis.size
+        with pytest.raises(ValueError, match=f"operator is on {got}, but the frame "
+                                             f"on band 1.0, window 64.0"):
+            call(T, frame)
+    call(dataclasses.replace(T_gauss, window=W * (1.0 + 1e-13)), frame)
 
 
 def test_the_frame_depends_only_on_band_and_window():
