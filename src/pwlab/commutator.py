@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .grid import Grid, SampledFunction, fft_spectrum, inverse_spectrum, lp_norm
-from .pwspace import default_grid
+from .pwspace import _top_pairs, default_grid
 from .symbols import sampled_symbol
 from .toeplitz import (NyquistBasis, OperatorMatrix, _pnorm_upper,
                        assemble_matrix, matrix_pnorm, norm2, toeplitz_matrix)
@@ -146,11 +146,13 @@ def lambda_ops(frame: ConformalFrame) -> CompressionOps:
 
 
 def defect_identity_residual(frame: ConformalFrame) -> float:
-    """|| (I - LambdaBar Lambda) - alpha k (x) k ||_2 in the basis coordinates."""
-    ops = frame.ops
-    defect = np.eye(ops.lam.size, dtype=complex) - ops.lam_bar.entries @ ops.lam.entries
-    kc = frame.kernel_coeffs
-    return norm2(defect - frame.alpha * np.outer(kc, np.conj(kc)))
+    """|| (I - LambdaBar Lambda) - alpha k (x) k ||_2 in the basis coordinates,
+    by `_top_pairs` on the defect's matrix-vector products."""
+    lam, lam_bar = frame.ops.lam.entries, frame.ops.lam_bar.entries
+    kc, alpha = frame.kernel_coeffs, frame.alpha
+    return _top_pairs(lambda x: x - lam_bar @ (lam @ x) - alpha * kc * (np.conj(kc) @ x),
+                      lambda y: (y - np.conj((np.conj(y) @ lam_bar) @ lam)
+                                 - alpha * kc * (np.conj(kc) @ y)), kc.size, kc.size, 0.0)[0]
 
 
 def _check_frame_matrix(T: OperatorMatrix, frame: ConformalFrame):
@@ -195,43 +197,36 @@ def commutator_test(T: OperatorMatrix, frame: ConformalFrame, seed: int = 42) ->
 
 
 def series_reconstruct(mats, N: int, frame: ConformalFrame) -> list:
-    """Partial sums sum_{n=0}^{N} LambdaBar^n (T - LambdaBar T Lambda) Lambda^n
-    for the frame's compressions, one for each T in mats.
+    """Relative error of the partial sum sum_{n=0}^{N} LambdaBar^n
+    (T - LambdaBar T Lambda) Lambda^n on the drain-certified sub-basis, for
+    each T in mats.
 
     The sum telescopes to T - LambdaBar^(N+1) T Lambda^(N+1): the
     reconstruction error is precisely the operator mass not yet drained
-    through the compression.  Compressions to a semi-invariant subspace
-    multiply (Sarason, Trans. AMS 127, 1967), so the powers are assembled as
-    the compressions of omega^(N+1) and conj(omega)^(N+1), from the (N+1)-th
-    power of the Blaschke column on the frame's basis, not by dense matrix
-    products, so Lambda itself is never assembled, and once for all of mats.
+    through the compression.  Lambda^n pushes mass outward by roughly
+    sqrt(n/(2 pi a)) nodes, so only basis vectors well inside that horizon
+    have drained by step N; the certificate reads the operator restricted to
+    nodes |t_k| <= radius = sqrt(64/(2 pi a))/3, the horizon of the reference
+    step count, and is the error's 2-norm there over T's (the error's own
+    when T's block is 0).  Compressions to a semi-invariant subspace multiply
+    (Sarason, Trans. AMS 127, 1967), so the powers are assembled as the
+    compressions of omega^(N+1) and conj(omega)^(N+1), from the (N+1)-th
+    power of the Blaschke column on the frame's basis, once for all of mats;
+    only their rows and columns at the block's nodes are multiplied.
     """
     if isinstance(N, bool) or not isinstance(N, numbers.Integral) or N < 0:
         raise ValueError(f"series order N must be a non-negative integer, got {N!r}")
     for M in mats:
         _check_frame_matrix(M, frame)
     powers = _compressions(frame.basis, frame.p, int(N) + 1)
-    return [OperatorMatrix(M.entries - powers.lam_bar.entries @ M.entries
-                           @ powers.lam.entries, M.a, M.p, M.window, M.nodes)
-            for M in mats]
-
-
-def series_residual(T: OperatorMatrix, S: OperatorMatrix,
-                    frame: ConformalFrame) -> float:
-    """Relative reconstruction error on the drain-certified sub-basis.
-
-    Lambda^n pushes mass outward by roughly sqrt(n/(2 pi a)) nodes, so only
-    basis vectors well inside that horizon have drained by step N; the
-    certificate reads the operator restricted to nodes |t_k| <= radius =
-    sqrt(64/(2 pi a))/3, the horizon of the reference step count.
-    """
     radius = math.sqrt(64.0 / (2.0 * np.pi * frame.basis.a)) / 3.0
-    sel = np.abs(T.nodes) <= radius
-    block = np.ix_(sel, sel)
-    denom = norm2(T.entries[block])
-    if denom == 0.0:
-        return norm2(S.entries[block])
-    return norm2(S.entries[block] - T.entries[block]) / denom
+    out = []
+    for M in mats:
+        sel = np.abs(M.nodes) <= radius
+        err = norm2(powers.lam_bar.entries[sel] @ (M.entries @ powers.lam.entries[:, sel]))
+        denom = norm2(M.entries[np.ix_(sel, sel)])
+        out.append(err / denom if denom > 0.0 else err)
+    return out
 
 
 @dataclass
@@ -303,5 +298,5 @@ def recovery_roundtrip(T: OperatorMatrix, rec: RecoveredSymbol) -> float:
     T_rec = toeplitz_matrix(sampled_symbol(rec.total), T.a, T.p, T.window,
                             rec.total.grid)
     tnorm = matrix_pnorm(T.entries, T.p)["lower"]
-    err = _pnorm_upper(T_rec.entries - T.entries, T.p)
+    err = _pnorm_upper(np.subtract(T_rec.entries, T.entries, out=T_rec.entries), T.p)
     return err / tnorm if tnorm > 0.0 else err

@@ -73,8 +73,8 @@ from .symbols import SymbolSpec, bump_spectrum_symbol, sampled_symbol, samples
 # the basis half-width of `nehari.bounded_symbol` and the CLI's --basis-window
 DEFAULT_BASIS_WINDOW = 32.0
 # the most Nyquist basis nodes, refused before anything is sized: assembly traces
-# ~17 B per matrix entry (~0.4 GB here), the frame's compressions and the round
-# trip ~33, recover_symbol 1.1 at 1,024 nodes and 0.5 at 2,048 (64 when it formed C)
+# ~17 B per matrix entry (~0.4 GB here), the round trip ~17, the frame's
+# compressions ~33, recover_symbol 1.1 at 1,024 nodes and 0.5 at 2,048
 MAX_BASIS_NODES = 4096
 
 # 4th-order first-derivative taps K(d), d ascending: trailing from d = 0 (the

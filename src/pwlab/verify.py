@@ -30,8 +30,7 @@ from .split import (BUMP_NAMES, bump_l1_norms, central_recover_sweep,
                     jensen_certificate, sinc_norm_constant, split_symbol)
 from .nehari import AAK_TOL, bounded_symbol, nehari_solve
 from .commutator import (build_frame, commutator_test,
-                         defect_identity_residual, series_reconstruct,
-                         series_residual)
+                         defect_identity_residual, series_reconstruct)
 from .factorize import (RESIDUAL_SUP_TOL, pair, regroup_pairs, sinc_atom,
                         toeplitz_test_set, weak_factorize, xpq_sandwich)
 
@@ -254,8 +253,7 @@ def check_12_series(a: float, seed: int) -> list:
              "gaussian": toeplitz_matrix(gaussian_symbol(), a, 2.0, W, grid)}
     s8, s64 = (series_reconstruct(tests.values(), N, frame) for N in (8, 64))
     rows = []
-    for (label, T), S8, S64 in zip(tests.items(), s8, s64):
-        r8, r64 = series_residual(T, S8, frame), series_residual(T, S64, frame)
+    for label, r8, r64 in zip(tests, s8, s64):
         rows.append(_row(f"12-{label}-n64", "compression-series", r64, 0.05))
         rows.append(_row(f"12-{label}-monotone", "compression-series", r64, r8,
                          note=f"n8 {r8:.6f}"))

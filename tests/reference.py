@@ -1,6 +1,8 @@
 """Reference implementations that only the tests read.  pytest puts this
 directory on sys.path, so a test module imports them as `from reference
 import ...`."""
+import math
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
@@ -51,6 +53,35 @@ def dense_kernel_images(T, frame) -> tuple:
     Ck = C @ kc
     Q = np.conj(C).T - frame.alpha * np.conj(np.conj(kc) @ Ck) * np.eye(T.size)
     return Ck, Q @ kc
+
+
+def dense_defect_residual(frame) -> float:
+    """`commutator.defect_identity_residual` by the definitional route its
+    matrix-vector products replace: I - LambdaBar Lambda - alpha k (x) k formed
+    as an N x N array, and its 2-norm by the SVD."""
+    lam, lam_bar = frame.ops.lam.entries, frame.ops.lam_bar.entries
+    kc = frame.kernel_coeffs
+    return svd_norm(np.eye(kc.size) - lam_bar @ lam
+                    - frame.alpha * np.outer(kc, np.conj(kc)))
+
+
+def dense_series_residual(T, N: int, frame) -> float:
+    """One value of `commutator.series_reconstruct` by the definitional route
+    its closed form replaces: the partial sum sum_{n=0}^{N} LambdaBar^n
+    (T - LambdaBar T Lambda) Lambda^n summed term by term as N x N arrays, then
+    compared with T on the nodes |t_k| <= sqrt(64/(2 pi a))/3, relative to T
+    there, with 2-norms by the SVD."""
+    lam, lam_bar = frame.ops.lam.entries, frame.ops.lam_bar.entries
+    term = T.entries - lam_bar @ T.entries @ lam
+    total = np.zeros_like(term)
+    for _ in range(N + 1):
+        total += term
+        term = lam_bar @ term @ lam
+    sel = np.abs(T.nodes) <= math.sqrt(64.0 / (2.0 * np.pi * frame.basis.a)) / 3.0
+    block = np.ix_(sel, sel)
+    denom = svd_norm(T.entries[block])
+    err = svd_norm(total[block] - T.entries[block])
+    return err / denom if denom > 0.0 else err
 
 
 def materialize(F) -> tuple:
