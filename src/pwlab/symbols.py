@@ -139,14 +139,15 @@ def samples(sym: SymbolSpec, grid: Grid) -> SampledFunction:
 
 
 def point_values(sym: SymbolSpec, x) -> np.ndarray:
-    """Evaluate the symbol at scattered (non-lattice) real points.
+    """Evaluate the symbol at scattered (non-lattice) real points, in x's shape.
 
     The closed-form kinds evaluate directly.  A sampled symbol uses its
     trigonometric interpolant inside the stored window and is zero outside
     (the interpolant is periodic, so extrapolating it would wrap).  A
     bump_spectrum symbol integrates its compactly supported spectrum on a
     fine midpoint rule, which for a smooth profile converges beyond machine
-    precision long before the 4096 nodes used here.
+    precision long before the 4096 nodes used here; the rule's sum is one
+    `lattice_sum`.
     """
     x = np.asarray(x, dtype=float)
     P = sym.params

@@ -32,6 +32,34 @@ def svd_norm(X: np.ndarray) -> float:
     return float(np.linalg.svd(X, compute_uv=False)[0])
 
 
+def direct_lattice_sum(coeffs, xi0: float, dxi: float, x) -> np.ndarray:
+    """`grid.lattice_sum` by its definition: the full table of
+    exp(2 pi i (xi0 + j*dxi) x), each phase reduced mod 1 before the
+    exponential, times the coefficients; 256 points at a time."""
+    c = np.asarray(coeffs, dtype=complex)
+    xi = xi0 + dxi * np.arange(len(c))
+    x = np.asarray(x, dtype=float).ravel()
+    return np.concatenate([np.exp(2j * np.pi * (np.outer(x[s:s + 256], xi) % 1.0)) @ c
+                           for s in range(0, len(x), 256)] or [np.zeros(0, complex)])
+
+
+def factored_lattice_sum(coeffs, xi0: float, dxi: float, x) -> np.ndarray:
+    """`grid.lattice_sum` by the exact factored route its nonuniform FFT
+    replaces.  With j = q*B + b, B the divisor of n = len(coeffs) nearest
+    sqrt(n) and Q = n/B, each term is exp(2 pi i (xi0 + qB dxi) x) *
+    exp(2 pi i b dxi x): m x Q and m x B phase tables, one matrix product
+    with the coefficients as a (Q, B) array, and a row sum."""
+    c = np.asarray(coeffs, dtype=complex)
+    x = np.asarray(x, dtype=float).ravel()
+    n = len(c)
+    lo = next(d for d in range(math.isqrt(n), 0, -1) if n % d == 0)
+    B = lo if math.sqrt(n) - lo <= n // lo - math.sqrt(n) else n // lo
+    Q = n // B
+    outer = np.exp(2j * np.pi * np.outer(x, xi0 + B * dxi * np.arange(Q)))
+    inner = np.exp(2j * np.pi * np.outer(x, dxi * np.arange(B)))
+    return np.sum(outer * (inner @ c.reshape(Q, B).T), axis=1)
+
+
 def block_fft_matrix(taps: np.ndarray, basis) -> np.ndarray:
     """The entries of `toeplitz.assemble_matrix(taps, basis, p)` by the
     definitional route its closed form replaces: the 2-D m-point FFT of the

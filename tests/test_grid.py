@@ -7,9 +7,13 @@ from pytest import approx
 from pwlab.factorize import fejer_triangle
 from pwlab.grid import (MAX_GRID_POINTS, Grid, SampledFunction, energy_fraction,
                         evaluate_offgrid, fft_spectrum, filter_spectrum,
-                        grid_count, inverse_spectrum, lp_norm, symmetric_grid)
+                        grid_count, inverse_spectrum, lattice_sum, lp_norm,
+                        symmetric_grid)
+from pwlab.nehari import DEFAULT_TRUNCATION, _circle_nodes, _circle_size, hankel_symbol
 from pwlab.pwspace import band_mask, default_grid, project_band, project_halfline
-from reference import inner
+from pwlab.split import split_symbol
+from pwlab.symbols import bump_spectrum_symbol, gaussian_symbol, spectrum_on
+from reference import direct_lattice_sum, factored_lattice_sum, inner
 
 
 def test_symmetric_grid_layout():
@@ -225,6 +229,71 @@ def test_evaluate_offgrid_scalar_point():
     v = evaluate_offgrid(f, 0.3)
     assert np.ndim(v) == 0
     assert abs(v - _direct_interpolant(f, 0.3)[0]) <= 1e-12 * np.max(np.abs(f.values))
+
+
+def test_evaluate_offgrid_keeps_the_shape_of_x():
+    g = symmetric_grid(16.0, 0.125)
+    f = _rough(g, seed=3)
+    x = np.array([[0.3, g.points[5], -7.77], [g.points[100], 12.01, -15.9]])
+    got = evaluate_offgrid(f, x)
+    assert got.shape == (2, 3)
+    assert np.array_equal(got, evaluate_offgrid(f, x.ravel()).reshape(2, 3))
+
+
+def _smooth_coeffs(n, seed):
+    """Gaussian-enveloped random complex coefficients, centred on the lattice."""
+    rng = np.random.default_rng(seed)
+    env = np.exp(-((np.arange(n) - n / 2) / (n / 6)) ** 2)
+    return env * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+
+
+@pytest.fixture(scope="module")
+def lattice_cases():
+    """(coeffs, xi0, dxi, x) of the package's `lattice_sum` call shapes and of
+    two edge cases."""
+    # check 09's right target through evaluate_offgrid: n = 2,048 and the
+    # 2,028 circle preimages line_to_disk finds in its window
+    grid = default_grid(1.0)
+    fun = hankel_symbol(split_symbol(gaussian_symbol(), 1.0, grid).part_r, 1.0).params["fun"]
+    spec = fft_spectrum(fun)
+    _, x = _circle_nodes(_circle_size(DEFAULT_TRUNCATION))
+    inside = x[(x >= grid.start) & (x <= grid.points[-1])]
+    # a bump_spectrum point_values: n = 4,096 midpoint nodes on its support
+    bump = bump_spectrum_symbol(0.2, 0.9, seed=4, hermitian=True)
+    lo, hi = bump.spectral_support
+    dxi = (hi - lo) / 4096
+    fg = Grid(lo + 0.5 * dxi, dxi, 4096)
+    # odd n, and points up to five half periods 1/(2 dxi) = 8 out, on a
+    # 2^-20 lattice so that every phase x*xi is exact
+    rng = np.random.default_rng(7)
+    far = np.round(rng.uniform(-40.0, 40.0, 300) * 2.0 ** 20) / 2.0 ** 20
+    return {
+        "line_to_disk-2048": (spec.values, spec.grid.start, spec.grid.step, inside),
+        "bump-4096": (spectrum_on(bump, fg), fg.start, dxi, x),
+        "odd-1023": (_smooth_coeffs(1023, 5), -511 / 32, 1 / 32,
+                     rng.uniform(-16.0, 16.0, 500)),
+        "beyond-half-period": (_smooth_coeffs(256, 6), -8.0, 1 / 16, far),
+    }
+
+
+@pytest.mark.parametrize("case", ["line_to_disk-2048", "bump-4096", "odd-1023",
+                                  "beyond-half-period"])
+def test_lattice_sum_matches_direct_and_factored_sums(lattice_cases, case):
+    coeffs, xi0, dxi, x = lattice_cases[case]
+    if case == "line_to_disk-2048":
+        assert len(coeffs) == 2048 and len(x) == 2028
+    if case == "beyond-half-period":
+        assert np.max(np.abs(x)) > 4 * 0.5 / dxi     # four half periods
+    got = lattice_sum(coeffs, xi0, dxi, x)
+    want = direct_lattice_sum(coeffs, xi0, dxi, x)
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+    assert np.max(np.abs(got - factored_lattice_sum(coeffs, xi0, dxi, x))) <= 1e-12 * scale
+
+
+def test_lattice_sum_of_no_points_is_empty():
+    got = lattice_sum(_smooth_coeffs(64, 8), -2.0, 1 / 16, np.empty(0))
+    assert got.shape == (0,) and got.dtype == complex
 
 
 @given(st.integers(min_value=-40, max_value=40))

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from pwlab import nehari, toeplitz
+from pwlab import grid as grid_module
+from pwlab import nehari, symbols, toeplitz
 from pwlab.grid import SampledFunction, energy_fraction, fft_spectrum, lp_norm
 from pwlab.nehari import (AAKSolution, NehariResult, _circle_coeffs, _circle_nodes,
                           _circle_size, _section_products, aak_solve,
@@ -19,6 +20,7 @@ from pwlab.symbols import (bump_spectrum_symbol, gaussian_symbol, mod_poly_symbo
                            point_values, sampled_symbol, samples)
 from pwlab.toeplitz import operator_norm_certified, toeplitz_matrix
 from pwlab.verify import check_10_bounded_symbol
+from reference import factored_lattice_sum
 
 A = 1.0
 
@@ -207,6 +209,34 @@ def test_truncation_above_the_cap_is_refused_before_allocating(right_target):
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+@pytest.mark.parametrize("M", [8, 256, 2048])
+@pytest.mark.parametrize("target", ["check09", "bump"])
+def test_line_to_disk_matches_the_factored_route(right_target, target, M, monkeypatch):
+    # the sampled target reaches lattice_sum through evaluate_offgrid, the
+    # bump through its own point_values
+    b = right_target if target == "check09" else bump_spectrum_symbol(0.2, 0.9, seed=4)
+    got = line_to_disk(b, M)
+    monkeypatch.setattr(grid_module, "lattice_sum", factored_lattice_sum)
+    monkeypatch.setattr(symbols, "lattice_sum", factored_lattice_sum)
+    want = line_to_disk(b, M)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("M", [2048, 8192])
+def test_line_to_disk_memory_per_circle_point(right_target, M):
+    # the factored phase tables took 2.6 kB a circle point (43.2 MB at
+    # M = 2,048); the nonuniform FFT holds a few vectors of the points,
+    # 0.16-0.18 kB a point measured
+    line_to_disk(right_target, M)             # warm the FFT plans
+    tracemalloc.start()
+    try:
+        line_to_disk(right_target, M)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 512 * _circle_size(M)
 
 
 def test_matched_variant_absorbs_into_analytic_class(solved, grid):

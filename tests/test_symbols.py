@@ -58,6 +58,29 @@ def test_bump_point_values_match_midpoint_sum(hermitian):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+_SHAPE_SYMBOLS = {
+    "gaussian": gaussian_symbol(amp=2.0, width=1.5, shift=0.25, mod=0.3),
+    "mod_poly": mod_poly_symbol(2, 0.25),
+    "sampled": sampled_symbol(samples(gaussian_symbol(width=2.0),
+                                      symmetric_grid(16.0, 0.125))),
+    "bump_spectrum": bump_spectrum_symbol(0.2, 0.9, seed=4),
+    "hermitian-bump": bump_spectrum_symbol(0.2, 0.9, seed=4, hermitian=True),
+}
+
+
+@pytest.mark.parametrize("kind", list(_SHAPE_SYMBOLS))
+def test_point_values_keep_the_shape_of_x(kind):
+    # a sampled symbol is zero at 40.0, outside its window, and exact at 1.125
+    sym = _SHAPE_SYMBOLS[kind]
+    x = np.array([[0.3, -2.7, 40.0], [1.125, -15.55, 3.3]])
+    got = point_values(sym, x)
+    assert got.shape == (2, 3)
+    assert np.array_equal(got, point_values(sym, x.ravel()).reshape(2, 3))
+    one = point_values(sym, 0.3)
+    assert np.ndim(one) == 0
+    assert abs(one - got[0, 0]) <= 1e-14 * np.max(np.abs(got))
+
+
 def test_bump_spectrum_seeded_reproducible():
     g = default_grid(1.0)
     s1 = samples(bump_spectrum_symbol(0.1, 1.0, seed=5), g)
